@@ -8,10 +8,8 @@ inherited from the symmetry of the symbols.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import GridMismatch, InvalidExponent, UnresolvedKernel
 from .grid import (
@@ -19,6 +17,7 @@ from .grid import (
     RealField,
     SpectralField,
     forward_transform,
+    half_spectrum_symbols,
     inverse_transform,
 )
 
@@ -41,10 +40,10 @@ def apply_radial_power(F: SpectralField, power: float) -> SpectralField:
     """
     if power == 0:
         return F
-    mag = F.grid.xi_magnitude
-    mult = np.zeros_like(mag)
-    nz = mag > 0
-    mult[nz] = mag[nz] ** power
+    half = half_spectrum_symbols(F.grid, power).radial
+    # A radial symbol is even, so column n - j of the full layout repeats
+    # half-spectrum column j.
+    mult = np.concatenate([half, half[..., -2:0:-1]], axis=-1)
     return SpectralField(F.grid, F.coeffs * mult)
 
 
@@ -94,19 +93,6 @@ def gradient(f: RealField) -> list[RealField]:
     return out
 
 
-@lru_cache(maxsize=None)
-def _bump_normalization(dim: int) -> float:
-    """1 / integral of exp(-1/(1-|x|^2)) over the unit ball in R^dim."""
-    profile = lambda r: np.exp(-1.0 / (1.0 - r * r))
-    if dim == 1:
-        total = quad(profile, -1.0, 1.0, limit=200)[0]
-    elif dim == 2:
-        total = 2.0 * np.pi * quad(lambda r: profile(r) * r, 0.0, 1.0, limit=200)[0]
-    else:
-        total = 4.0 * np.pi * quad(lambda r: profile(r) * r * r, 0.0, 1.0, limit=200)[0]
-    return 1.0 / total
-
-
 @dataclass(frozen=True, eq=False)
 class MollifierKernel:
     """Periodized standard mollifier at radius epsilon, sampled on a grid.
@@ -138,7 +124,6 @@ class MollifierKernel:
         vals = np.zeros(g.shape)
         inside = r_sq < 1.0
         vals[inside] = np.exp(-1.0 / (1.0 - r_sq[inside]))
-        vals *= _bump_normalization(g.dim) / eps**g.dim
         # Discrete renormalization: the sampled kernel integrates to one bit-exactly.
         vals /= np.sum(vals) * g.spacing**g.dim
         vals.setflags(write=False)

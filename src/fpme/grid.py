@@ -7,11 +7,15 @@ the zero coefficient of a transformed field equals its grid mean, so that
     sum(f**2) * spacing**dim == volume * sum(|coeff|**2)
 
 holds exactly (discrete Parseval identity).
+
+The stepper and the Sobolev norms work on numpy's unnormalized ``rfftn``
+half-spectrum instead, with symbols from :func:`half_spectrum_symbols`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -26,6 +30,8 @@ __all__ = [
     "dealias",
     "dealiased_product",
     "resample",
+    "HalfSpectrumSymbols",
+    "half_spectrum_symbols",
 ]
 
 # Imaginary residue larger than this (relative to the field scale) means the
@@ -70,6 +76,8 @@ class Grid:
         object.__setattr__(self, "shape", (self.n_points,) * self.dim)
         object.__setattr__(self, "size", self.n_points**self.dim)
         object.__setattr__(self, "volume", self.side_length**self.dim)
+        # Trailing axes: real-to-complex transforms of a field run over these.
+        object.__setattr__(self, "fft_axes", tuple(range(-self.dim, 0)))
 
         n, L = self.n_points, self.side_length
         # Signed integer frequencies in [-N/2, N/2), FFT layout.
@@ -103,6 +111,61 @@ class Grid:
         """Minimal-image displacements from the origin, exact negatives pairwise."""
         off = self.k_signed * self.spacing
         return tuple(np.meshgrid(*([off] * self.dim), indexing="ij"))
+
+
+@dataclass(frozen=True, eq=False)
+class HalfSpectrumSymbols:
+    """Fourier symbols of one grid over the ``rfftn`` half-spectrum.
+
+    The last axis holds the ``n_points // 2 + 1`` nonnegative frequencies,
+    the other axes the full signed range.  Dense arrays have that shape and
+    the others broadcast to it.  Every array is read-only: one table is shared
+    by all callers, threads included.
+
+    mask:    the 2/3-rule dealias mask.
+    radial:  ``|xi|**exponent``, zero mode mapped to 0.
+    fold:    2 on the interior last-axis columns, 1 on the zero and Nyquist
+             columns.  An interior column also stands for its conjugate
+             mirror, so ``sum(fold * w * |rfftn(f)|**2)`` is the full-spectrum
+             sum for any radial ``w``.
+    sobolev: ``(1 + |xi|**2)**exponent * fold``.
+    grad:    ``1j * xi`` along each axis with the Nyquist plane dropped.
+    """
+
+    mask: np.ndarray
+    radial: np.ndarray
+    fold: np.ndarray
+    sobolev: np.ndarray
+    grad: tuple[np.ndarray, ...]
+
+
+@lru_cache(maxsize=32)
+def half_spectrum_symbols(grid: Grid, exponent: float) -> HalfSpectrumSymbols:
+    """The symbol table of ``grid`` at ``exponent``, built once per key."""
+    n, d = grid.n_points, grid.dim
+    # |xi| is even in every coordinate, so the first n//2+1 columns of the
+    # full layout (its column n//2 is frequency -n/2) match rfftn's 0..n/2.
+    half = (Ellipsis, slice(0, n // 2 + 1))
+    mag = grid.xi_magnitude[half]
+    radial = np.zeros_like(mag)
+    nz = mag > 0
+    radial[nz] = mag[nz] ** exponent
+    fold = np.full(n // 2 + 1, 2.0)
+    fold[[0, -1]] = 1.0
+    sobolev = (1.0 + grid.xi_squared[half]) ** exponent * fold
+    # The odd symbol has no Hermitian-symmetric value on the Nyquist plane.
+    xi_axis = (2.0 * np.pi / grid.side_length) * grid.k_signed
+    xi_axis[n // 2] = 0.0
+    grad = []
+    for ax in range(d):
+        k = xi_axis if ax < d - 1 else xi_axis[: n // 2 + 1]
+        shape = [1] * d
+        shape[ax] = k.size
+        grad.append((1j * k).reshape(shape))
+    mask = np.ascontiguousarray(grid.dealias_mask[half])
+    for arr in (mask, radial, fold, sobolev, *grad):
+        arr.setflags(write=False)
+    return HalfSpectrumSymbols(mask, radial, fold, sobolev, tuple(grad))
 
 
 def _as_shaped(grid: Grid, values: np.ndarray, name: str) -> np.ndarray:

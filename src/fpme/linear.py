@@ -21,7 +21,7 @@ import numpy as np
 from .diagnostics import DiagnosticsRecord, RecorderConfig, record
 from .errors import BlowUp, GridMismatch
 from .fracops import MollifierKernel
-from .grid import Grid, RealField
+from .grid import Grid, RealField, half_spectrum_symbols
 from .norms import DyadicPartition, lp_norm, sobolev_norm
 
 __all__ = [
@@ -109,17 +109,21 @@ class TimeStepPolicy:
 
 @dataclass(frozen=True, eq=False)
 class CoefficientOps:
-    """Everything derived from (v, s, epsilon) that the stepper reuses."""
+    """Everything derived from (v, s, epsilon) that the stepper reuses.
+
+    Spectral arrays live on the rfftn half-spectrum.  filt is the dealias
+    mask, times the mollifier symbol when epsilon > 0; grad_mults and
+    lap_mult come read-only from the grid's shared symbol table.
+    """
 
     grid: Grid
     s: float
     epsilon: float
-    kernel_hat: np.ndarray | None
+    filt: np.ndarray
     v_values: np.ndarray
     grad_p_values: tuple[np.ndarray, ...]
     grad_mults: tuple[np.ndarray, ...]
     lap_mult: np.ndarray
-    mask: np.ndarray
     rho_est: float
 
 
@@ -127,30 +131,23 @@ def make_coefficient_ops(
     v: RealField, s: float, epsilon: float, kernel: MollifierKernel | None = None
 ) -> CoefficientOps:
     g = v.grid
-    mask = g.dealias_mask
-    size = g.size
+    axes = g.fft_axes
+    sym = half_spectrum_symbols(g, -2.0 * s)
+    lap = half_spectrum_symbols(g, 2.0 - 2.0 * s)
 
+    filt = sym.mask
     if epsilon > 0:
         if kernel is None:
             kernel = MollifierKernel(g, epsilon)
-        kernel_hat = kernel.kernel_hat
-    else:
-        kernel_hat = None
+        # The kernel symbol is even, so its leading columns are the half-spectrum.
+        filt = filt * kernel.kernel_hat[..., : filt.shape[-1]]
+        filt.setflags(write=False)
 
-    Fv = np.fft.fftn(v.values) / size
-    v_d = np.fft.ifftn(Fv * mask).real * size
-
-    mag = g.xi_magnitude
-    inv_sym = np.zeros_like(mag)
-    nz = mag > 0
-    inv_sym[nz] = mag[nz] ** (-2.0 * s)
-    grad_p = []
-    for ax in range(g.dim):
-        spec = 1j * g.xi[ax] * inv_sym * Fv * mask
-        grad_p.append(np.fft.ifftn(spec).real * size)
-
-    grad_mults = tuple(1j * g.xi[ax] * mask for ax in range(g.dim))
-    lap_mult = mag ** (2.0 - 2.0 * s) * mask
+    Fv = np.fft.rfftn(v.values, axes=axes)
+    Fv *= sym.mask
+    v_d = np.fft.irfftn(Fv, s=g.shape, axes=axes)
+    Fp = Fv * sym.radial
+    grad_p = [np.fft.irfftn(gm * Fp, s=g.shape, axes=axes) for gm in sym.grad]
 
     grad_p_mag = np.sqrt(sum(gp**2 for gp in grad_p))
     xi_max = g.xi_max_retained
@@ -162,29 +159,26 @@ def make_coefficient_ops(
         grid=g,
         s=s,
         epsilon=epsilon,
-        kernel_hat=kernel_hat,
+        filt=filt,
         v_values=v_d,
         grad_p_values=tuple(grad_p),
-        grad_mults=grad_mults,
-        lap_mult=lap_mult,
-        mask=mask,
+        grad_mults=sym.grad,
+        lap_mult=lap.radial,
         rho_est=rho_est,
     )
 
 
 def _rhs_values(u_values: np.ndarray, ops: CoefficientOps) -> np.ndarray:
-    size = ops.grid.size
-    Fu = np.fft.fftn(u_values) / size
-    if ops.kernel_hat is not None:
-        Fu = Fu * ops.kernel_hat
-    transport = np.zeros(ops.grid.shape)
+    shape, axes = ops.grid.shape, ops.grid.fft_axes
+    Fu = np.fft.rfftn(u_values, axes=axes)
+    Fu *= ops.filt
+    r = np.zeros(shape)
     for gm, gp in zip(ops.grad_mults, ops.grad_p_values):
-        transport += np.fft.ifftn(gm * Fu).real * size * gp
-    diffusion = ops.v_values * (np.fft.ifftn(ops.lap_mult * Fu).real * size)
-    Fr = np.fft.fftn(transport - diffusion) / size * ops.mask
-    if ops.kernel_hat is not None:
-        Fr = Fr * ops.kernel_hat
-    return np.fft.ifftn(Fr).real * size
+        r += np.fft.irfftn(gm * Fu, s=shape, axes=axes) * gp
+    r -= ops.v_values * np.fft.irfftn(ops.lap_mult * Fu, s=shape, axes=axes)
+    Fr = np.fft.rfftn(r, axes=axes)
+    Fr *= ops.filt
+    return np.fft.irfftn(Fr, s=shape, axes=axes)
 
 
 def rhs_with_ops(u: RealField, ops: CoefficientOps) -> RealField:

@@ -7,7 +7,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid, RealField, SpectralField, forward_transform, inverse_transform
+from .grid import (
+    Grid,
+    RealField,
+    SpectralField,
+    forward_transform,
+    half_spectrum_symbols,
+    inverse_transform,
+)
 
 __all__ = [
     "lp_norm",
@@ -29,24 +36,27 @@ def lp_norm(f: RealField, p: float) -> float:
     return float((np.sum(np.abs(f.values) ** p) * g.spacing**g.dim) ** (1.0 / p))
 
 
+def _half_power(f: RealField) -> np.ndarray:
+    """|rfftn(f)|**2, the unnormalized half-spectrum power."""
+    c = np.fft.rfftn(f.values, axes=f.grid.fft_axes)
+    return c.real**2 + c.imag**2
+
+
 def sobolev_norm(f: RealField, alpha: float) -> float:
     """Inhomogeneous H^alpha norm, Parseval-consistent with lp_norm(., 2)."""
     if alpha < 0:
         raise ValueError(f"alpha must be >= 0, got {alpha}")
     g = f.grid
-    c = forward_transform(f).coeffs
-    weight = (1.0 + g.xi_squared) ** alpha
-    return float(np.sqrt(g.volume * np.sum(weight * np.abs(c) ** 2)))
+    weight = half_spectrum_symbols(g, alpha).sobolev
+    return float(np.sqrt(g.volume * np.sum(weight * _half_power(f)))) / g.size
 
 
 def homogeneous_seminorm(f: RealField, alpha: float) -> float:
     """Homogeneous seminorm |xi|^alpha on nonzero modes, any real alpha."""
     g = f.grid
-    c = forward_transform(f).coeffs
-    mag = g.xi_magnitude
-    nz = mag > 0
-    total = np.sum(mag[nz] ** (2.0 * alpha) * np.abs(c[nz]) ** 2)
-    return float(np.sqrt(g.volume * total))
+    sym = half_spectrum_symbols(g, 2.0 * alpha)
+    total = np.sum(sym.radial * sym.fold * _half_power(f))
+    return float(np.sqrt(g.volume * total)) / g.size
 
 
 def _smooth_step(t: np.ndarray) -> np.ndarray:

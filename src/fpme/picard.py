@@ -179,7 +179,6 @@ def run_picard(u0: RealField, config: PicardConfig) -> PicardResult:
     m = config.samples
 
     cfg = config
-    deltas: list[float] = []
     for _ in range(_MAX_RECALIBRATIONS + 1):
         t0 = horizon(u0, cfg)
         dt_seg = t0 / m

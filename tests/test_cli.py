@@ -2,10 +2,15 @@
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fpme
 import fpme.diagnostics as diag_mod
 import fpme.linear as linear_mod
 from fpme import read_snapshot
@@ -232,3 +237,14 @@ class TestPropertiesRun:
             outs.append(out)
         a, b = (o / "report.csv" for o in outs)
         assert a.read_bytes() == b.read_bytes()
+
+
+def test_import_leaves_scipy_unloaded():
+    src = str(Path(fpme.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    probe = "import sys, fpme.cli; print('scipy' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
