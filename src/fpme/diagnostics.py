@@ -13,13 +13,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDenominator, InvalidExponent, UnsupportedExponent
-from .fracops import apply_radial_power, frac_laplacian
+from .fracops import apply_radial_power, frac_laplacian, gradient
 from .grid import (
     Grid,
     RealField,
     SpectralField,
     dealias,
     forward_transform,
+    half_spectrum_symbols,
     inverse_transform,
     require_same_grid,
 )
@@ -166,12 +167,11 @@ class FieldGenerator:
 
     def _random_trig(self, grid: Grid) -> RealField:
         rng = np.random.default_rng(self.seed)
-        noise = rng.standard_normal(grid.shape)
-        F = np.fft.fftn(noise) / grid.size
-        r = grid.xi_magnitude / (2.0 * np.pi / grid.side_length)
+        F = forward_transform(RealField(grid, rng.standard_normal(grid.shape)))
+        r = half_spectrum_symbols(grid, 1.0).radial / (2.0 * np.pi / grid.side_length)
         k_max = max(1, min(grid.dealias_cutoff, int(grid.side_length / self.width)))
         filt = (r <= k_max) / (1.0 + r)
-        f = inverse_transform(SpectralField(grid, F * filt))
+        f = inverse_transform(SpectralField(grid, F.coeffs * filt))
         peak = float(np.max(np.abs(f.values)))
         if peak == 0.0:
             return f
@@ -243,12 +243,7 @@ def check_commutator(f: RealField, g: RealField, alpha: float) -> float:
     diff = RealField(grid, lam_prod.values - f.values * lam_g.values)
     numerator = lp_norm(diff, 2)
 
-    Ff = forward_transform(f)
-    grad_sq = np.zeros(grid.shape)
-    for ax in range(grid.dim):
-        comp = inverse_transform(SpectralField(grid, 1j * grid.xi[ax] * Ff.coeffs))
-        grad_sq += comp.values**2
-    grad_f_inf = float(np.sqrt(np.max(grad_sq)))
+    grad_f_inf = float(np.sqrt(np.max(sum(c.values**2 for c in gradient(f)))))
     denominator = grad_f_inf * homogeneous_seminorm(g, alpha - 1.0) + (
         homogeneous_seminorm(f, alpha) * lp_norm(g, np.inf)
     )

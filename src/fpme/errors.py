@@ -9,10 +9,6 @@ class GridMismatch(FpmeError):
     """Two fields that must share a grid do not."""
 
 
-class NonHermitianInput(FpmeError):
-    """Spectral data fed to an inverse transform is not Hermitian-symmetric."""
-
-
 class InvalidExponent(FpmeError):
     """Fractional order outside the supported range."""
 

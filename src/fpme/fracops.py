@@ -40,11 +40,7 @@ def apply_radial_power(F: SpectralField, power: float) -> SpectralField:
     """
     if power == 0:
         return F
-    half = half_spectrum_symbols(F.grid, power).radial
-    # A radial symbol is even, so column n - j of the full layout repeats
-    # half-spectrum column j.
-    mult = np.concatenate([half, half[..., -2:0:-1]], axis=-1)
-    return SpectralField(F.grid, F.coeffs * mult)
+    return SpectralField(F.grid, F.coeffs * half_spectrum_symbols(F.grid, power).radial)
 
 
 def frac_laplacian(f: RealField, sigma: float) -> RealField:
@@ -67,10 +63,7 @@ def inv_frac_laplacian(f: RealField, s: float) -> RealField:
     """
     if not (0.0 < s < 1.0):
         raise InvalidExponent(f"inverse fractional Laplacian needs s in (0, 1), got {s}")
-    F = forward_transform(f)
-    coeffs = apply_radial_power(F, -2.0 * s).coeffs.copy()
-    coeffs.flat[0] = 0.0
-    return inverse_transform(SpectralField(f.grid, coeffs))
+    return inverse_transform(apply_radial_power(forward_transform(f), -2.0 * s))
 
 
 def gradient(f: RealField) -> list[RealField]:
@@ -80,17 +73,11 @@ def gradient(f: RealField) -> list[RealField]:
     symbol i*xi has no Hermitian-symmetric value there, and the standard
     convention (drop it) is also the one that keeps d/dx of a real sample
     real."""
-    g = f.grid
     F = forward_transform(f)
-    out = []
-    for ax in range(g.dim):
-        mult = 1j * g.xi[ax]
-        sl = [slice(None)] * g.dim
-        sl[ax] = g.n_points // 2
-        mult = mult.copy()
-        mult[tuple(sl)] = 0.0
-        out.append(inverse_transform(SpectralField(g, mult * F.coeffs)))
-    return out
+    return [
+        inverse_transform(SpectralField(f.grid, gm * F.coeffs))
+        for gm in half_spectrum_symbols(f.grid, 1.0).grad
+    ]
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,9 +85,10 @@ class MollifierKernel:
     """Periodized standard mollifier at radius epsilon, sampled on a grid.
 
     kernel_values hold the nonnegative samples, renormalized so the discrete
-    integral is one; kernel_hat is the matching convolution symbol with
-    kernel_hat(0) = 1 exactly.  Convolving with this kernel is therefore a
-    convex combination of samples: it preserves the mean and nonnegativity.
+    integral is one; kernel_hat is the matching convolution symbol on the
+    half-spectrum, real because the kernel is even, with kernel_hat(0) = 1
+    exactly.  Convolving with this kernel is therefore a convex combination
+    of samples: it preserves the mean and nonnegativity.
     """
 
     grid: Grid
@@ -129,19 +117,15 @@ class MollifierKernel:
         vals.setflags(write=False)
         object.__setattr__(self, "kernel_values", vals)
 
-        hat = (np.fft.fftn(vals) * g.spacing**g.dim).real
+        hat = (np.fft.rfftn(vals, axes=g.fft_axes) * g.spacing**g.dim).real
         hat.flat[0] = 1.0
         hat.setflags(write=False)
         object.__setattr__(self, "kernel_hat", hat)
 
-    def apply_spectral(self, F: SpectralField) -> SpectralField:
-        if F.grid != self.grid:
-            raise GridMismatch(
-                f"kernel grid {self.grid} does not match field grid {F.grid}"
-            )
-        return SpectralField(F.grid, F.coeffs * self.kernel_hat)
-
 
 def mollify(f: RealField, kernel: MollifierKernel) -> RealField:
     """Convolve with the periodized mollifier (spectral multiplication)."""
-    return inverse_transform(kernel.apply_spectral(forward_transform(f)))
+    if f.grid != kernel.grid:
+        raise GridMismatch(f"kernel grid {kernel.grid} does not match field grid {f.grid}")
+    F = forward_transform(f)
+    return inverse_transform(SpectralField(f.grid, F.coeffs * kernel.kernel_hat))

@@ -1,15 +1,21 @@
 """Periodic grid, spectral transforms and dealiasing.
 
 All fields live on the torus ``[0, L)^dim`` sampled on a uniform lattice of
-``n_points`` cells per axis.  Transforms use the mean-value normalization:
-the zero coefficient of a transformed field equals its grid mean, so that
+``n_points`` cells per axis.  Spectral data use one layout everywhere, the
+``rfftn`` half-spectrum of shape ``(*shape[:-1], n_points // 2 + 1)``: the
+last axis holds the nonnegative frequencies ``0..n/2``, the other axes the
+full signed range in FFT order.  The negative last-axis frequencies are the
+complex conjugates of the stored ones and are not kept.
 
-    sum(f**2) * spacing**dim == volume * sum(|coeff|**2)
+:func:`forward_transform` uses the mean-value normalization: the zero
+coefficient equals the grid mean, so with ``fold`` from
+:class:`HalfSpectrumSymbols`
 
-holds exactly (discrete Parseval identity).
+    sum(f**2) * spacing**dim == volume * sum(fold * |coeff|**2)
 
-The stepper and the Sobolev norms work on numpy's unnormalized ``rfftn``
-half-spectrum instead, with symbols from :func:`half_spectrum_symbols`.
+holds exactly (discrete Parseval identity).  The stepper and the norms use
+numpy's unnormalized ``rfftn`` on the same layout.  Every symbol comes from
+:func:`half_spectrum_symbols`.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import GridMismatch, NonHermitianInput
+from .errors import GridMismatch
 
 __all__ = [
     "Grid",
@@ -33,10 +39,6 @@ __all__ = [
     "HalfSpectrumSymbols",
     "half_spectrum_symbols",
 ]
-
-# Imaginary residue larger than this (relative to the field scale) means the
-# spectral data was not the transform of a real field.
-_HERMITIAN_TOL = 1e-8
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -80,23 +82,11 @@ class Grid:
         object.__setattr__(self, "fft_axes", tuple(range(-self.dim, 0)))
 
         n, L = self.n_points, self.side_length
+        object.__setattr__(self, "spectral_shape", (*self.shape[:-1], n // 2 + 1))
         # Signed integer frequencies in [-N/2, N/2), FFT layout.
-        k_signed = np.fft.fftfreq(n, d=1.0 / n)
-        object.__setattr__(self, "k_signed", k_signed)
-        xi_axis = (2.0 * np.pi / L) * k_signed
-        mesh = np.meshgrid(*([xi_axis] * self.dim), indexing="ij", sparse=False)
-        object.__setattr__(self, "xi", tuple(mesh))
-        k_sq = sum(m**2 for m in mesh)
-        object.__setattr__(self, "xi_squared", k_sq)
-        object.__setattr__(self, "xi_magnitude", np.sqrt(k_sq))
-
-        # 2/3-rule mask: keep |k| <= N/3 on every axis.
+        object.__setattr__(self, "k_signed", np.fft.fftfreq(n, d=1.0 / n))
+        # 2/3 rule: keep |k| <= N/3 on every axis.
         cutoff = n // 3
-        keep_axis = np.abs(k_signed) <= cutoff
-        mask = keep_axis
-        for _ in range(self.dim - 1):
-            mask = np.multiply.outer(mask, keep_axis)
-        object.__setattr__(self, "dealias_mask", mask.astype(float))
         object.__setattr__(self, "dealias_cutoff", cutoff)
         # Largest retained |xi| after dealiasing (corner of the kept cube).
         xi_max = (2.0 * np.pi / L) * cutoff * np.sqrt(self.dim)
@@ -117,10 +107,9 @@ class Grid:
 class HalfSpectrumSymbols:
     """Fourier symbols of one grid over the ``rfftn`` half-spectrum.
 
-    The last axis holds the ``n_points // 2 + 1`` nonnegative frequencies,
-    the other axes the full signed range.  Dense arrays have that shape and
-    the others broadcast to it.  Every array is read-only: one table is shared
-    by all callers, threads included.
+    Dense arrays have shape ``grid.spectral_shape`` and the others broadcast
+    to it.  Every array is read-only: one table is shared by all callers,
+    threads included.
 
     mask:    the 2/3-rule dealias mask.
     radial:  ``|xi|**exponent``, zero mode mapped to 0.
@@ -143,40 +132,45 @@ class HalfSpectrumSymbols:
 def half_spectrum_symbols(grid: Grid, exponent: float) -> HalfSpectrumSymbols:
     """The symbol table of ``grid`` at ``exponent``, built once per key."""
     n, d = grid.n_points, grid.dim
-    # |xi| is even in every coordinate, so the first n//2+1 columns of the
-    # full layout (its column n//2 is frequency -n/2) match rfftn's 0..n/2.
-    half = (Ellipsis, slice(0, n // 2 + 1))
-    mag = grid.xi_magnitude[half]
+    scale = 2.0 * np.pi / grid.side_length
+    mask = np.ones(grid.spectral_shape)
+    xi, grad = [], []
+    for ax in range(d):
+        k = grid.k_signed if ax < d - 1 else np.fft.rfftfreq(n, d=1.0 / n)
+        shape = [1] * d
+        shape[ax] = k.size
+        mask = mask * (np.abs(k) <= grid.dealias_cutoff).reshape(shape)
+        xi.append((scale * k).reshape(shape))
+        # The odd symbol has no Hermitian-symmetric value on the Nyquist plane.
+        odd = scale * k
+        odd[n // 2] = 0.0
+        grad.append((1j * odd).reshape(shape))
+    xi_squared = sum(x**2 for x in xi)
+    mag = np.sqrt(xi_squared)
     radial = np.zeros_like(mag)
     nz = mag > 0
     radial[nz] = mag[nz] ** exponent
     fold = np.full(n // 2 + 1, 2.0)
     fold[[0, -1]] = 1.0
-    sobolev = (1.0 + grid.xi_squared[half]) ** exponent * fold
-    # The odd symbol has no Hermitian-symmetric value on the Nyquist plane.
-    xi_axis = (2.0 * np.pi / grid.side_length) * grid.k_signed
-    xi_axis[n // 2] = 0.0
-    grad = []
-    for ax in range(d):
-        k = xi_axis if ax < d - 1 else xi_axis[: n // 2 + 1]
-        shape = [1] * d
-        shape[ax] = k.size
-        grad.append((1j * k).reshape(shape))
-    mask = np.ascontiguousarray(grid.dealias_mask[half])
+    sobolev = (1.0 + xi_squared) ** exponent * fold
     for arr in (mask, radial, fold, sobolev, *grad):
         arr.setflags(write=False)
     return HalfSpectrumSymbols(mask, radial, fold, sobolev, tuple(grad))
 
 
-def _as_shaped(grid: Grid, values: np.ndarray, name: str) -> np.ndarray:
+def _as_shaped(shape: tuple[int, ...], values: np.ndarray, name: str) -> np.ndarray:
     arr = np.asarray(values)
-    if arr.shape == grid.shape:
+    if arr.shape == shape:
         return arr
-    if arr.ndim == 1 and arr.size == grid.size:
-        return arr.reshape(grid.shape)
-    raise ValueError(
-        f"{name} must have shape {grid.shape} or length {grid.size}, got {arr.shape}"
-    )
+    if arr.ndim == 1 and arr.size == np.prod(shape):
+        return arr.reshape(shape)
+    raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr = arr.copy() if not arr.flags.owndata else arr
+    arr.setflags(write=False)
+    return arr
 
 
 @dataclass(frozen=True, eq=False)
@@ -187,26 +181,22 @@ class RealField:
     values: np.ndarray
 
     def __post_init__(self):
-        arr = _as_shaped(self.grid, self.values, "values").astype(float, copy=False)
+        arr = _as_shaped(self.grid.shape, self.values, "values").astype(float, copy=False)
         if not np.all(np.isfinite(arr)):
             raise ValueError("RealField values must be finite")
-        arr = arr.copy() if not arr.flags.owndata else arr
-        arr.setflags(write=False)
-        object.__setattr__(self, "values", arr)
+        object.__setattr__(self, "values", _frozen(arr))
 
 
 @dataclass(frozen=True, eq=False)
 class SpectralField:
-    """Complex coefficients indexed by the signed-frequency lattice."""
+    """Mean-normalized coefficients on the half-spectrum, shape ``grid.spectral_shape``."""
 
     grid: Grid
     coeffs: np.ndarray
 
     def __post_init__(self):
-        arr = _as_shaped(self.grid, self.coeffs, "coeffs").astype(complex, copy=False)
-        arr = arr.copy() if not arr.flags.owndata else arr
-        arr.setflags(write=False)
-        object.__setattr__(self, "coeffs", arr)
+        arr = _as_shaped(self.grid.spectral_shape, self.coeffs, "coeffs")
+        object.__setattr__(self, "coeffs", _frozen(arr.astype(complex, copy=False)))
 
 
 def require_same_grid(*fields) -> Grid:
@@ -218,33 +208,20 @@ def require_same_grid(*fields) -> Grid:
 
 
 def forward_transform(f: RealField) -> SpectralField:
-    """DFT with mean normalization: coefficient at 0 equals mean(f)."""
-    coeffs = np.fft.fftn(f.values) / f.grid.size
-    return SpectralField(f.grid, coeffs)
+    """Half-spectrum DFT with mean normalization: coefficient at 0 equals mean(f)."""
+    g = f.grid
+    return SpectralField(g, np.fft.rfftn(f.values, axes=g.fft_axes, norm="forward"))
 
 
 def inverse_transform(F: SpectralField) -> RealField:
-    """Inverse of :func:`forward_transform`.
-
-    The reconstruction of Hermitian-symmetric data is real up to roundoff;
-    the imaginary residue is checked and discarded.  A residue above
-    ``1e-8`` relative to the field scale signals an operator bug upstream
-    and raises :class:`NonHermitianInput`.
-    """
-    w = np.fft.ifftn(F.coeffs) * F.grid.size
-    real = w.real
-    resid = float(np.max(np.abs(w.imag))) if w.size else 0.0
-    scale = max(1.0, float(np.max(np.abs(real))) if real.size else 0.0)
-    if resid > _HERMITIAN_TOL * scale:
-        raise NonHermitianInput(
-            f"imaginary residue {resid:.3e} exceeds {_HERMITIAN_TOL:.0e} * {scale:.3e}"
-        )
-    return RealField(F.grid, real)
+    """Inverse of :func:`forward_transform`; the result is real by construction."""
+    g = F.grid
+    return RealField(g, np.fft.irfftn(F.coeffs, s=g.shape, axes=g.fft_axes, norm="forward"))
 
 
 def dealias(F: SpectralField) -> SpectralField:
     """Zero every coefficient with signed frequency above N/3 on any axis."""
-    return SpectralField(F.grid, F.coeffs * F.grid.dealias_mask)
+    return SpectralField(F.grid, F.coeffs * half_spectrum_symbols(F.grid, 1.0).mask)
 
 
 def dealiased_product(f: RealField, g: RealField) -> RealField:
@@ -262,6 +239,12 @@ def dealiased_product(f: RealField, g: RealField) -> RealField:
     return inverse_transform(dealias(forward_transform(prod)))
 
 
+def _band(grid: Grid, keep: int):
+    """Index of the half-spectrum modes with |k| <= keep on every axis."""
+    sel = np.abs(grid.k_signed) <= keep
+    return np.ix_(*[sel] * (grid.dim - 1), sel[: grid.n_points // 2 + 1])
+
+
 def resample(f: RealField, target: Grid) -> RealField:
     """Trigonometric re-interpolation of ``f`` onto a finer or coarser grid.
 
@@ -273,10 +256,7 @@ def resample(f: RealField, target: Grid) -> RealField:
         raise GridMismatch("resample requires equal dim and side_length")
     if src.n_points == target.n_points:
         return RealField(target, f.values)
-    F = forward_transform(f).coeffs
     keep = min(src.n_points, target.n_points) // 2 - 1
-    out = np.zeros(target.shape, dtype=complex)
-    sel_src = [np.abs(src.k_signed) <= keep] * src.dim
-    sel_tgt = [np.abs(target.k_signed) <= keep] * target.dim
-    out[np.ix_(*sel_tgt)] = F[np.ix_(*sel_src)]
+    out = np.zeros(target.spectral_shape, dtype=complex)
+    out[_band(target, keep)] = forward_transform(f).coeffs[_band(src, keep)]
     return inverse_transform(SpectralField(target, out))

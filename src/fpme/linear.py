@@ -29,7 +29,6 @@ __all__ = [
     "TimeStepPolicy",
     "CoefficientOps",
     "make_coefficient_ops",
-    "rhs",
     "rhs_with_ops",
     "LinearSolution",
     "solve_linear",
@@ -139,8 +138,7 @@ def make_coefficient_ops(
     if epsilon > 0:
         if kernel is None:
             kernel = MollifierKernel(g, epsilon)
-        # The kernel symbol is even, so its leading columns are the half-spectrum.
-        filt = filt * kernel.kernel_hat[..., : filt.shape[-1]]
+        filt = filt * kernel.kernel_hat
         filt.setflags(write=False)
 
     Fv = np.fft.rfftn(v.values, axes=axes)
@@ -182,17 +180,10 @@ def _rhs_values(u_values: np.ndarray, ops: CoefficientOps) -> np.ndarray:
 
 
 def rhs_with_ops(u: RealField, ops: CoefficientOps) -> RealField:
+    """Right-hand side of the frozen-coefficient equation at state u."""
     if u.grid != ops.grid:
         raise GridMismatch("state grid does not match coefficient grid")
     return RealField(ops.grid, _rhs_values(u.values, ops))
-
-
-def rhs(u: RealField, problem: LinearProblem) -> RealField:
-    """Right-hand side of the frozen-coefficient equation at state u."""
-    if u.grid != problem.grid:
-        raise GridMismatch("state grid does not match problem grid")
-    ops = make_coefficient_ops(problem.v, problem.s, problem.epsilon)
-    return rhs_with_ops(u, ops)
 
 
 def _rk4_step(u: np.ndarray, dt: float, ops: CoefficientOps) -> np.ndarray:

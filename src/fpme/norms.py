@@ -82,18 +82,20 @@ class DyadicPartition:
 
     Block j lives on the annulus (2**(j-1), 2**(j+1)) in units of the
     fundamental wavenumber 2*pi/L; block -1 covers |xi| <= one fundamental.
-    Multipliers are cut at the dealiasing mask, and the top index is chosen
-    so the blocks sum to one on every retained mode.
+    Multipliers live on the half-spectrum, are cut at the dealiasing mask,
+    and the top index is chosen so the blocks sum to one on every retained
+    mode.
     """
 
     grid: Grid
 
     def __post_init__(self):
         g = self.grid
-        r = g.xi_magnitude / (2.0 * np.pi / g.side_length)
+        sym = half_spectrum_symbols(g, 1.0)
+        r = sym.radial / (2.0 * np.pi / g.side_length)
         r_top = g.dealias_cutoff * math.sqrt(g.dim)
         j_max = max(0, math.ceil(math.log2(r_top))) if r_top >= 1 else 0
-        mask = g.dealias_mask
+        mask = sym.mask
         mults = [_chi(2.0 * r) * mask]
         js = [-1]
         for j in range(0, j_max + 1):

@@ -3,6 +3,8 @@ import pytest
 
 from fpme import Grid, RealField
 
+from helpers import radial_symbol_oracle
+
 
 @pytest.fixture
 def grid64():
@@ -23,6 +25,7 @@ def random_field(grid: Grid, seed: int, k_max: int | None = None) -> RealField:
     if k_max is None:
         return RealField(grid, vals)
     coeffs = np.fft.fftn(vals) / grid.size
-    r = grid.xi_magnitude / (2 * np.pi / grid.side_length)
+    # radius in units of the fundamental wavenumber
+    r = radial_symbol_oracle(grid.dim, grid.n_points, 2 * np.pi, 1.0)
     coeffs[r > k_max] = 0.0
     return RealField(grid, np.real(np.fft.ifftn(coeffs * grid.size)))

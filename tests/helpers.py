@@ -22,6 +22,14 @@ def dft_forward_oracle(values: np.ndarray) -> np.ndarray:
     return out
 
 
+def half_columns(full: np.ndarray) -> np.ndarray:
+    """Last-axis columns 0..n/2 of a full-layout array: the rfftn layout.
+
+    Column n/2 of the full layout is frequency -n/2; it is the stored +n/2
+    for every even symbol and for the transform of real data."""
+    return full[..., : full.shape[-1] // 2 + 1]
+
+
 def circular_convolution_oracle(a_hat: np.ndarray, b_hat: np.ndarray) -> np.ndarray:
     """Spectrum of the pointwise product a*b in 1d, done as the O(N^2)
     wrap-around convolution sum of mean-normalized coefficients."""

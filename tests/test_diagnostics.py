@@ -26,6 +26,7 @@ from fpme import (
 from fpme.diagnostics import RecorderConfig, record
 
 from conftest import random_field
+from helpers import half_columns, radial_symbol_oracle
 
 
 class TestCordoba:
@@ -102,6 +103,26 @@ class TestCommutator:
         with pytest.raises(InvalidExponent):
             check_commutator(f, f, 0.0)
 
+    def test_nyquist_content_closed_form(self):
+        # f carries a Nyquist mode; gradient() drops it, so grad f = -sin x.
+        # The dealiased product keeps (1 + cos x)(1 + 0.5 sin 2x) exactly.
+        g = Grid(1, 16, 2 * np.pi)
+        x = g.axes()[0]
+        nyq = np.cos(np.pi * np.arange(16))
+        alpha = 2.1
+        f = RealField(g, 1.0 + 0.5 * nyq + np.cos(x))
+        h = RealField(g, 1.0 + 0.5 * np.sin(2 * x))
+        lam_prod = (
+            np.cos(x) + 0.5 * 2**alpha * np.sin(2 * x)
+            + 0.25 * (3**alpha * np.sin(3 * x) + np.sin(x))
+        )
+        numerator = lp_norm(RealField(g, lam_prod - f.values * 0.5 * 2**alpha * np.sin(2 * x)), 2)
+        grad_f_inf = 1.0
+        h_semi = 2 ** (alpha - 1) * 0.5 * np.sqrt(np.pi)
+        f_semi = np.sqrt(np.pi + 8 ** (2 * alpha) * 0.25 * 2 * np.pi)
+        expected = numerator / (grad_f_inf * h_semi + f_semi * 1.5)
+        assert check_commutator(f, h, alpha) == pytest.approx(expected, rel=1e-12)
+
     def test_refinement_stable(self):
         coarse = Grid(2, 32, 2 * np.pi)
         fine = Grid(2, 64, 2 * np.pi)
@@ -132,7 +153,7 @@ class TestFieldGenerator:
         f = FieldGenerator("random_trig", seed=3, amplitude=1.0, width=width).generate(grid64)
         assert lp_norm(f, np.inf) == pytest.approx(1.0, rel=1e-12)
         coeffs = forward_transform(f).coeffs
-        r = grid64.xi_magnitude / (2 * np.pi / grid64.side_length)
+        r = half_columns(radial_symbol_oracle(1, 64, 2 * np.pi, 1.0))
         # the final sup normalization happens in physical space, so modes
         # beyond the band pick up round-off but nothing more
         assert np.max(np.abs(coeffs[r > 10])) < 1e-14
