@@ -4,17 +4,13 @@
 
 Modes: linear, picard, sweep_epsilon, properties.  Exit codes: 0 ok,
 2 validation problem, 3 Picard failed to converge, 4 solution blew up,
-5 a property check failed.  FPME_THREADS bounds the worker pool used by
-sweep_epsilon and properties; results are collected in submission order,
-so the thread count never changes the output bytes.
+5 a property check failed.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -37,20 +33,6 @@ from .reporting import (
 from .snapshots import write_snapshot
 
 __all__ = ["main", "execute"]
-
-
-def _pool_size(n_tasks: int) -> int:
-    env = os.environ.get("FPME_THREADS", "").strip()
-    if env:
-        try:
-            requested = int(env)
-        except ValueError:
-            raise ValidationError(f"FPME_THREADS must be an integer, got {env!r}")
-        if requested < 1:
-            raise ValidationError(f"FPME_THREADS must be >= 1, got {requested}")
-    else:
-        requested = min(4, os.cpu_count() or 1)
-    return max(1, min(requested, n_tasks))
 
 
 def _dt_max(spec: RunSpec) -> float:
@@ -128,17 +110,13 @@ def _run_sweep(spec: RunSpec, config_text: str) -> int:
     out = Path(spec.output_dir)
     write_manifest(out, config_text, spec.echo, {"mode": "sweep_epsilon"})
     eps_list = sorted(set(spec.epsilons), reverse=True)
-    jobs = eps_list + [0.0]
-
-    def one(eps: float):
+    finals = []
+    for eps in eps_list + [0.0]:
         sol = _linear_solution(spec, eps)
         sub = out / f"eps_{format_float(eps)}"
         write_records_csv(sol.records, sub / "diagnostics.csv")
         write_snapshot(sub / "final.fpm1", sol.final, spec.t_end)
-        return sol.final
-
-    with ThreadPoolExecutor(max_workers=_pool_size(len(jobs))) as pool:
-        finals = list(pool.map(one, jobs))
+        finals.append(sol.final)
 
     baseline = finals[-1]
     entries = []
@@ -156,13 +134,9 @@ def _run_sweep(spec: RunSpec, config_text: str) -> int:
 def _run_properties(spec: RunSpec, config_text: str) -> int:
     out = Path(spec.output_dir)
     write_manifest(out, config_text, spec.echo, {"mode": "properties"})
-    with ThreadPoolExecutor(max_workers=_pool_size(8)) as pool:
-        rows, ok = run_property_suite(
-            spec.grid,
-            seed=spec.properties_seed,
-            count=spec.properties_count,
-            map_fn=pool.map,
-        )
+    rows, ok = run_property_suite(
+        spec.grid, seed=spec.properties_seed, count=spec.properties_count
+    )
     write_property_report_csv(rows, out / "report.csv")
     n_fail = sum(1 for r in rows if not r[3])
     print(f"properties: {len(rows)} checks, {n_fail} failed")

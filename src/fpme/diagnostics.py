@@ -207,10 +207,7 @@ def check_cordoba(f: RealField, s: float) -> InequalityReport:
     """
     if not (0.0 <= s <= 2.0):
         raise InvalidExponent(f"cordoba check needs s in [0, 2], got {s}")
-    gap = _gap_field(f, s, 2)
-    min_gap = float(np.min(gap.values))
-    tol = 1e-9 * (1.0 + lp_norm(f, np.inf) ** 2)
-    return InequalityReport(min_gap=min_gap, tol=tol, passed=min_gap >= -tol)
+    return check_pointwise_lp(f, s, 2)
 
 
 def check_pointwise_lp(f: RealField, sigma: float, p: int) -> InequalityReport:
@@ -258,7 +255,7 @@ def check_commutator(f: RealField, g: RealField, alpha: float) -> float:
 # batch suite (used by the properties CLI mode)
 
 
-def run_property_suite(grid: Grid, seed: int = 0, count: int = 100, map_fn=map):
+def run_property_suite(grid: Grid, seed: int = 0, count: int = 100):
     """Run the inequality and operator checks over generated field suites.
 
     Returns (rows, all_passed) where each row is
@@ -277,44 +274,35 @@ def run_property_suite(grid: Grid, seed: int = 0, count: int = 100, map_fn=map):
     k_half = max(1, grid.dealias_cutoff // 2)
     k_quarter = max(1, grid.dealias_cutoff // 4)
 
-    def cordoba_job(args):
-        s, i = args
-        f = trig(seed + i, k_half)
-        rep = check_cordoba(f, s)
-        return (f"cordoba_s{s}", seed + i, rep.min_gap, rep.passed)
+    for s in (0.5, 0.8, 1.2, 2.0):
+        for i in range(count):
+            rep = check_cordoba(trig(seed + i, k_half), s)
+            rows.append((f"cordoba_s{s}", seed + i, rep.min_gap, rep.passed))
 
-    jobs = [(s, i) for s in (0.5, 0.8, 1.2, 2.0) for i in range(count)]
-    rows.extend(map_fn(cordoba_job, jobs))
-
-    def lp_job(args):
-        sigma, p, i = args
-        f = trig(seed + 1000 + i, k_quarter)
-        rep = check_pointwise_lp(f, sigma, p)
-        return (f"pointwise_p{p}_sigma{sigma}", seed + 1000 + i, rep.min_gap, rep.passed)
-
-    jobs = [(sig, p, i) for sig in (0.6, 1.0) for p in (2, 4) for i in range(count)]
-    rows.extend(map_fn(lp_job, jobs))
+    for sigma in (0.6, 1.0):
+        for p in (2, 4):
+            for i in range(count):
+                rep = check_pointwise_lp(trig(seed + 1000 + i, k_quarter), sigma, p)
+                rows.append(
+                    (f"pointwise_p{p}_sigma{sigma}", seed + 1000 + i, rep.min_gap, rep.passed)
+                )
 
     eps = max(0.05 * L, 2.5 * grid.spacing)
     kernel = MollifierKernel(grid, eps)
+    n_operator = max(4, count // 4)
 
-    def moll_job(i):
+    for i in range(n_operator):
         f = trig(seed + 2000 + i, k_half)
         lam_moll = frac_laplacian(mollify(f, kernel), 0.7)
         moll_lam = mollify(frac_laplacian(f, 0.7), kernel)
         scale = 1.0 + lp_norm(lam_moll, np.inf)
         resid = float(np.max(np.abs(lam_moll.values - moll_lam.values))) / scale
-        return ("mollifier_commute", seed + 2000 + i, resid, resid <= 1e-11)
+        rows.append(("mollifier_commute", seed + 2000 + i, resid, resid <= 1e-11))
 
-    rows.extend(map_fn(moll_job, range(max(4, count // 4))))
-
-    def commutator_job(i):
+    for i in range(n_operator):
         f = trig(seed + 3000 + i, k_quarter)
         g = trig(seed + 4000 + i, k_quarter)
         ratio = check_commutator(f, g, 2.1)
-        return ("commutator_alpha2.1", seed + 3000 + i, ratio, math.isfinite(ratio))
+        rows.append(("commutator_alpha2.1", seed + 3000 + i, ratio, math.isfinite(ratio)))
 
-    rows.extend(map_fn(commutator_job, range(max(4, count // 4))))
-
-    rows = list(rows)
     return rows, all(r[3] for r in rows)

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from fpme import (
-    DyadicPartition,
     FieldGenerator,
     Grid,
     LinearProblem,

@@ -195,27 +195,24 @@ class TestSweepRun:
         diffs = [float(line.split(",")[1]) for line in summary[1:]]
         assert diffs[0] > diffs[1] > 0
 
-    def test_thread_count_invariance(self, tmp_path, monkeypatch):
-        def run(tag, threads):
+    def test_job_bytes_independent_of_other_epsilons(self, tmp_path):
+        def run(tag, epsilons):
             cfg, out = write_cfg(
                 tmp_path,
                 LINEAR_CFG.replace("solver.t_end = 0.01", "solver.t_end = 0.005")
                 .replace("solver.samples = 50", "solver.samples = 20"),
                 name=f"{tag}.cfg",
-                **{"sweep.epsilons": "0.4, 0.2"},
+                **{"sweep.epsilons": epsilons},
             )
-            monkeypatch.setenv("FPME_THREADS", str(threads))
             assert main(["sweep_epsilon", "--config", str(cfg)]) == 0
             return out
 
-        out1 = run("t1", 1)
-        out4 = run("t4", 4)
-        assert (out1 / "summary.csv").read_bytes() == (out4 / "summary.csv").read_bytes()
-
-    def test_bad_thread_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("FPME_THREADS", "lots")
-        cfg, _ = write_cfg(tmp_path, PROPS_CFG)
-        assert main(["properties", "--config", str(cfg)]) == 2
+        out_two = run("two", "0.4, 0.2")
+        out_one = run("one", "0.2")
+        for sub in ("eps_0.2", "eps_0.0"):
+            for name in ("diagnostics.csv", "final.fpm1"):
+                a = (out_two / sub / name).read_bytes()
+                assert a == (out_one / sub / name).read_bytes()
 
 
 class TestPropertiesRun:
@@ -228,21 +225,21 @@ class TestPropertiesRun:
         assert all(line.endswith(",true") for line in lines[1:])
         assert "0 failed" in capsys.readouterr().out
 
-    def test_report_deterministic_across_pools(self, tmp_path, monkeypatch):
+    def test_rerun_is_bit_identical(self, tmp_path):
         outs = []
-        for tag, threads in (("p1", 1), ("p4", 4)):
+        for tag in ("a", "b"):
             cfg, out = write_cfg(tmp_path, PROPS_CFG, name=f"{tag}.cfg")
-            monkeypatch.setenv("FPME_THREADS", str(threads))
             assert main(["properties", "--config", str(cfg)]) == 0
             outs.append(out)
         a, b = (o / "report.csv" for o in outs)
         assert a.read_bytes() == b.read_bytes()
 
 
-def test_import_leaves_scipy_unloaded():
+@pytest.mark.parametrize("module", ["scipy", "concurrent.futures"])
+def test_import_leaves_module_unloaded(module):
     src = str(Path(fpme.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    probe = "import sys, fpme.cli; print('scipy' in sys.modules)"
+    probe = f"import sys, fpme.cli; print({module!r} in sys.modules)"
     proc = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
     )

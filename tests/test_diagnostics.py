@@ -1,7 +1,6 @@
 """Inequality checks, the commutator probe, generators and records."""
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -212,8 +211,8 @@ class TestPropertySuite:
         assert any("mollifier" in n for n in names)
         assert any("commutator" in n for n in names)
 
-    def test_thread_pool_order_invariant(self, grid64):
-        rows_serial, _ = run_property_suite(grid64, seed=0, count=4)
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            rows_pool, _ = run_property_suite(grid64, seed=0, count=4, map_fn=pool.map)
-        assert rows_serial == rows_pool
+    def test_rows_compose_across_counts(self, grid64):
+        rows_small, _ = run_property_suite(grid64, seed=0, count=4)
+        rows_large, _ = run_property_suite(grid64, seed=0, count=8)
+        for row in rows_small:
+            assert row in rows_large

@@ -15,7 +15,6 @@ from fpme import (
     frac_laplacian,
     gradient,
     inv_frac_laplacian,
-    inverse_transform,
     mollify,
     sobolev_norm,
 )

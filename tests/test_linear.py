@@ -11,7 +11,6 @@ from fpme import (
     LinearProblem,
     RealField,
     TimeStepPolicy,
-    frac_laplacian,
     lp_norm,
     positivity_report,
     resample,
