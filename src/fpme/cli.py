@@ -19,9 +19,9 @@ from .config import MODES, RunSpec, parse_config
 from .diagnostics import run_property_suite
 from .errors import BlowUp, FpmeError, NoConvergence, ParseError, ValidationError
 from .grid import RealField
-from .linear import LinearProblem, TimeStepPolicy, solve_linear
+from .linear import LinearProblem, solve_linear
 from .norms import lp_norm
-from .picard import PicardConfig, run_picard
+from .picard import run_picard
 from .reporting import (
     format_float,
     write_manifest,
@@ -35,12 +35,6 @@ from .snapshots import write_snapshot
 __all__ = ["main", "execute"]
 
 
-def _dt_max(spec: RunSpec) -> float:
-    if spec.dt_max is not None:
-        return spec.dt_max
-    return spec.t_end / spec.samples
-
-
 def _write_field_snapshots(out: Path, snapshots) -> None:
     for idx, (t, fld) in enumerate(snapshots):
         write_snapshot(out / f"snapshot_{idx:03d}.fpm1", fld, t)
@@ -51,9 +45,8 @@ def _linear_solution(spec: RunSpec, epsilon: float, snapshot_times=()):
     u0 = spec.initial.generate(g)
     v = spec.coefficient.generate(g)
     problem = LinearProblem(v=v, u0=u0, s=spec.s, epsilon=epsilon, t_end=spec.t_end)
-    policy = TimeStepPolicy(dt_max=_dt_max(spec), safety=spec.safety)
     return solve_linear(
-        problem, policy, spec.alpha, spec.sample_every, snapshot_times
+        problem, spec.policy, spec.alpha, spec.sample_every, snapshot_times
     )
 
 
@@ -74,19 +67,7 @@ def _run_picard(spec: RunSpec, config_text: str) -> int:
     out = Path(spec.output_dir)
     write_manifest(out, config_text, spec.echo, {"mode": "picard"})
     u0 = spec.initial.generate(spec.grid)
-    config = PicardConfig(
-        s=spec.s,
-        alpha=spec.alpha,
-        epsilon_moll=spec.epsilon,
-        c_gronwall=spec.c_gronwall,
-        tol_picard=spec.tol_picard,
-        max_outer=spec.max_outer,
-        t0_override=spec.t0_override,
-        samples=spec.samples,
-        safety=spec.safety,
-        mollify_initial=spec.mollify_initial,
-    )
-    result = run_picard(u0, config)
+    result = run_picard(u0, spec.picard)
     state = result.state
     write_picard_summary_csv(
         state.sup_halpha, state.deltas, state.c_meas, state.min_u, out / "iterates.csv"
@@ -96,6 +77,8 @@ def _run_picard(spec: RunSpec, config_text: str) -> int:
     snaps = []
     for ts in sorted(set(spec.snapshot_times)):
         if ts > result.horizon:
+            print(f"picard: snapshot time {format_float(ts)} skipped, beyond "
+                  f"horizon={format_float(result.horizon)}")
             continue
         idx = int(np.argmin(np.abs(result.times - ts)))
         snaps.append((float(result.times[idx]), result.trajectory[idx]))

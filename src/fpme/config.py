@@ -3,6 +3,8 @@
 A config document is lines of ``key = value`` with ``#`` comments.  Keys
 are namespaced with dots; unknown keys are rejected.  parse_config returns
 a fully validated RunSpec; --set overrides are applied before validation.
+The solver keys are checked by the solver's own PicardConfig and
+TimeStepPolicy, which RunSpec carries.
 """
 
 from __future__ import annotations
@@ -13,13 +15,14 @@ from dataclasses import dataclass, field
 from .diagnostics import FieldGenerator
 from .errors import ParseError, ValidationError
 from .grid import Grid
+from .linear import TimeStepPolicy
+from .picard import PicardConfig
 
 __all__ = ["RunSpec", "parse_config", "MODES"]
 
 MODES = ("linear", "picard", "sweep_epsilon", "properties")
 
 _KNOWN_KEYS = {
-    "mode",
     "grid.dim",
     "grid.n",
     "grid.length",
@@ -56,23 +59,19 @@ _GENERATOR_KINDS = ("gaussian_bump", "multi_bump", "random_trig", "constant")
 
 @dataclass(frozen=True)
 class RunSpec:
-    """Resolved, validated description of one CLI job."""
+    """Resolved, validated description of one CLI job.
+
+    picard carries s, alpha, epsilon and the Picard knobs in every mode.
+    policy is the RK4 step policy of linear and sweep_epsilon runs; other
+    modes have one only when solver.dt_max is set.
+    """
 
     mode: str
     grid: Grid
-    s: float
-    alpha: float
-    epsilon: float
+    picard: PicardConfig
+    policy: TimeStepPolicy | None
     t_end: float | None
-    safety: float
-    dt_max: float | None
     sample_every: int
-    samples: int
-    tol_picard: float
-    max_outer: int
-    c_gronwall: float
-    t0_override: float | None
-    mollify_initial: bool
     initial: FieldGenerator | None
     coefficient: FieldGenerator | None
     output_dir: str
@@ -81,6 +80,18 @@ class RunSpec:
     properties_seed: int
     properties_count: int
     echo: dict = field(default_factory=dict, compare=False)
+
+    @property
+    def s(self) -> float:
+        return self.picard.s
+
+    @property
+    def alpha(self) -> float:
+        return self.picard.alpha
+
+    @property
+    def epsilon(self) -> float:
+        return self.picard.epsilon_moll
 
 
 def _tokenize(text: str) -> dict[str, tuple[str, int]]:
@@ -100,62 +111,60 @@ def _tokenize(text: str) -> dict[str, tuple[str, int]]:
     return entries
 
 
-class _Reader:
-    def __init__(self, entries: dict[str, tuple[str, int]]):
-        self.entries = entries
-
-    def _fetch(self, key: str):
-        return self.entries.get(key, (None, 0))
-
-    def str_(self, key: str, default=None):
-        value, _ = self._fetch(key)
-        return default if value is None else value
-
-    def float_(self, key: str, default=None):
-        value, lineno = self._fetch(key)
-        if value is None:
-            return default
-        try:
-            return float(value)
-        except ValueError:
-            raise ParseError(f"line {lineno}: key {key!r} needs a number, got {value!r}")
-
-    def int_(self, key: str, default=None):
-        value, lineno = self._fetch(key)
-        if value is None:
-            return default
-        try:
-            return int(value)
-        except ValueError:
-            raise ParseError(f"line {lineno}: key {key!r} needs an integer, got {value!r}")
-
-    def bool_(self, key: str, default=None):
-        value, lineno = self._fetch(key)
-        if value is None:
-            return default
-        low = value.lower()
-        if low in ("true", "yes", "1", "on"):
-            return True
-        if low in ("false", "no", "0", "off"):
-            return False
-        raise ParseError(f"line {lineno}: key {key!r} needs a boolean, got {value!r}")
-
-    def floats_(self, key: str, default=()):
-        value, lineno = self._fetch(key)
-        if value is None:
-            return tuple(default)
-        if not value.strip():
-            return ()
-        try:
-            return tuple(float(tok) for tok in value.split(","))
-        except ValueError:
-            raise ParseError(
-                f"line {lineno}: key {key!r} needs comma-separated numbers, got {value!r}"
-            )
+def _boolean(value: str) -> bool:
+    low = value.lower()
+    if low in ("true", "yes", "1", "on"):
+        return True
+    if low in ("false", "no", "0", "off"):
+        return False
+    raise ValueError(value)
 
 
-def _generator(reader: _Reader, prefix: str, default_width: float) -> FieldGenerator | None:
-    kind = reader.str_(f"{prefix}.kind")
+def _floats(value: str) -> tuple[float, ...]:
+    if not value.strip():
+        return ()
+    return tuple(float(tok) for tok in value.split(","))
+
+
+# config key -> (PicardConfig field, parser).  A key is passed only when the
+# document sets it, so the dataclass defaults are the only defaults.
+_PICARD_FIELDS = {
+    "solver.epsilon": ("epsilon_moll", float),
+    "solver.c_gronwall": ("c_gronwall", float),
+    "solver.tol_picard": ("tol_picard", float),
+    "solver.max_outer": ("max_outer", int),
+    "solver.t0_override": ("t0_override", float),
+    "solver.samples": ("samples", int),
+    "solver.safety": ("safety", float),
+    "solver.mollify_initial": ("mollify_initial", _boolean),
+}
+
+# parser -> what a ParseError says the key needs
+_NEEDS = {
+    float: "a number",
+    int: "an integer",
+    _boolean: "a boolean",
+    _floats: "comma-separated numbers",
+}
+
+
+def _get(entries: dict[str, tuple[str, int]], key: str, parse=str, default=None):
+    """The parsed value of key, or default when the document omits it."""
+    value, lineno = entries.get(key, (None, 0))
+    if value is None:
+        return default
+    try:
+        return parse(value)
+    except ValueError:
+        raise ParseError(
+            f"line {lineno}: key {key!r} needs {_NEEDS[parse]}, got {value!r}"
+        )
+
+
+def _generator(
+    entries: dict[str, tuple[str, int]], prefix: str, default_width: float
+) -> FieldGenerator | None:
+    kind = _get(entries, f"{prefix}.kind")
     if kind is None:
         return None
     if kind not in _GENERATOR_KINDS:
@@ -164,17 +173,20 @@ def _generator(reader: _Reader, prefix: str, default_width: float) -> FieldGener
         )
     return FieldGenerator(
         kind=kind,
-        seed=reader.int_(f"{prefix}.seed", 0),
-        amplitude=reader.float_(f"{prefix}.amplitude", 0.5),
-        width=reader.float_(f"{prefix}.width", default_width),
+        seed=_get(entries, f"{prefix}.seed", int, 0),
+        amplitude=_get(entries, f"{prefix}.amplitude", float, 0.5),
+        width=_get(entries, f"{prefix}.width", float, default_width),
     )
 
 
-def parse_config(text: str, mode: str | None = None, overrides: dict[str, str] | None = None) -> RunSpec:
-    """Parse and validate a config document.
+def parse_config(text: str, mode: str, overrides: dict[str, str] | None = None) -> RunSpec:
+    """Parse and validate a config document for one mode.
 
-    mode (usually the CLI positional) takes precedence over a mode key in
-    the document.  overrides are --set pairs, applied on top of the file.
+    mode is the CLI positional, one of MODES.  overrides are --set pairs,
+    applied on top of the file.  The solver keys build a PicardConfig in
+    every mode and a TimeStepPolicy for linear and sweep_epsilon (or
+    whenever solver.dt_max is set); those classes hold the defaults and
+    range checks, and their ValueErrors become ValidationErrors here.
     """
     entries = _tokenize(text)
     for key, value in (overrides or {}).items():
@@ -186,92 +198,80 @@ def parse_config(text: str, mode: str | None = None, overrides: dict[str, str] |
             where = f"line {lineno}: " if lineno else ""
             raise ParseError(f"{where}unknown key {key!r}")
 
-    reader = _Reader(entries)
-    mode = mode or reader.str_("mode")
-    if mode is None:
-        raise ValidationError("mode is required (CLI argument or 'mode =' key)")
     if mode not in MODES:
         raise ValidationError(f"mode must be one of {MODES}, got {mode!r}")
 
-    dim = reader.int_("grid.dim")
-    n = reader.int_("grid.n")
-    length = reader.float_("grid.length")
+    dim = _get(entries, "grid.dim", int)
+    n = _get(entries, "grid.n", int)
+    length = _get(entries, "grid.length", float)
     for name, val in (("grid.dim", dim), ("grid.n", n), ("grid.length", length)):
         if val is None:
             raise ValidationError(f"{name} is required")
-    try:
-        grid = Grid(dim, n, length)
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from exc
 
-    s = reader.float_("solver.s", 0.75)
-    if not (0.5 <= s < 1.0):
-        raise ValidationError(f"s must lie in [1/2, 1), got {s}")
-    alpha = reader.float_("solver.alpha", dim / 2.0 + 1.1)
+    alpha = _get(entries, "solver.alpha", float, dim / 2.0 + 1.1)
     if not (alpha >= 0):
         raise ValidationError(f"alpha must be >= 0, got {alpha}")
     if mode == "picard" and not (alpha > dim / 2.0 + 1.0):
         raise ValidationError(f"alpha must exceed dim/2+1, got {alpha} for dim={dim}")
-    epsilon = reader.float_("solver.epsilon", 0.0)
-    if epsilon < 0:
-        raise ValidationError(f"solver.epsilon must be >= 0, got {epsilon}")
 
-    t_end = reader.float_("solver.t_end")
+    t_end = _get(entries, "solver.t_end", float)
     if mode in ("linear", "sweep_epsilon"):
         if t_end is None:
             raise ValidationError(f"solver.t_end is required for mode {mode}")
         if not (t_end > 0):
             raise ValidationError(f"solver.t_end must be positive, got {t_end}")
 
-    safety = reader.float_("solver.safety", 0.5)
-    if not (0.0 < safety <= 1.0):
-        raise ValidationError(f"solver.safety must be in (0, 1], got {safety}")
-    dt_max = reader.float_("solver.dt_max")
-    if dt_max is not None and not (dt_max > 0):
-        raise ValidationError(f"solver.dt_max must be positive, got {dt_max}")
-    sample_every = reader.int_("solver.sample_every", 1)
+    picard_args = {
+        name: _get(entries, key, parse)
+        for key, (name, parse) in _PICARD_FIELDS.items()
+        if key in entries
+    }
+    dt_max = _get(entries, "solver.dt_max", float)
+    try:
+        grid = Grid(dim, n, length)
+        picard = PicardConfig(
+            s=_get(entries, "solver.s", float, 0.75), alpha=alpha, **picard_args
+        )
+        policy = None
+        if mode in ("linear", "sweep_epsilon") or dt_max is not None:
+            policy = TimeStepPolicy(
+                dt_max=t_end / picard.samples if dt_max is None else dt_max,
+                safety=picard.safety,
+            )
+    except ValueError as exc:
+        raise ValidationError(str(exc)) from exc
+
+    sample_every = _get(entries, "solver.sample_every", int, 1)
     if sample_every < 1:
         raise ValidationError(f"solver.sample_every must be >= 1, got {sample_every}")
-    samples = reader.int_("solver.samples", 400)
-    if samples < 2:
-        raise ValidationError(f"solver.samples must be >= 2, got {samples}")
-    tol_picard = reader.float_("solver.tol_picard", 1e-8)
-    if not (tol_picard > 0):
-        raise ValidationError(f"solver.tol_picard must be positive, got {tol_picard}")
-    max_outer = reader.int_("solver.max_outer", 30)
-    if max_outer < 1:
-        raise ValidationError(f"solver.max_outer must be >= 1, got {max_outer}")
-    c_gronwall = reader.float_("solver.c_gronwall", 1.0)
-    if not (c_gronwall > 0):
-        raise ValidationError(f"solver.c_gronwall must be positive, got {c_gronwall}")
-    t0_override = reader.float_("solver.t0_override")
-    if t0_override is not None and not (t0_override > 0):
-        raise ValidationError(f"solver.t0_override must be positive, got {t0_override}")
-    mollify_initial = reader.bool_("solver.mollify_initial", True)
 
-    initial = _generator(reader, "initial", default_width=length / 8.0)
-    coefficient = _generator(reader, "coefficient", default_width=length / 8.0)
+    initial = _generator(entries, "initial", default_width=length / 8.0)
+    coefficient = _generator(entries, "coefficient", default_width=length / 8.0)
     if mode in ("linear", "picard", "sweep_epsilon") and initial is None:
         raise ValidationError(f"initial.kind is required for mode {mode}")
     if mode in ("linear", "sweep_epsilon") and coefficient is None:
         raise ValidationError(f"coefficient.kind is required for mode {mode}")
 
-    output_dir = reader.str_("output.dir")
+    output_dir = _get(entries, "output.dir")
     if output_dir is None:
         raise ValidationError("output.dir is required")
-    snapshot_times = reader.floats_("output.snapshot_times", ())
+    snapshot_times = _get(entries, "output.snapshot_times", _floats, ())
     if any(not math.isfinite(ts) or ts < 0 for ts in snapshot_times):
         raise ValidationError("output.snapshot_times must be finite and >= 0")
+    if mode == "linear" and any(ts > t_end for ts in snapshot_times):
+        raise ValidationError(
+            f"output.snapshot_times must not exceed solver.t_end = {t_end}"
+        )
 
-    epsilons = reader.floats_("sweep.epsilons", (0.4, 0.2, 0.1))
+    epsilons = _get(entries, "sweep.epsilons", _floats, (0.4, 0.2, 0.1))
     if mode == "sweep_epsilon":
         if not epsilons:
             raise ValidationError("sweep.epsilons must not be empty")
         if any(e <= 0 for e in epsilons):
             raise ValidationError("sweep.epsilons must be positive (0 is run implicitly)")
 
-    properties_seed = reader.int_("properties.seed", 0)
-    properties_count = reader.int_("properties.count", 100)
+    properties_seed = _get(entries, "properties.seed", int, 0)
+    properties_count = _get(entries, "properties.count", int, 100)
     if properties_count < 1:
         raise ValidationError(f"properties.count must be >= 1, got {properties_count}")
 
@@ -281,19 +281,10 @@ def parse_config(text: str, mode: str | None = None, overrides: dict[str, str] |
     return RunSpec(
         mode=mode,
         grid=grid,
-        s=s,
-        alpha=alpha,
-        epsilon=epsilon,
+        picard=picard,
+        policy=policy,
         t_end=t_end,
-        safety=safety,
-        dt_max=dt_max,
         sample_every=sample_every,
-        samples=samples,
-        tol_picard=tol_picard,
-        max_outer=max_outer,
-        c_gronwall=c_gronwall,
-        t0_override=t0_override,
-        mollify_initial=mollify_initial,
         initial=initial,
         coefficient=coefficient,
         output_dir=output_dir,

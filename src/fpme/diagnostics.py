@@ -30,6 +30,7 @@ __all__ = [
     "DiagnosticsRecord",
     "RecorderConfig",
     "record",
+    "growth_quotient",
     "FieldGenerator",
     "InequalityReport",
     "check_cordoba",
@@ -70,6 +71,15 @@ class RecorderConfig:
     coefficient_scale: float
 
 
+def growth_quotient(h0: float, h1: float, dt: float, scale: float) -> float:
+    """Finite-difference Gronwall quotient log(h1/h0) / (dt * scale) of a
+    norm going from h0 to h1 over dt; zero when any argument is not
+    positive."""
+    if h0 > 0 and h1 > 0 and dt > 0 and scale > 0:
+        return math.log(h1 / h0) / (dt * scale)
+    return 0.0
+
+
 def record(
     u: RealField,
     t: float,
@@ -79,21 +89,14 @@ def record(
 ) -> DiagnosticsRecord:
     """Measure one trajectory sample.
 
-    c_meas is the finite-difference Gronwall quotient
-    log(h(t)/h(t_prev)) / ((t - t_prev) * coefficient_scale), zero for the
-    first record or when degenerate.
+    c_meas is the growth_quotient of the H^alpha norm since prev, zero for
+    the first record.
     """
     g = u.grid
     h = sobolev_norm(u, config.alpha)
     c_meas = 0.0
-    if (
-        prev is not None
-        and t > prev.t
-        and prev.h_alpha > 0
-        and h > 0
-        and config.coefficient_scale > 0
-    ):
-        c_meas = math.log(h / prev.h_alpha) / ((t - prev.t) * config.coefficient_scale)
+    if prev is not None:
+        c_meas = growth_quotient(prev.h_alpha, h, t - prev.t, config.coefficient_scale)
     return DiagnosticsRecord(
         t=float(t),
         dt=float(dt),

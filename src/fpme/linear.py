@@ -116,8 +116,6 @@ class CoefficientOps:
     """
 
     grid: Grid
-    s: float
-    epsilon: float
     filt: np.ndarray
     v_values: np.ndarray
     grad_p_values: tuple[np.ndarray, ...]
@@ -155,8 +153,6 @@ def make_coefficient_ops(
     )
     return CoefficientOps(
         grid=g,
-        s=s,
-        epsilon=epsilon,
         filt=filt,
         v_values=v_d,
         grad_p_values=tuple(grad_p),
@@ -214,7 +210,6 @@ def solve_linear(
     alpha: float,
     sample_every: int = 1,
     snapshot_times: tuple[float, ...] = (),
-    recorder: RecorderConfig | None = None,
 ) -> LinearSolution:
     """Integrate the frozen-coefficient problem to t_end with explicit RK4.
 
@@ -224,12 +219,11 @@ def solve_linear(
     """
     g = problem.grid
     ops = make_coefficient_ops(problem.v, problem.s, problem.epsilon)
-    if recorder is None:
-        recorder = RecorderConfig(
-            alpha=alpha,
-            partition=DyadicPartition(g),
-            coefficient_scale=sobolev_norm(problem.v, alpha),
-        )
+    recorder = RecorderConfig(
+        alpha=alpha,
+        partition=DyadicPartition(g),
+        coefficient_scale=sobolev_norm(problem.v, alpha),
+    )
 
     events = sorted({float(ts) for ts in snapshot_times if 0.0 < ts <= problem.t_end})
     snapshots: list[tuple[float, RealField]] = []

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .diagnostics import DiagnosticsRecord, RecorderConfig, record
+from .diagnostics import DiagnosticsRecord, RecorderConfig, growth_quotient, record
 from .errors import NoConvergence
 from .fracops import MollifierKernel, mollify
 from .grid import RealField
@@ -66,6 +66,8 @@ class PicardConfig:
     def __post_init__(self):
         if not (0.5 <= self.s < 1.0):
             raise ValueError(f"s must lie in [1/2, 1), got {self.s}")
+        if not (0.0 < self.safety <= 1.0):
+            raise ValueError(f"safety must be in (0, 1], got {self.safety}")
         if self.epsilon_moll < 0:
             raise ValueError(f"epsilon_moll must be >= 0, got {self.epsilon_moll}")
         if not (self.c_gronwall > 0):
@@ -82,7 +84,6 @@ class PicardConfig:
 
 @dataclass(eq=False)
 class PicardState:
-    iterates: list[RealField]
     sup_halpha: list[float]
     deltas: list[float]
     converged: bool
@@ -153,13 +154,10 @@ def _advance_iterate(
 
 
 def _max_quotient(h_list: list[float], dt_seg: float, coeff_scale: float) -> float:
-    if coeff_scale <= 0:
-        return 0.0
-    best = 0.0
-    for a, b in zip(h_list, h_list[1:]):
-        if a > 0 and b > 0:
-            best = max(best, math.log(b / a) / (dt_seg * coeff_scale))
-    return best
+    return max(
+        [0.0]
+        + [growth_quotient(a, b, dt_seg, coeff_scale) for a, b in zip(h_list, h_list[1:])]
+    )
 
 
 def run_picard(u0: RealField, config: PicardConfig) -> PicardResult:
@@ -185,7 +183,6 @@ def run_picard(u0: RealField, config: PicardConfig) -> PicardResult:
         prev_traj = [u_init] * (m + 1)
         prev_h = [sobolev_norm(u_init, cfg.alpha)] * (m + 1)
         state = PicardState(
-            iterates=[u_init],
             sup_halpha=[max(prev_h)],
             deltas=[],
             converged=False,
@@ -201,7 +198,6 @@ def run_picard(u0: RealField, config: PicardConfig) -> PicardResult:
                 sobolev_norm(RealField(g, a.values - b.values), cfg.alpha - 1.0)
                 for a, b in zip(traj, prev_traj)
             )
-            state.iterates.append(traj[-1])
             state.sup_halpha.append(max(h_list))
             state.deltas.append(delta_n)
             state.c_meas.append(c_meas_n)
@@ -226,9 +222,8 @@ def run_picard(u0: RealField, config: PicardConfig) -> PicardResult:
         if not restart:
             break
 
-    deltas = state.deltas
     if not state.converged:
-        raise NoConvergence(deltas, cfg.max_outer)
+        raise NoConvergence(state.deltas, cfg.max_outer)
 
     times = np.arange(m + 1) * dt_seg
     stride = max(1, m // 100)

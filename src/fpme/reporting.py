@@ -67,8 +67,8 @@ def write_picard_summary_csv(sup_halpha: Sequence[float], deltas: Sequence[float
                     str(idx + 1),
                     format_float(sup),
                     delta,
-                    format_float(c_meas[idx]) if idx < len(c_meas) else "",
-                    format_float(min_u[idx]) if idx < len(min_u) else "",
+                    format_float(c_meas[idx]),
+                    format_float(min_u[idx]),
                 )
             )
         )

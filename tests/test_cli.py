@@ -86,6 +86,29 @@ class TestExitCodes:
         assert main(["linear", "--config", str(cfg), "--set", "solver.s:0.9"]) == 2
         assert "KEY=VALUE" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mode", ["linear", "picard", "properties"])
+    @pytest.mark.parametrize(
+        "key, bad",
+        [
+            ("s", "0.3"),
+            ("epsilon", "-0.1"),
+            ("safety", "1.5"),
+            ("dt_max", "0"),
+            ("samples", "1"),
+            ("tol_picard", "0"),
+            ("max_outer", "0"),
+            ("c_gronwall", "-1"),
+            ("t0_override", "0"),
+        ],
+    )
+    def test_bad_solver_value_rejected_before_output(self, tmp_path, capsys, mode, key, bad):
+        cfg, out = write_cfg(
+            tmp_path, LINEAR_CFG, **{"solver.alpha": 2.1, f"solver.{key}": bad}
+        )
+        assert main([mode, "--config", str(cfg)]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_picard_no_convergence_is_3(self, tmp_path):
         cfg, _ = write_cfg(tmp_path, PICARD_CFG, **{"solver.max_outer": 1})
         assert main(["picard", "--config", str(cfg)]) == 3
@@ -133,6 +156,14 @@ class TestLinearRun:
         assert not np.array_equal(snap0.values, snap1.values)
         assert "linear: t=0.01" in capsys.readouterr().out
 
+    def test_snapshot_time_past_t_end_rejected(self, tmp_path, capsys):
+        cfg, out = write_cfg(
+            tmp_path, LINEAR_CFG, **{"output.snapshot_times": "0.005, 5"}
+        )
+        assert main(["linear", "--config", str(cfg)]) == 2
+        assert "must not exceed solver.t_end" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_manifest_contents(self, tmp_path):
         cfg, out = write_cfg(tmp_path, LINEAR_CFG)
         main(["linear", "--config", str(cfg)])
@@ -164,6 +195,18 @@ class TestPicardRun:
         assert (out / "diagnostics.csv").exists()
         assert (out / "final.fpm1").exists()
         assert "picard: converged" in capsys.readouterr().out
+
+    def test_snapshot_past_horizon_reported(self, tmp_path, capsys):
+        cfg, out = write_cfg(
+            tmp_path, PICARD_CFG, **{"output.snapshot_times": "0.0, 5, 7"}
+        )
+        assert main(["picard", "--config", str(cfg)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        skipped = [line for line in lines if "skipped" in line]
+        assert len(skipped) == 2
+        assert "5.0 skipped" in skipped[0] and "7.0 skipped" in skipped[1]
+        assert (out / "snapshot_000.fpm1").exists()
+        assert not (out / "snapshot_001.fpm1").exists()
 
     def test_constant_initial_converges_fast(self, tmp_path):
         cfg, out = write_cfg(

@@ -1,11 +1,23 @@
 """Config parsing, validation messages and override layering."""
 
+import dataclasses
+import re
+from pathlib import Path
+
 import pytest
 
-from fpme import MODES, ParseError, RunSpec, ValidationError, parse_config
+from fpme import (
+    MODES,
+    ParseError,
+    PicardConfig,
+    RunSpec,
+    TimeStepPolicy,
+    ValidationError,
+    parse_config,
+)
+from fpme.config import _KNOWN_KEYS, _PICARD_FIELDS
 
 MINIMAL_LINEAR = """
-mode = linear
 grid.dim = 1
 grid.n = 64
 grid.length = 6.283185307179586
@@ -18,77 +30,85 @@ output.dir = /tmp/out
 
 class TestParsing:
     def test_minimal_linear_defaults(self):
-        spec = parse_config(MINIMAL_LINEAR)
+        spec = parse_config(MINIMAL_LINEAR, mode="linear")
         assert isinstance(spec, RunSpec)
         assert spec.mode == "linear"
         assert spec.grid.n_points == 64
         assert spec.s == 0.75
         assert spec.alpha == pytest.approx(1.6)
         assert spec.epsilon == 0.0
-        assert spec.safety == 0.5
-        assert spec.samples == 400
-        assert spec.tol_picard == 1e-8
-        assert spec.max_outer == 30
-        assert spec.c_gronwall == 1.0
-        assert spec.mollify_initial is True
+        assert spec.picard.safety == spec.policy.safety == 0.5
+        assert spec.policy.dt_max == 0.05 / 400
+        assert spec.picard.samples == 400
+        assert spec.picard.tol_picard == 1e-8
+        assert spec.picard.max_outer == 30
+        assert spec.picard.c_gronwall == 1.0
+        assert spec.picard.t0_override is None
+        assert spec.picard.mollify_initial is True
         assert spec.initial.amplitude == 0.5
         assert spec.initial.width == pytest.approx(spec.grid.side_length / 8)
         assert spec.epsilons == (0.4, 0.2, 0.1)
         assert spec.snapshot_times == ()
 
     def test_comments_and_blank_lines(self):
-        spec = parse_config("# header\n\n" + MINIMAL_LINEAR + "\nsolver.s = 0.8  # inline\n")
+        spec = parse_config(
+            "# header\n\n" + MINIMAL_LINEAR + "\nsolver.s = 0.8  # inline\n", mode="linear"
+        )
         assert spec.s == 0.8
 
     def test_unknown_key_reports_line(self):
         with pytest.raises(ParseError, match=r"line 2: unknown key 'solver\.theta'"):
-            parse_config("mode = properties\nsolver.theta = 1\n")
+            parse_config("grid.n = 64\nsolver.theta = 1\n", mode="properties")
 
     def test_duplicate_key(self):
         with pytest.raises(ParseError, match="duplicate key 'grid.n'"):
-            parse_config("grid.n = 64\ngrid.n = 32\n")
+            parse_config("grid.n = 64\ngrid.n = 32\n", mode="linear")
 
     def test_malformed_line(self):
         with pytest.raises(ParseError, match="expected 'key = value'"):
-            parse_config("just some words\n")
+            parse_config("just some words\n", mode="linear")
 
     def test_bad_number(self):
         with pytest.raises(ParseError, match="needs a number"):
-            parse_config(MINIMAL_LINEAR.replace("solver.t_end = 0.05", "solver.t_end = soon"))
+            parse_config(
+                MINIMAL_LINEAR.replace("solver.t_end = 0.05", "solver.t_end = soon"), mode="linear"
+            )
 
     def test_bad_boolean(self):
         bad = MINIMAL_LINEAR + "solver.mollify_initial = maybe\n"
         with pytest.raises(ParseError, match="needs a boolean"):
-            parse_config(bad)
+            parse_config(bad, mode="linear")
 
     def test_float_list(self):
-        spec = parse_config(MINIMAL_LINEAR + "output.snapshot_times = 0.0, 0.025, 0.05\n")
+        spec = parse_config(
+            MINIMAL_LINEAR + "output.snapshot_times = 0.0, 0.025, 0.05\n", mode="linear"
+        )
         assert spec.snapshot_times == (0.0, 0.025, 0.05)
 
 
 class TestValidation:
     def test_mode_required(self):
-        with pytest.raises(ValidationError, match="mode is required"):
-            parse_config("grid.dim = 1\ngrid.n = 64\ngrid.length = 1.0\n")
+        with pytest.raises(TypeError, match="mode"):
+            parse_config(MINIMAL_LINEAR)
 
     def test_mode_choices(self):
         with pytest.raises(ValidationError, match="mode must be one of"):
-            parse_config("mode = heat\n")
+            parse_config(MINIMAL_LINEAR, mode="heat")
         assert MODES == ("linear", "picard", "sweep_epsilon", "properties")
 
     def test_cli_mode_wins_over_key(self):
-        spec = parse_config(MINIMAL_LINEAR + "sweep.epsilons = 0.4, 0.2\n", mode="sweep_epsilon")
-        assert spec.mode == "sweep_epsilon"
+        # the mode comes only from the argument; a mode line is an unknown key
+        with pytest.raises(ParseError, match=r"line 1: unknown key 'mode'"):
+            parse_config("mode = picard\n" + MINIMAL_LINEAR, mode="linear")
 
     def test_s_range(self):
         for bad in ("0.49", "1.0", "-0.1"):
             text = MINIMAL_LINEAR + f"solver.s = {bad}\n"
             with pytest.raises(ValidationError, match=r"s must lie in \[1/2, 1\)"):
-                parse_config(text)
+                parse_config(text, mode="linear")
 
     def test_picard_alpha_floor(self):
         text = """
-mode = picard
 grid.dim = 2
 grid.n = 32
 grid.length = 6.283185307179586
@@ -97,27 +117,27 @@ initial.kind = gaussian_bump
 output.dir = /tmp/out
 """
         with pytest.raises(ValidationError, match=r"alpha must exceed dim/2\+1, got 1.4 for dim=2"):
-            parse_config(text)
+            parse_config(text, mode="picard")
 
     def test_t_end_required_for_linear(self):
         text = MINIMAL_LINEAR.replace("solver.t_end = 0.05\n", "")
         with pytest.raises(ValidationError, match="t_end is required"):
-            parse_config(text)
+            parse_config(text, mode="linear")
 
     def test_initial_required(self):
         text = MINIMAL_LINEAR.replace("initial.kind = gaussian_bump\n", "")
         with pytest.raises(ValidationError, match="initial.kind is required"):
-            parse_config(text)
+            parse_config(text, mode="linear")
 
     def test_output_dir_required(self):
         text = MINIMAL_LINEAR.replace("output.dir = /tmp/out\n", "")
         with pytest.raises(ValidationError, match="output.dir is required"):
-            parse_config(text)
+            parse_config(text, mode="linear")
 
     def test_grid_errors_become_validation(self):
         text = MINIMAL_LINEAR.replace("grid.n = 64", "grid.n = 48")
         with pytest.raises(ValidationError):
-            parse_config(text)
+            parse_config(text, mode="linear")
 
     def test_sweep_rejects_nonpositive_epsilon(self):
         text = MINIMAL_LINEAR + "sweep.epsilons = 0.4, 0.0\n"
@@ -127,28 +147,64 @@ output.dir = /tmp/out
     def test_generator_kind_checked(self):
         text = MINIMAL_LINEAR.replace("gaussian_bump", "perlin")
         with pytest.raises(ValidationError, match="initial.kind must be one of"):
-            parse_config(text)
+            parse_config(text, mode="linear")
 
 
 class TestOverrides:
     def test_override_replaces_file_value(self):
-        spec = parse_config(MINIMAL_LINEAR, overrides={"solver.s": "0.9"})
+        spec = parse_config(MINIMAL_LINEAR, mode="linear", overrides={"solver.s": "0.9"})
         assert spec.s == 0.9
 
     def test_override_can_add_key(self):
-        spec = parse_config(MINIMAL_LINEAR, overrides={"solver.epsilon": "0.2"})
+        spec = parse_config(MINIMAL_LINEAR, mode="linear", overrides={"solver.epsilon": "0.2"})
         assert spec.epsilon == 0.2
 
     def test_override_unknown_key_no_line(self):
         with pytest.raises(ParseError, match=r"^unknown key 'solver\.theta'"):
-            parse_config(MINIMAL_LINEAR, overrides={"solver.theta": "1"})
+            parse_config(MINIMAL_LINEAR, mode="linear", overrides={"solver.theta": "1"})
 
     def test_override_validated(self):
         with pytest.raises(ValidationError):
-            parse_config(MINIMAL_LINEAR, overrides={"solver.s": "0.3"})
+            parse_config(MINIMAL_LINEAR, mode="linear", overrides={"solver.s": "0.3"})
 
     def test_echo_reflects_overrides(self):
-        spec = parse_config(MINIMAL_LINEAR, overrides={"solver.s": "0.9"})
+        spec = parse_config(MINIMAL_LINEAR, mode="linear", overrides={"solver.s": "0.9"})
         assert spec.echo["solver.s"] == "0.9"
         assert spec.echo["mode"] == "linear"
         assert spec.echo["grid.n"] == "64"
+
+
+def _readme_key_table() -> dict[str, str]:
+    """Config key -> default cell of README's config-key table."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("### Config keys", 1)[1].split("\n### ", 1)[0]
+    table = {}
+    for row in section.splitlines():
+        cells = [c.strip() for c in row.strip().strip("|").split("|")]
+        if not row.startswith("|") or len(cells) != 3 or cells[0] == "key":
+            continue
+        for key in re.findall(r"`([^`]+)`", cells[0]):
+            table[key] = cells[2]
+    return table
+
+
+def test_readme_key_table_matches_parser():
+    assert set(_readme_key_table()) == _KNOWN_KEYS
+
+
+def test_readme_solver_defaults_match_dataclasses():
+    table = _readme_key_table()
+    fields = [(key, PicardConfig, name, parse) for key, (name, parse) in _PICARD_FIELDS.items()]
+    fields += [
+        ("solver.safety", TimeStepPolicy, "safety", float),
+        ("solver.dt_max", TimeStepPolicy, "dt_max", float),
+    ]
+    checked = 0
+    for key, cls, name, parse in fields:
+        default = next(f.default for f in dataclasses.fields(cls) if f.name == name)
+        if default is dataclasses.MISSING:
+            continue
+        cell = table[key].strip("`")
+        assert (None if cell == "unset" else parse(cell)) == default, (key, cell)
+        checked += 1
+    assert checked == 9

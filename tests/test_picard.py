@@ -76,6 +76,8 @@ class TestValidation:
             PicardConfig(s=0.75, alpha=2.1, tol_picard=0.0)
         with pytest.raises(ValueError):
             PicardConfig(s=0.75, alpha=2.1, max_outer=0)
+        with pytest.raises(ValueError, match="safety"):
+            PicardConfig(s=0.75, alpha=2.1, safety=2.0)
 
 
 class TestFixedPoint:
