@@ -40,20 +40,20 @@ def _write_field_snapshots(out: Path, snapshots) -> None:
         write_snapshot(out / f"snapshot_{idx:03d}.fpm1", fld, t)
 
 
-def _linear_solution(spec: RunSpec, epsilon: float, snapshot_times=()):
+def _linear_solution(spec: RunSpec, epsilon: float):
     g = spec.grid
     u0 = spec.initial.generate(g)
     v = spec.coefficient.generate(g)
     problem = LinearProblem(v=v, u0=u0, s=spec.s, epsilon=epsilon, t_end=spec.t_end)
     return solve_linear(
-        problem, spec.policy, spec.alpha, spec.sample_every, snapshot_times
+        problem, spec.policy, spec.alpha, spec.sample_every, spec.snapshot_times
     )
 
 
 def _run_linear(spec: RunSpec, config_text: str) -> int:
     out = Path(spec.output_dir)
     write_manifest(out, config_text, spec.echo, {"mode": "linear"})
-    sol = _linear_solution(spec, spec.epsilon, spec.snapshot_times)
+    sol = _linear_solution(spec, spec.epsilon)
     write_records_csv(sol.records, out / "diagnostics.csv")
     write_snapshot(out / "final.fpm1", sol.final, spec.t_end)
     _write_field_snapshots(out, sol.snapshots)
@@ -99,6 +99,7 @@ def _run_sweep(spec: RunSpec, config_text: str) -> int:
         sub = out / f"eps_{format_float(eps)}"
         write_records_csv(sol.records, sub / "diagnostics.csv")
         write_snapshot(sub / "final.fpm1", sol.final, spec.t_end)
+        _write_field_snapshots(sub, sol.snapshots)
         finals.append(sol.final)
 
     baseline = finals[-1]

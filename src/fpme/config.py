@@ -162,7 +162,7 @@ def _get(entries: dict[str, tuple[str, int]], key: str, parse=str, default=None)
 
 
 def _generator(
-    entries: dict[str, tuple[str, int]], prefix: str, default_width: float
+    entries: dict[str, tuple[str, int]], prefix: str, grid: Grid
 ) -> FieldGenerator | None:
     kind = _get(entries, f"{prefix}.kind")
     if kind is None:
@@ -171,12 +171,17 @@ def _generator(
         raise ValidationError(
             f"{prefix}.kind must be one of {_GENERATOR_KINDS}, got {kind!r}"
         )
-    return FieldGenerator(
+    gen = FieldGenerator(
         kind=kind,
         seed=_get(entries, f"{prefix}.seed", int, 0),
         amplitude=_get(entries, f"{prefix}.amplitude", float, 0.5),
-        width=_get(entries, f"{prefix}.width", float, default_width),
+        width=_get(entries, f"{prefix}.width", float, grid.side_length / 8.0),
     )
+    try:
+        gen.check(grid)
+    except ValueError as exc:
+        raise ValidationError(f"{prefix}.{exc}") from exc
+    return gen
 
 
 def parse_config(text: str, mode: str, overrides: dict[str, str] | None = None) -> RunSpec:
@@ -245,8 +250,8 @@ def parse_config(text: str, mode: str, overrides: dict[str, str] | None = None) 
     if sample_every < 1:
         raise ValidationError(f"solver.sample_every must be >= 1, got {sample_every}")
 
-    initial = _generator(entries, "initial", default_width=length / 8.0)
-    coefficient = _generator(entries, "coefficient", default_width=length / 8.0)
+    initial = _generator(entries, "initial", grid)
+    coefficient = _generator(entries, "coefficient", grid)
     if mode in ("linear", "picard", "sweep_epsilon") and initial is None:
         raise ValidationError(f"initial.kind is required for mode {mode}")
     if mode in ("linear", "sweep_epsilon") and coefficient is None:
@@ -258,7 +263,7 @@ def parse_config(text: str, mode: str, overrides: dict[str, str] | None = None) 
     snapshot_times = _get(entries, "output.snapshot_times", _floats, ())
     if any(not math.isfinite(ts) or ts < 0 for ts in snapshot_times):
         raise ValidationError("output.snapshot_times must be finite and >= 0")
-    if mode == "linear" and any(ts > t_end for ts in snapshot_times):
+    if mode in ("linear", "sweep_epsilon") and any(ts > t_end for ts in snapshot_times):
         raise ValidationError(
             f"output.snapshot_times must not exceed solver.t_end = {t_end}"
         )

@@ -128,7 +128,19 @@ class FieldGenerator:
     amplitude: float = 1.0
     width: float = 1.0
 
+    def check(self, grid: Grid) -> None:
+        """Raise ValueError if a bump this wide is not band-limited on grid."""
+        if self.kind not in ("gaussian_bump", "multi_bump"):
+            return
+        w_min = 11.4 * grid.side_length / (2.0 * np.pi * grid.dealias_cutoff)
+        if self.width < w_min:
+            raise ValueError(
+                f"width {self.width} too narrow to stay band-limited on this grid "
+                f"(needs >= {w_min:.4g})"
+            )
+
     def generate(self, grid: Grid) -> RealField:
+        self.check(grid)
         if self.kind == "constant":
             return RealField(grid, np.full(grid.shape, self.amplitude))
         if self.kind == "gaussian_bump":
@@ -148,12 +160,6 @@ class FieldGenerator:
 
     def _bump_sum(self, grid: Grid, spots) -> RealField:
         L = grid.side_length
-        w_min = 11.4 * L / (2.0 * np.pi * grid.dealias_cutoff)
-        if self.width < w_min:
-            raise ValueError(
-                f"width {self.width} too narrow to stay band-limited on this grid "
-                f"(needs >= {w_min:.4g})"
-            )
         x = np.arange(grid.n_points) * grid.spacing
         total = np.zeros(grid.shape)
         for frac, w_fac, amp in spots:

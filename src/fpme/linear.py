@@ -9,6 +9,15 @@ drops it).  With v >= 0 the two terms combine into a divergence, so the
 right-hand side has zero mean and the discrete L2 norm cannot grow beyond
 time-stepping error.  Every product is dealiased on both factors and on the
 result, which keeps those identities exact on the lattice.
+
+The RK4 state is the unnormalized ``rfftn`` half-spectrum F of u, and the
+stages combine coefficients.  One right-hand side is
+``filt * rfftn(sum_i c_i * irfftn(M_i * filt * F))``: dim + 1 inverse
+transforms and one forward transform.  The field returns to real space once
+per step in solve_linear, and once per segment in the Picard loop, as
+``u = u_start + irfftn(F - F_start)``.  The right-hand side is zero above
+the 2/3 cutoff, so F keeps u_start's coefficients there, and a state the
+right-hand side does not move stays equal to u_start bit for bit.
 """
 
 from __future__ import annotations
@@ -112,13 +121,14 @@ class CoefficientOps:
 
     Spectral arrays live on the rfftn half-spectrum.  filt is the dealias
     mask, times the mollifier symbol when epsilon > 0; grad_mults and
-    lap_mult come read-only from the grid's shared symbol table.
+    lap_mult come read-only from the grid's shared symbol table.  coeffs
+    stacks the dealiased real fields that multiply them, shape
+    (dim + 1, *grid.shape): the components of grad p_v, then -v.
     """
 
     grid: Grid
     filt: np.ndarray
-    v_values: np.ndarray
-    grad_p_values: tuple[np.ndarray, ...]
+    coeffs: np.ndarray
     grad_mults: tuple[np.ndarray, ...]
     lap_mult: np.ndarray
     rho_est: float
@@ -141,11 +151,14 @@ def make_coefficient_ops(
 
     Fv = np.fft.rfftn(v.values, axes=axes)
     Fv *= sym.mask
-    v_d = np.fft.irfftn(Fv, s=g.shape, axes=axes)
     Fp = Fv * sym.radial
-    grad_p = [np.fft.irfftn(gm * Fp, s=g.shape, axes=axes) for gm in sym.grad]
+    stack = np.empty((g.dim + 1, *g.spectral_shape), dtype=complex)
+    for i, gm in enumerate(sym.grad):
+        np.multiply(gm, Fp, out=stack[i])
+    np.negative(Fv, out=stack[-1])
+    coeffs = np.fft.irfftn(stack, s=g.shape, axes=axes)
 
-    grad_p_mag = np.sqrt(sum(gp**2 for gp in grad_p))
+    grad_p_mag = np.sqrt(sum(gp**2 for gp in coeffs[:-1]))
     xi_max = g.xi_max_retained
     rho_est = float(
         np.max(np.abs(v.values)) * xi_max ** (2.0 - 2.0 * s)
@@ -154,40 +167,41 @@ def make_coefficient_ops(
     return CoefficientOps(
         grid=g,
         filt=filt,
-        v_values=v_d,
-        grad_p_values=tuple(grad_p),
+        coeffs=coeffs,
         grad_mults=sym.grad,
         lap_mult=lap.radial,
         rho_est=rho_est,
     )
 
 
-def _rhs_values(u_values: np.ndarray, ops: CoefficientOps) -> np.ndarray:
+def _rhs_values(F: np.ndarray, ops: CoefficientOps) -> np.ndarray:
+    """Right-hand side on the half-spectrum coefficients F of the state."""
     shape, axes = ops.grid.shape, ops.grid.fft_axes
-    Fu = np.fft.rfftn(u_values, axes=axes)
-    Fu *= ops.filt
-    r = np.zeros(shape)
-    for gm, gp in zip(ops.grad_mults, ops.grad_p_values):
-        r += np.fft.irfftn(gm * Fu, s=shape, axes=axes) * gp
-    r -= ops.v_values * np.fft.irfftn(ops.lap_mult * Fu, s=shape, axes=axes)
+    Fu = F * ops.filt
+    r = np.fft.irfftn(ops.lap_mult * Fu, s=shape, axes=axes) * ops.coeffs[-1]
+    for gm, c in zip(ops.grad_mults, ops.coeffs):
+        r += np.fft.irfftn(gm * Fu, s=shape, axes=axes) * c
     Fr = np.fft.rfftn(r, axes=axes)
     Fr *= ops.filt
-    return np.fft.irfftn(Fr, s=shape, axes=axes)
+    return Fr
 
 
 def rhs_with_ops(u: RealField, ops: CoefficientOps) -> RealField:
     """Right-hand side of the frozen-coefficient equation at state u."""
-    if u.grid != ops.grid:
+    g = ops.grid
+    if u.grid != g:
         raise GridMismatch("state grid does not match coefficient grid")
-    return RealField(ops.grid, _rhs_values(u.values, ops))
+    Fr = _rhs_values(np.fft.rfftn(u.values, axes=g.fft_axes), ops)
+    return RealField(g, np.fft.irfftn(Fr, s=g.shape, axes=g.fft_axes))
 
 
-def _rk4_step(u: np.ndarray, dt: float, ops: CoefficientOps) -> np.ndarray:
-    k1 = _rhs_values(u, ops)
-    k2 = _rhs_values(u + (0.5 * dt) * k1, ops)
-    k3 = _rhs_values(u + (0.5 * dt) * k2, ops)
-    k4 = _rhs_values(u + dt * k3, ops)
-    return u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _rk4_step(F: np.ndarray, dt: float, ops: CoefficientOps) -> np.ndarray:
+    """One RK4 step of the half-spectrum state F; F itself is not modified."""
+    k1 = _rhs_values(F, ops)
+    k2 = _rhs_values(F + (0.5 * dt) * k1, ops)
+    k3 = _rhs_values(F + (0.5 * dt) * k2, ops)
+    k4 = _rhs_values(F + dt * k3, ops)
+    return F + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def _check_state(u: np.ndarray, t: float) -> float:
@@ -230,7 +244,9 @@ def solve_linear(
     if any(ts == 0.0 for ts in snapshot_times):
         snapshots.append((0.0, problem.u0))
 
-    u = problem.u0.values.copy()
+    final = problem.u0
+    F_start = np.fft.rfftn(problem.u0.values, axes=g.fft_axes)
+    F = F_start
     t = 0.0
     records = [record(problem.u0, 0.0, 0.0, recorder, None)]
     steps = 0
@@ -241,17 +257,18 @@ def solve_linear(
         target = events[0] if events else problem.t_end
         dt = min(dt_base, target - t)
         landed = dt >= target - t - tiny
-        u = _rk4_step(u, dt, ops)
+        F = _rk4_step(F, dt, ops)
         t = target if landed else t + dt
+        u = problem.u0.values + np.fft.irfftn(F - F_start, s=g.shape, axes=g.fft_axes)
         _check_state(u, t)
+        final = RealField(g, u)
         steps += 1
         if landed and events:
             events.pop(0)
-            snapshots.append((t, RealField(g, u.copy())))
+            snapshots.append((t, final))
         if steps % sample_every == 0 or t >= problem.t_end - tiny:
-            records.append(record(RealField(g, u), t, dt, recorder, records[-1]))
+            records.append(record(final, t, dt, recorder, records[-1]))
 
-    final = RealField(g, u)
     if records[-1].t < problem.t_end - tiny:
         records.append(record(final, problem.t_end, 0.0, recorder, records[-1]))
     return LinearSolution(final=final, records=records, snapshots=snapshots)

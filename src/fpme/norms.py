@@ -47,8 +47,13 @@ def sobolev_norm(f: RealField, alpha: float) -> float:
     if alpha < 0:
         raise ValueError(f"alpha must be >= 0, got {alpha}")
     g = f.grid
+    return _sobolev_norm_of_rfft(g, np.fft.rfftn(f.values, axes=g.fft_axes), alpha)
+
+
+def _sobolev_norm_of_rfft(g: Grid, c: np.ndarray, alpha: float) -> float:
+    """sobolev_norm of the field whose unnormalized rfftn is c."""
     weight = half_spectrum_symbols(g, alpha).sobolev
-    return float(np.sqrt(g.volume * np.sum(weight * _half_power(f)))) / g.size
+    return float(np.sqrt(g.volume * np.sum(weight * (c.real**2 + c.imag**2)))) / g.size
 
 
 def homogeneous_seminorm(f: RealField, alpha: float) -> float:

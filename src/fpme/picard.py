@@ -26,7 +26,7 @@ from .errors import NoConvergence
 from .fracops import MollifierKernel, mollify
 from .grid import RealField
 from .linear import TimeStepPolicy, _check_state, _rk4_step, make_coefficient_ops, rhs_with_ops
-from .norms import DyadicPartition, lp_norm, sobolev_norm
+from .norms import DyadicPartition, _sobolev_norm_of_rfft, lp_norm, sobolev_norm
 
 __all__ = [
     "PicardConfig",
@@ -130,13 +130,15 @@ def _advance_iterate(
 ):
     """One outer Picard step: march the window, re-freezing the coefficient
     from coeff_traj at every segment.  Returns the new trajectory and its
-    per-sample H^alpha norms."""
+    per-sample H^alpha norms, the latter taken from the half-spectrum state
+    the stepper carries."""
     g = u_start.grid
     policy = TimeStepPolicy(dt_max=dt_seg, safety=config.safety)
     m = len(coeff_traj) - 1
-    u = u_start.values.copy()
+    F_start = np.fft.rfftn(u_start.values, axes=g.fft_axes)
+    F = F_start
     traj = [u_start]
-    h_list = [sobolev_norm(u_start, config.alpha)]
+    h_list = [_sobolev_norm_of_rfft(g, F, config.alpha)]
     tiny = 1e-14 * dt_seg
     for i in range(m):
         ops = make_coefficient_ops(coeff_traj[i], config.s, config.epsilon_moll, kernel)
@@ -144,12 +146,12 @@ def _advance_iterate(
         tau = 0.0
         while tau < dt_seg - tiny:
             dt = min(dt_cap, dt_seg - tau)
-            u = _rk4_step(u, dt, ops)
+            F = _rk4_step(F, dt, ops)
             tau = dt_seg if dt >= dt_seg - tau - tiny else tau + dt
+        u = u_start.values + np.fft.irfftn(F - F_start, s=g.shape, axes=g.fft_axes)
         _check_state(u, (i + 1) * dt_seg)
-        field = RealField(g, u.copy())
-        traj.append(field)
-        h_list.append(sobolev_norm(field, config.alpha))
+        traj.append(RealField(g, u))
+        h_list.append(_sobolev_norm_of_rfft(g, F, config.alpha))
     return traj, h_list
 
 

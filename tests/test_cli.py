@@ -109,6 +109,24 @@ class TestExitCodes:
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("mode", ["linear", "sweep_epsilon"])
+    @pytest.mark.parametrize(
+        "narrow, wide", [("initial", "coefficient"), ("coefficient", "initial")]
+    )
+    def test_narrow_generator_width_rejected_before_output(
+        self, tmp_path, capsys, mode, narrow, wide
+    ):
+        # at n = 32 the default width L/8 is too narrow to stay band-limited
+        text = (
+            LINEAR_CFG.replace("grid.n = 64", "grid.n = 32")
+            .replace("initial.width = 0.8\n", "")
+            .replace("coefficient.width = 0.9\n", "")
+        )
+        cfg, out = write_cfg(tmp_path, text, **{f"{wide}.width": 2.0})
+        assert main([mode, "--config", str(cfg)]) == 2
+        assert f"{narrow}.width 0.785" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+
     def test_picard_no_convergence_is_3(self, tmp_path):
         cfg, _ = write_cfg(tmp_path, PICARD_CFG, **{"solver.max_outer": 1})
         assert main(["picard", "--config", str(cfg)]) == 3
@@ -237,6 +255,32 @@ class TestSweepRun:
             assert (out / sub / "final.fpm1").exists()
         diffs = [float(line.split(",")[1]) for line in summary[1:]]
         assert diffs[0] > diffs[1] > 0
+
+    def test_snapshots_written_per_epsilon(self, tmp_path):
+        cfg, out = write_cfg(
+            tmp_path,
+            LINEAR_CFG.replace("solver.t_end = 0.01", "solver.t_end = 0.005")
+            .replace("solver.samples = 50", "solver.samples = 20"),
+            **{"sweep.epsilons": "0.4", "output.snapshot_times": "0.0, 0.0025, 0.005"},
+        )
+        assert main(["sweep_epsilon", "--config", str(cfg)]) == 0
+        for sub in ("eps_0.4", "eps_0.0"):
+            times = [read_snapshot(out / sub / f"snapshot_{i:03d}.fpm1")[1] for i in range(3)]
+            assert times == [0.0, 0.0025, 0.005]
+            last = read_snapshot(out / sub / "snapshot_002.fpm1")[0]
+            final = read_snapshot(out / sub / "final.fpm1")[0]
+            assert np.array_equal(last.values, final.values)
+            assert not (out / sub / "snapshot_003.fpm1").exists()
+
+    def test_snapshot_time_past_t_end_rejected(self, tmp_path, capsys):
+        cfg, out = write_cfg(
+            tmp_path,
+            LINEAR_CFG.replace("solver.t_end = 0.01", "solver.t_end = 0.005"),
+            **{"sweep.epsilons": "0.4", "output.snapshot_times": "0.0025, 5"},
+        )
+        assert main(["sweep_epsilon", "--config", str(cfg)]) == 2
+        assert "must not exceed solver.t_end" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_job_bytes_independent_of_other_epsilons(self, tmp_path):
         def run(tag, epsilons):

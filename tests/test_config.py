@@ -149,6 +149,17 @@ output.dir = /tmp/out
         with pytest.raises(ValidationError, match="initial.kind must be one of"):
             parse_config(text, mode="linear")
 
+    @pytest.mark.parametrize("prefix", ["initial", "coefficient"])
+    def test_generator_width_checked_against_grid(self, prefix):
+        # the default width L/8 is band-limited at n = 64 but not at n = 32
+        other = "coefficient" if prefix == "initial" else "initial"
+        text = MINIMAL_LINEAR.replace("grid.n = 64", "grid.n = 32") + f"{other}.width = 2.0\n"
+        with pytest.raises(ValidationError, match=f"{prefix}.width .* too narrow"):
+            parse_config(text, mode="linear")
+        parse_config(text + f"{prefix}.width = 1.2\n", mode="linear")
+        spec = parse_config(text.replace("gaussian_bump", "random_trig"), mode="linear")
+        assert getattr(spec, prefix).width == pytest.approx(spec.grid.side_length / 8)
+
 
 class TestOverrides:
     def test_override_replaces_file_value(self):

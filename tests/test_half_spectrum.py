@@ -3,7 +3,9 @@
 Every transform, operator, norm and the stepper run on real-to-complex
 transforms with symbols from one cached table per grid.  The oracles below
 compute the same quantities with mean-normalized complex FFTs over the full
-spectrum, with symbols built here from the signed integer modes.
+spectrum, with symbols built here from the signed integer modes.  The
+spectral-state stepper is also checked against RK4 with the stages combined
+in real space.
 """
 
 import numpy as np
@@ -38,8 +40,9 @@ from fpme import (
 )
 from fpme.fracops import MollifierKernel, apply_radial_power
 from fpme.grid import SpectralField, half_spectrum_symbols
-from fpme.linear import make_coefficient_ops, rhs_with_ops
+from fpme.linear import _rk4_step, make_coefficient_ops, rhs_with_ops
 from fpme.norms import _chi
+from fpme.picard import _advance_iterate
 
 from conftest import random_field
 from helpers import dft_forward_oracle, half_columns, radial_symbol_oracle
@@ -153,6 +156,29 @@ def complex_rhs_values(u_values, ops):
     return full_inverse(Fr)
 
 
+def real_space_rhs_values(u_values, ops):
+    """The right-hand side as the real-state stepper computed it."""
+    shape, axes = ops.grid.shape, ops.grid.fft_axes
+    Fu = np.fft.rfftn(u_values, axes=axes)
+    Fu *= ops.filt
+    r = np.zeros(shape)
+    for gm, gp in zip(ops.grad_mults, ops.coeffs[:-1]):
+        r += np.fft.irfftn(gm * Fu, s=shape, axes=axes) * gp
+    r -= -ops.coeffs[-1] * np.fft.irfftn(ops.lap_mult * Fu, s=shape, axes=axes)
+    Fr = np.fft.rfftn(r, axes=axes)
+    Fr *= ops.filt
+    return np.fft.irfftn(Fr, s=shape, axes=axes)
+
+
+def real_space_rk4_step(u, dt, ops):
+    """RK4 with the stages combined in real space."""
+    k1 = real_space_rhs_values(u, ops)
+    k2 = real_space_rhs_values(u + (0.5 * dt) * k1, ops)
+    k3 = real_space_rhs_values(u + (0.5 * dt) * k2, ops)
+    k4 = real_space_rhs_values(u + dt * k3, ops)
+    return u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
 def rel_err(new, old):
     return np.max(np.abs(new - old)) / np.max(np.abs(old))
 
@@ -239,12 +265,70 @@ def test_stepper_matches_complex_oracle(grid, epsilon):
     ops = make_coefficient_ops(v, s, epsilon)
     oracle = complex_coefficient_ops(v, s, epsilon)
 
-    assert rel_err(ops.v_values, oracle[0]) <= TOL
-    for new, old in zip(ops.grad_p_values, oracle[1]):
+    assert ops.coeffs.shape == (grid.dim + 1, *grid.shape)
+    assert rel_err(-ops.coeffs[-1], oracle[0]) <= TOL
+    for new, old in zip(ops.coeffs[:-1], oracle[1]):
         assert rel_err(new, old) <= TOL
     assert ops.rho_est == pytest.approx(oracle[6], rel=TOL)
     out = rhs_with_ops(u, ops).values
     assert rel_err(out, complex_rhs_values(u.values, oracle)) <= TOL
+
+
+@pytest.mark.parametrize("grid", GRIDS, ids=lambda g: f"dim{g.dim}")
+@pytest.mark.parametrize("epsilon", [0.0, 1.0])
+def test_spectral_state_steps_match_real_space_oracle(grid, epsilon):
+    v = coefficient(grid, seed=8)
+    u0 = random_field(grid, seed=9)
+    ops = make_coefficient_ops(v, 0.7, epsilon)
+    dt = TimeStepPolicy(dt_max=0.05).step_size(ops.rho_est)
+    F0 = np.fft.rfftn(u0.values, axes=grid.fft_axes)
+    F, oracle = F0, u0.values
+    for _ in range(5):
+        F = _rk4_step(F, dt, ops)
+        oracle = real_space_rk4_step(oracle, dt, ops)
+        u = u0.values + np.fft.irfftn(F - F0, s=grid.shape, axes=grid.fft_axes)
+        assert rel_err(u, oracle) <= TOL
+    # the state moves by O(1e-2) or more, so this is no bound on u0 alone
+    assert rel_err(u - u0.values, oracle - u0.values) <= TOL
+
+
+@pytest.mark.parametrize("grid", GRIDS, ids=lambda g: f"dim{g.dim}")
+def test_iterate_h_alpha_matches_sobolev_norm(grid):
+    config = PicardConfig(s=0.75, alpha=grid.dim / 2.0 + 1.1, samples=6)
+    u0 = coefficient(grid, seed=10)
+    coeff_traj = [coefficient(grid, seed=11 + i) for i in range(config.samples + 1)]
+    traj, h_list = _advance_iterate(u0, coeff_traj, config, 0.01, None)
+    assert len(h_list) == len(traj) == config.samples + 1
+    for field, h in zip(traj, h_list):
+        assert h == pytest.approx(sobolev_norm(field, config.alpha), rel=TOL)
+
+
+@pytest.mark.parametrize("grid", GRIDS, ids=lambda g: f"dim{g.dim}")
+def test_transform_counts(grid, monkeypatch):
+    # dim + 1 inverses and one forward per right-hand side, no transform of
+    # the state inside a step, one stacked forward/inverse pair per freeze
+    counts = {"rfftn": 0, "irfftn": 0}
+
+    def counted(name):
+        real = getattr(np.fft, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    v = coefficient(grid, seed=12)
+    kernel = MollifierKernel(grid, 1.0)
+    F = np.fft.rfftn(random_field(grid, seed=13).values, axes=grid.fft_axes)
+    for name in counts:
+        monkeypatch.setattr(np.fft, name, counted(name))
+
+    ops = make_coefficient_ops(v, 0.75, 1.0, kernel)
+    assert counts == {"rfftn": 1, "irfftn": 1}
+    counts.update(rfftn=0, irfftn=0)
+    _rk4_step(F, 1e-3, ops)
+    assert counts == {"rfftn": 4, "irfftn": 4 * (grid.dim + 1)}
 
 
 @pytest.mark.parametrize("grid", GRIDS, ids=lambda g: f"dim{g.dim}")
