@@ -12,16 +12,7 @@ from .errors import (
     UnsupportedExponent,
     ValidationError,
 )
-from .grid import (
-    Grid,
-    RealField,
-    SpectralField,
-    dealias,
-    dealiased_product,
-    forward_transform,
-    inverse_transform,
-    resample,
-)
+from .grid import Grid, RealField
 from .fracops import (
     MollifierKernel,
     frac_laplacian,
@@ -50,7 +41,6 @@ from .linear import (
     LinearProblem,
     LinearSolution,
     TimeStepPolicy,
-    positivity_report,
     solve_linear,
 )
 from .picard import (
@@ -88,7 +78,6 @@ __all__ = [
     "PicardState",
     "RealField",
     "RunSpec",
-    "SpectralField",
     "TimeStepPolicy",
     "UnresolvedKernel",
     "UnsupportedExponent",
@@ -97,24 +86,18 @@ __all__ = [
     "check_commutator",
     "check_cordoba",
     "check_pointwise_lp",
-    "dealias",
-    "dealiased_product",
     "dyadic_blocks",
-    "forward_transform",
     "frac_laplacian",
     "gradient",
     "homogeneous_seminorm",
     "horizon",
     "inv_frac_laplacian",
-    "inverse_transform",
     "lp_norm",
     "mollify",
     "nonlinear_residual",
     "MODES",
     "parse_config",
-    "positivity_report",
     "read_snapshot",
-    "resample",
     "run_picard",
     "run_property_suite",
     "sobolev_norm",

@@ -13,17 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDenominator, InvalidExponent, UnsupportedExponent
-from .fracops import apply_radial_power, frac_laplacian, gradient
-from .grid import (
-    Grid,
-    RealField,
-    SpectralField,
-    dealias,
-    forward_transform,
-    half_spectrum_symbols,
-    inverse_transform,
-    require_same_grid,
-)
+from .fracops import frac_laplacian, gradient
+from .grid import Grid, RealField, apply_symbols, half_spectrum_symbols, require_same_grid
 from .norms import DyadicPartition, besov_norm, homogeneous_seminorm, lp_norm, sobolev_norm
 
 __all__ = [
@@ -176,11 +167,10 @@ class FieldGenerator:
 
     def _random_trig(self, grid: Grid) -> RealField:
         rng = np.random.default_rng(self.seed)
-        F = forward_transform(RealField(grid, rng.standard_normal(grid.shape)))
+        noise = RealField(grid, rng.standard_normal(grid.shape))
         r = half_spectrum_symbols(grid, 1.0).radial / (2.0 * np.pi / grid.side_length)
         k_max = max(1, min(grid.dealias_cutoff, int(grid.side_length / self.width)))
-        filt = (r <= k_max) / (1.0 + r)
-        f = inverse_transform(SpectralField(grid, F.coeffs * filt))
+        f = next(apply_symbols(noise, (r <= k_max) / (1.0 + r)))
         peak = float(np.max(np.abs(f.values)))
         if peak == 0.0:
             return f
@@ -203,9 +193,9 @@ def _gap_field(f: RealField, sigma: float, p: int) -> RealField:
     power = f.values ** (p - 1)
     first = p * power * lam_f.values
     f_p = RealField(f.grid, f.values**p)
-    lam_fp = inverse_transform(
-        apply_radial_power(dealias(forward_transform(f_p)), sigma)
-    )
+    # sigma = 0 is the identity: keep the zero mode, which radial drops
+    sym = half_spectrum_symbols(f.grid, sigma)
+    lam_fp = next(apply_symbols(f_p, sym.mask if sigma == 0 else sym.mask * sym.radial))
     return RealField(f.grid, first - lam_fp.values)
 
 
@@ -242,10 +232,9 @@ def check_commutator(f: RealField, g: RealField, alpha: float) -> float:
     require_same_grid(f, g)
     grid = f.grid
     prod = RealField(grid, f.values * g.values)
-    lam_prod = inverse_transform(
-        apply_radial_power(dealias(forward_transform(prod)), alpha)
-    )
-    lam_g = inverse_transform(apply_radial_power(forward_transform(g), alpha))
+    sym = half_spectrum_symbols(grid, alpha)
+    lam_prod = next(apply_symbols(prod, sym.mask * sym.radial))
+    lam_g = next(apply_symbols(g, sym.radial))
     diff = RealField(grid, lam_prod.values - f.values * lam_g.values)
     numerator = lp_norm(diff, 2)
 

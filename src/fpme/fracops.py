@@ -12,14 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridMismatch, InvalidExponent, UnresolvedKernel
-from .grid import (
-    Grid,
-    RealField,
-    SpectralField,
-    forward_transform,
-    half_spectrum_symbols,
-    inverse_transform,
-)
+from .grid import Grid, RealField, apply_symbols, half_spectrum_symbols
 
 __all__ = [
     "frac_laplacian",
@@ -27,20 +20,7 @@ __all__ = [
     "gradient",
     "MollifierKernel",
     "mollify",
-    "apply_radial_power",
 ]
-
-
-def apply_radial_power(F: SpectralField, power: float) -> SpectralField:
-    """Multiply coefficients by |xi|**power, zero mode mapped to zero.
-
-    No range restriction; callers that expose a contract (frac_laplacian,
-    inv_frac_laplacian) validate their own exponents.  power = 0 keeps the
-    zero mode (identity).
-    """
-    if power == 0:
-        return F
-    return SpectralField(F.grid, F.coeffs * half_spectrum_symbols(F.grid, power).radial)
 
 
 def frac_laplacian(f: RealField, sigma: float) -> RealField:
@@ -53,7 +33,7 @@ def frac_laplacian(f: RealField, sigma: float) -> RealField:
         raise InvalidExponent(f"fractional Laplacian order must be in [0, 2], got {sigma}")
     if sigma == 0.0:
         return f
-    return inverse_transform(apply_radial_power(forward_transform(f), sigma))
+    return next(apply_symbols(f, half_spectrum_symbols(f.grid, sigma).radial))
 
 
 def inv_frac_laplacian(f: RealField, s: float) -> RealField:
@@ -63,7 +43,7 @@ def inv_frac_laplacian(f: RealField, s: float) -> RealField:
     """
     if not (0.0 < s < 1.0):
         raise InvalidExponent(f"inverse fractional Laplacian needs s in (0, 1), got {s}")
-    return inverse_transform(apply_radial_power(forward_transform(f), -2.0 * s))
+    return next(apply_symbols(f, half_spectrum_symbols(f.grid, -2.0 * s).radial))
 
 
 def gradient(f: RealField) -> list[RealField]:
@@ -73,11 +53,7 @@ def gradient(f: RealField) -> list[RealField]:
     symbol i*xi has no Hermitian-symmetric value there, and the standard
     convention (drop it) is also the one that keeps d/dx of a real sample
     real."""
-    F = forward_transform(f)
-    return [
-        inverse_transform(SpectralField(f.grid, gm * F.coeffs))
-        for gm in half_spectrum_symbols(f.grid, 1.0).grad
-    ]
+    return list(apply_symbols(f, *half_spectrum_symbols(f.grid, 1.0).grad))
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,5 +103,4 @@ def mollify(f: RealField, kernel: MollifierKernel) -> RealField:
     """Convolve with the periodized mollifier (spectral multiplication)."""
     if f.grid != kernel.grid:
         raise GridMismatch(f"kernel grid {kernel.grid} does not match field grid {f.grid}")
-    F = forward_transform(f)
-    return inverse_transform(SpectralField(f.grid, F.coeffs * kernel.kernel_hat))
+    return next(apply_symbols(f, kernel.kernel_hat))

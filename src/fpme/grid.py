@@ -5,21 +5,31 @@ All fields live on the torus ``[0, L)^dim`` sampled on a uniform lattice of
 ``rfftn`` half-spectrum of shape ``(*shape[:-1], n_points // 2 + 1)``: the
 last axis holds the nonnegative frequencies ``0..n/2``, the other axes the
 full signed range in FFT order.  The negative last-axis frequencies are the
-complex conjugates of the stored ones and are not kept.
+complex conjugates of the stored ones and are not kept.  Every symbol comes
+from :func:`half_spectrum_symbols`.
 
-:func:`forward_transform` uses the mean-value normalization: the zero
-coefficient equals the grid mean, so with ``fold`` from
-:class:`HalfSpectrumSymbols`
+Two conventions share that layout:
 
-    sum(f**2) * spacing**dim == volume * sum(fold * |coeff|**2)
+* :func:`apply_symbols` is the one real-to-real multiplier path.  It uses
+  numpy's unnormalized ``rfftn`` and its ``irfftn`` inverse, as do the
+  stepper and the norms; every operator, dealiased product and
+  Littlewood-Paley block is built on it.
+* :func:`forward_transform` and :func:`inverse_transform` use the
+  mean-value normalization: the zero coefficient equals the grid mean, so
+  with ``fold`` from :class:`HalfSpectrumSymbols`
 
-holds exactly (discrete Parseval identity).  The stepper and the norms use
-numpy's unnormalized ``rfftn`` on the same layout.  Every symbol comes from
-:func:`half_spectrum_symbols`.
+      sum(f**2) * spacing**dim == volume * sum(fold * |coeff|**2)
+
+  holds exactly (discrete Parseval identity).  :func:`resample` works on
+  these coefficients.
+
+Scaling by ``1/size`` is exact on power-of-two grids, so both conventions
+give the same real fields bit for bit.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -33,6 +43,7 @@ __all__ = [
     "SpectralField",
     "forward_transform",
     "inverse_transform",
+    "apply_symbols",
     "dealias",
     "dealiased_product",
     "resample",
@@ -219,6 +230,20 @@ def inverse_transform(F: SpectralField) -> RealField:
     return RealField(g, np.fft.irfftn(F.coeffs, s=g.shape, axes=g.fft_axes, norm="forward"))
 
 
+def apply_symbols(f: RealField, *symbols: np.ndarray) -> Iterator[RealField]:
+    """Fourier multipliers of one field: ``irfftn(m * rfftn(f))`` for each m.
+
+    Each ``m`` is a half-spectrum multiplier that broadcasts to
+    ``grid.spectral_shape``.  One unnormalized ``rfftn`` of ``f`` serves all
+    of them, and the fields are yielded one at a time, so a caller that
+    reduces as it goes holds one of them at once.
+    """
+    g = f.grid
+    c = np.fft.rfftn(f.values, axes=g.fft_axes)
+    for m in symbols:
+        yield RealField(g, np.fft.irfftn(m * c, s=g.shape, axes=g.fft_axes))
+
+
 def dealias(F: SpectralField) -> SpectralField:
     """Zero every coefficient with signed frequency above N/3 on any axis."""
     return SpectralField(F.grid, F.coeffs * half_spectrum_symbols(F.grid, 1.0).mask)
@@ -233,10 +258,10 @@ def dealiased_product(f: RealField, g: RealField) -> RealField:
     the product of the two projected trig polynomials.
     """
     require_same_grid(f, g)
-    fd = inverse_transform(dealias(forward_transform(f)))
-    gd = inverse_transform(dealias(forward_transform(g)))
-    prod = RealField(f.grid, fd.values * gd.values)
-    return inverse_transform(dealias(forward_transform(prod)))
+    mask = half_spectrum_symbols(f.grid, 1.0).mask
+    fd = next(apply_symbols(f, mask))
+    gd = next(apply_symbols(g, mask))
+    return next(apply_symbols(RealField(f.grid, fd.values * gd.values), mask))
 
 
 def _band(grid: Grid, keep: int):

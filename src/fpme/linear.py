@@ -31,7 +31,7 @@ from .diagnostics import DiagnosticsRecord, RecorderConfig, record
 from .errors import BlowUp, GridMismatch
 from .fracops import MollifierKernel
 from .grid import Grid, RealField, half_spectrum_symbols
-from .norms import DyadicPartition, lp_norm, sobolev_norm
+from .norms import DyadicPartition, sobolev_norm
 
 __all__ = [
     "LinearProblem",
@@ -41,7 +41,6 @@ __all__ = [
     "rhs_with_ops",
     "LinearSolution",
     "solve_linear",
-    "positivity_report",
 ]
 
 _BLOWUP_LIMIT = 1e12
@@ -229,7 +228,8 @@ def solve_linear(
 
     Diagnostics are recorded at t = 0, every sample_every accepted steps and
     at t_end.  Steps are clipped so requested snapshot times are hit
-    exactly.  Raises BlowUp if the state leaves the finite range.
+    exactly.  Raises ValueError if a snapshot time lies outside
+    [0, t_end], and BlowUp if the state leaves the finite range.
     """
     g = problem.grid
     ops = make_coefficient_ops(problem.v, problem.s, problem.epsilon)
@@ -239,7 +239,11 @@ def solve_linear(
         coefficient_scale=sobolev_norm(problem.v, alpha),
     )
 
-    events = sorted({float(ts) for ts in snapshot_times if 0.0 < ts <= problem.t_end})
+    if not all(0.0 <= ts <= problem.t_end for ts in snapshot_times):
+        raise ValueError(
+            f"snapshot times must lie in [0, t_end = {problem.t_end}], got {snapshot_times}"
+        )
+    events = sorted({float(ts) for ts in snapshot_times if ts > 0.0})
     snapshots: list[tuple[float, RealField]] = []
     if any(ts == 0.0 for ts in snapshot_times):
         snapshots.append((0.0, problem.u0))
@@ -272,14 +276,3 @@ def solve_linear(
     if records[-1].t < problem.t_end - tiny:
         records.append(record(final, problem.t_end, 0.0, recorder, records[-1]))
     return LinearSolution(final=final, records=records, snapshots=snapshots)
-
-
-def positivity_report(
-    records: list[DiagnosticsRecord], u0: RealField
-) -> tuple[float, float | None]:
-    """Minimum of u over the sampled run and the first time it dips below
-    -1e-8 * ||u0||_inf (None if it never does).  Monitoring only."""
-    tol_pos = 1e-8 * lp_norm(u0, np.inf)
-    min_over_run = min(r.min_u for r in records)
-    first_violation = next((r.t for r in records if r.min_u < -tol_pos), None)
-    return min_over_run, first_violation

@@ -7,14 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (
-    Grid,
-    RealField,
-    SpectralField,
-    forward_transform,
-    half_spectrum_symbols,
-    inverse_transform,
-)
+from .grid import Grid, RealField, apply_symbols, half_spectrum_symbols
 
 __all__ = [
     "lp_norm",
@@ -36,23 +29,18 @@ def lp_norm(f: RealField, p: float) -> float:
     return float((np.sum(np.abs(f.values) ** p) * g.spacing**g.dim) ** (1.0 / p))
 
 
-def _half_power(f: RealField) -> np.ndarray:
-    """|rfftn(f)|**2, the unnormalized half-spectrum power."""
-    c = np.fft.rfftn(f.values, axes=f.grid.fft_axes)
-    return c.real**2 + c.imag**2
-
-
 def sobolev_norm(f: RealField, alpha: float) -> float:
     """Inhomogeneous H^alpha norm, Parseval-consistent with lp_norm(., 2)."""
     if alpha < 0:
         raise ValueError(f"alpha must be >= 0, got {alpha}")
     g = f.grid
-    return _sobolev_norm_of_rfft(g, np.fft.rfftn(f.values, axes=g.fft_axes), alpha)
-
-
-def _sobolev_norm_of_rfft(g: Grid, c: np.ndarray, alpha: float) -> float:
-    """sobolev_norm of the field whose unnormalized rfftn is c."""
     weight = half_spectrum_symbols(g, alpha).sobolev
+    return _norm_of_rfft(g, np.fft.rfftn(f.values, axes=g.fft_axes), weight)
+
+
+def _norm_of_rfft(g: Grid, c: np.ndarray, weight: np.ndarray) -> float:
+    """Norm of the field whose unnormalized rfftn is c, for a squared symbol
+    times fold given as weight on the half-spectrum."""
     return float(np.sqrt(g.volume * np.sum(weight * (c.real**2 + c.imag**2)))) / g.size
 
 
@@ -60,8 +48,7 @@ def homogeneous_seminorm(f: RealField, alpha: float) -> float:
     """Homogeneous seminorm |xi|^alpha on nonzero modes, any real alpha."""
     g = f.grid
     sym = half_spectrum_symbols(g, 2.0 * alpha)
-    total = np.sum(sym.radial * sym.fold * _half_power(f))
-    return float(np.sqrt(g.volume * total)) / g.size
+    return _norm_of_rfft(g, np.fft.rfftn(f.values, axes=g.fft_axes), sym.radial * sym.fold)
 
 
 def _smooth_step(t: np.ndarray) -> np.ndarray:
@@ -116,16 +103,15 @@ class DyadicPartition:
 
 def dyadic_blocks(f: RealField, partition: DyadicPartition) -> list[RealField]:
     """Frequency-localized pieces of f; they sum to the dealiased field."""
-    F = forward_transform(f)
-    return [
-        inverse_transform(SpectralField(f.grid, m * F.coeffs))
-        for m in partition.multipliers
-    ]
+    return list(apply_symbols(f, *partition.multipliers))
 
 
 def besov_norm(f: RealField, alpha: float, partition: DyadicPartition) -> float:
-    """B^alpha_{1,inf} norm: sup_j 2**(j alpha) * L1 norm of block j."""
-    blocks = dyadic_blocks(f, partition)
+    """B^alpha_{1,inf} norm: sup_j 2**(j alpha) * L1 norm of block j.
+
+    The blocks are reduced as they are made, so one is held at a time.
+    """
+    blocks = apply_symbols(f, *partition.multipliers)
     return max(
         2.0 ** (j * alpha) * lp_norm(b, 1)
         for j, b in zip(partition.indices, blocks)

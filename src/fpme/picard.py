@@ -24,9 +24,9 @@ import numpy as np
 from .diagnostics import DiagnosticsRecord, RecorderConfig, growth_quotient, record
 from .errors import NoConvergence
 from .fracops import MollifierKernel, mollify
-from .grid import RealField
+from .grid import RealField, half_spectrum_symbols
 from .linear import TimeStepPolicy, _check_state, _rk4_step, make_coefficient_ops, rhs_with_ops
-from .norms import DyadicPartition, _sobolev_norm_of_rfft, lp_norm, sobolev_norm
+from .norms import DyadicPartition, _norm_of_rfft, lp_norm, sobolev_norm
 
 __all__ = [
     "PicardConfig",
@@ -138,7 +138,8 @@ def _advance_iterate(
     F_start = np.fft.rfftn(u_start.values, axes=g.fft_axes)
     F = F_start
     traj = [u_start]
-    h_list = [_sobolev_norm_of_rfft(g, F, config.alpha)]
+    weight = half_spectrum_symbols(g, config.alpha).sobolev
+    h_list = [_norm_of_rfft(g, F, weight)]
     tiny = 1e-14 * dt_seg
     for i in range(m):
         ops = make_coefficient_ops(coeff_traj[i], config.s, config.epsilon_moll, kernel)
@@ -151,7 +152,7 @@ def _advance_iterate(
         u = u_start.values + np.fft.irfftn(F - F_start, s=g.shape, axes=g.fft_axes)
         _check_state(u, (i + 1) * dt_seg)
         traj.append(RealField(g, u))
-        h_list.append(_sobolev_norm_of_rfft(g, F, config.alpha))
+        h_list.append(_norm_of_rfft(g, F, weight))
     return traj, h_list
 
 

@@ -16,13 +16,12 @@ from fpme import (
     check_commutator,
     check_cordoba,
     check_pointwise_lp,
-    forward_transform,
     lp_norm,
-    resample,
     run_property_suite,
     sobolev_norm,
 )
 from fpme.diagnostics import RecorderConfig, record
+from fpme.grid import forward_transform, resample
 
 from conftest import random_field
 from helpers import half_columns, radial_symbol_oracle

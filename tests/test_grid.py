@@ -5,10 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fpme import (
-    Grid,
-    GridMismatch,
-    RealField,
+from fpme import Grid, GridMismatch, RealField
+from fpme.grid import (
     SpectralField,
     dealias,
     dealiased_product,

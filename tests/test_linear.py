@@ -12,12 +12,11 @@ from fpme import (
     RealField,
     TimeStepPolicy,
     lp_norm,
-    positivity_report,
-    resample,
     sobolev_norm,
     solve_linear,
 )
 from fpme.fracops import MollifierKernel
+from fpme.grid import resample
 from fpme.linear import make_coefficient_ops, rhs_with_ops
 
 from conftest import random_field
@@ -219,6 +218,14 @@ class TestSolveLinear:
         )
         assert [t for t, _ in sol.snapshots] == [0.02, 0.04]
 
+    @pytest.mark.parametrize("bad", [-0.01, 0.5, np.nan])
+    def test_snapshot_time_outside_run_rejected(self, grid64, bad):
+        prob = make_problem(grid64, seed=7, t_end=0.05)
+        with pytest.raises(ValueError, match="snapshot times"):
+            solve_linear(
+                prob, TimeStepPolicy(dt_max=1e-3), alpha=2.1, snapshot_times=(0.02, bad)
+            )
+
     def test_self_convergence_under_refinement(self):
         coarse = Grid(1, 64, 2 * np.pi)
         fine = Grid(1, 128, 2 * np.pi)
@@ -263,9 +270,7 @@ class TestPositivity:
     def test_nonnegative_run_stays_nonnegative(self, grid64):
         prob = make_problem(grid64, seed=12, epsilon=0.2)
         sol = solve_linear(prob, TimeStepPolicy(dt_max=1e-3), alpha=2.1)
-        min_run, violation = positivity_report(sol.records, prob.u0)
-        assert violation is None
-        assert min_run >= -1e-8 * lp_norm(prob.u0, np.inf)
+        assert min(r.min_u for r in sol.records) >= -1e-8 * lp_norm(prob.u0, np.inf)
 
     def test_zero_initial_state(self, grid64):
         v = bump(grid64, seed=13)
@@ -273,18 +278,14 @@ class TestPositivity:
             v=v, u0=RealField(grid64, np.zeros(64)), s=0.75, epsilon=0.0, t_end=0.02
         )
         sol = solve_linear(prob, TimeStepPolicy(dt_max=1e-3), alpha=2.1)
-        min_run, violation = positivity_report(sol.records, prob.u0)
-        assert min_run == 0.0
-        assert violation is None
+        assert min(r.min_u for r in sol.records) == 0.0
 
     def test_negative_initial_data_reported(self, grid64):
         u0 = RealField(grid64, bump(grid64, seed=14).values - 0.1)
         v = bump(grid64, seed=15)
         prob = LinearProblem(v=v, u0=u0, s=0.75, epsilon=0.0, t_end=0.02)
         sol = solve_linear(prob, TimeStepPolicy(dt_max=1e-3), alpha=2.1)
-        min_run, violation = positivity_report(sol.records, u0)
-        assert min_run <= -0.09  # monitoring, not enforcement
-        assert violation == 0.0
+        assert min(r.min_u for r in sol.records) <= -0.09  # monitoring, not enforcement
 
 
 class TestBlowUp:

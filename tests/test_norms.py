@@ -1,5 +1,7 @@
 """Norms and the Littlewood-Paley partition."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,16 +13,12 @@ from fpme import (
     RealField,
     besov_norm,
     dyadic_blocks,
-    dealias,
-    forward_transform,
     frac_laplacian,
     homogeneous_seminorm,
-    inverse_transform,
     lp_norm,
-    resample,
     sobolev_norm,
 )
-from fpme.grid import SpectralField
+from fpme.grid import SpectralField, dealias, forward_transform, inverse_transform, resample
 
 from conftest import random_field
 from helpers import half_columns, radial_symbol_oracle
@@ -207,6 +205,23 @@ class TestBesovNorm:
         # the larger of the individual contributions
         expected = max(besov_norm(low, alpha, p), besov_norm(high, alpha, p))
         assert besov_norm(both, alpha, p) == pytest.approx(expected, rel=1e-12)
+
+    def test_blocks_reduced_one_at_a_time(self):
+        # holding every block at once would cost len(multipliers) fields
+        grid = Grid(3, 64, 2 * np.pi)
+        p = DyadicPartition(grid)
+        f = random_field(grid, seed=8)
+        expected = max(
+            2.0 ** (j * 1.1) * lp_norm(b, 1) for j, b in zip(p.indices, dyadic_blocks(f, p))
+        )
+        tracemalloc.start()
+        try:
+            value = besov_norm(f, 1.1, p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert value == expected
+        assert peak < 6 * f.values.nbytes
 
 
 class TestInequalityWitnesses:
