@@ -23,7 +23,6 @@ from .fracops import (
 from .norms import (
     DyadicPartition,
     besov_norm,
-    dyadic_blocks,
     homogeneous_seminorm,
     lp_norm,
     sobolev_norm,
@@ -86,7 +85,6 @@ __all__ = [
     "check_commutator",
     "check_cordoba",
     "check_pointwise_lp",
-    "dyadic_blocks",
     "frac_laplacian",
     "gradient",
     "homogeneous_seminorm",

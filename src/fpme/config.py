@@ -12,8 +12,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .diagnostics import FieldGenerator
-from .errors import ParseError, ValidationError
+from .errors import ParseError, UnresolvedKernel, ValidationError
+from .fracops import MollifierKernel
 from .grid import Grid
 from .linear import TimeStepPolicy
 from .picard import PicardConfig
@@ -53,9 +56,6 @@ _KNOWN_KEYS = {
     "properties.seed",
     "properties.count",
 }
-
-_GENERATOR_KINDS = ("gaussian_bump", "multi_bump", "random_trig", "constant")
-
 
 @dataclass(frozen=True)
 class RunSpec:
@@ -167,10 +167,6 @@ def _generator(
     kind = _get(entries, f"{prefix}.kind")
     if kind is None:
         return None
-    if kind not in _GENERATOR_KINDS:
-        raise ValidationError(
-            f"{prefix}.kind must be one of {_GENERATOR_KINDS}, got {kind!r}"
-        )
     gen = FieldGenerator(
         kind=kind,
         seed=_get(entries, f"{prefix}.seed", int, 0),
@@ -256,6 +252,21 @@ def parse_config(text: str, mode: str, overrides: dict[str, str] | None = None) 
         raise ValidationError(f"initial.kind is required for mode {mode}")
     if mode in ("linear", "sweep_epsilon") and coefficient is None:
         raise ValidationError(f"coefficient.kind is required for mode {mode}")
+    # The solvers reject a negative coefficient: the frozen v of the linear
+    # problem, and in picard the initial datum, which is the first coefficient.
+    signed = {
+        "linear": ("coefficient", coefficient),
+        "sweep_epsilon": ("coefficient", coefficient),
+        "picard": ("initial", initial),
+    }
+    if mode in signed:
+        prefix, gen = signed[mode]
+        low = float(np.min(gen.generate(grid).values))
+        if low < -1e-12:
+            raise ValidationError(
+                f"{prefix}.kind = {gen.kind} with {prefix}.amplitude = {gen.amplitude} "
+                f"makes a field with minimum {low:.3e}; mode {mode} needs it nonnegative"
+            )
 
     output_dir = _get(entries, "output.dir")
     if output_dir is None:
@@ -274,9 +285,22 @@ def parse_config(text: str, mode: str, overrides: dict[str, str] | None = None) 
             raise ValidationError("sweep.epsilons must not be empty")
         if any(e <= 0 for e in epsilons):
             raise ValidationError("sweep.epsilons must be positive (0 is run implicitly)")
+    # Build each mollifier the run will build, so that a radius the grid
+    # cannot resolve, or one past half the period, fails here.
+    radii = [("solver.epsilon", picard.epsilon_moll)]
+    if mode == "sweep_epsilon":
+        radii += [("sweep.epsilons", e) for e in epsilons]
+    for key, eps in radii:
+        if eps > 0:
+            try:
+                MollifierKernel(grid, eps)
+            except (ValueError, UnresolvedKernel) as exc:
+                raise ValidationError(f"{key}: {exc}") from exc
 
     properties_seed = _get(entries, "properties.seed", int, 0)
     properties_count = _get(entries, "properties.count", int, 100)
+    if properties_seed < 0:
+        raise ValidationError(f"properties.seed must be >= 0, got {properties_seed}")
     if properties_count < 1:
         raise ValidationError(f"properties.count must be >= 1, got {properties_count}")
 

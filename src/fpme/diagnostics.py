@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDenominator, InvalidExponent, UnsupportedExponent
-from .fracops import frac_laplacian, gradient
+from .fracops import MollifierKernel, frac_laplacian, gradient, mollify
 from .grid import Grid, RealField, apply_symbols, half_spectrum_symbols, require_same_grid
 from .norms import DyadicPartition, besov_norm, homogeneous_seminorm, lp_norm, sobolev_norm
 
@@ -108,7 +108,7 @@ def record(
 class FieldGenerator:
     """Reproducible band-limited test fields.
 
-    kind is one of gaussian_bump, multi_bump, random_trig, constant.
+    kind is one of KINDS.
     width is a physical length: for bumps the Gaussian radius, for
     random_trig the shortest admitted wavelength (modes up to L/width).
     Bump kinds and constants with amplitude >= 0 are pointwise nonnegative.
@@ -119,8 +119,15 @@ class FieldGenerator:
     amplitude: float = 1.0
     width: float = 1.0
 
+    KINDS = ("gaussian_bump", "multi_bump", "random_trig", "constant")
+
     def check(self, grid: Grid) -> None:
-        """Raise ValueError if a bump this wide is not band-limited on grid."""
+        """Raise ValueError for an unknown kind, a negative seed, or a bump
+        too narrow to be band-limited on grid."""
+        if self.kind not in self.KINDS:
+            raise ValueError(f"kind must be one of {self.KINDS}, got {self.kind!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.kind not in ("gaussian_bump", "multi_bump"):
             return
         w_min = 11.4 * grid.side_length / (2.0 * np.pi * grid.dealias_cutoff)
@@ -145,9 +152,7 @@ class FieldGenerator:
                 for _ in range(n_bumps)
             ]
             return self._bump_sum(grid, spots)
-        if self.kind == "random_trig":
-            return self._random_trig(grid)
-        raise ValueError(f"unknown field kind {self.kind!r}")
+        return self._random_trig(grid)
 
     def _bump_sum(self, grid: Grid, spots) -> RealField:
         L = grid.side_length
@@ -259,8 +264,6 @@ def run_property_suite(grid: Grid, seed: int = 0, count: int = 100):
     Returns (rows, all_passed) where each row is
     (check name, field seed, statistic, passed).
     """
-    from .fracops import MollifierKernel, mollify
-
     L = grid.side_length
     rows = []
 

@@ -1,4 +1,4 @@
-"""Periodic grid, spectral transforms and dealiasing.
+"""Periodic grid, spectral transforms and symbol tables.
 
 All fields live on the torus ``[0, L)^dim`` sampled on a uniform lattice of
 ``n_points`` cells per axis.  Spectral data use one layout everywhere, the
@@ -12,8 +12,8 @@ Two conventions share that layout:
 
 * :func:`apply_symbols` is the one real-to-real multiplier path.  It uses
   numpy's unnormalized ``rfftn`` and its ``irfftn`` inverse, as do the
-  stepper and the norms; every operator, dealiased product and
-  Littlewood-Paley block is built on it.
+  stepper and the norms; every operator and Littlewood-Paley block is
+  built on it.
 * :func:`forward_transform` and :func:`inverse_transform` use the
   mean-value normalization: the zero coefficient equals the grid mean, so
   with ``fold`` from :class:`HalfSpectrumSymbols`
@@ -44,8 +44,6 @@ __all__ = [
     "forward_transform",
     "inverse_transform",
     "apply_symbols",
-    "dealias",
-    "dealiased_product",
     "resample",
     "HalfSpectrumSymbols",
     "half_spectrum_symbols",
@@ -242,26 +240,6 @@ def apply_symbols(f: RealField, *symbols: np.ndarray) -> Iterator[RealField]:
     c = np.fft.rfftn(f.values, axes=g.fft_axes)
     for m in symbols:
         yield RealField(g, np.fft.irfftn(m * c, s=g.shape, axes=g.fft_axes))
-
-
-def dealias(F: SpectralField) -> SpectralField:
-    """Zero every coefficient with signed frequency above N/3 on any axis."""
-    return SpectralField(F.grid, F.coeffs * half_spectrum_symbols(F.grid, 1.0).mask)
-
-
-def dealiased_product(f: RealField, g: RealField) -> RealField:
-    """Alias-free pointwise product.
-
-    Both factors are projected below the 2/3-rule cutoff, multiplied on the
-    lattice, and the product is projected again.  Retained frequencies never
-    wrap past the period, so the result is the exact Galerkin truncation of
-    the product of the two projected trig polynomials.
-    """
-    require_same_grid(f, g)
-    mask = half_spectrum_symbols(f.grid, 1.0).mask
-    fd = next(apply_symbols(f, mask))
-    gd = next(apply_symbols(g, mask))
-    return next(apply_symbols(RealField(f.grid, fd.values * gd.values), mask))
 
 
 def _band(grid: Grid, keep: int):

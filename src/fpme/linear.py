@@ -272,7 +272,4 @@ def solve_linear(
             snapshots.append((t, final))
         if steps % sample_every == 0 or t >= problem.t_end - tiny:
             records.append(record(final, t, dt, recorder, records[-1]))
-
-    if records[-1].t < problem.t_end - tiny:
-        records.append(record(final, problem.t_end, 0.0, recorder, records[-1]))
     return LinearSolution(final=final, records=records, snapshots=snapshots)

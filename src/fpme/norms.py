@@ -14,7 +14,6 @@ __all__ = [
     "sobolev_norm",
     "homogeneous_seminorm",
     "DyadicPartition",
-    "dyadic_blocks",
     "besov_norm",
 ]
 
@@ -99,11 +98,6 @@ class DyadicPartition:
         object.__setattr__(self, "j_max", j_max)
         object.__setattr__(self, "indices", tuple(js))
         object.__setattr__(self, "multipliers", tuple(mults))
-
-
-def dyadic_blocks(f: RealField, partition: DyadicPartition) -> list[RealField]:
-    """Frequency-localized pieces of f; they sum to the dealiased field."""
-    return list(apply_symbols(f, *partition.multipliers))
 
 
 def besov_norm(f: RealField, alpha: float, partition: DyadicPartition) -> float:

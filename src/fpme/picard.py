@@ -1,7 +1,7 @@
 """Picard iteration for the fractional porous medium equation.
 
 Each outer iterate solves the frozen-coefficient linear problem over a
-fixed existence window, with the coefficient re-frozen from the previous
+fixed existence window, with the coefficient taken from the previous
 iterate's trajectory at every inner sample time (piecewise-constant in
 time).  The window is
 
@@ -128,10 +128,11 @@ def _advance_iterate(
     dt_seg: float,
     kernel: MollifierKernel | None,
 ):
-    """One outer Picard step: march the window, re-freezing the coefficient
-    from coeff_traj at every segment.  Returns the new trajectory and its
-    per-sample H^alpha norms, the latter taken from the half-spectrum state
-    the stepper carries."""
+    """One outer Picard step: march the window, freezing coeff_traj[i] over
+    segment i.  The freeze is made once per distinct coefficient, so the
+    first iterate, whose coeff_traj repeats the initial datum, freezes once.
+    Returns the new trajectory and its per-sample H^alpha norms, the latter
+    taken from the half-spectrum state the stepper carries."""
     g = u_start.grid
     policy = TimeStepPolicy(dt_max=dt_seg, safety=config.safety)
     m = len(coeff_traj) - 1
@@ -142,8 +143,9 @@ def _advance_iterate(
     h_list = [_norm_of_rfft(g, F, weight)]
     tiny = 1e-14 * dt_seg
     for i in range(m):
-        ops = make_coefficient_ops(coeff_traj[i], config.s, config.epsilon_moll, kernel)
-        dt_cap = policy.step_size(ops.rho_est)
+        if i == 0 or coeff_traj[i] is not coeff_traj[i - 1]:
+            ops = make_coefficient_ops(coeff_traj[i], config.s, config.epsilon_moll, kernel)
+            dt_cap = policy.step_size(ops.rho_est)
         tau = 0.0
         while tau < dt_seg - tiny:
             dt = min(dt_cap, dt_seg - tau)
@@ -183,19 +185,18 @@ def run_picard(u0: RealField, config: PicardConfig) -> PicardResult:
     for _ in range(_MAX_RECALIBRATIONS + 1):
         t0 = horizon(u0, cfg)
         dt_seg = t0 / m
-        prev_traj = [u_init] * (m + 1)
-        prev_h = [sobolev_norm(u_init, cfg.alpha)] * (m + 1)
+        traj = [u_init] * (m + 1)
         state = PicardState(
-            sup_halpha=[max(prev_h)],
+            sup_halpha=[sobolev_norm(u_init, cfg.alpha)],
             deltas=[],
             converged=False,
             c_meas=[0.0],
             min_u=[float(np.min(u_init.values))],
         )
-        restart = False
-        for n in range(2, cfg.max_outer + 2):
+        while not state.converged and len(state.deltas) < cfg.max_outer:
+            prev_traj = traj
             traj, h_list = _advance_iterate(u_init, prev_traj, cfg, dt_seg, kernel)
-            coeff_scale = max(prev_h)
+            coeff_scale = state.sup_halpha[-1]
             c_meas_n = _max_quotient(h_list, dt_seg, coeff_scale)
             delta_n = max(
                 sobolev_norm(RealField(g, a.values - b.values), cfg.alpha - 1.0)
@@ -206,7 +207,7 @@ def run_picard(u0: RealField, config: PicardConfig) -> PicardResult:
             state.c_meas.append(c_meas_n)
             state.min_u.append(min(float(np.min(f.values)) for f in traj))
 
-            if n == 2 and cfg.t0_override is None:
+            if len(state.deltas) == 1 and cfg.t0_override is None:
                 c_new = max(1.0, 1.2 * c_meas_n)
                 bound_at_risk = (
                     max(h_list) > 2.0 * h_u0
@@ -214,16 +215,10 @@ def run_picard(u0: RealField, config: PicardConfig) -> PicardResult:
                 )
                 if c_new > cfg.c_gronwall * (1.0 + 1e-9) and bound_at_risk:
                     cfg = replace(cfg, c_gronwall=c_new)
-                    restart = True
                     break
-
-            if delta_n < cfg.tol_picard:
-                state.converged = True
-                prev_traj, prev_h = traj, h_list
-                break
-            prev_traj, prev_h = traj, h_list
-        if not restart:
-            break
+            state.converged = delta_n < cfg.tol_picard
+        else:
+            break  # not recalibrated: this attempt stands
 
     if not state.converged:
         raise NoConvergence(state.deltas, cfg.max_outer)
@@ -233,18 +228,16 @@ def run_picard(u0: RealField, config: PicardConfig) -> PicardResult:
     recorder = RecorderConfig(
         alpha=cfg.alpha,
         partition=DyadicPartition(g),
-        coefficient_scale=max(prev_h),
+        coefficient_scale=state.sup_halpha[-1],
     )
     records: list[DiagnosticsRecord] = []
-    for i in range(0, m + 1, stride):
+    for i in (*range(0, m, stride), m):
         prev_rec = records[-1] if records else None
-        records.append(record(prev_traj[i], float(times[i]), dt_seg, recorder, prev_rec))
-    if (m % stride) != 0:
-        records.append(record(prev_traj[m], float(times[m]), dt_seg, recorder, records[-1]))
+        records.append(record(traj[i], float(times[i]), dt_seg, recorder, prev_rec))
 
     return PicardResult(
         times=times,
-        trajectory=prev_traj,
+        trajectory=traj,
         state=state,
         records=records,
         horizon=t0,

@@ -16,6 +16,18 @@ import fpme.linear as linear_mod
 from fpme import read_snapshot
 from fpme.cli import main
 
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+# shipped config -> the mode it is written for
+SHIPPED = {"linear": "linear", "picard": "picard", "sweep": "sweep_epsilon",
+           "properties": "properties"}
+
+
+def run_shipped(name, out, *overrides):
+    args = [SHIPPED[name], "--config", str(CONFIGS / f"{name}.cfg"), "--set", f"output.dir={out}"]
+    for item in overrides:
+        args += ["--set", item]
+    return main(args)
+
 LINEAR_CFG = """
 grid.dim = 1
 grid.n = 64
@@ -126,6 +138,30 @@ class TestExitCodes:
         assert main([mode, "--config", str(cfg)]) == 2
         assert f"{narrow}.width 0.785" in capsys.readouterr().err
         assert not (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize(
+        "cfg, overrides, key",
+        [
+            ("properties", ["properties.seed=-5"], "properties.seed"),
+            ("linear", ["initial.kind=multi_bump", "initial.seed=-1"], "initial.seed"),
+            ("linear", ["coefficient.amplitude=-0.5"], "coefficient.amplitude"),
+            ("linear", ["coefficient.kind=random_trig"], "coefficient.kind"),
+            ("picard", ["initial.amplitude=-0.05"], "initial.amplitude"),
+            ("linear", ["solver.epsilon=0.01"], "solver.epsilon"),
+            ("linear", ["solver.epsilon=3.5"], "solver.epsilon"),
+            ("sweep", ["sweep.epsilons=0.4, 0.01"], "sweep.epsilons"),
+        ],
+        ids=lambda v: "+".join(v) if isinstance(v, list) else v,
+    )
+    def test_run_time_failure_rejected_before_output(
+        self, tmp_path, capsys, cfg, overrides, key
+    ):
+        # each of these used to pass the parser and fail only after the
+        # manifest (or a whole sweep radius) was written
+        out = tmp_path / "out"
+        assert run_shipped(cfg, out, *overrides) == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
 
     def test_picard_no_convergence_is_3(self, tmp_path):
         cfg, _ = write_cfg(tmp_path, PICARD_CFG, **{"solver.max_outer": 1})
@@ -300,6 +336,26 @@ class TestSweepRun:
             for name in ("diagnostics.csv", "final.fpm1"):
                 a = (out_two / sub / name).read_bytes()
                 assert a == (out_one / sub / name).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "cfg, files",
+    [
+        ("linear", ["manifest.json", "diagnostics.csv", "final.fpm1"]
+         + [f"snapshot_00{i}.fpm1" for i in range(3)]),
+        ("picard", ["manifest.json", "iterates.csv", "diagnostics.csv", "final.fpm1"]),
+        ("sweep", ["manifest.json", "summary.csv"]
+         + [f"eps_{e}/{name}" for e in ("0.4", "0.2", "0.1", "0.0")
+            for name in ("diagnostics.csv", "final.fpm1")]),
+        ("properties", ["manifest.json", "report.csv"]),
+    ],
+    ids=lambda v: v if isinstance(v, str) else "outputs",
+)
+def test_shipped_config_runs(tmp_path, cfg, files):
+    out = tmp_path / "out"
+    assert run_shipped(cfg, out) == 0
+    written = sorted(p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file())
+    assert written == sorted(files)
 
 
 class TestPropertiesRun:

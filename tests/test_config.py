@@ -157,7 +157,8 @@ output.dir = /tmp/out
         with pytest.raises(ValidationError, match=f"{prefix}.width .* too narrow"):
             parse_config(text, mode="linear")
         parse_config(text + f"{prefix}.width = 1.2\n", mode="linear")
-        spec = parse_config(text.replace("gaussian_bump", "random_trig"), mode="linear")
+        # properties mode: linear would reject the sign-changing random_trig coefficient
+        spec = parse_config(text.replace("gaussian_bump", "random_trig"), mode="properties")
         assert getattr(spec, prefix).width == pytest.approx(spec.grid.side_length / 8)
 
 

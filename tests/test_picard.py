@@ -161,6 +161,23 @@ class TestRecalibration:
         assert result.horizon == 0.05
 
 
+class TestFreezes:
+    def test_one_freeze_per_distinct_coefficient(self, grid64, monkeypatch):
+        # the first iterate's coefficient is the initial datum on every
+        # segment, so it is frozen once; later iterates freeze every sample
+        calls = []
+        real = picard_mod.make_coefficient_ops
+
+        def counting(*args):
+            calls.append(args[0])
+            return real(*args)
+
+        monkeypatch.setattr(picard_mod, "make_coefficient_ops", counting)
+        cfg = PicardConfig(s=0.75, alpha=2.1, samples=50, t0_override=0.05)
+        result = run_picard(small_bump(grid64), cfg)
+        assert len(calls) == (len(result.state.deltas) - 1) * cfg.samples + 1
+
+
 class TestResidual:
     def test_converged_trajectory_solves_equation(self, grid64):
         cfg = PicardConfig(s=0.75, alpha=2.1, samples=400)
