@@ -3,8 +3,8 @@
     fpme <mode> --config <path> [--set key=value]...
 
 Modes: linear, picard, sweep_epsilon, properties.  Exit codes: 0 ok,
-2 validation problem, 3 Picard failed to converge, 4 solution blew up,
-5 a property check failed.
+2 validation problem or unwritable output, 3 Picard failed to converge,
+4 solution blew up, 5 a property check failed.
 """
 
 from __future__ import annotations
@@ -144,7 +144,7 @@ def execute(spec: RunSpec, config_text: str = "") -> int:
     except BlowUp as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except (FpmeError, ValueError) as exc:
+    except (FpmeError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

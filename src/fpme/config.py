@@ -12,14 +12,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .diagnostics import FieldGenerator
 from .errors import ParseError, UnresolvedKernel, ValidationError
 from .fracops import MollifierKernel
 from .grid import Grid
-from .linear import TimeStepPolicy
-from .picard import PicardConfig
+from .linear import LinearProblem, TimeStepPolicy
+from .picard import PicardConfig, _check_alpha, _validate_initial
 
 __all__ = ["RunSpec", "parse_config", "MODES"]
 
@@ -209,12 +207,6 @@ def parse_config(text: str, mode: str, overrides: dict[str, str] | None = None) 
         if val is None:
             raise ValidationError(f"{name} is required")
 
-    alpha = _get(entries, "solver.alpha", float, dim / 2.0 + 1.1)
-    if not (alpha >= 0):
-        raise ValidationError(f"alpha must be >= 0, got {alpha}")
-    if mode == "picard" and not (alpha > dim / 2.0 + 1.0):
-        raise ValidationError(f"alpha must exceed dim/2+1, got {alpha} for dim={dim}")
-
     t_end = _get(entries, "solver.t_end", float)
     if mode in ("linear", "sweep_epsilon"):
         if t_end is None:
@@ -230,9 +222,10 @@ def parse_config(text: str, mode: str, overrides: dict[str, str] | None = None) 
     dt_max = _get(entries, "solver.dt_max", float)
     try:
         grid = Grid(dim, n, length)
-        picard = PicardConfig(
-            s=_get(entries, "solver.s", float, 0.75), alpha=alpha, **picard_args
-        )
+        alpha = _get(entries, "solver.alpha", float, dim / 2.0 + 1.1)
+        picard = PicardConfig(s=_get(entries, "solver.s", float, 0.75), alpha=alpha, **picard_args)
+        if mode == "picard":
+            _check_alpha(picard, dim)
         policy = None
         if mode in ("linear", "sweep_epsilon") or dt_max is not None:
             policy = TimeStepPolicy(
@@ -252,21 +245,19 @@ def parse_config(text: str, mode: str, overrides: dict[str, str] | None = None) 
         raise ValidationError(f"initial.kind is required for mode {mode}")
     if mode in ("linear", "sweep_epsilon") and coefficient is None:
         raise ValidationError(f"coefficient.kind is required for mode {mode}")
-    # The solvers reject a negative coefficient: the frozen v of the linear
-    # problem, and in picard the initial datum, which is the first coefficient.
-    signed = {
-        "linear": ("coefficient", coefficient),
-        "sweep_epsilon": ("coefficient", coefficient),
-        "picard": ("initial", initial),
-    }
-    if mode in signed:
-        prefix, gen = signed[mode]
-        low = float(np.min(gen.generate(grid).values))
-        if low < -1e-12:
-            raise ValidationError(
-                f"{prefix}.kind = {gen.kind} with {prefix}.amplitude = {gen.amplitude} "
-                f"makes a field with minimum {low:.3e}; mode {mode} needs it nonnegative"
-            )
+    # The solvers' own input checks on the generated fields; past the checks
+    # above, only the sign of the first frozen coefficient can fail them.
+    try:
+        if mode == "picard":
+            _validate_initial(initial.generate(grid), picard)
+        elif mode in ("linear", "sweep_epsilon"):
+            LinearProblem(v=coefficient.generate(grid), u0=initial.generate(grid),
+                          s=picard.s, epsilon=picard.epsilon_moll, t_end=t_end)
+    except ValueError as exc:
+        prefix, gen = ("initial", initial) if mode == "picard" else ("coefficient", coefficient)
+        raise ValidationError(
+            f"{prefix}.kind = {gen.kind} with {prefix}.amplitude = {gen.amplitude}: {exc}"
+        ) from exc
 
     output_dir = _get(entries, "output.dir")
     if output_dir is None:

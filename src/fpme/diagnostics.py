@@ -209,8 +209,6 @@ def check_cordoba(f: RealField, s: float) -> InequalityReport:
 
     f must be band-limited so that f^2 survives dealiasing unchanged.
     """
-    if not (0.0 <= s <= 2.0):
-        raise InvalidExponent(f"cordoba check needs s in [0, 2], got {s}")
     return check_pointwise_lp(f, s, 2)
 
 

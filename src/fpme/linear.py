@@ -13,8 +13,10 @@ result, which keeps those identities exact on the lattice.
 The RK4 state is the unnormalized ``rfftn`` half-spectrum F of u, and the
 stages combine coefficients.  One right-hand side is
 ``filt * rfftn(sum_i c_i * irfftn(M_i * filt * F))``: dim + 1 inverse
-transforms and one forward transform.  The field returns to real space once
-per step in solve_linear, and once per segment in the Picard loop, as
+transforms and one forward transform.  Both solvers step through _march,
+which lands exactly on each stop time: solve_linear marches through the
+snapshot times to t_end, and a Picard segment is one march.  _field returns
+the state to real space once per step or segment, as
 ``u = u_start + irfftn(F - F_start)``.  The right-hand side is zero above
 the 2/3 cutoff, so F keeps u_start's coefficients there, and a state the
 right-hand side does not move stays equal to u_start bit for bit.
@@ -46,6 +48,13 @@ __all__ = [
 _BLOWUP_LIMIT = 1e12
 
 
+def _check_nonnegative(name: str, f: RealField) -> None:
+    """The sign rule of a frozen coefficient, with a floor for roundoff."""
+    low = float(np.min(f.values))
+    if low < -1e-12:
+        raise ValueError(f"{name} must be nonnegative, min is {low:.3e}")
+
+
 @dataclass(frozen=True, eq=False)
 class LinearProblem:
     """Frozen-coefficient problem data.
@@ -54,7 +63,7 @@ class LinearProblem:
     ----------
     v:
         Transported-density coefficient.  Must be nonnegative, since it
-        multiplies the dissipative term; a -1e-12 floor absorbs roundoff.
+        multiplies the dissipative term, up to a roundoff floor.
     u0:
         Initial state on the same grid.
     s:
@@ -76,10 +85,7 @@ class LinearProblem:
             raise GridMismatch("v and u0 must share a grid")
         if not (0.5 <= self.s < 1.0):
             raise ValueError(f"s must lie in [1/2, 1), got {self.s}")
-        if float(np.min(self.v.values)) < -1e-12:
-            raise ValueError(
-                f"coefficient v must be nonnegative, min is {float(np.min(self.v.values)):.3e}"
-            )
+        _check_nonnegative("coefficient v", self.v)
         if self.epsilon < 0:
             raise ValueError(f"epsilon must be >= 0, got {self.epsilon}")
         if not (self.t_end > 0):
@@ -203,11 +209,28 @@ def _rk4_step(F: np.ndarray, dt: float, ops: CoefficientOps) -> np.ndarray:
     return F + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _check_state(u: np.ndarray, t: float) -> float:
+def _march(F: np.ndarray, ops: CoefficientOps, dt_cap: float, stops, tiny: float):
+    """RK4 steps of F from t = 0, at most dt_cap each, landing exactly on each
+    of the increasing stop times in turn; yields (F, t, dt, landed)."""
+    t, i = 0.0, 0
+    while t < stops[-1] - tiny:
+        target = stops[i]
+        dt = min(dt_cap, target - t)
+        landed = dt >= target - t - tiny
+        F = _rk4_step(F, dt, ops)
+        t = target if landed else t + dt
+        i += landed
+        yield F, t, dt, landed
+
+
+def _field(u_start: RealField, F: np.ndarray, F_start: np.ndarray, t: float) -> RealField:
+    """State F marched from u_start (spectrum F_start) in real space; BlowUp at t."""
+    g = u_start.grid
+    u = u_start.values + np.fft.irfftn(F - F_start, s=g.shape, axes=g.fft_axes)
     linf = float(np.max(np.abs(u)))
     if not math.isfinite(linf) or linf > _BLOWUP_LIMIT:
         raise BlowUp(t, linf)
-    return linf
+    return RealField(g, u)
 
 
 @dataclass(eq=False)
@@ -250,23 +273,13 @@ def solve_linear(
 
     final = problem.u0
     F_start = np.fft.rfftn(problem.u0.values, axes=g.fft_axes)
-    F = F_start
-    t = 0.0
     records = [record(problem.u0, 0.0, 0.0, recorder, None)]
-    steps = 0
     dt_base = policy.step_size(ops.rho_est)
     tiny = 1e-14 * problem.t_end
 
-    while t < problem.t_end - tiny:
-        target = events[0] if events else problem.t_end
-        dt = min(dt_base, target - t)
-        landed = dt >= target - t - tiny
-        F = _rk4_step(F, dt, ops)
-        t = target if landed else t + dt
-        u = problem.u0.values + np.fft.irfftn(F - F_start, s=g.shape, axes=g.fft_axes)
-        _check_state(u, t)
-        final = RealField(g, u)
-        steps += 1
+    march = _march(F_start, ops, dt_base, (*events, problem.t_end), tiny)
+    for steps, (F, t, dt, landed) in enumerate(march, start=1):
+        final = _field(problem.u0, F, F_start, t)
         if landed and events:
             events.pop(0)
             snapshots.append((t, final))

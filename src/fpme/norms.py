@@ -20,7 +20,7 @@ __all__ = [
 
 def lp_norm(f: RealField, p: float) -> float:
     """Discrete L^p norm; p = inf gives max|f|."""
-    if p == np.inf or p == math.inf:
+    if p == np.inf:
         return float(np.max(np.abs(f.values)))
     if not (p >= 1):
         raise ValueError(f"p must be >= 1 or inf, got {p}")
@@ -85,7 +85,7 @@ class DyadicPartition:
         sym = half_spectrum_symbols(g, 1.0)
         r = sym.radial / (2.0 * np.pi / g.side_length)
         r_top = g.dealias_cutoff * math.sqrt(g.dim)
-        j_max = max(0, math.ceil(math.log2(r_top))) if r_top >= 1 else 0
+        j_max = math.ceil(math.log2(r_top))
         mask = sym.mask
         mults = [_chi(2.0 * r) * mask]
         js = [-1]

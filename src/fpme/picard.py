@@ -25,7 +25,9 @@ from .diagnostics import DiagnosticsRecord, RecorderConfig, growth_quotient, rec
 from .errors import NoConvergence
 from .fracops import MollifierKernel, mollify
 from .grid import RealField, half_spectrum_symbols
-from .linear import TimeStepPolicy, _check_state, _rk4_step, make_coefficient_ops, rhs_with_ops
+from .linear import (
+    TimeStepPolicy, _check_nonnegative, _field, _march, make_coefficient_ops, rhs_with_ops
+)
 from .norms import DyadicPartition, _norm_of_rfft, lp_norm, sobolev_norm
 
 __all__ = [
@@ -66,6 +68,8 @@ class PicardConfig:
     def __post_init__(self):
         if not (0.5 <= self.s < 1.0):
             raise ValueError(f"s must lie in [1/2, 1), got {self.s}")
+        if not (self.alpha >= 0):
+            raise ValueError(f"alpha must be >= 0, got {self.alpha}")
         if not (0.0 < self.safety <= 1.0):
             raise ValueError(f"safety must be in (0, 1], got {self.safety}")
         if self.epsilon_moll < 0:
@@ -109,16 +113,15 @@ def horizon(u0: RealField, config: PicardConfig) -> float:
     return math.log(2.0) / (2.0 * config.c_gronwall * (1.0 + h0))
 
 
+def _check_alpha(config: PicardConfig, dim: int) -> None:
+    """The Picard space H^alpha must embed in C^1."""
+    if not (config.alpha > dim / 2.0 + 1.0):
+        raise ValueError(f"alpha must exceed dim/2+1, got {config.alpha} for dim={dim}")
+
+
 def _validate_initial(u0: RealField, config: PicardConfig) -> None:
-    d = u0.grid.dim
-    if not (config.alpha > d / 2.0 + 1.0):
-        raise ValueError(
-            f"alpha must exceed dim/2+1, got {config.alpha} for dim={d}"
-        )
-    if float(np.min(u0.values)) < -1e-12:
-        raise ValueError(
-            f"u0 must be nonnegative, min is {float(np.min(u0.values)):.3e}"
-        )
+    _check_alpha(config, u0.grid.dim)
+    _check_nonnegative("u0", u0)
 
 
 def _advance_iterate(
@@ -146,14 +149,9 @@ def _advance_iterate(
         if i == 0 or coeff_traj[i] is not coeff_traj[i - 1]:
             ops = make_coefficient_ops(coeff_traj[i], config.s, config.epsilon_moll, kernel)
             dt_cap = policy.step_size(ops.rho_est)
-        tau = 0.0
-        while tau < dt_seg - tiny:
-            dt = min(dt_cap, dt_seg - tau)
-            F = _rk4_step(F, dt, ops)
-            tau = dt_seg if dt >= dt_seg - tau - tiny else tau + dt
-        u = u_start.values + np.fft.irfftn(F - F_start, s=g.shape, axes=g.fft_axes)
-        _check_state(u, (i + 1) * dt_seg)
-        traj.append(RealField(g, u))
+        for F, *_ in _march(F, ops, dt_cap, (dt_seg,), tiny):
+            pass
+        traj.append(_field(u_start, F, F_start, (i + 1) * dt_seg))
         h_list.append(_norm_of_rfft(g, F, weight))
     return traj, h_list
 

@@ -163,6 +163,14 @@ class TestExitCodes:
         assert key in capsys.readouterr().err
         assert not out.exists()
 
+    def test_unwritable_output_dir_is_2(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert run_shipped("linear", blocker) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert blocker.read_text() == ""
+
     def test_picard_no_convergence_is_3(self, tmp_path):
         cfg, _ = write_cfg(tmp_path, PICARD_CFG, **{"solver.max_outer": 1})
         assert main(["picard", "--config", str(cfg)]) == 3

@@ -8,12 +8,16 @@ import pytest
 
 from fpme import (
     MODES,
+    FieldGenerator,
+    Grid,
+    LinearProblem,
     ParseError,
     PicardConfig,
     RunSpec,
     TimeStepPolicy,
     ValidationError,
     parse_config,
+    run_picard,
 )
 from fpme.config import _KNOWN_KEYS, _PICARD_FIELDS
 
@@ -160,6 +164,36 @@ output.dir = /tmp/out
         # properties mode: linear would reject the sign-changing random_trig coefficient
         spec = parse_config(text.replace("gaussian_bump", "random_trig"), mode="properties")
         assert getattr(spec, prefix).width == pytest.approx(spec.grid.side_length / 8)
+
+
+def _bump(amplitude):
+    """The field MINIMAL_LINEAR's generators make, at this amplitude."""
+    grid = Grid(1, 64, 6.283185307179586)
+    gen = FieldGenerator("gaussian_bump", amplitude=amplitude, width=grid.side_length / 8)
+    return gen.generate(grid)
+
+
+@pytest.mark.parametrize(
+    "mode, override, library_call",
+    [
+        ("picard", {"solver.alpha": "1.4"},
+         lambda: run_picard(_bump(0.5), PicardConfig(s=0.75, alpha=1.4))),
+        ("picard", {"initial.amplitude": "-0.05"},
+         lambda: run_picard(_bump(-0.05), PicardConfig(s=0.75, alpha=1.6))),
+        ("linear", {"coefficient.amplitude": "-0.5"},
+         lambda: LinearProblem(v=_bump(-0.5), u0=_bump(0.5), s=0.75, epsilon=0.0, t_end=0.05)),
+        ("linear", {"solver.alpha": "-1"}, lambda: PicardConfig(s=0.75, alpha=-1.0)),
+    ],
+    ids=["picard-alpha-floor", "picard-negative-initial", "linear-negative-coefficient",
+         "negative-alpha"],
+)
+def test_parse_time_and_library_rejections_agree(mode, override, library_call):
+    # the parser runs the solvers' own checks, so it says what they say
+    with pytest.raises(ValueError) as library:
+        library_call()
+    with pytest.raises(ValidationError) as parsed:
+        parse_config(MINIMAL_LINEAR, mode=mode, overrides=override)
+    assert str(library.value) in str(parsed.value)
 
 
 class TestOverrides:

@@ -5,19 +5,23 @@ import math
 import numpy as np
 import pytest
 
+import fpme.linear as linear_mod
 import fpme.picard as picard_mod
 from fpme import (
     FieldGenerator,
     Grid,
+    LinearProblem,
     NoConvergence,
     PicardConfig,
     RealField,
+    TimeStepPolicy,
     horizon,
     lp_norm,
     mollify,
     nonlinear_residual,
     run_picard,
     sobolev_norm,
+    solve_linear,
     uniqueness_probe,
 )
 from fpme.fracops import MollifierKernel
@@ -78,6 +82,8 @@ class TestValidation:
             PicardConfig(s=0.75, alpha=2.1, max_outer=0)
         with pytest.raises(ValueError, match="safety"):
             PicardConfig(s=0.75, alpha=2.1, safety=2.0)
+        with pytest.raises(ValueError, match="alpha must be >= 0"):
+            PicardConfig(s=0.75, alpha=-1.0)
 
 
 class TestFixedPoint:
@@ -176,6 +182,44 @@ class TestFreezes:
         cfg = PicardConfig(s=0.75, alpha=2.1, samples=50, t0_override=0.05)
         result = run_picard(small_bump(grid64), cfg)
         assert len(calls) == (len(result.state.deltas) - 1) * cfg.samples + 1
+
+
+class TestSegments:
+    @pytest.mark.parametrize(
+        "amplitude, samples, steps_per_segment", [(5.0, 4, 2), (0.05, 8, 1)]
+    )
+    def test_first_iterate_matches_solve_linear(
+        self, grid64, monkeypatch, amplitude, samples, steps_per_segment
+    ):
+        # the first iterate freezes u0 over the whole window, so it is the
+        # linear flow with v = u0; a large amplitude caps the RK4 step below
+        # the segment length, and each segment then takes several steps
+        steps = []
+        real_step = linear_mod._rk4_step
+
+        def counting(*args):
+            steps.append(args[1])
+            return real_step(*args)
+
+        monkeypatch.setattr(linear_mod, "_rk4_step", counting)
+        u0 = small_bump(grid64, amplitude)
+        cfg = PicardConfig(
+            s=0.75, alpha=2.1, samples=samples, t0_override=0.05, tol_picard=1e300
+        )
+        result = run_picard(u0, cfg)
+        assert len(result.state.deltas) == 1
+        assert len(steps) == steps_per_segment * samples
+
+        dt_seg = result.horizon / samples
+        problem = LinearProblem(v=u0, u0=u0, s=0.75, epsilon=0.0, t_end=result.horizon)
+        sol = solve_linear(
+            problem, TimeStepPolicy(dt_max=dt_seg), 2.1, 1, tuple(result.times)
+        )
+        assert len(sol.snapshots) == samples + 1
+        scale = float(np.max(np.abs(u0.values)))
+        for (t, snap), t_pic, pic in zip(sol.snapshots, result.times, result.trajectory):
+            assert t == pytest.approx(t_pic, rel=1e-14)
+            assert np.max(np.abs(snap.values - pic.values)) <= 1e-14 * scale
 
 
 class TestResidual:
