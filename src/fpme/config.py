@@ -16,7 +16,7 @@ from .diagnostics import FieldGenerator
 from .errors import ParseError, UnresolvedKernel, ValidationError
 from .fracops import MollifierKernel
 from .grid import Grid
-from .linear import LinearProblem, TimeStepPolicy
+from .linear import LinearProblem, TimeStepPolicy, _check_t_end
 from .picard import PicardConfig, _check_alpha, _validate_initial
 
 __all__ = ["RunSpec", "parse_config", "MODES"]
@@ -208,11 +208,8 @@ def parse_config(text: str, mode: str, overrides: dict[str, str] | None = None) 
             raise ValidationError(f"{name} is required")
 
     t_end = _get(entries, "solver.t_end", float)
-    if mode in ("linear", "sweep_epsilon"):
-        if t_end is None:
-            raise ValidationError(f"solver.t_end is required for mode {mode}")
-        if not (t_end > 0):
-            raise ValidationError(f"solver.t_end must be positive, got {t_end}")
+    if mode in ("linear", "sweep_epsilon") and t_end is None:
+        raise ValidationError(f"solver.t_end is required for mode {mode}")
 
     picard_args = {
         name: _get(entries, key, parse)
@@ -222,6 +219,8 @@ def parse_config(text: str, mode: str, overrides: dict[str, str] | None = None) 
     dt_max = _get(entries, "solver.dt_max", float)
     try:
         grid = Grid(dim, n, length)
+        if mode in ("linear", "sweep_epsilon"):
+            _check_t_end(t_end)
         alpha = _get(entries, "solver.alpha", float, dim / 2.0 + 1.1)
         picard = PicardConfig(s=_get(entries, "solver.s", float, 0.75), alpha=alpha, **picard_args)
         if mode == "picard":

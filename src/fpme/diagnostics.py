@@ -14,7 +14,9 @@ import numpy as np
 
 from .errors import DegenerateDenominator, InvalidExponent, UnsupportedExponent
 from .fracops import MollifierKernel, frac_laplacian, gradient, mollify
-from .grid import Grid, RealField, apply_symbols, half_spectrum_symbols, require_same_grid
+from .grid import (
+    Grid, RealField, apply_symbols, band_symbols, half_spectrum_symbols, require_same_grid
+)
 from .norms import DyadicPartition, besov_norm, homogeneous_seminorm, lp_norm, sobolev_norm
 
 __all__ = [
@@ -172,10 +174,12 @@ class FieldGenerator:
 
     def _random_trig(self, grid: Grid) -> RealField:
         rng = np.random.default_rng(self.seed)
-        noise = RealField(grid, rng.standard_normal(grid.shape))
-        r = half_spectrum_symbols(grid, 1.0).radial / (2.0 * np.pi / grid.side_length)
+        noise = rng.standard_normal(grid.shape)
+        # k_max <= dealias_cutoff, so the spectrum is zero off the band
+        r = band_symbols(grid, 1.0).radial / (2.0 * np.pi / grid.side_length)
         k_max = max(1, min(grid.dealias_cutoff, int(grid.side_length / self.width)))
-        f = next(apply_symbols(noise, (r <= k_max) / (1.0 + r)))
+        B = grid.band_forward(noise) * ((r <= k_max) / (1.0 + r))
+        f = RealField(grid, grid.band_inverse(B))
         peak = float(np.max(np.abs(f.values)))
         if peak == 0.0:
             return f
@@ -197,11 +201,12 @@ def _gap_field(f: RealField, sigma: float, p: int) -> RealField:
     lam_f = frac_laplacian(f, sigma)
     power = f.values ** (p - 1)
     first = p * power * lam_f.values
-    f_p = RealField(f.grid, f.values**p)
+    g = f.grid
+    B = g.band_forward(f.values**p)
     # sigma = 0 is the identity: keep the zero mode, which radial drops
-    sym = half_spectrum_symbols(f.grid, sigma)
-    lam_fp = next(apply_symbols(f_p, sym.mask if sigma == 0 else sym.mask * sym.radial))
-    return RealField(f.grid, first - lam_fp.values)
+    if sigma != 0:
+        B *= band_symbols(g, sigma).radial
+    return RealField(g, first - g.band_inverse(B))
 
 
 def check_cordoba(f: RealField, s: float) -> InequalityReport:
@@ -234,11 +239,11 @@ def check_commutator(f: RealField, g: RealField, alpha: float) -> float:
         raise InvalidExponent(f"commutator check needs alpha > 0, got {alpha}")
     require_same_grid(f, g)
     grid = f.grid
-    prod = RealField(grid, f.values * g.values)
-    sym = half_spectrum_symbols(grid, alpha)
-    lam_prod = next(apply_symbols(prod, sym.mask * sym.radial))
-    lam_g = next(apply_symbols(g, sym.radial))
-    diff = RealField(grid, lam_prod.values - f.values * lam_g.values)
+    lam_prod = grid.band_inverse(
+        band_symbols(grid, alpha).radial * grid.band_forward(f.values * g.values)
+    )
+    lam_g = next(apply_symbols(g, half_spectrum_symbols(grid, alpha).radial))
+    diff = RealField(grid, lam_prod - f.values * lam_g.values)
     numerator = lp_norm(diff, 2)
 
     grad_f_inf = float(np.sqrt(np.max(sum(c.values**2 for c in gradient(f)))))

@@ -63,8 +63,9 @@ class MollifierKernel:
     kernel_values hold the nonnegative samples, renormalized so the discrete
     integral is one; kernel_hat is the matching convolution symbol on the
     half-spectrum, real because the kernel is even, with kernel_hat(0) = 1
-    exactly.  Convolving with this kernel is therefore a convex combination
-    of samples: it preserves the mean and nonnegativity.
+    exactly; band_hat is kernel_hat on the 2/3-rule band.  Convolving with
+    this kernel is therefore a convex combination of samples: it preserves
+    the mean and nonnegativity.
     """
 
     grid: Grid
@@ -97,6 +98,9 @@ class MollifierKernel:
         hat.flat[0] = 1.0
         hat.setflags(write=False)
         object.__setattr__(self, "kernel_hat", hat)
+        band_hat = hat[g.band]
+        band_hat.setflags(write=False)
+        object.__setattr__(self, "band_hat", band_hat)
 
 
 def mollify(f: RealField, kernel: MollifierKernel) -> RealField:

@@ -8,12 +8,24 @@ full signed range in FFT order.  The negative last-axis frequencies are the
 complex conjugates of the stored ones and are not kept.  Every symbol comes
 from :func:`half_spectrum_symbols`.
 
-Two conventions share that layout:
+Products are dealiased by Orszag's 2/3 rule, which keeps the modes with
+``|k| <= dealias_cutoff`` on every axis.  A spectrum that is zero off those
+modes is stored on the *band* alone, shape
+``(2c + 1, ..., 2c + 1, c + 1)`` with ``c = dealias_cutoff``: the signed
+axes keep rows ``0..c`` and ``-c..-1`` in FFT order, the last axis columns
+``0..c``.  Band symbols come from :func:`band_symbols`.
 
-* :func:`apply_symbols` is the one real-to-real multiplier path.  It uses
-  numpy's unnormalized ``rfftn`` and its ``irfftn`` inverse, as do the
-  stepper and the norms; every operator and Littlewood-Paley block is
-  built on it.
+Three conventions share that layout:
+
+* :meth:`Grid.band_forward` and :meth:`Grid.band_inverse` are the
+  transform pair of masked spectra.  They compute ``rfftn`` restricted to
+  the band and ``irfftn`` of the zero-extended band, unnormalized, and
+  transform no row the band drops (a pruned FFT).  The RK4 state, the
+  frozen coefficients, the Littlewood-Paley blocks, and the dealiased
+  products and random_trig fields of the diagnostics all live on the band.
+* :func:`apply_symbols` is the real-to-real multiplier path of the
+  unmasked operators.  It uses numpy's unnormalized ``rfftn`` and its
+  ``irfftn`` inverse, as do the Sobolev norms.
 * :func:`forward_transform` and :func:`inverse_transform` use the
   mean-value normalization: the zero coefficient equals the grid mean, so
   with ``fold`` from :class:`HalfSpectrumSymbols`
@@ -47,6 +59,7 @@ __all__ = [
     "resample",
     "HalfSpectrumSymbols",
     "half_spectrum_symbols",
+    "band_symbols",
 ]
 
 
@@ -97,6 +110,8 @@ class Grid:
         # 2/3 rule: keep |k| <= N/3 on every axis.
         cutoff = n // 3
         object.__setattr__(self, "dealias_cutoff", cutoff)
+        # np.ix_ index of the band in the half-spectrum.
+        object.__setattr__(self, "band", _band(self, cutoff))
         # Largest retained |xi| after dealiasing (corner of the kept cube).
         xi_max = (2.0 * np.pi / L) * cutoff * np.sqrt(self.dim)
         object.__setattr__(self, "xi_max_retained", xi_max)
@@ -111,16 +126,45 @@ class Grid:
         off = self.k_signed * self.spacing
         return tuple(np.meshgrid(*([off] * self.dim), indexing="ij"))
 
+    def band_forward(self, values: np.ndarray) -> np.ndarray:
+        """Unnormalized ``rfftn`` of ``values`` restricted to the band.
+
+        ``values`` may carry leading stack axes.  The axes run in
+        ``rfftn``'s order: ``rfft`` on the last axis, then ``fft`` along each
+        signed axis, and each axis drops its rows off the band before the
+        next transforms them.
+        """
+        B = np.fft.rfft(values, axis=-1)[..., : self.dealias_cutoff + 1].copy()
+        for ax in range(-2, -self.dim - 1, -1):
+            np.fft.fft(B, axis=ax, out=B)
+            B = np.take(B, self.band[ax].ravel(), axis=ax)
+        return B
+
+    def band_inverse(self, B: np.ndarray) -> np.ndarray:
+        """``irfftn`` of the band coefficients ``B`` zero-extended to the
+        half-spectrum, as a real array with the leading stack axes of ``B``.
+
+        Each signed axis is zero-padded to ``n_points`` and inverted in
+        ``irfftn``'s order, before the axes after it are padded; ``irfft``
+        pads the last axis itself.
+        """
+        n = self.n_points
+        for ax in range(-self.dim, -1):
+            padded = np.zeros((*B.shape[:ax], n, *B.shape[ax + 1 :]), dtype=complex)
+            padded[(..., self.band[ax].ravel()) + (slice(None),) * (-ax - 1)] = B
+            B = np.fft.ifft(padded, axis=ax, out=padded)
+        return np.fft.irfft(B, n=n, axis=-1)
+
 
 @dataclass(frozen=True, eq=False)
 class HalfSpectrumSymbols:
     """Fourier symbols of one grid over the ``rfftn`` half-spectrum.
 
     Dense arrays have shape ``grid.spectral_shape`` and the others broadcast
-    to it.  Every array is read-only: one table is shared by all callers,
+    to it; in the tables of :func:`band_symbols` every array is dense on the
+    band.  Every array is read-only: one table is shared by all callers,
     threads included.
 
-    mask:    the 2/3-rule dealias mask.
     radial:  ``|xi|**exponent``, zero mode mapped to 0.
     fold:    2 on the interior last-axis columns, 1 on the zero and Nyquist
              columns.  An interior column also stands for its conjugate
@@ -130,7 +174,6 @@ class HalfSpectrumSymbols:
     grad:    ``1j * xi`` along each axis with the Nyquist plane dropped.
     """
 
-    mask: np.ndarray
     radial: np.ndarray
     fold: np.ndarray
     sobolev: np.ndarray
@@ -142,13 +185,11 @@ def half_spectrum_symbols(grid: Grid, exponent: float) -> HalfSpectrumSymbols:
     """The symbol table of ``grid`` at ``exponent``, built once per key."""
     n, d = grid.n_points, grid.dim
     scale = 2.0 * np.pi / grid.side_length
-    mask = np.ones(grid.spectral_shape)
     xi, grad = [], []
     for ax in range(d):
         k = grid.k_signed if ax < d - 1 else np.fft.rfftfreq(n, d=1.0 / n)
         shape = [1] * d
         shape[ax] = k.size
-        mask = mask * (np.abs(k) <= grid.dealias_cutoff).reshape(shape)
         xi.append((scale * k).reshape(shape))
         # The odd symbol has no Hermitian-symmetric value on the Nyquist plane.
         odd = scale * k
@@ -162,9 +203,25 @@ def half_spectrum_symbols(grid: Grid, exponent: float) -> HalfSpectrumSymbols:
     fold = np.full(n // 2 + 1, 2.0)
     fold[[0, -1]] = 1.0
     sobolev = (1.0 + xi_squared) ** exponent * fold
-    for arr in (mask, radial, fold, sobolev, *grad):
+    for arr in (radial, fold, sobolev, *grad):
         arr.setflags(write=False)
-    return HalfSpectrumSymbols(mask, radial, fold, sobolev, tuple(grad))
+    return HalfSpectrumSymbols(radial, fold, sobolev, tuple(grad))
+
+
+@lru_cache(maxsize=32)
+def band_symbols(grid: Grid, exponent: float) -> HalfSpectrumSymbols:
+    """The table of :func:`half_spectrum_symbols` cut to the band, built once
+    per key; the multipliers of :meth:`Grid.band_forward` coefficients."""
+
+    def cut(arr: np.ndarray) -> np.ndarray:
+        out = np.broadcast_to(arr, grid.spectral_shape)[grid.band]
+        out.setflags(write=False)
+        return out
+
+    full = half_spectrum_symbols(grid, exponent)
+    return HalfSpectrumSymbols(
+        cut(full.radial), cut(full.fold), cut(full.sobolev), tuple(map(cut, full.grad))
+    )
 
 
 def _as_shaped(shape: tuple[int, ...], values: np.ndarray, name: str) -> np.ndarray:

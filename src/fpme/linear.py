@@ -10,16 +10,17 @@ right-hand side has zero mean and the discrete L2 norm cannot grow beyond
 time-stepping error.  Every product is dealiased on both factors and on the
 result, which keeps those identities exact on the lattice.
 
-The RK4 state is the unnormalized ``rfftn`` half-spectrum F of u, and the
-stages combine coefficients.  One right-hand side is
-``filt * rfftn(sum_i c_i * irfftn(M_i * filt * F))``: dim + 1 inverse
-transforms and one forward transform.  Both solvers step through _march,
-which lands exactly on each stop time: solve_linear marches through the
-snapshot times to t_end, and a Picard segment is one march.  _field returns
-the state to real space once per step or segment, as
-``u = u_start + irfftn(F - F_start)``.  The right-hand side is zero above
-the 2/3 cutoff, so F keeps u_start's coefficients there, and a state the
-right-hand side does not move stays equal to u_start bit for bit.
+The right-hand side is zero off the 2/3-rule band, so the RK4 state is the
+band F of u's unnormalized ``rfftn`` (see :mod:`fpme.grid`), and the stages
+combine band coefficients.  One right-hand side is
+``filt * band_forward(sum_i c_i * band_inverse(M_i * filt * F))``: dim + 1
+inverse transforms and one forward transform, none of them over a row off
+the band.  Both solvers step through _march, which lands exactly on each
+stop time: solve_linear marches through the snapshot times to t_end, and a
+Picard segment is one march.  _field returns the state to real space once
+per step or segment, as ``u = u_start + band_inverse(F - F_start)``, so u
+keeps u_start's coefficients off the band, and a state the right-hand side
+does not move stays equal to u_start bit for bit.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import numpy as np
 from .diagnostics import DiagnosticsRecord, RecorderConfig, record
 from .errors import BlowUp, GridMismatch
 from .fracops import MollifierKernel
-from .grid import Grid, RealField, half_spectrum_symbols
+from .grid import Grid, RealField, band_symbols
 from .norms import DyadicPartition, sobolev_norm
 
 __all__ = [
@@ -53,6 +54,30 @@ def _check_nonnegative(name: str, f: RealField) -> None:
     low = float(np.min(f.values))
     if low < -1e-12:
         raise ValueError(f"{name} must be nonnegative, min is {low:.3e}")
+
+
+# The parameter rules both solvers share; PicardConfig and parse_config call
+# these rather than restate them.
+
+
+def _check_order(s: float) -> None:
+    if not (0.5 <= s < 1.0):
+        raise ValueError(f"s must lie in [1/2, 1), got {s}")
+
+
+def _check_radius(name: str, epsilon: float) -> None:
+    if epsilon < 0:
+        raise ValueError(f"{name} must be >= 0, got {epsilon}")
+
+
+def _check_safety(safety: float) -> None:
+    if not (0.0 < safety <= 1.0):
+        raise ValueError(f"safety must be in (0, 1], got {safety}")
+
+
+def _check_t_end(t_end: float) -> None:
+    if not (t_end > 0):
+        raise ValueError(f"t_end must be positive, got {t_end}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,13 +108,10 @@ class LinearProblem:
     def __post_init__(self):
         if self.v.grid != self.u0.grid:
             raise GridMismatch("v and u0 must share a grid")
-        if not (0.5 <= self.s < 1.0):
-            raise ValueError(f"s must lie in [1/2, 1), got {self.s}")
+        _check_order(self.s)
         _check_nonnegative("coefficient v", self.v)
-        if self.epsilon < 0:
-            raise ValueError(f"epsilon must be >= 0, got {self.epsilon}")
-        if not (self.t_end > 0):
-            raise ValueError(f"t_end must be positive, got {self.t_end}")
+        _check_radius("epsilon", self.epsilon)
+        _check_t_end(self.t_end)
 
     @property
     def grid(self) -> Grid:
@@ -109,8 +131,7 @@ class TimeStepPolicy:
     safety: float = 0.5
 
     def __post_init__(self):
-        if not (0.0 < self.safety <= 1.0):
-            raise ValueError(f"safety must be in (0, 1], got {self.safety}")
+        _check_safety(self.safety)
         if not (self.dt_max > 0):
             raise ValueError(f"dt_max must be positive, got {self.dt_max}")
 
@@ -124,15 +145,15 @@ class TimeStepPolicy:
 class CoefficientOps:
     """Everything derived from (v, s, epsilon) that the stepper reuses.
 
-    Spectral arrays live on the rfftn half-spectrum.  filt is the dealias
-    mask, times the mollifier symbol when epsilon > 0; grad_mults and
-    lap_mult come read-only from the grid's shared symbol table.  coeffs
-    stacks the dealiased real fields that multiply them, shape
-    (dim + 1, *grid.shape): the components of grad p_v, then -v.
+    Spectral arrays live on the 2/3-rule band, which is the dealias mask.
+    filt is the mollifier kernel's read-only band_hat when epsilon > 0 and
+    1.0 otherwise; grad_mults and lap_mult come read-only from the grid's
+    cached band tables, shared by every freeze.  coeffs stacks the dealiased real fields that multiply
+    them, shape (dim + 1, *grid.shape): the components of grad p_v, then -v.
     """
 
     grid: Grid
-    filt: np.ndarray
+    filt: np.ndarray | float
     coeffs: np.ndarray
     grad_mults: tuple[np.ndarray, ...]
     lap_mult: np.ndarray
@@ -143,25 +164,18 @@ def make_coefficient_ops(
     v: RealField, s: float, epsilon: float, kernel: MollifierKernel | None = None
 ) -> CoefficientOps:
     g = v.grid
-    axes = g.fft_axes
-    sym = half_spectrum_symbols(g, -2.0 * s)
-    lap = half_spectrum_symbols(g, 2.0 - 2.0 * s)
-
-    filt = sym.mask
+    sym = band_symbols(g, -2.0 * s)
+    filt = 1.0
     if epsilon > 0:
-        if kernel is None:
-            kernel = MollifierKernel(g, epsilon)
-        filt = filt * kernel.kernel_hat
-        filt.setflags(write=False)
+        filt = (kernel or MollifierKernel(g, epsilon)).band_hat
 
-    Fv = np.fft.rfftn(v.values, axes=axes)
-    Fv *= sym.mask
+    Fv = g.band_forward(v.values)
     Fp = Fv * sym.radial
-    stack = np.empty((g.dim + 1, *g.spectral_shape), dtype=complex)
+    stack = np.empty((g.dim + 1, *Fv.shape), dtype=complex)
     for i, gm in enumerate(sym.grad):
         np.multiply(gm, Fp, out=stack[i])
     np.negative(Fv, out=stack[-1])
-    coeffs = np.fft.irfftn(stack, s=g.shape, axes=axes)
+    coeffs = g.band_inverse(stack)
 
     grad_p_mag = np.sqrt(sum(gp**2 for gp in coeffs[:-1]))
     xi_max = g.xi_max_retained
@@ -174,19 +188,19 @@ def make_coefficient_ops(
         filt=filt,
         coeffs=coeffs,
         grad_mults=sym.grad,
-        lap_mult=lap.radial,
+        lap_mult=band_symbols(g, 2.0 - 2.0 * s).radial,
         rho_est=rho_est,
     )
 
 
 def _rhs_values(F: np.ndarray, ops: CoefficientOps) -> np.ndarray:
-    """Right-hand side on the half-spectrum coefficients F of the state."""
-    shape, axes = ops.grid.shape, ops.grid.fft_axes
+    """Right-hand side on the band coefficients F of the state."""
+    g = ops.grid
     Fu = F * ops.filt
-    r = np.fft.irfftn(ops.lap_mult * Fu, s=shape, axes=axes) * ops.coeffs[-1]
+    r = g.band_inverse(ops.lap_mult * Fu) * ops.coeffs[-1]
     for gm, c in zip(ops.grad_mults, ops.coeffs):
-        r += np.fft.irfftn(gm * Fu, s=shape, axes=axes) * c
-    Fr = np.fft.rfftn(r, axes=axes)
+        r += g.band_inverse(gm * Fu) * c
+    Fr = g.band_forward(r)
     Fr *= ops.filt
     return Fr
 
@@ -196,12 +210,11 @@ def rhs_with_ops(u: RealField, ops: CoefficientOps) -> RealField:
     g = ops.grid
     if u.grid != g:
         raise GridMismatch("state grid does not match coefficient grid")
-    Fr = _rhs_values(np.fft.rfftn(u.values, axes=g.fft_axes), ops)
-    return RealField(g, np.fft.irfftn(Fr, s=g.shape, axes=g.fft_axes))
+    return RealField(g, g.band_inverse(_rhs_values(g.band_forward(u.values), ops)))
 
 
 def _rk4_step(F: np.ndarray, dt: float, ops: CoefficientOps) -> np.ndarray:
-    """One RK4 step of the half-spectrum state F; F itself is not modified."""
+    """One RK4 step of the band state F; F itself is not modified."""
     k1 = _rhs_values(F, ops)
     k2 = _rhs_values(F + (0.5 * dt) * k1, ops)
     k3 = _rhs_values(F + (0.5 * dt) * k2, ops)
@@ -224,9 +237,9 @@ def _march(F: np.ndarray, ops: CoefficientOps, dt_cap: float, stops, tiny: float
 
 
 def _field(u_start: RealField, F: np.ndarray, F_start: np.ndarray, t: float) -> RealField:
-    """State F marched from u_start (spectrum F_start) in real space; BlowUp at t."""
+    """State F marched from u_start (band F_start) in real space; BlowUp at t."""
     g = u_start.grid
-    u = u_start.values + np.fft.irfftn(F - F_start, s=g.shape, axes=g.fft_axes)
+    u = u_start.values + g.band_inverse(F - F_start)
     linf = float(np.max(np.abs(u)))
     if not math.isfinite(linf) or linf > _BLOWUP_LIMIT:
         raise BlowUp(t, linf)
@@ -272,7 +285,7 @@ def solve_linear(
         snapshots.append((0.0, problem.u0))
 
     final = problem.u0
-    F_start = np.fft.rfftn(problem.u0.values, axes=g.fft_axes)
+    F_start = g.band_forward(problem.u0.values)
     records = [record(problem.u0, 0.0, 0.0, recorder, None)]
     dt_base = policy.step_size(ops.rho_est)
     tiny = 1e-14 * problem.t_end

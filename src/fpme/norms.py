@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .grid import Grid, RealField, apply_symbols, half_spectrum_symbols
+from .grid import Grid, RealField, band_symbols, half_spectrum_symbols
 
 __all__ = [
     "lp_norm",
@@ -37,10 +38,12 @@ def sobolev_norm(f: RealField, alpha: float) -> float:
     return _norm_of_rfft(g, np.fft.rfftn(f.values, axes=g.fft_axes), weight)
 
 
-def _norm_of_rfft(g: Grid, c: np.ndarray, weight: np.ndarray) -> float:
+def _norm_of_rfft(g: Grid, c: np.ndarray, weight: np.ndarray, tail: float = 0.0) -> float:
     """Norm of the field whose unnormalized rfftn is c, for a squared symbol
-    times fold given as weight on the half-spectrum."""
-    return float(np.sqrt(g.volume * np.sum(weight * (c.real**2 + c.imag**2)))) / g.size
+    times fold given as weight on c's modes; tail is the weighted sum over
+    the modes c leaves out."""
+    power = np.sum(weight * (c.real**2 + c.imag**2))
+    return float(np.sqrt(g.volume * (tail + power))) / g.size
 
 
 def homogeneous_seminorm(f: RealField, alpha: float) -> float:
@@ -73,40 +76,46 @@ class DyadicPartition:
 
     Block j lives on the annulus (2**(j-1), 2**(j+1)) in units of the
     fundamental wavenumber 2*pi/L; block -1 covers |xi| <= one fundamental.
-    Multipliers live on the half-spectrum, are cut at the dealiasing mask,
-    and the top index is chosen so the blocks sum to one on every retained
-    mode.
+    Multipliers live on the 2/3-rule band (see :mod:`fpme.grid`), which is
+    the dealiasing cut, and the top index is chosen so the blocks sum to
+    one on every retained mode.  They are built once per grid and shared,
+    read-only, by every partition on it.
     """
 
     grid: Grid
 
     def __post_init__(self):
-        g = self.grid
-        sym = half_spectrum_symbols(g, 1.0)
-        r = sym.radial / (2.0 * np.pi / g.side_length)
-        r_top = g.dealias_cutoff * math.sqrt(g.dim)
-        j_max = math.ceil(math.log2(r_top))
-        mask = sym.mask
-        mults = [_chi(2.0 * r) * mask]
-        js = [-1]
-        for j in range(0, j_max + 1):
-            mults.append((_chi(r / 2.0**j) - _chi(r / 2.0 ** (j - 1))) * mask)
-            js.append(j)
-        for m in mults:
-            m.setflags(write=False)
+        js, mults = _dyadic_multipliers(self.grid)
         object.__setattr__(self, "j_min", -1)
-        object.__setattr__(self, "j_max", j_max)
-        object.__setattr__(self, "indices", tuple(js))
-        object.__setattr__(self, "multipliers", tuple(mults))
+        object.__setattr__(self, "j_max", js[-1])
+        object.__setattr__(self, "indices", js)
+        object.__setattr__(self, "multipliers", mults)
+
+
+@lru_cache(maxsize=8)
+def _dyadic_multipliers(g: Grid) -> tuple[tuple[int, ...], tuple[np.ndarray, ...]]:
+    r = band_symbols(g, 1.0).radial / (2.0 * np.pi / g.side_length)
+    r_top = g.dealias_cutoff * math.sqrt(g.dim)
+    j_max = math.ceil(math.log2(r_top))
+    mults = [_chi(2.0 * r)]
+    js = [-1]
+    for j in range(0, j_max + 1):
+        mults.append(_chi(r / 2.0**j) - _chi(r / 2.0 ** (j - 1)))
+        js.append(j)
+    for m in mults:
+        m.setflags(write=False)
+    return tuple(js), tuple(mults)
 
 
 def besov_norm(f: RealField, alpha: float, partition: DyadicPartition) -> float:
     """B^alpha_{1,inf} norm: sup_j 2**(j alpha) * L1 norm of block j.
 
-    The blocks are reduced as they are made, so one is held at a time.
+    One band transform of f serves every block, and the blocks are reduced
+    as they are made, so one is held at a time.
     """
-    blocks = apply_symbols(f, *partition.multipliers)
+    g = f.grid
+    B = g.band_forward(f.values)
     return max(
-        2.0 ** (j * alpha) * lp_norm(b, 1)
-        for j, b in zip(partition.indices, blocks)
+        2.0 ** (j * alpha) * lp_norm(RealField(g, g.band_inverse(m * B)), 1)
+        for j, m in zip(partition.indices, partition.multipliers)
     )

@@ -24,9 +24,17 @@ import numpy as np
 from .diagnostics import DiagnosticsRecord, RecorderConfig, growth_quotient, record
 from .errors import NoConvergence
 from .fracops import MollifierKernel, mollify
-from .grid import RealField, half_spectrum_symbols
+from .grid import RealField, band_symbols, half_spectrum_symbols
 from .linear import (
-    TimeStepPolicy, _check_nonnegative, _field, _march, make_coefficient_ops, rhs_with_ops
+    TimeStepPolicy,
+    _check_nonnegative,
+    _check_order,
+    _check_radius,
+    _check_safety,
+    _field,
+    _march,
+    make_coefficient_ops,
+    rhs_with_ops,
 )
 from .norms import DyadicPartition, _norm_of_rfft, lp_norm, sobolev_norm
 
@@ -66,14 +74,11 @@ class PicardConfig:
     mollify_initial: bool = True
 
     def __post_init__(self):
-        if not (0.5 <= self.s < 1.0):
-            raise ValueError(f"s must lie in [1/2, 1), got {self.s}")
+        _check_order(self.s)
         if not (self.alpha >= 0):
             raise ValueError(f"alpha must be >= 0, got {self.alpha}")
-        if not (0.0 < self.safety <= 1.0):
-            raise ValueError(f"safety must be in (0, 1], got {self.safety}")
-        if self.epsilon_moll < 0:
-            raise ValueError(f"epsilon_moll must be >= 0, got {self.epsilon_moll}")
+        _check_safety(self.safety)
+        _check_radius("epsilon_moll", self.epsilon_moll)
         if not (self.c_gronwall > 0):
             raise ValueError(f"c_gronwall must be positive, got {self.c_gronwall}")
         if not (self.tol_picard > 0):
@@ -135,15 +140,20 @@ def _advance_iterate(
     segment i.  The freeze is made once per distinct coefficient, so the
     first iterate, whose coeff_traj repeats the initial datum, freezes once.
     Returns the new trajectory and its per-sample H^alpha norms, the latter
-    taken from the half-spectrum state the stepper carries."""
+    taken from the band state the stepper carries.  Off the band every
+    sample keeps u_start's coefficients, whose share of the H^alpha sum is
+    taken once."""
     g = u_start.grid
     policy = TimeStepPolicy(dt_max=dt_seg, safety=config.safety)
     m = len(coeff_traj) - 1
-    F_start = np.fft.rfftn(u_start.values, axes=g.fft_axes)
-    F = F_start
+    c = np.fft.rfftn(u_start.values, axes=g.fft_axes)
+    F = F_start = c[g.band]
+    off_band = half_spectrum_symbols(g, config.alpha).sobolev * (c.real**2 + c.imag**2)
+    off_band[g.band] = 0.0
+    tail = float(np.sum(off_band))
     traj = [u_start]
-    weight = half_spectrum_symbols(g, config.alpha).sobolev
-    h_list = [_norm_of_rfft(g, F, weight)]
+    weight = band_symbols(g, config.alpha).sobolev
+    h_list = [_norm_of_rfft(g, F, weight, tail)]
     tiny = 1e-14 * dt_seg
     for i in range(m):
         if i == 0 or coeff_traj[i] is not coeff_traj[i - 1]:
@@ -152,7 +162,7 @@ def _advance_iterate(
         for F, *_ in _march(F, ops, dt_cap, (dt_seg,), tiny):
             pass
         traj.append(_field(u_start, F, F_start, (i + 1) * dt_seg))
-        h_list.append(_norm_of_rfft(g, F, weight))
+        h_list.append(_norm_of_rfft(g, F, weight, tail))
     return traj, h_list
 
 

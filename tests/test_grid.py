@@ -9,7 +9,6 @@ from fpme import Grid, GridMismatch, RealField
 from fpme.grid import (
     SpectralField,
     forward_transform,
-    half_spectrum_symbols,
     inverse_transform,
     resample,
 )
@@ -121,19 +120,20 @@ class TestTransformNormalization:
 
 class TestDealias:
     def test_small_grid_cutoff(self):
-        # N=8: floor(8/3)=2, so modes 0,1,2 survive and 3,4 are zeroed; the
+        # N=8: floor(8/3)=2, so modes 0,1,2 survive and 3,4 are dropped; the
         # leading axis of a 2-D grid carries the negative frequencies too
         g = Grid(2, 8, 2 * np.pi)
-        out = half_spectrum_symbols(g, 1.0).mask
-        kept_rows = sorted(int(k) for k in g.k_signed[np.abs(out[:, 0]) > 0])
-        assert kept_rows == [-2, -1, 0, 1, 2]
-        assert np.flatnonzero(out[0]).tolist() == [0, 1, 2]
+        rows, cols = (ix.ravel() for ix in g.band)
+        assert sorted(int(k) for k in g.k_signed[rows]) == [-2, -1, 0, 1, 2]
+        assert cols.tolist() == [0, 1, 2]
+        assert g.band_forward(np.zeros(g.shape)).shape == (5, 3)
 
     def test_projection_idempotent(self, grid2d):
-        mask = half_spectrum_symbols(grid2d, 1.0).mask
-        once = forward_transform(random_field(grid2d, seed=3)).coeffs * mask
-        twice = once * mask
-        assert np.array_equal(once, twice)
+        def project(values):
+            return grid2d.band_inverse(grid2d.band_forward(values))
+
+        once = project(random_field(grid2d, seed=3).values)
+        assert np.max(np.abs(project(once) - once)) < 1e-13 * np.max(np.abs(once))
 
     def test_axiswise_not_radial(self):
         # the 2/3 rule clips each axis independently; a corner mode with
@@ -141,7 +141,9 @@ class TestDealias:
         # cutoff*sqrt(2)
         g = Grid(2, 16, 2 * np.pi)
         c = g.dealias_cutoff
-        assert half_spectrum_symbols(g, 1.0).mask[c, c] == 1.0
+        x, y = g.axes()
+        corner = np.cos(c * x + c * y)
+        assert np.max(np.abs(g.band_inverse(g.band_forward(corner)) - corner)) < 1e-13
 
 
 class TestResample:

@@ -1,12 +1,16 @@
-"""The rfftn half-spectrum layout against the full complex-FFT formulas.
+"""The rfftn half-spectrum and 2/3-rule band layouts against the full
+complex-FFT formulas.
 
 Every transform, operator, norm and the stepper run on real-to-complex
-transforms with symbols from one cached table per grid.  The oracles below
-compute the same quantities with mean-normalized complex FFTs over the full
-spectrum, with symbols built here from the signed integer modes.  The
-spectral-state stepper is also checked against RK4 with the stages combined
-in real space.
+transforms with symbols from one cached table per grid; masked spectra
+live on the band.  The oracles below compute the same quantities with
+mean-normalized complex FFTs over the full spectrum, with symbols built
+here from the signed integer modes.  The band pair is checked against
+rfftn/irfftn, and the band-state stepper against RK4 with the stages
+combined in real space on rfftn/irfftn.
 """
+
+import sys
 
 import numpy as np
 import pytest
@@ -34,7 +38,7 @@ from fpme import (
 )
 from fpme.fracops import MollifierKernel
 from fpme.grid import (
-    apply_symbols,
+    band_symbols,
     forward_transform,
     half_spectrum_symbols,
     inverse_transform,
@@ -156,17 +160,28 @@ def complex_rhs_values(u_values, ops):
     return full_inverse(Fr)
 
 
+def on_half_spectrum(grid, band_values):
+    """Band values (or a scalar) zero-extended to the rfftn half-spectrum."""
+    out = np.zeros(grid.spectral_shape, dtype=np.result_type(band_values, 1.0))
+    out[grid.band] = band_values
+    return out
+
+
 def real_space_rhs_values(u_values, ops):
-    """The right-hand side as the real-state stepper computed it."""
-    shape, axes = ops.grid.shape, ops.grid.fft_axes
+    """The right-hand side as the real-state stepper computed it, on
+    rfftn/irfftn with the band symbols zero-extended."""
+    grid = ops.grid
+    shape, axes = grid.shape, grid.fft_axes
+    filt = on_half_spectrum(grid, ops.filt)
     Fu = np.fft.rfftn(u_values, axes=axes)
-    Fu *= ops.filt
+    Fu *= filt
     r = np.zeros(shape)
     for gm, gp in zip(ops.grad_mults, ops.coeffs[:-1]):
-        r += np.fft.irfftn(gm * Fu, s=shape, axes=axes) * gp
-    r -= -ops.coeffs[-1] * np.fft.irfftn(ops.lap_mult * Fu, s=shape, axes=axes)
+        r += np.fft.irfftn(on_half_spectrum(grid, gm) * Fu, s=shape, axes=axes) * gp
+    lap_mult = on_half_spectrum(grid, ops.lap_mult)
+    r -= -ops.coeffs[-1] * np.fft.irfftn(lap_mult * Fu, s=shape, axes=axes)
     Fr = np.fft.rfftn(r, axes=axes)
-    Fr *= ops.filt
+    Fr *= filt
     return np.fft.irfftn(Fr, s=shape, axes=axes)
 
 
@@ -185,6 +200,32 @@ def rel_err(new, old):
 
 # ---------------------------------------------------------------------------
 # transforms and operators
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("n", [8, 16, 32, 64])
+@pytest.mark.parametrize("stack", [(), (2,)], ids=["single", "stacked"])
+def test_band_pair_matches_rfftn(dim, n, stack):
+    grid = Grid(dim, n, 2 * np.pi)
+    c = grid.dealias_cutoff
+    values = np.random.default_rng(dim * n).standard_normal((*stack, *grid.shape))
+    axes = grid.fft_axes
+    band = (..., *grid.band)
+
+    B = grid.band_forward(values)
+    assert B.shape == (*stack, *[2 * c + 1] * (dim - 1), c + 1)
+    restricted = np.fft.rfftn(values, axes=axes)[band]
+    extended = np.zeros((*stack, *grid.spectral_shape), dtype=complex)
+    extended[band] = B
+    inverse = grid.band_inverse(B)
+    oracle = np.fft.irfftn(extended, s=grid.shape, axes=axes)
+    assert inverse.shape == values.shape
+    if dim == 1:
+        assert np.array_equal(B, restricted)
+        assert np.array_equal(inverse, oracle)
+    else:
+        assert rel_err(B, restricted) <= 1e-15
+        assert rel_err(inverse, oracle) <= 1e-15
 
 
 @pytest.mark.parametrize("grid", GRIDS, ids=lambda g: f"dim{g.dim}")
@@ -217,7 +258,8 @@ def test_besov_blocks_match_full_spectrum(grid):
     f = random_field(grid, seed=3)
     indices, mults = full_partition(grid)
     p = DyadicPartition(grid)
-    blocks = list(apply_symbols(f, *p.multipliers))
+    B = grid.band_forward(f.values)
+    blocks = [RealField(grid, grid.band_inverse(m * B)) for m in p.multipliers]
     assert len(blocks) == len(mults)
     oracle_blocks = [full_multiply(f.values, m) for m in mults]
     for b, o in zip(blocks, oracle_blocks):
@@ -238,9 +280,11 @@ def test_product_and_resample_match_full_spectrum(grid):
     fd = full_multiply(f.values, mask)
     hd = full_multiply(h.values, mask)
     oracle = full_multiply(fd * hd, mask)
-    half_mask = half_spectrum_symbols(grid, 1.0).mask
-    fh = next(apply_symbols(f, half_mask)).values * next(apply_symbols(h, half_mask)).values
-    assert rel_err(next(apply_symbols(RealField(grid, fh), half_mask)).values, oracle) <= TOL
+
+    def dealias(values):
+        return grid.band_inverse(grid.band_forward(values))
+
+    assert rel_err(dealias(dealias(f.values) * dealias(h.values)), oracle) <= TOL
 
     fine = Grid(grid.dim, 2 * grid.n_points, grid.side_length)
     keep = grid.n_points // 2 - 1
@@ -283,13 +327,13 @@ def test_spectral_state_steps_match_real_space_oracle(grid, epsilon):
     u0 = random_field(grid, seed=9)
     ops = make_coefficient_ops(v, 0.7, epsilon)
     dt = TimeStepPolicy(dt_max=0.05).step_size(ops.rho_est)
-    F0 = np.fft.rfftn(u0.values, axes=grid.fft_axes)
+    F0 = grid.band_forward(u0.values)
     F, oracle = F0, u0.values
     for _ in range(5):
         F = _rk4_step(F, dt, ops)
         oracle = real_space_rk4_step(oracle, dt, ops)
-        u = u0.values + np.fft.irfftn(F - F0, s=grid.shape, axes=grid.fft_axes)
-        assert rel_err(u, oracle) <= TOL
+        u = u0.values + grid.band_inverse(F - F0)
+        assert rel_err(u, oracle) <= 1e-14
     # the state moves by O(1e-2) or more, so this is no bound on u0 alone
     assert rel_err(u - u0.values, oracle - u0.values) <= TOL
 
@@ -307,45 +351,53 @@ def test_iterate_h_alpha_matches_sobolev_norm(grid):
 
 @pytest.mark.parametrize("grid", GRIDS, ids=lambda g: f"dim{g.dim}")
 def test_transform_counts(grid, monkeypatch):
-    # dim + 1 inverses and one forward per right-hand side, no transform of
-    # the state inside a step, one stacked forward/inverse pair per freeze,
-    # and one forward per operator call however many outputs it makes
-    counts = {"rfftn": 0, "irfftn": 0}
+    # dim + 1 band inverses and one band forward per right-hand side, no
+    # transform of the state inside a step and none over the half-spectrum,
+    # one band forward and one stacked band inverse per freeze, and one
+    # forward per operator or Besov norm however many outputs it makes
+    names = ("rfftn", "irfftn", "band_forward", "band_inverse")
+    counts = dict.fromkeys(names, 0)
 
-    def counted(name):
-        real = getattr(np.fft, name)
+    def counted(owner, name):
+        real = getattr(owner, name)
 
         def wrapper(*args, **kwargs):
             counts[name] += 1
             return real(*args, **kwargs)
 
-        return wrapper
+        monkeypatch.setattr(owner, name, wrapper)
+
+    def expect(**nonzero):
+        assert counts == {**dict.fromkeys(names, 0), **nonzero}
+        counts.update(dict.fromkeys(names, 0))
 
     v = coefficient(grid, seed=12)
     kernel = MollifierKernel(grid, 1.0)
-    F = np.fft.rfftn(random_field(grid, seed=13).values, axes=grid.fft_axes)
-    for name in counts:
-        monkeypatch.setattr(np.fft, name, counted(name))
+    F = grid.band_forward(random_field(grid, seed=13).values)
+    counted(np.fft, "rfftn")
+    counted(np.fft, "irfftn")
+    counted(Grid, "band_forward")
+    counted(Grid, "band_inverse")
 
     ops = make_coefficient_ops(v, 0.75, 1.0, kernel)
-    assert counts == {"rfftn": 1, "irfftn": 1}
-    counts.update(rfftn=0, irfftn=0)
+    expect(band_forward=1, band_inverse=1)
+    assert ops.coeffs.shape == (grid.dim + 1, *grid.shape)
     _rk4_step(F, 1e-3, ops)
-    assert counts == {"rfftn": 4, "irfftn": 4 * (grid.dim + 1)}
+    expect(band_forward=4, band_inverse=4 * (grid.dim + 1))
 
     f = random_field(grid, seed=14)
     partition = DyadicPartition(grid)
     calls = [
-        (lambda: frac_laplacian(f, 0.8), 1),
-        (lambda: inv_frac_laplacian(f, 0.7), 1),
-        (lambda: mollify(f, kernel), 1),
-        (lambda: gradient(f), grid.dim),
-        (lambda: besov_norm(f, 1.1, partition), len(partition.multipliers)),
+        (lambda: frac_laplacian(f, 0.8), {"rfftn": 1, "irfftn": 1}),
+        (lambda: inv_frac_laplacian(f, 0.7), {"rfftn": 1, "irfftn": 1}),
+        (lambda: mollify(f, kernel), {"rfftn": 1, "irfftn": 1}),
+        (lambda: gradient(f), {"rfftn": 1, "irfftn": grid.dim}),
+        (lambda: besov_norm(f, 1.1, partition),
+         {"band_forward": 1, "band_inverse": len(partition.multipliers)}),
     ]
-    for call, inverses in calls:
-        counts.update(rfftn=0, irfftn=0)
+    for call, made in calls:
         call()
-        assert counts == {"rfftn": 1, "irfftn": inverses}
+        expect(**made)
 
 
 @pytest.mark.parametrize("grid", GRIDS, ids=lambda g: f"dim{g.dim}")
@@ -390,18 +442,36 @@ def test_nyquist_mode_dropped_by_rhs_and_gradient(grid):
 
 @pytest.mark.parametrize("epsilon", [0.0, 1.0])
 def test_symbols_shared_and_read_only(epsilon):
+    # every freeze on a grid reads the same cached band tables, as the
+    # Picard loop's freezes share one mollifier kernel
     grid = GRIDS[1]
     v = coefficient(grid, seed=7)
-    a = make_coefficient_ops(v, 0.75, epsilon)
-    b = make_coefficient_ops(RealField(grid, 2.0 * v.values), 0.75, epsilon)
-    assert a.lap_mult is b.lap_mult
-    assert all(x is y for x, y in zip(a.grad_mults, b.grad_mults))
+    kernel = MollifierKernel(grid, epsilon) if epsilon > 0 else None
+    a = make_coefficient_ops(v, 0.75, epsilon, kernel)
+    b = make_coefficient_ops(RealField(grid, 2.0 * v.values), 0.75, epsilon, kernel)
+    band = band_symbols(grid, -1.5)
+    assert band is band_symbols(grid, -1.5)
+    assert a.lap_mult is b.lap_mult is band_symbols(grid, 0.5).radial
+    assert all(x is y is z for x, y, z in zip(a.grad_mults, b.grad_mults, band.grad))
     if epsilon == 0.0:
-        assert a.filt is b.filt
-    for arr in (a.filt, a.lap_mult, *a.grad_mults):
+        assert a.filt == b.filt == 1.0
+        spectral = (a.lap_mult, *a.grad_mults)
+    else:
+        assert a.filt is b.filt is kernel.band_hat
+        spectral = (a.filt, a.lap_mult, *a.grad_mults)
+    shape = grid.band_forward(v.values).shape
+    for arr in spectral:
+        assert arr.shape == shape
+        assert arr.flags.writeable is False
+    for arr in (band.radial, band.fold, band.sobolev):
         assert arr.flags.writeable is False
     sym = half_spectrum_symbols(grid, 0.5)
-    for arr in (sym.mask, sym.radial, sym.fold, sym.sobolev, *sym.grad):
+    for arr in (sym.radial, sym.fold, sym.sobolev, *sym.grad):
+        assert arr.flags.writeable is False
+    blocks = DyadicPartition(grid).multipliers
+    assert all(x is y for x, y in zip(blocks, DyadicPartition(grid).multipliers))
+    for arr in blocks:
+        assert arr.shape == shape
         assert arr.flags.writeable is False
 
 
@@ -410,11 +480,29 @@ def test_symbols_shared_and_read_only(epsilon):
 
 
 def test_package_makes_no_complex_fft_call(monkeypatch):
+    # fftn/ifftn nowhere; fft/ifft only inside the band pair, where they run
+    # along the signed axes of a band transform
+    band_pair = {Grid.band_forward.__code__, Grid.band_inverse.__code__}
+    calls = {"fft": 0, "ifft": 0}
+
     def forbidden(*args, **kwargs):
         raise AssertionError("complex FFT called")
 
-    for name in ("fftn", "ifftn", "fft", "ifft"):
+    def band_only(name):
+        real = getattr(np.fft, name)
+
+        def wrapper(*args, **kwargs):
+            if sys._getframe(1).f_code not in band_pair:
+                raise AssertionError(f"complex {name} called outside the band pair")
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, wrapper)
+
+    for name in ("fftn", "ifftn"):
         monkeypatch.setattr(np.fft, name, forbidden)
+    for name in calls:
+        band_only(name)
 
     grid = Grid(2, 16, 2 * np.pi)
     f = FieldGenerator("random_trig", seed=1, amplitude=1.0, width=1.0).generate(grid)
@@ -440,3 +528,5 @@ def test_package_makes_no_complex_fft_call(monkeypatch):
                                 t0_override=0.01, tol_picard=1e-3))
     rows, passed = run_property_suite(line, seed=0, count=2)
     assert passed and rows
+    # the 2-D band transforms above ran through the guard
+    assert calls["fft"] > 0 and calls["ifft"] > 0
