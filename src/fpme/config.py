@@ -220,7 +220,7 @@ def parse_config(text: str, mode: str, overrides: dict[str, str] | None = None) 
     try:
         grid = Grid(dim, n, length)
         if mode in ("linear", "sweep_epsilon"):
-            _check_t_end(t_end)
+            _check_t_end("solver.t_end", t_end)
         alpha = _get(entries, "solver.alpha", float, dim / 2.0 + 1.1)
         picard = PicardConfig(s=_get(entries, "solver.s", float, 0.75), alpha=alpha, **picard_args)
         if mode == "picard":

@@ -132,7 +132,8 @@ class Grid:
         ``values`` may carry leading stack axes.  The axes run in
         ``rfftn``'s order: ``rfft`` on the last axis, then ``fft`` along each
         signed axis, and each axis drops its rows off the band before the
-        next transforms them.
+        next transforms them.  The complex ``fft`` runs in place
+        (``out=``, numpy >= 2.0).
         """
         B = np.fft.rfft(values, axis=-1)[..., : self.dealias_cutoff + 1].copy()
         for ax in range(-2, -self.dim - 1, -1):
@@ -146,7 +147,8 @@ class Grid:
 
         Each signed axis is zero-padded to ``n_points`` and inverted in
         ``irfftn``'s order, before the axes after it are padded; ``irfft``
-        pads the last axis itself.
+        pads the last axis itself.  Each ``ifft`` runs in place on its
+        padded array (``out=``, numpy >= 2.0).
         """
         n = self.n_points
         for ax in range(-self.dim, -1):

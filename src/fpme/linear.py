@@ -75,9 +75,9 @@ def _check_safety(safety: float) -> None:
         raise ValueError(f"safety must be in (0, 1], got {safety}")
 
 
-def _check_t_end(t_end: float) -> None:
+def _check_t_end(name: str, t_end: float) -> None:
     if not (t_end > 0):
-        raise ValueError(f"t_end must be positive, got {t_end}")
+        raise ValueError(f"{name} must be positive, got {t_end}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,7 +111,7 @@ class LinearProblem:
         _check_order(self.s)
         _check_nonnegative("coefficient v", self.v)
         _check_radius("epsilon", self.epsilon)
-        _check_t_end(self.t_end)
+        _check_t_end("t_end", self.t_end)
 
     @property
     def grid(self) -> Grid:

@@ -128,6 +128,11 @@ output.dir = /tmp/out
         with pytest.raises(ValidationError, match="t_end is required"):
             parse_config(text, mode="linear")
 
+    def test_nonpositive_t_end_names_the_key(self):
+        text = MINIMAL_LINEAR.replace("solver.t_end = 0.05", "solver.t_end = 0")
+        with pytest.raises(ValidationError, match=r"^solver\.t_end must be positive, got 0\.0$"):
+            parse_config(text, mode="linear")
+
     def test_initial_required(self):
         text = MINIMAL_LINEAR.replace("initial.kind = gaussian_bump\n", "")
         with pytest.raises(ValidationError, match="initial.kind is required"):
