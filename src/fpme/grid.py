@@ -21,8 +21,9 @@ Three conventions share that layout:
   transform pair of masked spectra.  They compute ``rfftn`` restricted to
   the band and ``irfftn`` of the zero-extended band, unnormalized, and
   transform no row the band drops (a pruned FFT).  The RK4 state, the
-  frozen coefficients, the Littlewood-Paley blocks, and the dealiased
-  products and random_trig fields of the diagnostics all live on the band.
+  samples of a Picard trajectory, the frozen coefficients, the
+  Littlewood-Paley blocks, and the dealiased products and random_trig
+  fields of the diagnostics all live on the band.
 * :func:`apply_symbols` is the real-to-real multiplier path of the
   unmasked operators.  It uses numpy's unnormalized ``rfftn`` and its
   ``irfftn`` inverse, as do the Sobolev norms.
@@ -150,10 +151,12 @@ class Grid:
         pads the last axis itself.  Each ``ifft`` runs in place on its
         padded array (``out=``, numpy >= 2.0).
         """
-        n = self.n_points
+        n, c = self.n_points, self.dealias_cutoff
         for ax in range(-self.dim, -1):
             padded = np.zeros((*B.shape[:ax], n, *B.shape[ax + 1 :]), dtype=complex)
-            padded[(..., self.band[ax].ravel()) + (slice(None),) * (-ax - 1)] = B
+            after = (slice(None),) * (-ax - 1)
+            padded[(..., slice(0, c + 1), *after)] = B[(..., slice(0, c + 1), *after)]
+            padded[(..., slice(n - c, n), *after)] = B[(..., slice(c + 1, 2 * c + 1), *after)]
             B = np.fft.ifft(padded, axis=ax, out=padded)
         return np.fft.irfft(B, n=n, axis=-1)
 

@@ -164,12 +164,25 @@ def make_coefficient_ops(
     v: RealField, s: float, epsilon: float, kernel: MollifierKernel | None = None
 ) -> CoefficientOps:
     g = v.grid
+    vmax = float(np.max(np.abs(v.values)))
+    return _freeze(g, g.band_forward(v.values), vmax, s, epsilon, kernel)
+
+
+def _freeze(
+    g: Grid,
+    Fv: np.ndarray,
+    vmax: float,
+    s: float,
+    epsilon: float,
+    kernel: MollifierKernel | None = None,
+) -> CoefficientOps:
+    """The ops of the coefficient whose band coefficients are Fv and whose
+    real samples have max|v| = vmax; no transform of v is made."""
     sym = band_symbols(g, -2.0 * s)
     filt = 1.0
     if epsilon > 0:
         filt = (kernel or MollifierKernel(g, epsilon)).band_hat
 
-    Fv = g.band_forward(v.values)
     Fp = Fv * sym.radial
     stack = np.empty((g.dim + 1, *Fv.shape), dtype=complex)
     for i, gm in enumerate(sym.grad):
@@ -180,7 +193,7 @@ def make_coefficient_ops(
     grad_p_mag = np.sqrt(sum(gp**2 for gp in coeffs[:-1]))
     xi_max = g.xi_max_retained
     rho_est = float(
-        np.max(np.abs(v.values)) * xi_max ** (2.0 - 2.0 * s)
+        vmax * xi_max ** (2.0 - 2.0 * s)
         + np.max(grad_p_mag) * xi_max
     )
     return CoefficientOps(

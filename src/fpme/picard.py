@@ -12,11 +12,21 @@ recalibrated from the first iterate's measured growth if the uniform bound
 sup_n ||u^n||_{H^alpha} <= 2 ||u0||_{H^alpha} would otherwise fail.
 Convergence is declared when consecutive trajectories agree in
 H^(alpha - 1) uniformly in time, below tol_picard.
+
+Every sample of an attempt is marched from the same start u_init and keeps
+its coefficients off the 2/3-rule band, so a trajectory is held as the band
+states F of its samples (see :mod:`fpme.linear`).  The distance between two
+samples is a band reduction of their state difference, the next iterate
+freezes a band state directly, and each previous sample is dropped once it
+has been frozen and compared.  Real fields exist only where they are read:
+one per sample inside the march, for the blow-up check and the min u and
+max|u| it keeps, and one per access of PicardResult.trajectory.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -32,6 +42,7 @@ from .linear import (
     _check_radius,
     _check_safety,
     _field,
+    _freeze,
     _march,
     make_coefficient_ops,
     rhs_with_ops,
@@ -100,10 +111,31 @@ class PicardState:
     min_u: list[float]
 
 
+class _Trajectory(Sequence):
+    """Read-only samples of a trajectory held as band states: item i is
+    the RealField of states[i] marched from u_start, made on each access
+    by linear._field."""
+
+    def __init__(self, u_start: RealField, states: list[np.ndarray], times: np.ndarray):
+        self._start = u_start
+        self._states = tuple(states)
+        self._times = times
+
+    def __len__(self) -> int:
+        return len(self._states)
+
+    def __getitem__(self, i: int) -> RealField:
+        return _field(self._start, self._states[i], self._states[0], float(self._times[i]))
+
+
 @dataclass(eq=False)
 class PicardResult:
+    """The converged run.  trajectory is a read-only sequence of the m + 1
+    samples at times; it holds their band states and makes each RealField
+    when it is read."""
+
     times: np.ndarray
-    trajectory: list[RealField]
+    trajectory: Sequence[RealField]
     state: PicardState
     records: list[DiagnosticsRecord]
     horizon: float
@@ -129,41 +161,73 @@ def _validate_initial(u0: RealField, config: PicardConfig) -> None:
     _check_nonnegative("u0", u0)
 
 
+@dataclass(eq=False)
+class _Samples:
+    """One trajectory of an attempt: the band state of each sample, states[0]
+    being the start's band, and max|u| of each sample's real field, which a
+    freeze of that sample reads."""
+
+    states: list[np.ndarray | None]
+    vmax: list[float]
+
+
+def _start_band(u_start: RealField, alpha: float) -> tuple[np.ndarray, float]:
+    """The band of u_start's unnormalized rfftn, and the H^alpha weighted
+    power of its coefficients off the band, which every sample marched from
+    u_start keeps."""
+    g = u_start.grid
+    c = np.fft.rfftn(u_start.values, axes=g.fft_axes)
+    off_band = half_spectrum_symbols(g, alpha).sobolev * (c.real**2 + c.imag**2)
+    off_band[g.band] = 0.0
+    return c[g.band], float(np.sum(off_band))
+
+
 def _advance_iterate(
     u_start: RealField,
-    coeff_traj: list[RealField],
+    tail: float,
+    prev: _Samples,
     config: PicardConfig,
     dt_seg: float,
     kernel: MollifierKernel | None,
-):
-    """One outer Picard step: march the window, freezing coeff_traj[i] over
-    segment i.  The freeze is made once per distinct coefficient, so the
-    first iterate, whose coeff_traj repeats the initial datum, freezes once.
-    Returns the new trajectory and its per-sample H^alpha norms, the latter
-    taken from the band state the stepper carries.  Off the band every
-    sample keeps u_start's coefficients, whose share of the H^alpha sum is
-    taken once."""
+) -> tuple[_Samples, list[float], float, float]:
+    """One outer Picard step: march the window from u_start, whose band is
+    prev.states[0] and whose off-band H^alpha power is tail, freezing the
+    band state prev.states[i] over segment i.
+
+    The freeze is made once per distinct coefficient, so the first iterate,
+    whose prev repeats the start, freezes once.  prev is consumed: each of
+    its samples is dropped once it has been frozen and compared, so about
+    one trajectory of band states is alive at a time.  Returns the new
+    samples, their H^alpha norms, delta (the sup over samples of the
+    H^(alpha-1) distance to prev) and the least value of any sample.  Both
+    norms are band reductions, exact because every sample keeps u_start's
+    coefficients off the band."""
     g = u_start.grid
     policy = TimeStepPolicy(dt_max=dt_seg, safety=config.safety)
-    m = len(coeff_traj) - 1
-    c = np.fft.rfftn(u_start.values, axes=g.fft_axes)
-    F = F_start = c[g.band]
-    off_band = half_spectrum_symbols(g, config.alpha).sobolev * (c.real**2 + c.imag**2)
-    off_band[g.band] = 0.0
-    tail = float(np.sum(off_band))
-    traj = [u_start]
+    m = len(prev.states) - 1
+    F = F_start = prev.states[0]
+    new = _Samples([F_start], [prev.vmax[0]])
     weight = band_symbols(g, config.alpha).sobolev
+    weight_delta = band_symbols(g, config.alpha - 1.0).sobolev
     h_list = [_norm_of_rfft(g, F, weight, tail)]
+    delta, min_u = 0.0, float(np.min(u_start.values))
     tiny = 1e-14 * dt_seg
+    frozen = None
     for i in range(m):
-        if i == 0 or coeff_traj[i] is not coeff_traj[i - 1]:
-            ops = make_coefficient_ops(coeff_traj[i], config.s, config.epsilon_moll, kernel)
+        Fv, prev.states[i] = prev.states[i], None
+        if Fv is not frozen:
+            ops = _freeze(g, Fv, prev.vmax[i], config.s, config.epsilon_moll, kernel)
             dt_cap = policy.step_size(ops.rho_est)
+            frozen = Fv
         for F, *_ in _march(F, ops, dt_cap, (dt_seg,), tiny):
             pass
-        traj.append(_field(u_start, F, F_start, (i + 1) * dt_seg))
+        u = _field(u_start, F, F_start, (i + 1) * dt_seg).values
+        new.states.append(F)
+        new.vmax.append(float(np.max(np.abs(u))))
+        min_u = min(min_u, float(np.min(u)))
         h_list.append(_norm_of_rfft(g, F, weight, tail))
-    return traj, h_list
+        delta = max(delta, _norm_of_rfft(g, F - prev.states[i + 1], weight_delta))
+    return new, h_list, delta, min_u
 
 
 def _max_quotient(h_list: list[float], dt_seg: float, coeff_scale: float) -> float:
@@ -188,12 +252,14 @@ def run_picard(u0: RealField, config: PicardConfig) -> PicardResult:
     u_init = mollify(u0, kernel) if (kernel is not None and config.mollify_initial) else u0
     h_u0 = sobolev_norm(u0, config.alpha)
     m = config.samples
+    F_start, tail = _start_band(u_init, config.alpha)
+    vmax_start = float(np.max(np.abs(u_init.values)))
 
     cfg = config
     for _ in range(_MAX_RECALIBRATIONS + 1):
         t0 = horizon(u0, cfg)
         dt_seg = t0 / m
-        traj = [u_init] * (m + 1)
+        traj = _Samples([F_start] * (m + 1), [vmax_start] * (m + 1))
         state = PicardState(
             sup_halpha=[sobolev_norm(u_init, cfg.alpha)],
             deltas=[],
@@ -202,18 +268,15 @@ def run_picard(u0: RealField, config: PicardConfig) -> PicardResult:
             min_u=[float(np.min(u_init.values))],
         )
         while not state.converged and len(state.deltas) < cfg.max_outer:
-            prev_traj = traj
-            traj, h_list = _advance_iterate(u_init, prev_traj, cfg, dt_seg, kernel)
+            traj, h_list, delta_n, min_u = _advance_iterate(
+                u_init, tail, traj, cfg, dt_seg, kernel
+            )
             coeff_scale = state.sup_halpha[-1]
             c_meas_n = _max_quotient(h_list, dt_seg, coeff_scale)
-            delta_n = max(
-                sobolev_norm(RealField(g, a.values - b.values), cfg.alpha - 1.0)
-                for a, b in zip(traj, prev_traj)
-            )
             state.sup_halpha.append(max(h_list))
             state.deltas.append(delta_n)
             state.c_meas.append(c_meas_n)
-            state.min_u.append(min(float(np.min(f.values)) for f in traj))
+            state.min_u.append(min_u)
 
             if len(state.deltas) == 1 and cfg.t0_override is None:
                 c_new = max(1.0, 1.2 * c_meas_n)
@@ -232,6 +295,7 @@ def run_picard(u0: RealField, config: PicardConfig) -> PicardResult:
         raise NoConvergence(state.deltas, cfg.max_outer)
 
     times = np.arange(m + 1) * dt_seg
+    trajectory = _Trajectory(u_init, traj.states, times)
     stride = max(1, m // 100)
     recorder = RecorderConfig(
         alpha=cfg.alpha,
@@ -241,11 +305,11 @@ def run_picard(u0: RealField, config: PicardConfig) -> PicardResult:
     records: list[DiagnosticsRecord] = []
     for i in (*range(0, m, stride), m):
         prev_rec = records[-1] if records else None
-        records.append(record(traj[i], float(times[i]), dt_seg, recorder, prev_rec))
+        records.append(record(trajectory[i], float(times[i]), dt_seg, recorder, prev_rec))
 
     return PicardResult(
         times=times,
-        trajectory=traj,
+        trajectory=trajectory,
         state=state,
         records=records,
         horizon=t0,

@@ -44,9 +44,9 @@ from fpme.grid import (
     inverse_transform,
     resample,
 )
-from fpme.linear import _rk4_step, make_coefficient_ops, rhs_with_ops
+from fpme.linear import _field, _rk4_step, make_coefficient_ops, rhs_with_ops
 from fpme.norms import _chi
-from fpme.picard import _advance_iterate
+from fpme.picard import _advance_iterate, _Samples, _start_band
 
 from conftest import random_field
 from helpers import dft_forward_oracle, half_columns, radial_symbol_oracle
@@ -338,15 +338,32 @@ def test_spectral_state_steps_match_real_space_oracle(grid, epsilon):
     assert rel_err(u - u0.values, oracle - u0.values) <= TOL
 
 
+def coefficient_samples(grid, u0, F0, samples):
+    """A previous iterate from u0 (band F0) whose later samples are distinct
+    coefficients, as band states with their max|v|."""
+    coeffs = [coefficient(grid, seed=11 + i) for i in range(samples)]
+    return _Samples(
+        [F0] + [grid.band_forward(c.values) for c in coeffs],
+        [float(np.max(np.abs(c.values))) for c in (u0, *coeffs)],
+    )
+
+
 @pytest.mark.parametrize("grid", GRIDS, ids=lambda g: f"dim{g.dim}")
 def test_iterate_h_alpha_matches_sobolev_norm(grid):
     config = PicardConfig(s=0.75, alpha=grid.dim / 2.0 + 1.1, samples=6)
     u0 = coefficient(grid, seed=10)
-    coeff_traj = [coefficient(grid, seed=11 + i) for i in range(config.samples + 1)]
-    traj, h_list = _advance_iterate(u0, coeff_traj, config, 0.01, None)
-    assert len(h_list) == len(traj) == config.samples + 1
-    for field, h in zip(traj, h_list):
+    F0, tail = _start_band(u0, config.alpha)
+    prev = coefficient_samples(grid, u0, F0, config.samples)
+    new, h_list, _, min_u = _advance_iterate(u0, tail, prev, config, 0.01, None)
+    assert len(h_list) == len(new.states) == len(new.vmax) == config.samples + 1
+    assert new.states[0] is F0 is not None
+    fields = [_field(u0, F, F0, 0.0) for F in new.states]
+    for field, h, vmax in zip(fields, h_list, new.vmax):
         assert h == pytest.approx(sobolev_norm(field, config.alpha), rel=TOL)
+        assert vmax == float(np.max(np.abs(field.values)))
+    assert min_u == min(float(np.min(f.values)) for f in fields)
+    # each previous sample is dropped once it has been frozen and compared
+    assert all(F is None for F in prev.states[:-1])
 
 
 @pytest.mark.parametrize("grid", GRIDS, ids=lambda g: f"dim{g.dim}")
@@ -354,7 +371,10 @@ def test_transform_counts(grid, monkeypatch):
     # dim + 1 band inverses and one band forward per right-hand side, no
     # transform of the state inside a step and none over the half-spectrum,
     # one band forward and one stacked band inverse per freeze, and one
-    # forward per operator or Besov norm however many outputs it makes
+    # forward per operator or Besov norm however many outputs it makes;
+    # a Picard iterate freezes band states and measures its samples on the
+    # band, so beyond its RK4 steps it makes one band inverse per freeze
+    # and one per sample's real field, and no forward transform
     names = ("rfftn", "irfftn", "band_forward", "band_inverse")
     counts = dict.fromkeys(names, 0)
 
@@ -398,6 +418,18 @@ def test_transform_counts(grid, monkeypatch):
     for call, made in calls:
         call()
         expect(**made)
+
+    config = PicardConfig(s=0.75, alpha=grid.dim / 2.0 + 1.1, samples=5)
+    u0 = coefficient(grid, seed=10)
+    F0, tail = _start_band(u0, config.alpha)
+    expect(rfftn=1)
+    prev = coefficient_samples(grid, u0, F0, config.samples)
+    expect(band_forward=config.samples)
+    # dt_seg is far below safety / rho_est, so each segment is one RK4 step
+    # beside one freeze and one real field
+    _advance_iterate(u0, tail, prev, config, 1e-4, None)
+    expect(band_forward=config.samples * 4,
+           band_inverse=config.samples * (4 * (grid.dim + 1) + 2))
 
 
 @pytest.mark.parametrize("grid", GRIDS, ids=lambda g: f"dim{g.dim}")

@@ -1,6 +1,7 @@
 """Outer iteration: horizon, contraction, bounds, residual, uniqueness."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,12 +26,14 @@ from fpme import (
     uniqueness_probe,
 )
 from fpme.fracops import MollifierKernel
+from fpme.linear import _field
+from fpme.picard import _advance_iterate, _Samples, _start_band
 
 from conftest import random_field
 
 
-def small_bump(grid, amplitude=0.05):
-    return FieldGenerator("gaussian_bump", seed=1, amplitude=amplitude, width=0.8).generate(grid)
+def small_bump(grid, amplitude=0.05, width=0.8):
+    return FieldGenerator("gaussian_bump", seed=1, amplitude=amplitude, width=width).generate(grid)
 
 
 BASE = dict(s=0.75, alpha=2.1, epsilon_moll=0.0, samples=200)
@@ -172,16 +175,76 @@ class TestFreezes:
         # the first iterate's coefficient is the initial datum on every
         # segment, so it is frozen once; later iterates freeze every sample
         calls = []
-        real = picard_mod.make_coefficient_ops
+        real = picard_mod._freeze
 
         def counting(*args):
-            calls.append(args[0])
+            calls.append(args[1])
             return real(*args)
 
-        monkeypatch.setattr(picard_mod, "make_coefficient_ops", counting)
+        monkeypatch.setattr(picard_mod, "_freeze", counting)
         cfg = PicardConfig(s=0.75, alpha=2.1, samples=50, t0_override=0.05)
         result = run_picard(small_bump(grid64), cfg)
         assert len(calls) == (len(result.state.deltas) - 1) * cfg.samples + 1
+
+
+class TestBandTrajectory:
+    """The trajectory is held as band states; real fields are made on access."""
+
+    def test_spectral_delta_matches_real_space_distance(self, grid2d):
+        # the first two iterates move by 2e-3 and 2e-5, far above the
+        # roundoff of the real-space difference of two O(0.05) fields
+        u0 = small_bump(grid2d, width=1.2)
+        cfg = PicardConfig(s=0.75, alpha=2.1, samples=100)
+        m = cfg.samples
+        dt_seg = horizon(u0, cfg) / m
+        F0, tail = _start_band(u0, cfg.alpha)
+        traj = _Samples([F0] * (m + 1), [float(np.max(np.abs(u0.values)))] * (m + 1))
+
+        def values(F):
+            return _field(u0, F, F0, 0.0).values
+
+        for _ in range(2):
+            kept = list(traj.states)
+            traj, _, delta, _ = _advance_iterate(u0, tail, traj, cfg, dt_seg, None)
+            real = max(
+                sobolev_norm(RealField(grid2d, values(a) - values(b)), cfg.alpha - 1.0)
+                for a, b in zip(traj.states, kept)
+            )
+            assert delta == pytest.approx(real, rel=1e-12)
+
+    def test_peak_memory_is_one_trajectory_of_band_states(self, grid2d):
+        # one trajectory of band states, plus a few dozen real fields for the
+        # RK4 stages, the frozen coefficients and the records; two
+        # trajectories of real fields take 3.7x this bound at n=32
+        u0 = small_bump(grid2d, width=1.2)
+        cfg = PicardConfig(s=0.75, alpha=2.1, samples=400, tol_picard=1e-4)
+        run_picard(u0, PicardConfig(s=0.75, alpha=2.1, samples=4))  # fill the symbol caches
+        c = grid2d.dealias_cutoff
+        band_bytes = (2 * c + 1) * (c + 1) * np.dtype(complex).itemsize + 256  # and header
+        bound = (cfg.samples + 1) * band_bytes + 32 * u0.values.nbytes
+        tracemalloc.start()
+        try:
+            result = run_picard(u0, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(result.state.deltas) == 2
+        assert peak <= bound
+
+    def test_trajectory_items_are_field_output(self, grid2d):
+        u0 = small_bump(grid2d, width=1.2)
+        cfg = PicardConfig(s=0.75, alpha=2.1, samples=20)
+        result = run_picard(u0, cfg)
+        traj = result.trajectory
+        assert len(traj) == cfg.samples + 1
+        states = traj._states
+        for i in (0, 1, cfg.samples // 2, cfg.samples, -1):
+            expected = _field(u0, states[i], states[0], float(result.times[i]))
+            assert np.array_equal(traj[i].values, expected.values)
+        assert np.array_equal(traj[-1].values, traj[cfg.samples].values)
+        assert np.array_equal(traj[0].values, u0.values)
+        with pytest.raises(TypeError):
+            traj[0] = u0
 
 
 class TestSegments:
