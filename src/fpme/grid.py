@@ -13,17 +13,20 @@ Products are dealiased by Orszag's 2/3 rule, which keeps the modes with
 modes is stored on the *band* alone, shape
 ``(2c + 1, ..., 2c + 1, c + 1)`` with ``c = dealias_cutoff``: the signed
 axes keep rows ``0..c`` and ``-c..-1`` in FFT order, the last axis columns
-``0..c``.  Band symbols come from :func:`band_symbols`.
+``0..c``.  Band symbols come from :func:`band_symbols`.  The same layout
+with a smaller ``c`` holds a spectrum that is zero off a smaller box, such
+as a low Littlewood-Paley block cropped to its support.
 
 Three conventions share that layout:
 
 * :meth:`Grid.band_forward` and :meth:`Grid.band_inverse` are the
   transform pair of masked spectra.  They compute ``rfftn`` restricted to
   the band and ``irfftn`` of the zero-extended band, unnormalized, and
-  transform no row the band drops (a pruned FFT).  The RK4 state, the
-  samples of a Picard trajectory, the frozen coefficients, the
-  Littlewood-Paley blocks, and the dealiased products and random_trig
-  fields of the diagnostics all live on the band.
+  transform no row the band drops (a pruned FFT); the inverse also takes a
+  smaller box.  The RK4 state, the samples of a Picard trajectory, the
+  frozen coefficients, the Littlewood-Paley blocks, and the dealiased
+  products and random_trig fields of the diagnostics all live on the band,
+  and a diagnostics record reads the state the solver holds there.
 * :func:`apply_symbols` is the real-to-real multiplier path of the
   unmasked operators.  It uses numpy's unnormalized ``rfftn`` and its
   ``irfftn`` inverse, as do the Sobolev norms.
@@ -146,12 +149,14 @@ class Grid:
         """``irfftn`` of the band coefficients ``B`` zero-extended to the
         half-spectrum, as a real array with the leading stack axes of ``B``.
 
-        Each signed axis is zero-padded to ``n_points`` and inverted in
-        ``irfftn``'s order, before the axes after it are padded; ``irfft``
-        pads the last axis itself.  Each ``ifft`` runs in place on its
-        padded array (``out=``, numpy >= 2.0).
+        ``B`` may hold a smaller band than the 2/3 rule's, the modes with
+        ``|k| <= K`` in the same layout; its cutoff ``K`` is read from its
+        last axis, ``B.shape[-1] - 1``.  Each signed axis is zero-padded to
+        ``n_points`` and inverted in ``irfftn``'s order, before the axes
+        after it are padded; ``irfft`` pads the last axis itself.  Each
+        ``ifft`` runs in place on its padded array (``out=``, numpy >= 2.0).
         """
-        n, c = self.n_points, self.dealias_cutoff
+        n, c = self.n_points, B.shape[-1] - 1
         for ax in range(-self.dim, -1):
             padded = np.zeros((*B.shape[:ax], n, *B.shape[ax + 1 :]), dtype=complex)
             after = (slice(None),) * (-ax - 1)

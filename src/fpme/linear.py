@@ -20,7 +20,9 @@ stop time: solve_linear marches through the snapshot times to t_end, and a
 Picard segment is one march.  _field returns the state to real space once
 per step or segment, as ``u = u_start + band_inverse(F - F_start)``, so u
 keeps u_start's coefficients off the band, and a state the right-hand side
-does not move stays equal to u_start bit for bit.
+does not move stays equal to u_start bit for bit.  A diagnostics record reads
+F and u_start's off-band H^alpha power, which every state keeps, so it makes
+no forward transform.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from .diagnostics import DiagnosticsRecord, RecorderConfig, record
 from .errors import BlowUp, GridMismatch
 from .fracops import MollifierKernel
 from .grid import Grid, RealField, band_symbols
-from .norms import DyadicPartition, sobolev_norm
+from .norms import DyadicPartition, _start_band, sobolev_norm
 
 __all__ = [
     "LinearProblem",
@@ -298,8 +300,8 @@ def solve_linear(
         snapshots.append((0.0, problem.u0))
 
     final = problem.u0
-    F_start = g.band_forward(problem.u0.values)
-    records = [record(problem.u0, 0.0, 0.0, recorder, None)]
+    F_start, tail = _start_band(problem.u0, alpha)
+    records = [record(problem.u0, 0.0, 0.0, recorder, None, (F_start, tail))]
     dt_base = policy.step_size(ops.rho_est)
     tiny = 1e-14 * problem.t_end
 
@@ -310,5 +312,5 @@ def solve_linear(
             events.pop(0)
             snapshots.append((t, final))
         if steps % sample_every == 0 or t >= problem.t_end - tiny:
-            records.append(record(final, t, dt, recorder, records[-1]))
+            records.append(record(final, t, dt, recorder, records[-1], (F, tail)))
     return LinearSolution(final=final, records=records, snapshots=snapshots)

@@ -17,10 +17,11 @@ Every sample of an attempt is marched from the same start u_init and keeps
 its coefficients off the 2/3-rule band, so a trajectory is held as the band
 states F of its samples (see :mod:`fpme.linear`).  The distance between two
 samples is a band reduction of their state difference, the next iterate
-freezes a band state directly, and each previous sample is dropped once it
-has been frozen and compared.  Real fields exist only where they are read:
-one per sample inside the march, for the blow-up check and the min u and
-max|u| it keeps, and one per access of PicardResult.trajectory.
+freezes a band state directly, each previous sample is dropped once it has
+been frozen and compared, and the diagnostics records read the band states.
+Real fields exist only where they are read: one per sample inside the march,
+for the blow-up check and the min u and max|u| it keeps, and one per access
+of PicardResult.trajectory.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import numpy as np
 from .diagnostics import DiagnosticsRecord, RecorderConfig, growth_quotient, record
 from .errors import NoConvergence
 from .fracops import MollifierKernel, mollify
-from .grid import RealField, band_symbols, half_spectrum_symbols
+from .grid import RealField, band_symbols
 from .linear import (
     TimeStepPolicy,
     _check_nonnegative,
@@ -47,7 +48,7 @@ from .linear import (
     make_coefficient_ops,
     rhs_with_ops,
 )
-from .norms import DyadicPartition, _norm_of_rfft, lp_norm, sobolev_norm
+from .norms import DyadicPartition, _norm_of_rfft, _start_band, lp_norm, sobolev_norm
 
 __all__ = [
     "PicardConfig",
@@ -114,7 +115,7 @@ class PicardState:
 class _Trajectory(Sequence):
     """Read-only samples of a trajectory held as band states: item i is
     the RealField of states[i] marched from u_start, made on each access
-    by linear._field."""
+    by linear._field, and a slice is the list of its items."""
 
     def __init__(self, u_start: RealField, states: list[np.ndarray], times: np.ndarray):
         self._start = u_start
@@ -124,7 +125,9 @@ class _Trajectory(Sequence):
     def __len__(self) -> int:
         return len(self._states)
 
-    def __getitem__(self, i: int) -> RealField:
+    def __getitem__(self, i: int | slice) -> RealField | list[RealField]:
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
         return _field(self._start, self._states[i], self._states[0], float(self._times[i]))
 
 
@@ -169,17 +172,6 @@ class _Samples:
 
     states: list[np.ndarray | None]
     vmax: list[float]
-
-
-def _start_band(u_start: RealField, alpha: float) -> tuple[np.ndarray, float]:
-    """The band of u_start's unnormalized rfftn, and the H^alpha weighted
-    power of its coefficients off the band, which every sample marched from
-    u_start keeps."""
-    g = u_start.grid
-    c = np.fft.rfftn(u_start.values, axes=g.fft_axes)
-    off_band = half_spectrum_symbols(g, alpha).sobolev * (c.real**2 + c.imag**2)
-    off_band[g.band] = 0.0
-    return c[g.band], float(np.sum(off_band))
 
 
 def _advance_iterate(
@@ -305,7 +297,9 @@ def run_picard(u0: RealField, config: PicardConfig) -> PicardResult:
     records: list[DiagnosticsRecord] = []
     for i in (*range(0, m, stride), m):
         prev_rec = records[-1] if records else None
-        records.append(record(trajectory[i], float(times[i]), dt_seg, recorder, prev_rec))
+        records.append(record(
+            trajectory[i], float(times[i]), dt_seg, recorder, prev_rec, (traj.states[i], tail)
+        ))
 
     return PicardResult(
         times=times,

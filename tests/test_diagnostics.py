@@ -11,6 +11,7 @@ from fpme import (
     DyadicPartition,
     FieldGenerator,
     Grid,
+    GridMismatch,
     RealField,
     UnsupportedExponent,
     check_commutator,
@@ -22,6 +23,7 @@ from fpme import (
 )
 from fpme.diagnostics import RecorderConfig, record
 from fpme.grid import forward_transform, resample
+from fpme.norms import _start_band
 
 from conftest import random_field
 from helpers import half_columns, radial_symbol_oracle
@@ -190,6 +192,17 @@ class TestRecord:
         r1 = record(b, 0.1, 0.1, cfg, r0)
         expected = math.log(sobolev_norm(b, 2.1) / sobolev_norm(a, 2.1)) / (0.1 * 2.0)
         assert r1.c_meas == pytest.approx(expected, rel=1e-12)
+
+    def test_partition_of_another_grid_rejected(self, grid64):
+        f = random_field(grid64, seed=10)
+        band = _start_band(f, 2.1)
+        for other in (Grid(1, 32, 2 * np.pi), Grid(1, 64, np.pi)):
+            partition = DyadicPartition(other)
+            cfg = RecorderConfig(alpha=2.1, partition=partition, coefficient_scale=1.0)
+            with pytest.raises(GridMismatch):
+                record(f, 0.0, 0.0, cfg)
+            with pytest.raises(GridMismatch):
+                record(f, 0.0, 0.0, cfg, None, band)
 
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):

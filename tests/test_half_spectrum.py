@@ -36,6 +36,7 @@ from fpme import (
     sobolev_norm,
     solve_linear,
 )
+from fpme.diagnostics import RecorderConfig, record
 from fpme.fracops import MollifierKernel
 from fpme.grid import (
     band_symbols,
@@ -45,8 +46,8 @@ from fpme.grid import (
     resample,
 )
 from fpme.linear import _field, _rk4_step, make_coefficient_ops, rhs_with_ops
-from fpme.norms import _chi
-from fpme.picard import _advance_iterate, _Samples, _start_band
+from fpme.norms import _chi, _start_band
+from fpme.picard import _advance_iterate, _Samples
 
 from conftest import random_field
 from helpers import dft_forward_oracle, half_columns, radial_symbol_oracle
@@ -273,6 +274,59 @@ def test_besov_blocks_match_full_spectrum(grid):
 
 
 @pytest.mark.parametrize("grid", GRIDS, ids=lambda g: f"dim{g.dim}")
+def test_pruned_besov_matches_full_band_blocks(grid):
+    f = random_field(grid, seed=15)
+    p = DyadicPartition(grid)
+    assert any(crop is not None for crop in p.crops)
+    B = grid.band_forward(f.values)
+    cell = grid.spacing**grid.dim
+    for alpha in (0.6, 2.1):
+        full = max(
+            2.0 ** (j * alpha) * np.abs(grid.band_inverse(m * B)).sum() * cell
+            for j, m in zip(p.indices, p.multipliers)
+        )
+        assert besov_norm(f, alpha, p) == pytest.approx(full, rel=1e-14)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("n", [16, 64])
+def test_band_inverse_of_cropped_band(dim, n):
+    # a band with a smaller cutoff K is the 2/3-rule band zero-padded
+    # outside |k| <= K; the cutoff is read from the last axis
+    grid = Grid(dim, n, 2 * np.pi)
+    c = grid.dealias_cutoff
+    rng = np.random.default_rng(dim * n)
+    for keep in (0, 1, c - 1):
+        shape = (2, *[2 * keep + 1] * (dim - 1), keep + 1)
+        B = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        padded = np.zeros((2, *[2 * c + 1] * (dim - 1), c + 1), dtype=complex)
+        padded[(slice(None), *fpme.norms._crop(grid, keep))] = B
+        assert rel_err(grid.band_inverse(B), grid.band_inverse(padded)) <= 1e-15
+
+
+@pytest.mark.parametrize("grid", GRIDS, ids=lambda g: f"dim{g.dim}")
+def test_record_reads_band_state(grid):
+    # a state marched from u0 keeps u0's coefficients off the band, so the
+    # record given its band state and u0's off-band power equals the record
+    # that transforms the state's real field
+    alpha = grid.dim / 2.0 + 1.1
+    u0 = random_field(grid, seed=16)
+    F0, tail = _start_band(u0, alpha)
+    assert tail > 0
+    F = F0 + 0.1 * grid.band_forward(random_field(grid, seed=17).values)
+    u = _field(u0, F, F0, 0.0)
+    recorder = RecorderConfig(alpha=alpha, partition=DyadicPartition(grid), coefficient_scale=1.0)
+    prev = record(u0, 0.0, 0.0, recorder, None, (F0, tail))
+    assert prev == record(u0, 0.0, 0.0, recorder)
+    new = record(u, 0.1, 0.1, recorder, prev, (F, tail))
+    old = record(u, 0.1, 0.1, recorder, prev)
+    for name in ("h_alpha", "besov_alpha", "c_meas"):
+        assert getattr(new, name) == pytest.approx(getattr(old, name), rel=1e-12)
+    for name in ("t", "dt", "l2", "min_u", "mass"):
+        assert getattr(new, name) == getattr(old, name)
+
+
+@pytest.mark.parametrize("grid", GRIDS, ids=lambda g: f"dim{g.dim}")
 def test_product_and_resample_match_full_spectrum(grid):
     mask = full_symbols(grid)[3]
     f = random_field(grid, seed=4)
@@ -374,7 +428,9 @@ def test_transform_counts(grid, monkeypatch):
     # forward per operator or Besov norm however many outputs it makes;
     # a Picard iterate freezes band states and measures its samples on the
     # band, so beyond its RK4 steps it makes one band inverse per freeze
-    # and one per sample's real field, and no forward transform
+    # and one per sample's real field, and no forward transform; a record
+    # given the band state makes only its blocks' band inverses, and one
+    # rfftn without it
     names = ("rfftn", "irfftn", "band_forward", "band_inverse")
     counts = dict.fromkeys(names, 0)
 
@@ -414,6 +470,14 @@ def test_transform_counts(grid, monkeypatch):
         (lambda: gradient(f), {"rfftn": 1, "irfftn": grid.dim}),
         (lambda: besov_norm(f, 1.1, partition),
          {"band_forward": 1, "band_inverse": len(partition.multipliers)}),
+    ]
+    blocks = len(partition.multipliers)
+    recorder = RecorderConfig(alpha=1.1, partition=partition, coefficient_scale=1.0)
+    band = _start_band(f, 1.1)
+    expect(rfftn=1)
+    calls += [
+        (lambda: record(f, 0.0, 0.0, recorder, None, band), {"band_inverse": blocks}),
+        (lambda: record(f, 0.0, 0.0, recorder), {"rfftn": 1, "band_inverse": blocks}),
     ]
     for call, made in calls:
         call()
@@ -505,6 +569,10 @@ def test_symbols_shared_and_read_only(epsilon):
     for arr in blocks:
         assert arr.shape == shape
         assert arr.flags.writeable is False
+    crops = DyadicPartition(grid).crops
+    assert crops is DyadicPartition(grid).crops
+    for crop in filter(None, crops):
+        assert all(rows.flags.writeable is False for rows in crop[:-1])
 
 
 # ---------------------------------------------------------------------------

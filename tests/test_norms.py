@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from fpme import (
     DyadicPartition,
     Grid,
+    GridMismatch,
     RealField,
     besov_norm,
     frac_laplacian,
@@ -170,6 +171,35 @@ class TestDyadicPartition:
                 outside = (r < 2.0 ** (j - 1)) | (r > 2.0 ** (j + 1))
                 assert np.max(np.abs(m[outside])) == 0.0
 
+    @pytest.mark.parametrize("dim, n", [(1, 64), (2, 32), (3, 16), (3, 64)])
+    def test_crops_are_smallest_support_boxes(self, dim, n):
+        # block j's crop is the box |k_i| <= K, in the band layout with
+        # cutoff K, and the multiplier is zero outside it but not on its
+        # boundary; a block that needs the whole band has no crop
+        g = Grid(dim, n, 2 * np.pi)
+        c = g.dealias_cutoff
+        band_shape = (*[2 * c + 1] * (dim - 1), c + 1)
+        modes = [np.broadcast_to(g.k_signed[ix], band_shape) for ix in g.band]
+        k_inf = np.maximum.reduce([np.abs(k) for k in modes])
+        p = DyadicPartition(g)
+        keeps = []
+        for m, crop in zip(p.multipliers, p.crops):
+            keep = c if crop is None else m[crop].shape[-1] - 1
+            keeps.append(keep)
+            assert np.all(m[k_inf > keep] == 0.0)
+            assert keep == 0 or np.any(m[k_inf == keep] != 0.0)
+            if crop is not None:
+                assert keep < c
+                assert m[crop].shape == (*[2 * keep + 1] * (dim - 1), keep + 1)
+                # rows 0..K, -K..-1 on each signed axis, columns 0..K
+                expected = np.fft.fftfreq(2 * keep + 1, d=1.0 / (2 * keep + 1))
+                for ax, k in enumerate(modes[:-1]):
+                    rows = np.moveaxis(k[crop], ax, 0).reshape(2 * keep + 1, -1)
+                    assert np.array_equal(rows[:, 0], expected)
+                assert np.count_nonzero(k_inf <= keep) == m[crop].size
+        if n == 64:
+            assert keeps[:5] == [0, 1, 3, 7, 15] and set(keeps[5:]) == {c}
+
     def test_block_reconstruction(self, grid2d):
         f = random_field(grid2d, seed=47)
         p = DyadicPartition(grid2d)
@@ -206,6 +236,12 @@ class TestBesovNorm:
             ref = 2.0 ** (j0 * alpha) * lp_norm(f, 1)
             val = besov_norm(f, alpha, p)
             assert ref / 2 <= val <= 2 * ref
+
+    def test_partition_of_another_grid_rejected(self, grid64):
+        f = random_field(grid64, seed=48)
+        for other in (Grid(1, 32, 2 * np.pi), Grid(1, 64, np.pi), Grid(2, 64, 2 * np.pi)):
+            with pytest.raises(GridMismatch):
+                besov_norm(f, 1.1, DyadicPartition(other))
 
     def test_max_picks_dominant_block(self, grid64):
         p = DyadicPartition(grid64)

@@ -27,7 +27,8 @@ from fpme import (
 )
 from fpme.fracops import MollifierKernel
 from fpme.linear import _field
-from fpme.picard import _advance_iterate, _Samples, _start_band
+from fpme.norms import _start_band
+from fpme.picard import _advance_iterate, _Samples
 
 from conftest import random_field
 
@@ -245,6 +246,17 @@ class TestBandTrajectory:
         assert np.array_equal(traj[0].values, u0.values)
         with pytest.raises(TypeError):
             traj[0] = u0
+
+    def test_trajectory_slices_are_lists_of_items(self, grid2d):
+        u0 = small_bump(grid2d, width=1.2)
+        traj = run_picard(u0, PicardConfig(s=0.75, alpha=2.1, samples=10)).trajectory
+        for sl in (slice(1, 3), slice(None, None, 4), slice(-3, None), slice(5, 2), slice(None)):
+            items = traj[sl]
+            assert isinstance(items, list)
+            indices = range(len(traj))[sl]
+            assert len(items) == len(indices)
+            for field, i in zip(items, indices):
+                assert np.array_equal(field.values, traj[i].values)
 
 
 class TestSegments:
