@@ -61,19 +61,13 @@ class RecorderConfig:
 
     coefficient_scale is the sup of the H^alpha norm of the frozen
     coefficient over the run; it normalizes the instantaneous Gronwall
-    quotient c_meas.  weight, set here once, is the read-only H^alpha
-    weight of band coefficients on the partition's grid.
+    quotient c_meas.  The H^alpha weight of band coefficients is the cached
+    band_symbols(grid, alpha).sobolev, the table Picard's norms read.
     """
 
     alpha: float
     partition: DyadicPartition
     coefficient_scale: float
-
-    def __post_init__(self):
-        g = self.partition.grid
-        weight = half_spectrum_symbols(g, self.alpha).sobolev[g.band]
-        weight.setflags(write=False)
-        object.__setattr__(self, "weight", weight)
 
 
 def growth_quotient(h0: float, h1: float, dt: float, scale: float) -> float:
@@ -107,7 +101,7 @@ def record(
     g = u.grid
     F, tail = _start_band(u, config.alpha) if band is None else band
     besov = _besov_of_band(g, F, config.alpha, config.partition)
-    h = _norm_of_rfft(g, F, config.weight, tail)
+    h = _norm_of_rfft(g, F, band_symbols(g, config.alpha).sobolev, tail)
     c_meas = 0.0
     if prev is not None:
         c_meas = growth_quotient(prev.h_alpha, h, t - prev.t, config.coefficient_scale)
@@ -145,12 +139,15 @@ class FieldGenerator:
     KINDS = ("gaussian_bump", "multi_bump", "random_trig", "constant")
 
     def check(self, grid: Grid) -> None:
-        """Raise ValueError for an unknown kind, a negative seed, or a bump
-        too narrow to be band-limited on grid."""
+        """Raise ValueError for an unknown kind, a negative seed, a width
+        that is not finite and positive, or a bump too narrow to be
+        band-limited on grid."""
         if self.kind not in self.KINDS:
             raise ValueError(f"kind must be one of {self.KINDS}, got {self.kind!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if not (math.isfinite(self.width) and self.width > 0):
+            raise ValueError(f"width must be finite and positive, got {self.width}")
         if self.kind not in ("gaussian_bump", "multi_bump"):
             return
         w_min = 11.4 * grid.side_length / (2.0 * np.pi * grid.dealias_cutoff)

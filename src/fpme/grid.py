@@ -5,15 +5,16 @@ All fields live on the torus ``[0, L)^dim`` sampled on a uniform lattice of
 ``rfftn`` half-spectrum of shape ``(*shape[:-1], n_points // 2 + 1)``: the
 last axis holds the nonnegative frequencies ``0..n/2``, the other axes the
 full signed range in FFT order.  The negative last-axis frequencies are the
-complex conjugates of the stored ones and are not kept.  Every symbol comes
-from :func:`half_spectrum_symbols`.
+complex conjugates of the stored ones and are not kept.
 
 Products are dealiased by Orszag's 2/3 rule, which keeps the modes with
 ``|k| <= dealias_cutoff`` on every axis.  A spectrum that is zero off those
 modes is stored on the *band* alone, shape
 ``(2c + 1, ..., 2c + 1, c + 1)`` with ``c = dealias_cutoff``: the signed
 axes keep rows ``0..c`` and ``-c..-1`` in FFT order, the last axis columns
-``0..c``.  Band symbols come from :func:`band_symbols`.  The same layout
+``0..c``.  Symbols come from :func:`half_spectrum_symbols`, and on the band
+from :func:`band_symbols`, one builder over each layout's own frequencies;
+on the band only ``radial`` and ``sobolev`` are dense.  The same layout
 with a smaller ``c`` holds a spectrum that is zero off a smaller box, such
 as a low Littlewood-Paley block cropped to its support.
 
@@ -170,10 +171,10 @@ class Grid:
 class HalfSpectrumSymbols:
     """Fourier symbols of one grid over the ``rfftn`` half-spectrum.
 
-    Dense arrays have shape ``grid.spectral_shape`` and the others broadcast
-    to it; in the tables of :func:`band_symbols` every array is dense on the
-    band.  Every array is read-only: one table is shared by all callers,
-    threads included.
+    ``radial`` and ``sobolev`` are dense, of shape ``grid.spectral_shape``,
+    or of the band's shape in the tables of :func:`band_symbols`; ``fold``
+    and ``grad`` broadcast to that shape.  Every array is read-only: one
+    table is shared by all callers, threads included.
 
     radial:  ``|xi|**exponent``, zero mode mapped to 0.
     fold:    2 on the interior last-axis columns, 1 on the zero and Nyquist
@@ -190,28 +191,26 @@ class HalfSpectrumSymbols:
     grad: tuple[np.ndarray, ...]
 
 
-@lru_cache(maxsize=32)
-def half_spectrum_symbols(grid: Grid, exponent: float) -> HalfSpectrumSymbols:
-    """The symbol table of ``grid`` at ``exponent``, built once per key."""
+def _symbols(grid: Grid, exponent: float, ks: tuple[np.ndarray, ...]) -> HalfSpectrumSymbols:
+    """The symbol table of ``grid`` at ``exponent`` on the modes whose integer
+    frequencies along each axis are ``ks``."""
     n, d = grid.n_points, grid.dim
     scale = 2.0 * np.pi / grid.side_length
     xi, grad = [], []
-    for ax in range(d):
-        k = grid.k_signed if ax < d - 1 else np.fft.rfftfreq(n, d=1.0 / n)
+    for ax, k in enumerate(ks):
         shape = [1] * d
         shape[ax] = k.size
-        xi.append((scale * k).reshape(shape))
+        sk = scale * k
+        xi.append(sk.reshape(shape))
         # The odd symbol has no Hermitian-symmetric value on the Nyquist plane.
-        odd = scale * k
-        odd[n // 2] = 0.0
+        odd = np.where(np.abs(k) == n // 2, 0.0, sk)
         grad.append((1j * odd).reshape(shape))
     xi_squared = sum(x**2 for x in xi)
     mag = np.sqrt(xi_squared)
     radial = np.zeros_like(mag)
     nz = mag > 0
     radial[nz] = mag[nz] ** exponent
-    fold = np.full(n // 2 + 1, 2.0)
-    fold[[0, -1]] = 1.0
+    fold = np.where((ks[-1] == 0) | (ks[-1] == n // 2), 1.0, 2.0)
     sobolev = (1.0 + xi_squared) ** exponent * fold
     for arr in (radial, fold, sobolev, *grad):
         arr.setflags(write=False)
@@ -219,19 +218,17 @@ def half_spectrum_symbols(grid: Grid, exponent: float) -> HalfSpectrumSymbols:
 
 
 @lru_cache(maxsize=32)
+def half_spectrum_symbols(grid: Grid, exponent: float) -> HalfSpectrumSymbols:
+    """The symbol table of ``grid`` at ``exponent``, built once per key."""
+    last = np.fft.rfftfreq(grid.n_points, d=1.0 / grid.n_points)
+    return _symbols(grid, exponent, (*[grid.k_signed] * (grid.dim - 1), last))
+
+
+@lru_cache(maxsize=32)
 def band_symbols(grid: Grid, exponent: float) -> HalfSpectrumSymbols:
-    """The table of :func:`half_spectrum_symbols` cut to the band, built once
+    """The symbol table of ``grid`` at ``exponent`` on the band, built once
     per key; the multipliers of :meth:`Grid.band_forward` coefficients."""
-
-    def cut(arr: np.ndarray) -> np.ndarray:
-        out = np.broadcast_to(arr, grid.spectral_shape)[grid.band]
-        out.setflags(write=False)
-        return out
-
-    full = half_spectrum_symbols(grid, exponent)
-    return HalfSpectrumSymbols(
-        cut(full.radial), cut(full.fold), cut(full.sobolev), tuple(map(cut, full.grad))
-    )
+    return _symbols(grid, exponent, tuple(grid.k_signed[ix.ravel()] for ix in grid.band))
 
 
 def _as_shaped(shape: tuple[int, ...], values: np.ndarray, name: str) -> np.ndarray:

@@ -150,8 +150,10 @@ class CoefficientOps:
     Spectral arrays live on the 2/3-rule band, which is the dealias mask.
     filt is the mollifier kernel's read-only band_hat when epsilon > 0 and
     1.0 otherwise; grad_mults and lap_mult come read-only from the grid's
-    cached band tables, shared by every freeze.  coeffs stacks the dealiased real fields that multiply
-    them, shape (dim + 1, *grid.shape): the components of grad p_v, then -v.
+    cached band tables, shared by every freeze: lap_mult is dense on the
+    band, and each of grad_mults broadcasts to it along its own axis.
+    coeffs stacks the dealiased real fields that multiply them, shape
+    (dim + 1, *grid.shape): the components of grad p_v, then -v.
     """
 
     grid: Grid

@@ -92,8 +92,6 @@ class DyadicPartition:
 
     def __post_init__(self):
         js, mults, crops = _dyadic_multipliers(self.grid)
-        object.__setattr__(self, "j_min", -1)
-        object.__setattr__(self, "j_max", js[-1])
         object.__setattr__(self, "indices", js)
         object.__setattr__(self, "multipliers", mults)
         object.__setattr__(self, "crops", crops)

@@ -31,22 +31,27 @@ def write_snapshot(path: str | os.PathLike, field: RealField, t: float) -> None:
 
 
 def read_snapshot(path: str | os.PathLike) -> tuple[RealField, float]:
+    """Read an FPM1 file; raise ParseError for any file that is not one."""
     with open(path, "rb") as fh:
-        header = fh.readline().decode("ascii").rstrip("\n")
-        parts = header.split()
-        if not parts or parts[0] != _MAGIC:
+        line = fh.readline()
+        payload = os.fstat(fh.fileno()).st_size - len(line)
+        parts = line.split()
+        if not parts or parts[0] != _MAGIC.encode("ascii"):
             raise ParseError(f"not an {_MAGIC} file: {path}")
-        kv = dict(p.split("=", 1) for p in parts[1:])
         try:
-            dim = int(kv["dim"])
-            n = int(kv["n"])
-            L = float(kv["L"])
-            t = float(kv["t"])
-        except (KeyError, ValueError) as exc:
-            raise ParseError(f"malformed {_MAGIC} header: {header!r}") from exc
-        grid = Grid(dim, n, L)
-        raw = fh.read(grid.size * 8)
-        if len(raw) != grid.size * 8:
-            raise ParseError(f"truncated {_MAGIC} payload in {path}")
-        values = np.frombuffer(raw, dtype="<f8").reshape(grid.shape)
-    return RealField(grid, values), t
+            kv = dict(p.decode("ascii").split("=", 1) for p in parts[1:])
+            dim, n, L, t = int(kv["dim"]), int(kv["n"]), float(kv["L"]), float(kv["t"])
+            count = float(n) ** dim
+        except (KeyError, ValueError, ArithmeticError) as exc:
+            raise ParseError(f"malformed {_MAGIC} header: {line!r}") from exc
+        # Checked before Grid allocates arrays of n entries, so a huge n in
+        # the header is never allocated or read.
+        if payload != 8 * count:
+            raise ParseError(f"{_MAGIC} payload in {path} is {payload} bytes, not 8 * {n}**{dim}")
+        try:
+            grid = Grid(dim, n, L)
+            values = np.frombuffer(fh.read(payload), dtype="<f8").reshape(grid.shape)
+            field = RealField(grid, values)
+        except ValueError as exc:
+            raise ParseError(f"invalid {_MAGIC} grid or values in {path}: {exc}") from exc
+    return field, t

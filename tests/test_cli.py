@@ -150,14 +150,16 @@ class TestExitCodes:
             ("linear", ["solver.epsilon=0.01"], "solver.epsilon"),
             ("linear", ["solver.epsilon=3.5"], "solver.epsilon"),
             ("sweep", ["sweep.epsilons=0.4, 0.01"], "sweep.epsilons"),
+            ("linear", ["initial.kind=random_trig", "initial.width=0"], "initial.width"),
+            ("linear", ["initial.kind=random_trig", "initial.width=-1"], "initial.width"),
         ],
         ids=lambda v: "+".join(v) if isinstance(v, list) else v,
     )
     def test_run_time_failure_rejected_before_output(
         self, tmp_path, capsys, cfg, overrides, key
     ):
-        # each of these used to pass the parser and fail only after the
-        # manifest (or a whole sweep radius) was written
+        # each of these used to pass the parser and then fail only after the
+        # manifest (or a whole sweep radius) was written, or run clamped
         out = tmp_path / "out"
         assert run_shipped(cfg, out, *overrides) == 2
         assert key in capsys.readouterr().err

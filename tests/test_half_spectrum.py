@@ -556,8 +556,12 @@ def test_symbols_shared_and_read_only(epsilon):
         assert a.filt is b.filt is kernel.band_hat
         spectral = (a.filt, a.lap_mult, *a.grad_mults)
     shape = grid.band_forward(v.values).shape
-    for arr in spectral:
+    for arr in spectral[: -grid.dim]:
         assert arr.shape == shape
+        assert arr.flags.writeable is False
+    # the gradient multipliers vary along one axis each and broadcast
+    for arr in a.grad_mults:
+        assert arr.shape != shape and np.broadcast_shapes(arr.shape, shape) == shape
         assert arr.flags.writeable is False
     for arr in (band.radial, band.fold, band.sobolev):
         assert arr.flags.writeable is False
@@ -573,6 +577,40 @@ def test_symbols_shared_and_read_only(epsilon):
     assert crops is DyadicPartition(grid).crops
     for crop in filter(None, crops):
         assert all(rows.flags.writeable is False for rows in crop[:-1])
+
+
+def bits(arr):
+    return np.ascontiguousarray(arr).view(np.uint8)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("n", [8, 16, 32, 64])
+def test_band_table_is_the_half_spectrum_table_cut_to_the_band(dim, n):
+    # the oracle cuts the dense half-spectrum table to the band here; the
+    # band table is built from the band's own frequencies
+    grid = Grid(dim, n, 2 * np.pi)
+    band_shape = grid.band_forward(np.zeros(grid.shape)).shape
+    for exponent in (-1.5, 0.0, 0.5, 1.0, 1.6, 2.6):
+        full, band = half_spectrum_symbols(grid, exponent), band_symbols(grid, exponent)
+        pairs = [
+            (full.radial, band.radial),
+            (full.fold, band.fold),
+            (full.sobolev, band.sobolev),
+            *zip(full.grad, band.grad),
+        ]
+        for f, b in pairs:
+            cut = np.broadcast_to(f, grid.spectral_shape)[grid.band]
+            assert np.array_equal(bits(np.broadcast_to(b, band_shape)), bits(cut))
+        assert band.radial.shape == band.sobolev.shape == band_shape
+
+
+def test_band_table_is_small_and_caches_no_full_table():
+    grid = Grid(3, 64, 2 * np.pi)
+    before = half_spectrum_symbols.cache_info().currsize
+    sym = band_symbols(grid, 0.123)
+    assert half_spectrum_symbols.cache_info().currsize == before
+    total = sum(a.nbytes for a in (sym.radial, sym.fold, sym.sobolev, *sym.grad))
+    assert total <= 0.7e6
 
 
 # ---------------------------------------------------------------------------

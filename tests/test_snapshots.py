@@ -68,3 +68,39 @@ def test_extreme_values_survive(tmp_path):
     assert np.array_equal(back.values, vals)
     # signed zero must keep its sign bit
     assert np.signbit(back.values[1])
+
+
+def _header(dim, n, L=1.0, t=0.0):
+    return f"FPM1 dim={dim} n={n} L={L} t={t}\n".encode("ascii")
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        # trailing bytes after the payload
+        _header(1, 8) + b"\x00" * 72,
+        # header grids Grid rejects, each with the payload its header sizes
+        _header(4, 8) + b"\x00" * (8 * 8**4),
+        _header(1, 7) + b"\x00" * (8 * 7),
+        _header(1, 8, L=-1.0) + b"\x00" * 64,
+        # a non-ASCII header
+        "FPM1 dim=1 n=8 L=1.0 t=0.0 é\n".encode("utf-8") + b"\x00" * 64,
+        # a header field without '='
+        b"FPM1 dim=1 n=8 L=1.0 t\n" + b"\x00" * 64,
+        # a huge n against a small payload: rejected without reading it
+        _header(3, 2**40) + b"\x00" * 64,
+        _header(1, 10**400) + b"\x00" * 64,
+        _header(-1, 0) + b"\x00" * 64,
+        # a value RealField rejects
+        _header(1, 8) + np.full(8, np.nan).astype("<f8").tobytes(),
+    ],
+    ids=[
+        "trailing", "dim4", "n7", "negative_L", "non_ascii", "no_equals",
+        "huge_n", "overflow_n", "zero_n", "nan_value",
+    ],
+)
+def test_malformed_file_is_parse_error(tmp_path, raw):
+    path = tmp_path / "bad.fpm1"
+    path.write_bytes(raw)
+    with pytest.raises(ParseError):
+        read_snapshot(path)
