@@ -140,7 +140,8 @@ class FieldGenerator:
 
     def check(self, grid: Grid) -> None:
         """Raise ValueError for an unknown kind, a negative seed, a width
-        that is not finite and positive, or a bump too narrow to be
+        that is not finite and positive, a random_trig width above the side
+        length, where no mode but the mean fits, or a bump too narrow to be
         band-limited on grid."""
         if self.kind not in self.KINDS:
             raise ValueError(f"kind must be one of {self.KINDS}, got {self.kind!r}")
@@ -148,6 +149,10 @@ class FieldGenerator:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not (math.isfinite(self.width) and self.width > 0):
             raise ValueError(f"width must be finite and positive, got {self.width}")
+        if self.kind == "random_trig" and self.width > grid.side_length:
+            raise ValueError(
+                f"width {self.width} exceeds the side length {grid.side_length:.4g}"
+            )
         if self.kind not in ("gaussian_bump", "multi_bump"):
             return
         w_min = 11.4 * grid.side_length / (2.0 * np.pi * grid.dealias_cutoff)

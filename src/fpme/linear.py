@@ -15,14 +15,17 @@ band F of u's unnormalized ``rfftn`` (see :mod:`fpme.grid`), and the stages
 combine band coefficients.  One right-hand side is
 ``filt * band_forward(sum_i c_i * band_inverse(M_i * filt * F))``: dim + 1
 inverse transforms and one forward transform, none of them over a row off
-the band.  Both solvers step through _march, which lands exactly on each
-stop time: solve_linear marches through the snapshot times to t_end, and a
-Picard segment is one march.  _field returns the state to real space once
-per step or segment, as ``u = u_start + band_inverse(F - F_start)``, so u
-keeps u_start's coefficients off the band, and a state the right-hand side
-does not move stays equal to u_start bit for bit.  A diagnostics record reads
-F and u_start's off-band H^alpha power, which every state keeps, so it makes
-no forward transform.
+the band.  The dim + 1 inverses run in stacks of at most 256 KiB of real
+output per band_inverse call (_STACK_BYTES), one rule for every grid: one
+call at 1-D, at 2-D n <= 64 and at 3-D n = 16, one call per array from
+3-D n = 32 on.  Both solvers step through _march, which lands exactly on
+each stop time: solve_linear marches through the snapshot times to t_end,
+and a Picard segment is one march.  _field returns the state to real space
+once per step or segment, as ``u = u_start + band_inverse(F - F_start)``,
+so u keeps u_start's coefficients off the band, and a state the right-hand
+side does not move stays equal to u_start bit for bit.  A diagnostics
+record reads F and u_start's off-band H^alpha power, which every state
+keeps, so it makes no forward transform.
 """
 
 from __future__ import annotations
@@ -49,6 +52,9 @@ __all__ = [
 ]
 
 _BLOWUP_LIMIT = 1e12
+# Real output bytes of one stacked band_inverse in a right-hand side; a
+# stack pays one call's overhead for all its arrays but keeps them alive.
+_STACK_BYTES = 256 * 1024
 
 
 def _check_nonnegative(name: str, f: RealField) -> None:
@@ -153,7 +159,9 @@ class CoefficientOps:
     cached band tables, shared by every freeze: lap_mult is dense on the
     band, and each of grad_mults broadcasts to it along its own axis.
     coeffs stacks the dealiased real fields that multiply them, shape
-    (dim + 1, *grid.shape): the components of grad p_v, then -v.
+    (dim + 1, *grid.shape): the components of grad p_v, then -v.  A
+    right-hand side inverts its dim + 1 multiplier products in stacks of
+    at most 256 KiB, one band_inverse call per stack.
     """
 
     grid: Grid
@@ -194,12 +202,11 @@ def _freeze(
     np.negative(Fv, out=stack[-1])
     coeffs = g.band_inverse(stack)
 
-    grad_p_mag = np.sqrt(sum(gp**2 for gp in coeffs[:-1]))
+    # sqrt is monotone and correctly rounded: the sqrt of the max is the
+    # max of the sqrts, without a square-root array
+    grad_p_max = math.sqrt(float(np.max(sum(gp**2 for gp in coeffs[:-1]))))
     xi_max = g.xi_max_retained
-    rho_est = float(
-        vmax * xi_max ** (2.0 - 2.0 * s)
-        + np.max(grad_p_mag) * xi_max
-    )
+    rho_est = float(vmax * xi_max ** (2.0 - 2.0 * s) + grad_p_max * xi_max)
     return CoefficientOps(
         grid=g,
         filt=filt,
@@ -210,13 +217,37 @@ def _freeze(
     )
 
 
+def _products(mults: tuple[np.ndarray, ...], Fu: np.ndarray) -> np.ndarray:
+    """The products m * Fu stacked along a new leading axis."""
+    stack = np.empty((len(mults), *Fu.shape), dtype=complex)
+    for j, m in enumerate(mults):
+        np.multiply(m, Fu, out=stack[j])
+    return stack
+
+
 def _rhs_values(F: np.ndarray, ops: CoefficientOps) -> np.ndarray:
-    """Right-hand side on the band coefficients F of the state."""
+    """Right-hand side on the band coefficients F of the state.
+
+    The products are summed in a fixed order, -v times the Laplacian term
+    first, then each gradient term, whatever the stacking; r is a fresh
+    array, and each stack and its inverse are dropped before the next."""
     g = ops.grid
     Fu = F * ops.filt
-    r = g.band_inverse(ops.lap_mult * Fu) * ops.coeffs[-1]
-    for gm, c in zip(ops.grad_mults, ops.coeffs):
-        r += g.band_inverse(gm * Fu) * c
+    # mults[i] pairs with coeffs row i - 1: -v (row -1), then grad p
+    mults = (ops.lap_mult, *ops.grad_mults)
+    k = max(1, _STACK_BYTES // (8 * g.size))
+    r = None
+    for lo in range(0, len(mults), k):
+        # the stack is band_inverse's alone, which drops it after its first
+        # pass; P is indexed, so no loop variable keeps a view of it alive
+        P = g.band_inverse(_products(mults[lo : lo + k], Fu))
+        for j in range(len(P)):
+            c = ops.coeffs[lo + j - 1]
+            if r is None:
+                r = P[j] * c
+            else:
+                r += np.multiply(P[j], c, out=P[j])
+        del P
     Fr = g.band_forward(r)
     Fr *= ops.filt
     return Fr
@@ -253,14 +284,21 @@ def _march(F: np.ndarray, ops: CoefficientOps, dt_cap: float, stops, tiny: float
         yield F, t, dt, landed
 
 
-def _field(u_start: RealField, F: np.ndarray, F_start: np.ndarray, t: float) -> RealField:
-    """State F marched from u_start (band F_start) in real space; BlowUp at t."""
-    g = u_start.grid
-    u = u_start.values + g.band_inverse(F - F_start)
+def _values(
+    u_start: RealField, F: np.ndarray, F_start: np.ndarray, t: float
+) -> tuple[np.ndarray, float]:
+    """Samples u of state F marched from u_start (band F_start), and
+    max|u|; BlowUp at t."""
+    u = u_start.values + u_start.grid.band_inverse(F - F_start)
     linf = float(np.max(np.abs(u)))
     if not math.isfinite(linf) or linf > _BLOWUP_LIMIT:
         raise BlowUp(t, linf)
-    return RealField(g, u)
+    return u, linf
+
+
+def _field(u_start: RealField, F: np.ndarray, F_start: np.ndarray, t: float) -> RealField:
+    """State F marched from u_start (band F_start) in real space; BlowUp at t."""
+    return RealField(u_start.grid, _values(u_start, F, F_start, t)[0])
 
 
 @dataclass(eq=False)

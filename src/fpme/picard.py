@@ -19,9 +19,9 @@ states F of its samples (see :mod:`fpme.linear`).  The distance between two
 samples is a band reduction of their state difference, the next iterate
 freezes a band state directly, each previous sample is dropped once it has
 been frozen and compared, and the diagnostics records read the band states.
-Real fields exist only where they are read: one per sample inside the march,
-for the blow-up check and the min u and max|u| it keeps, and one per access
-of PicardResult.trajectory.
+Real samples exist only where they are read: one array per sample inside
+the march, for the blow-up check and the min u and max|u| it keeps, and one
+RealField per access of PicardResult.trajectory.
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ from .linear import (
     _field,
     _freeze,
     _march,
+    _values,
     make_coefficient_ops,
     rhs_with_ops,
 )
@@ -213,9 +214,9 @@ def _advance_iterate(
             frozen = Fv
         for F, *_ in _march(F, ops, dt_cap, (dt_seg,), tiny):
             pass
-        u = _field(u_start, F, F_start, (i + 1) * dt_seg).values
+        u, vmax = _values(u_start, F, F_start, (i + 1) * dt_seg)
         new.states.append(F)
-        new.vmax.append(float(np.max(np.abs(u))))
+        new.vmax.append(vmax)
         min_u = min(min_u, float(np.min(u)))
         h_list.append(_norm_of_rfft(g, F, weight, tail))
         delta = max(delta, _norm_of_rfft(g, F - prev.states[i + 1], weight_delta))

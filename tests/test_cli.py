@@ -152,6 +152,7 @@ class TestExitCodes:
             ("sweep", ["sweep.epsilons=0.4, 0.01"], "sweep.epsilons"),
             ("linear", ["initial.kind=random_trig", "initial.width=0"], "initial.width"),
             ("linear", ["initial.kind=random_trig", "initial.width=-1"], "initial.width"),
+            ("linear", ["initial.kind=random_trig", "initial.width=100"], "initial.width"),
         ],
         ids=lambda v: "+".join(v) if isinstance(v, list) else v,
     )

@@ -170,6 +170,15 @@ class TestFieldGenerator:
         with pytest.raises(ValueError):
             FieldGenerator("gaussian_bump", seed=1, width=0.1).generate(grid64)
 
+    def test_random_trig_width_above_side_length_rejected(self, grid64):
+        # modes run up to L/width, so a wider field has none but the mean;
+        # it used to be clamped silently to the field of width L
+        L = grid64.side_length
+        FieldGenerator("random_trig", seed=1, width=L).generate(grid64)
+        for width in (1.01 * L, 100.0):
+            with pytest.raises(ValueError, match="^width"):
+                FieldGenerator("random_trig", seed=1, width=width).generate(grid64)
+
     def test_unknown_kind_rejected(self, grid64):
         with pytest.raises(ValueError):
             FieldGenerator("perlin", seed=1).generate(grid64)

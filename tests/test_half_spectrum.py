@@ -10,7 +10,9 @@ rfftn/irfftn, and the band-state stepper against RK4 with the stages
 combined in real space on rfftn/irfftn.
 """
 
+import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -45,6 +47,7 @@ from fpme.grid import (
     inverse_transform,
     resample,
 )
+from fpme import linear
 from fpme.linear import _field, _rk4_step, make_coefficient_ops, rhs_with_ops
 from fpme.norms import _chi, _start_band
 from fpme.picard import _advance_iterate, _Samples
@@ -392,6 +395,54 @@ def test_spectral_state_steps_match_real_space_oracle(grid, epsilon):
     assert rel_err(u - u0.values, oracle - u0.values) <= TOL
 
 
+def unstacked_rhs(F, ops):
+    """The right-hand side with one band inverse per product, summed -v
+    times the Laplacian term first, then each gradient term."""
+    g = ops.grid
+    Fu = F * ops.filt
+    r = g.band_inverse(ops.lap_mult * Fu) * ops.coeffs[-1]
+    for gm, c in zip(ops.grad_mults, ops.coeffs):
+        r += g.band_inverse(gm * Fu) * c
+    Fr = g.band_forward(r)
+    Fr *= ops.filt
+    return Fr
+
+
+@pytest.mark.parametrize("grid", GRIDS, ids=lambda g: f"dim{g.dim}")
+@pytest.mark.parametrize("fields", [0, 1, 2, None], ids=lambda f: f"fields{f}")
+@pytest.mark.parametrize("epsilon", [0.0, 1.0])
+def test_stacked_rhs_is_the_unstacked_sum_bit_for_bit(grid, fields, epsilon, monkeypatch):
+    # budgets of no field, one and two fields' real bytes (1, 1 and 2
+    # arrays per stack, a short last stack at dim 2 and 3) and one stack
+    stack_bytes = 1 << 30 if fields is None else fields * 8 * grid.size
+    monkeypatch.setattr(linear, "_STACK_BYTES", stack_bytes)
+    kernel = MollifierKernel(grid, epsilon) if epsilon > 0 else None
+    ops = make_coefficient_ops(coefficient(grid, seed=21), 0.75, epsilon, kernel)
+    F = grid.band_forward(random_field(grid, seed=22).values)
+    out = linear._rhs_values(F, ops)
+    assert out.tobytes() == unstacked_rhs(F, ops).tobytes()
+
+
+def test_stacked_rhs_peak_not_above_unstacked():
+    # at 3-D n = 32 a stack holds one array: each inverse is released
+    # before the next is made, and each product is formed in place
+    grid = Grid(3, 32, 2 * np.pi)
+    assert linear._STACK_BYTES // (8 * grid.size) == 1
+    ops = make_coefficient_ops(coefficient(grid, seed=23), 0.75, 0.0)
+    F = grid.band_forward(random_field(grid, seed=24).values)
+
+    def peak(rhs):
+        rhs(F, ops)  # warm caches outside the trace
+        tracemalloc.start()
+        try:
+            rhs(F, ops)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(linear._rhs_values) <= peak(unstacked_rhs)
+
+
 def coefficient_samples(grid, u0, F0, samples):
     """A previous iterate from u0 (band F0) whose later samples are distinct
     coefficients, as band states with their max|v|."""
@@ -422,16 +473,18 @@ def test_iterate_h_alpha_matches_sobolev_norm(grid):
 
 @pytest.mark.parametrize("grid", GRIDS, ids=lambda g: f"dim{g.dim}")
 def test_transform_counts(grid, monkeypatch):
-    # dim + 1 band inverses and one band forward per right-hand side, no
-    # transform of the state inside a step and none over the half-spectrum,
-    # one band forward and one stacked band inverse per freeze, and one
-    # forward per operator or Besov norm however many outputs it makes;
-    # a Picard iterate freezes band states and measures its samples on the
-    # band, so beyond its RK4 steps it makes one band inverse per freeze
-    # and one per sample's real field, and no forward transform; a record
-    # given the band state makes only its blocks' band inverses, and one
-    # rfftn without it
-    names = ("rfftn", "irfftn", "band_forward", "band_inverse")
+    # dim + 1 band inverses, in stacks of k = _STACK_BYTES // (8 * size)
+    # arrays (at least 1) per band_inverse call, and one band forward per
+    # right-hand side, no transform of the state inside a step and none
+    # over the half-spectrum, one band forward and one stacked band inverse
+    # per freeze, and one forward per operator or Besov norm however many
+    # outputs it makes; a Picard iterate freezes band states and measures
+    # its samples on the band, so beyond its RK4 steps it makes one band
+    # inverse per freeze and one per sample's real field, and no forward
+    # transform; a record given the band state makes only its blocks' band
+    # inverses, and one rfftn without it.  "inverted" counts the arrays
+    # the band inverses invert.
+    names = ("rfftn", "irfftn", "band_forward", "band_inverse", "inverted")
     counts = dict.fromkeys(names, 0)
 
     def counted(owner, name):
@@ -439,6 +492,9 @@ def test_transform_counts(grid, monkeypatch):
 
         def wrapper(*args, **kwargs):
             counts[name] += 1
+            if name == "band_inverse":
+                B = args[1]
+                counts["inverted"] += math.prod(B.shape[: B.ndim - grid.dim])
             return real(*args, **kwargs)
 
         monkeypatch.setattr(owner, name, wrapper)
@@ -455,11 +511,19 @@ def test_transform_counts(grid, monkeypatch):
     counted(Grid, "band_forward")
     counted(Grid, "band_inverse")
 
+    def rhs_calls():
+        k = max(1, linear._STACK_BYTES // (8 * grid.size))
+        return math.ceil((grid.dim + 1) / k)
+
+    assert rhs_calls() == 1  # every test grid fits in one stack
     ops = make_coefficient_ops(v, 0.75, 1.0, kernel)
-    expect(band_forward=1, band_inverse=1)
+    expect(band_forward=1, band_inverse=1, inverted=grid.dim + 1)
     assert ops.coeffs.shape == (grid.dim + 1, *grid.shape)
-    _rk4_step(F, 1e-3, ops)
-    expect(band_forward=4, band_inverse=4 * (grid.dim + 1))
+    # one array per call, then the default stacks
+    for stack_bytes in (0, linear._STACK_BYTES):
+        monkeypatch.setattr(linear, "_STACK_BYTES", stack_bytes)
+        _rk4_step(F, 1e-3, ops)
+        expect(band_forward=4, band_inverse=4 * rhs_calls(), inverted=4 * (grid.dim + 1))
 
     f = random_field(grid, seed=14)
     partition = DyadicPartition(grid)
@@ -468,16 +532,16 @@ def test_transform_counts(grid, monkeypatch):
         (lambda: inv_frac_laplacian(f, 0.7), {"rfftn": 1, "irfftn": 1}),
         (lambda: mollify(f, kernel), {"rfftn": 1, "irfftn": 1}),
         (lambda: gradient(f), {"rfftn": 1, "irfftn": grid.dim}),
-        (lambda: besov_norm(f, 1.1, partition),
-         {"band_forward": 1, "band_inverse": len(partition.multipliers)}),
     ]
     blocks = len(partition.multipliers)
+    inverses = {"band_inverse": blocks, "inverted": blocks}
+    calls.append((lambda: besov_norm(f, 1.1, partition), {"band_forward": 1, **inverses}))
     recorder = RecorderConfig(alpha=1.1, partition=partition, coefficient_scale=1.0)
     band = _start_band(f, 1.1)
     expect(rfftn=1)
     calls += [
-        (lambda: record(f, 0.0, 0.0, recorder, None, band), {"band_inverse": blocks}),
-        (lambda: record(f, 0.0, 0.0, recorder), {"rfftn": 1, "band_inverse": blocks}),
+        (lambda: record(f, 0.0, 0.0, recorder, None, band), inverses),
+        (lambda: record(f, 0.0, 0.0, recorder), {"rfftn": 1, **inverses}),
     ]
     for call, made in calls:
         call()
@@ -493,7 +557,8 @@ def test_transform_counts(grid, monkeypatch):
     # beside one freeze and one real field
     _advance_iterate(u0, tail, prev, config, 1e-4, None)
     expect(band_forward=config.samples * 4,
-           band_inverse=config.samples * (4 * (grid.dim + 1) + 2))
+           band_inverse=config.samples * (4 * rhs_calls() + 2),
+           inverted=config.samples * (4 * (grid.dim + 1) + grid.dim + 1 + 1))
 
 
 @pytest.mark.parametrize("grid", GRIDS, ids=lambda g: f"dim{g.dim}")
