@@ -94,9 +94,10 @@ def record(
     band (see norms._start_band).  Without it one rfftn of u makes both.
     h_alpha and besov_alpha are read from F and tail, so a record with band
     makes no forward transform, and one band inverse per Littlewood-Paley
-    block.  c_meas is the growth_quotient of the H^alpha norm since prev,
-    zero for the first record.  Raises GridMismatch when config.partition
-    is on another grid than u.
+    block whose Parseval bound can reach the Besov sup (see
+    norms._besov_of_band).  c_meas is the growth_quotient of the H^alpha
+    norm since prev, zero for the first record.  Raises GridMismatch when
+    config.partition is on another grid than u.
     """
     g = u.grid
     F, tail = _start_band(u, config.alpha) if band is None else band
@@ -141,7 +142,8 @@ class FieldGenerator:
     def check(self, grid: Grid) -> None:
         """Raise ValueError for an unknown kind, a negative seed, a width
         that is not finite and positive, a random_trig width above the side
-        length, where no mode but the mean fits, or a bump too narrow to be
+        length, where no mode but the mean fits, or so narrow that its modes
+        up to L/width pass the band's cutoff, or a bump too narrow to be
         band-limited on grid."""
         if self.kind not in self.KINDS:
             raise ValueError(f"kind must be one of {self.KINDS}, got {self.kind!r}")
@@ -152,6 +154,11 @@ class FieldGenerator:
         if self.kind == "random_trig" and self.width > grid.side_length:
             raise ValueError(
                 f"width {self.width} exceeds the side length {grid.side_length:.4g}"
+            )
+        if self.kind == "random_trig" and int(grid.side_length / self.width) > grid.dealias_cutoff:
+            raise ValueError(
+                f"width {self.width} admits modes above the cutoff {grid.dealias_cutoff} "
+                f"of this grid (least admitted width {_least_trig_width(grid)!r})"
             )
         if self.kind not in ("gaussian_bump", "multi_bump"):
             return
@@ -198,15 +205,28 @@ class FieldGenerator:
     def _random_trig(self, grid: Grid) -> RealField:
         rng = np.random.default_rng(self.seed)
         noise = rng.standard_normal(grid.shape)
-        # k_max <= dealias_cutoff, so the spectrum is zero off the band
+        # check keeps 1 <= k_max <= dealias_cutoff, so the spectrum is zero
+        # off the band
         r = band_symbols(grid, 1.0).radial / (2.0 * np.pi / grid.side_length)
-        k_max = max(1, min(grid.dealias_cutoff, int(grid.side_length / self.width)))
+        k_max = int(grid.side_length / self.width)
         B = grid.band_forward(noise) * ((r <= k_max) / (1.0 + r))
         f = RealField(grid, grid.band_inverse(B))
         peak = float(np.max(np.abs(f.values)))
         if peak == 0.0:
             return f
         return RealField(grid, f.values * (self.amplitude / peak))
+
+
+def _least_trig_width(grid: Grid) -> float:
+    """The least float width whose random_trig modes, up to L/width, stay
+    within the band's cutoff."""
+    L, c = grid.side_length, grid.dealias_cutoff
+    w = L / (c + 1)
+    while int(L / w) <= c:
+        w = math.nextafter(w, 0.0)
+    while int(L / w) > c:
+        w = math.nextafter(w, math.inf)
+    return w
 
 
 # ---------------------------------------------------------------------------

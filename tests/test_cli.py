@@ -153,6 +153,7 @@ class TestExitCodes:
             ("linear", ["initial.kind=random_trig", "initial.width=0"], "initial.width"),
             ("linear", ["initial.kind=random_trig", "initial.width=-1"], "initial.width"),
             ("linear", ["initial.kind=random_trig", "initial.width=100"], "initial.width"),
+            ("linear", ["initial.kind=random_trig", "initial.width=0.001"], "initial.width"),
         ],
         ids=lambda v: "+".join(v) if isinstance(v, list) else v,
     )

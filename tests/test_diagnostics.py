@@ -179,6 +179,23 @@ class TestFieldGenerator:
             with pytest.raises(ValueError, match="^width"):
                 FieldGenerator("random_trig", seed=1, width=width).generate(grid64)
 
+    @pytest.mark.parametrize("dim, n, length", [(1, 64, 2 * np.pi), (2, 16, 2 * np.pi),
+                                                (3, 32, 1.0), (1, 128, 10.0), (1, 8, 3.0)])
+    def test_random_trig_width_below_cutoff_rejected(self, dim, n, length):
+        # modes run up to L/width, so a narrower field than the band holds
+        # used to be clamped silently to the field at the cutoff; the check
+        # rejects exactly the widths with int(L / width) > cutoff, and the
+        # message names the least admitted one
+        grid = Grid(dim, n, length)
+        c = grid.dealias_cutoff
+        with pytest.raises(ValueError, match=r"^width .*least admitted width") as exc:
+            FieldGenerator("random_trig", seed=1, width=length / 1000).check(grid)
+        least = float(str(exc.value).rsplit(" ", 1)[1].rstrip(")"))
+        assert int(length / least) == c
+        FieldGenerator("random_trig", seed=1, width=least).generate(grid)
+        with pytest.raises(ValueError, match="^width"):
+            FieldGenerator("random_trig", seed=1, width=math.nextafter(least, 0.0)).check(grid)
+
     def test_unknown_kind_rejected(self, grid64):
         with pytest.raises(ValueError):
             FieldGenerator("perlin", seed=1).generate(grid64)

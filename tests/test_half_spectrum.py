@@ -481,9 +481,12 @@ def test_transform_counts(grid, monkeypatch):
     # outputs it makes; a Picard iterate freezes band states and measures
     # its samples on the band, so beyond its RK4 steps it makes one band
     # inverse per freeze and one per sample's real field, and no forward
-    # transform; a record given the band state makes only its blocks' band
-    # inverses, and one rfftn without it.  "inverted" counts the arrays
-    # the band inverses invert.
+    # transform; a record given the band state makes only the band
+    # inverses of its Besov norm, and one rfftn without it.  A Besov norm
+    # inverts blocks until no block left can reach the sup, so its count
+    # depends on the data: one block of the noise field below, and every
+    # block of the zero field, whose bounds are never below its sup of 0.
+    # "inverted" counts the arrays the band inverses invert.
     names = ("rfftn", "irfftn", "band_forward", "band_inverse", "inverted")
     counts = dict.fromkeys(names, 0)
 
@@ -533,9 +536,14 @@ def test_transform_counts(grid, monkeypatch):
         (lambda: mollify(f, kernel), {"rfftn": 1, "irfftn": 1}),
         (lambda: gradient(f), {"rfftn": 1, "irfftn": grid.dim}),
     ]
+    zero = RealField(grid, np.zeros(grid.shape))
     blocks = len(partition.multipliers)
-    inverses = {"band_inverse": blocks, "inverted": blocks}
-    calls.append((lambda: besov_norm(f, 1.1, partition), {"band_forward": 1, **inverses}))
+    inverses = {"band_inverse": 1, "inverted": 1}
+    calls += [
+        (lambda: besov_norm(f, 1.1, partition), {"band_forward": 1, **inverses}),
+        (lambda: besov_norm(zero, 1.1, partition),
+         {"band_forward": 1, "band_inverse": blocks, "inverted": blocks}),
+    ]
     recorder = RecorderConfig(alpha=1.1, partition=partition, coefficient_scale=1.0)
     band = _start_band(f, 1.1)
     expect(rfftn=1)
@@ -708,7 +716,8 @@ def test_package_makes_no_complex_fft_call(monkeypatch):
         band_only(name)
 
     grid = Grid(2, 16, 2 * np.pi)
-    f = FieldGenerator("random_trig", seed=1, amplitude=1.0, width=1.0).generate(grid)
+    # modes up to k = 5, the band's cutoff at n = 16
+    f = FieldGenerator("random_trig", seed=1, amplitude=1.0, width=2 * np.pi / 5).generate(grid)
     h = FieldGenerator("multi_bump", seed=2, amplitude=0.5, width=2.5).generate(grid)
     kernel = MollifierKernel(grid, 1.0)
     inverse_transform(forward_transform(f))

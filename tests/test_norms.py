@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from fpme import (
     DyadicPartition,
+    FieldGenerator,
     Grid,
     GridMismatch,
     RealField,
@@ -142,6 +143,19 @@ def blocks_of(f, p):
     return [RealField(g, g.band_inverse(m * B)) for m in p.multipliers]
 
 
+def cropped_block_l1_norms(f, p):
+    """The L1 norm of every block of f, each inverted over its crop and
+    summed as besov_norm does, with no block skipped."""
+    g = f.grid
+    B = g.band_forward(f.values)
+    cell = g.spacing**g.dim
+    norms = []
+    for m, crop in zip(p.multipliers, p.crops):
+        block = g.band_inverse(m * B if crop is None else m[crop] * B[crop])
+        norms.append(float(np.abs(block).sum() * cell))
+    return norms
+
+
 class TestDyadicPartition:
     def test_partition_of_unity_on_retained_modes(self):
         for dim, n in [(1, 64), (2, 32), (3, 16)]:
@@ -272,6 +286,68 @@ class TestBesovNorm:
             tracemalloc.stop()
         assert value == expected
         assert peak <= 4 * f.values.nbytes
+
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("n", [16, 64])
+    def test_skipped_blocks_leave_the_sup_bit_for_bit(self, dim, n):
+        # a block is skipped only when its Parseval bound cannot reach the
+        # sup, so the sup equals the max over every block exactly; the
+        # constant is the Cauchy-Schwarz equality case of the bound
+        grid = Grid(dim, n, 2 * np.pi)
+        p = DyadicPartition(grid)
+        L, c = grid.side_length, grid.dealias_cutoff
+        j_top = int(np.log2(c))
+        fields = [
+            RealField(grid, np.zeros(grid.shape)),
+            FieldGenerator("constant", amplitude=0.7).generate(grid),
+            RealField(grid, 0.7 * np.cos(2**j_top * grid.axes()[0])),
+            FieldGenerator("random_trig", seed=5, width=L / 2).generate(grid),
+            FieldGenerator("random_trig", seed=6, width=L / c).generate(grid),
+            FieldGenerator("multi_bump", seed=7, amplitude=0.5, width=2.5).generate(grid),
+        ]
+        for f in fields:
+            norms = cropped_block_l1_norms(f, p)
+            for alpha in (0.0, 0.6, 1.1, 2.1, 2.6):
+                expected = max(2.0 ** (j * alpha) * v for j, v in zip(p.indices, norms))
+                assert besov_norm(f, alpha, p) == expected
+
+    def test_block_at_its_bound_is_not_skipped(self, grid64):
+        # the constant's block -1 equals its bound; a cosine in block 3 with
+        # a larger bound is inverted first and leaves a sup 1e-5 below it,
+        # so block -1 must still be inverted
+        p = DyadicPartition(grid64)
+        alpha = 1.1
+        wave = np.cos(8 * grid64.axes()[0])
+        top = 2.0**-alpha * grid64.side_length
+        a = (1 - 1e-5) * top / (2.0 ** (3 * alpha) * lp_norm(RealField(grid64, wave), 1))
+        f = RealField(grid64, 1.0 + a * wave)
+        norms = cropped_block_l1_norms(f, p)
+        value = besov_norm(f, alpha, p)
+        assert value == max(2.0 ** (j * alpha) * v for j, v in zip(p.indices, norms))
+        assert value == 2.0**-alpha * norms[0] == pytest.approx(top, rel=1e-14)
+
+    def test_smooth_bump_inverts_one_block(self, monkeypatch):
+        # at 3-D n=64 the smooth bump's block 2 outweighs every other
+        # block's Parseval bound, so of its 8 blocks only that one is
+        # inverted
+        grid = Grid(3, 64, 2 * np.pi)
+        p = DyadicPartition(grid)
+        f = FieldGenerator("multi_bump", seed=1, amplitude=0.5, width=0.8).generate(grid)
+        inverted = []
+        real = Grid.band_inverse
+
+        def counted(self, B):
+            inverted.append(B.shape[-1] - 1)
+            return real(self, B)
+
+        monkeypatch.setattr(Grid, "band_inverse", counted)
+        value = besov_norm(f, 2.6, p)
+        assert len(p.multipliers) == 8 and inverted == [7]
+        monkeypatch.undo()
+        norms = cropped_block_l1_norms(f, p)
+        assert value == max(2.0 ** (j * 2.6) * v for j, v in zip(p.indices, norms))
+        assert value == 2.0 ** (2 * 2.6) * norms[p.indices.index(2)]
 
 
 class TestInequalityWitnesses:
