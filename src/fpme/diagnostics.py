@@ -15,7 +15,14 @@ import numpy as np
 from .errors import DegenerateDenominator, InvalidExponent, UnsupportedExponent
 from .fracops import MollifierKernel, frac_laplacian, gradient, mollify
 from .grid import (
-    Grid, RealField, apply_symbols, band_symbols, half_spectrum_symbols, require_same_grid
+    Grid,
+    RealField,
+    _fields_per_stack,
+    _multiply_symbols,
+    apply_symbols,
+    band_symbols,
+    half_spectrum_symbols,
+    require_same_grid,
 )
 from .norms import (
     DyadicPartition, _besov_of_band, _norm_of_rfft, _start_band, homogeneous_seminorm, lp_norm
@@ -203,18 +210,24 @@ class FieldGenerator:
         return RealField(grid, total)
 
     def _random_trig(self, grid: Grid) -> RealField:
-        rng = np.random.default_rng(self.seed)
-        noise = rng.standard_normal(grid.shape)
-        # check keeps 1 <= k_max <= dealias_cutoff, so the spectrum is zero
-        # off the band
-        r = band_symbols(grid, 1.0).radial / (2.0 * np.pi / grid.side_length)
+        """The one field of _trig_fields at this seed, with the modes up to
+        L/width; check keeps that count within [1, dealias_cutoff]."""
         k_max = int(grid.side_length / self.width)
-        B = grid.band_forward(noise) * ((r <= k_max) / (1.0 + r))
-        f = RealField(grid, grid.band_inverse(B))
-        peak = float(np.max(np.abs(f.values)))
-        if peak == 0.0:
-            return f
-        return RealField(grid, f.values * (self.amplitude / peak))
+        return RealField(grid, _trig_fields(grid, [self.seed], k_max, self.amplitude)[0])
+
+
+def _trig_fields(grid: Grid, seeds, k_max: int, amplitude: float = 1.0) -> np.ndarray:
+    """random_trig fields on grid, one per seed, stacked on a leading axis:
+    the seed's white noise kept on |k| <= k_max, a mode count in
+    [1, dealias_cutoff], weighted 1 / (1 + |k|) and scaled by
+    amplitude / max|f|; a field with no power left stays zero.  A stack
+    equals its fields made one at a time bit for bit."""
+    noise = np.stack([np.random.default_rng(seed).standard_normal(grid.shape) for seed in seeds])
+    r = band_symbols(grid, 1.0).radial / (2.0 * np.pi / grid.side_length)
+    values = grid.band_inverse(grid.band_forward(noise) * ((r <= k_max) / (1.0 + r)))
+    peak = np.max(np.abs(values), axis=grid.fft_axes, keepdims=True)
+    values *= np.divide(amplitude, peak, out=np.ones_like(peak), where=peak != 0.0)
+    return values
 
 
 def _least_trig_width(grid: Grid) -> float:
@@ -240,16 +253,33 @@ class InequalityReport:
     passed: bool
 
 
-def _gap_field(f: RealField, sigma: float, p: int) -> RealField:
-    lam_f = frac_laplacian(f, sigma)
-    power = f.values ** (p - 1)
-    first = p * power * lam_f.values
-    g = f.grid
-    B = g.band_forward(f.values**p)
+def _gap_field(g: Grid, values: np.ndarray, sigma: float, p: int) -> np.ndarray:
+    """p f^(p-1) Lambda^sigma f - Lambda^sigma(f^p) for each field f of
+    values, which may carry leading stack axes; f^p is dealiased on the
+    band.  A stack equals its fields computed one at a time bit for bit."""
+    lam_f = values
+    B = g.band_forward(values**p)
     # sigma = 0 is the identity: keep the zero mode, which radial drops
     if sigma != 0:
+        lam_f = next(_multiply_symbols(g, values, half_spectrum_symbols(g, sigma).radial))
         B *= band_symbols(g, sigma).radial
-    return RealField(g, first - g.band_inverse(B))
+    return p * values ** (p - 1) * lam_f - g.band_inverse(B)
+
+
+def _gap_reports(g: Grid, values: np.ndarray, sigma: float, p: int) -> list[InequalityReport]:
+    """check_pointwise_lp of each field of the stack values, shape
+    (k, *g.shape), from one stacked gap."""
+    if p not in (2, 4):
+        raise UnsupportedExponent(f"only even p in {{2, 4}} supported, got {p}")
+    if not (0.0 <= sigma <= 2.0):
+        raise InvalidExponent(f"pointwise check needs sigma in [0, 2], got {sigma}")
+    mins = np.min(_gap_field(g, values, sigma, p), axis=g.fft_axes).tolist()
+    peaks = np.max(np.abs(values), axis=g.fft_axes).tolist()
+    reports = []
+    for min_gap, peak in zip(mins, peaks):
+        tol = 1e-9 * (1.0 + peak**2)
+        reports.append(InequalityReport(min_gap=min_gap, tol=tol, passed=min_gap >= -tol))
+    return reports
 
 
 def check_cordoba(f: RealField, s: float) -> InequalityReport:
@@ -261,15 +291,12 @@ def check_cordoba(f: RealField, s: float) -> InequalityReport:
 
 
 def check_pointwise_lp(f: RealField, sigma: float, p: int) -> InequalityReport:
-    """L^p variant: p f^(p-1) Lambda^sigma f - Lambda^sigma(f^p) >= 0, p in {2, 4}."""
-    if p not in (2, 4):
-        raise UnsupportedExponent(f"only even p in {{2, 4}} supported, got {p}")
-    if not (0.0 <= sigma <= 2.0):
-        raise InvalidExponent(f"pointwise check needs sigma in [0, 2], got {sigma}")
-    gap = _gap_field(f, sigma, p)
-    min_gap = float(np.min(gap.values))
-    tol = 1e-9 * (1.0 + lp_norm(f, np.inf) ** 2)
-    return InequalityReport(min_gap=min_gap, tol=tol, passed=min_gap >= -tol)
+    """L^p variant: p f^(p-1) Lambda^sigma f - Lambda^sigma(f^p) >= 0, p in {2, 4}.
+
+    min_gap is the gap's min and tol 1e-9 * (1 + max|f|^2), from the
+    property suite's stacked check on a stack of this one field.
+    """
+    return _gap_reports(f.grid, f.values[np.newaxis], sigma, p)[0]
 
 
 def check_commutator(f: RealField, g: RealField, alpha: float) -> float:
@@ -307,48 +334,65 @@ def check_commutator(f: RealField, g: RealField, alpha: float) -> float:
 def run_property_suite(grid: Grid, seed: int = 0, count: int = 100):
     """Run the inequality and operator checks over generated field suites.
 
+    Each random_trig field is generated once, in stacks of as many fields
+    as grid._STACK_BYTES holds (a whole suite at 1-D n = 64, one field from
+    3-D n = 32 on).  Each Cordoba s and L^p (sigma, p) checks a stack with
+    one stacked gap; the operator checks take its fields one at a time.
+    Every row equals the check of its field alone bit for bit.
+
     Returns (rows, all_passed) where each row is
     (check name, field seed, statistic, passed).
     """
     L = grid.side_length
-    rows = []
-
-    def trig(seed_i: int, k_limit: int) -> RealField:
-        width = L / max(1, k_limit)
-        gen = FieldGenerator("random_trig", seed=seed_i, amplitude=1.0, width=width)
-        return gen.generate(grid)
-
     k_half = max(1, grid.dealias_cutoff // 2)
     k_quarter = max(1, grid.dealias_cutoff // 4)
+    per_stack = _fields_per_stack(grid)
 
-    for s in (0.5, 0.8, 1.2, 2.0):
-        for i in range(count):
-            rep = check_cordoba(trig(seed + i, k_half), s)
-            rows.append((f"cordoba_s{s}", seed + i, rep.min_gap, rep.passed))
+    def chunks(first: int, n: int):
+        for lo in range(first, first + n, per_stack):
+            yield range(lo, min(lo + per_stack, first + n))
 
-    for sigma in (0.6, 1.0):
-        for p in (2, 4):
-            for i in range(count):
-                rep = check_pointwise_lp(trig(seed + 1000 + i, k_quarter), sigma, p)
-                rows.append(
-                    (f"pointwise_p{p}_sigma{sigma}", seed + 1000 + i, rep.min_gap, rep.passed)
-                )
+    def fields(first: int, n: int, k_max: int):
+        # a stack is dropped once its fields are made
+        for seeds in chunks(first, n):
+            yield from [RealField(grid, v) for v in _trig_fields(grid, seeds, k_max)]
+
+    def suite_reports(first: int, k_max: int, checks) -> list[list[InequalityReport]]:
+        # each check's reports over the suite; the last stack dies on return
+        reports = [[] for _ in checks]
+        for seeds in chunks(first, count):
+            values = _trig_fields(grid, seeds, k_max)
+            for out, (_, sigma, p) in zip(reports, checks):
+                out += _gap_reports(grid, values, sigma, p)
+        return reports
+
+    gap_suites = (
+        (seed, k_half, [(f"cordoba_s{s}", s, 2) for s in (0.5, 0.8, 1.2, 2.0)]),
+        (seed + 1000, k_quarter, [
+            (f"pointwise_p{p}_sigma{sigma}", sigma, p) for sigma in (0.6, 1.0) for p in (2, 4)
+        ]),
+    )
+    rows = []
+    for first, k_max, checks in gap_suites:
+        for (name, _, _), reps in zip(checks, suite_reports(first, k_max, checks)):
+            rows += [(name, first + i, rep.min_gap, rep.passed) for i, rep in enumerate(reps)]
 
     eps = max(0.05 * L, 2.5 * grid.spacing)
     kernel = MollifierKernel(grid, eps)
     n_operator = max(4, count // 4)
 
-    for i in range(n_operator):
-        f = trig(seed + 2000 + i, k_half)
+    for i, f in enumerate(fields(seed + 2000, n_operator, k_half)):
         lam_moll = frac_laplacian(mollify(f, kernel), 0.7)
         moll_lam = mollify(frac_laplacian(f, 0.7), kernel)
         scale = 1.0 + lp_norm(lam_moll, np.inf)
         resid = float(np.max(np.abs(lam_moll.values - moll_lam.values))) / scale
         rows.append(("mollifier_commute", seed + 2000 + i, resid, resid <= 1e-11))
 
+    # not zip: its cached result tuple can keep the previous pair alive
+    firsts = fields(seed + 3000, n_operator, k_quarter)
+    seconds = fields(seed + 4000, n_operator, k_quarter)
     for i in range(n_operator):
-        f = trig(seed + 3000 + i, k_quarter)
-        g = trig(seed + 4000 + i, k_quarter)
+        f, g = next(firsts), next(seconds)
         ratio = check_commutator(f, g, 2.1)
         rows.append(("commutator_alpha2.1", seed + 3000 + i, ratio, math.isfinite(ratio)))
 

@@ -30,7 +30,8 @@ Three conventions share that layout:
   and a diagnostics record reads the state the solver holds there.
 * :func:`apply_symbols` is the real-to-real multiplier path of the
   unmasked operators.  It uses numpy's unnormalized ``rfftn`` and its
-  ``irfftn`` inverse, as do the Sobolev norms.
+  ``irfftn`` inverse, as do the Sobolev norms; its core,
+  :func:`_multiply_symbols`, takes arrays with leading stack axes.
 * :func:`forward_transform` and :func:`inverse_transform` use the
   mean-value normalization: the zero coefficient equals the grid mean, so
   with ``fold`` from :class:`HalfSpectrumSymbols`
@@ -42,6 +43,9 @@ Three conventions share that layout:
 
 Scaling by ``1/size`` is exact on power-of-two grids, so both conventions
 give the same real fields bit for bit.
+
+The right-hand sides of :mod:`fpme.linear` and the property suite of
+:mod:`fpme.diagnostics` stack fields by one budget, :func:`_fields_per_stack`.
 """
 
 from __future__ import annotations
@@ -66,6 +70,11 @@ __all__ = [
     "half_spectrum_symbols",
     "band_symbols",
 ]
+
+
+# Real bytes of one stacked transform's fields: a stack pays one call's
+# overhead for all of them but keeps them alive at once.
+_STACK_BYTES = 256 * 1024
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -300,10 +309,24 @@ def apply_symbols(f: RealField, *symbols: np.ndarray) -> Iterator[RealField]:
     of them, and the fields are yielded one at a time, so a caller that
     reduces as it goes holds one of them at once.
     """
-    g = f.grid
-    c = np.fft.rfftn(f.values, axes=g.fft_axes)
+    for values in _multiply_symbols(f.grid, f.values, *symbols):
+        yield RealField(f.grid, values)
+
+
+def _multiply_symbols(
+    grid: Grid, values: np.ndarray, *symbols: np.ndarray
+) -> Iterator[np.ndarray]:
+    """:func:`apply_symbols` on arrays, which may carry leading stack axes;
+    a stack equals its fields transformed one at a time bit for bit."""
+    c = np.fft.rfftn(values, axes=grid.fft_axes)
     for m in symbols:
-        yield RealField(g, np.fft.irfftn(m * c, s=g.shape, axes=g.fft_axes))
+        yield np.fft.irfftn(m * c, s=grid.shape, axes=grid.fft_axes)
+
+
+def _fields_per_stack(grid: Grid) -> int:
+    """How many fields of ``grid`` one stacked transform takes: as many as
+    fit in ``_STACK_BYTES`` of real output, and at least one."""
+    return max(1, _STACK_BYTES // (8 * grid.size))
 
 
 def _band(grid: Grid, keep: int):

@@ -16,16 +16,18 @@ combine band coefficients.  One right-hand side is
 ``filt * band_forward(sum_i c_i * band_inverse(M_i * filt * F))``: dim + 1
 inverse transforms and one forward transform, none of them over a row off
 the band.  The dim + 1 inverses run in stacks of at most 256 KiB of real
-output per band_inverse call (_STACK_BYTES), one rule for every grid: one
-call at 1-D, at 2-D n <= 64 and at 3-D n = 16, one call per array from
-3-D n = 32 on.  Both solvers step through _march, which lands exactly on
-each stop time: solve_linear marches through the snapshot times to t_end,
-and a Picard segment is one march.  _field returns the state to real space
-once per step or segment, as ``u = u_start + band_inverse(F - F_start)``,
-so u keeps u_start's coefficients off the band, and a state the right-hand
-side does not move stays equal to u_start bit for bit.  A diagnostics
-record reads F and u_start's off-band H^alpha power, which every state
-keeps, so it makes no forward transform.
+output per band_inverse call, the budget grid._STACK_BYTES that the
+property suite of fpme.diagnostics stacks its fields by too: one rule for
+every grid, one call at 1-D, at 2-D n <= 64 and at 3-D n = 16, one call
+per array from 3-D n = 32 on.  Both solvers step through _march, which
+lands exactly on each stop time: solve_linear marches through the snapshot
+times to t_end, and a Picard segment is one march.  _field returns the
+state to real space once per step or segment, as
+``u = u_start + band_inverse(F - F_start)``, so u keeps u_start's
+coefficients off the band, and a state the right-hand side does not move
+stays equal to u_start bit for bit.  A diagnostics record reads F and
+u_start's off-band H^alpha power, which every state keeps, so it makes no
+forward transform.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ import numpy as np
 from .diagnostics import DiagnosticsRecord, RecorderConfig, record
 from .errors import BlowUp, GridMismatch
 from .fracops import MollifierKernel
-from .grid import Grid, RealField, band_symbols
+from .grid import Grid, RealField, _fields_per_stack, band_symbols
 from .norms import DyadicPartition, _start_band, sobolev_norm
 
 __all__ = [
@@ -52,9 +54,6 @@ __all__ = [
 ]
 
 _BLOWUP_LIMIT = 1e12
-# Real output bytes of one stacked band_inverse in a right-hand side; a
-# stack pays one call's overhead for all its arrays but keeps them alive.
-_STACK_BYTES = 256 * 1024
 
 
 def _check_nonnegative(name: str, f: RealField) -> None:
@@ -235,7 +234,7 @@ def _rhs_values(F: np.ndarray, ops: CoefficientOps) -> np.ndarray:
     Fu = F * ops.filt
     # mults[i] pairs with coeffs row i - 1: -v (row -1), then grad p
     mults = (ops.lap_mult, *ops.grad_mults)
-    k = max(1, _STACK_BYTES // (8 * g.size))
+    k = _fields_per_stack(g)
     r = None
     for lo in range(0, len(mults), k):
         # the stack is band_inverse's alone, which drops it after its first

@@ -1,6 +1,5 @@
 """End-to-end CLI runs: exit codes, output files, determinism."""
 
-import dataclasses
 import json
 import os
 import subprocess
@@ -190,16 +189,21 @@ class TestExitCodes:
         assert main(["linear", "--config", str(cfg)]) == 4
 
     def test_property_failure_is_5(self, tmp_path, monkeypatch):
-        real = diag_mod.check_cordoba
+        # every Cordoba and L^p row reads the suite's one stacked gap, so a
+        # gap shifted below zero fails each of them and no other row
+        real = diag_mod._gap_field
 
-        def pessimist(f, s):
-            return dataclasses.replace(real(f, s), passed=False)
+        def pessimist(*args):
+            return real(*args) - 1.0
 
-        monkeypatch.setattr(diag_mod, "check_cordoba", pessimist)
+        monkeypatch.setattr(diag_mod, "_gap_field", pessimist)
         cfg, out = write_cfg(tmp_path, PROPS_CFG)
         assert main(["properties", "--config", str(cfg)]) == 5
-        report = (out / "report.csv").read_text()
-        assert ",false" in report
+        rows = [line.split(",") for line in (out / "report.csv").read_text().splitlines()[1:]]
+        gap_rows = [r for r in rows if r[0].startswith(("cordoba", "pointwise"))]
+        assert len(gap_rows) == 8 * 3
+        assert all(r[3] == "false" and float(r[2]) < 0 for r in gap_rows)
+        assert all(r[3] == "true" for r in rows if r not in gap_rows)
 
 
 class TestLinearRun:

@@ -21,8 +21,11 @@ from fpme import (
     run_property_suite,
     sobolev_norm,
 )
+from fpme import diagnostics
+from fpme import grid as grid_module
 from fpme.diagnostics import RecorderConfig, record
-from fpme.grid import forward_transform, resample
+from fpme.fracops import MollifierKernel, frac_laplacian, mollify
+from fpme.grid import band_symbols, forward_transform, resample
 from fpme.norms import _start_band
 
 from conftest import random_field
@@ -254,3 +257,136 @@ class TestPropertySuite:
         rows_large, _ = run_property_suite(grid64, seed=0, count=8)
         for row in rows_small:
             assert row in rows_large
+
+
+# The suite's rows as the checks make them one field at a time: each
+# random_trig field made alone, each gap over the public operators.
+
+
+def field_alone(grid, seed, k_max):
+    noise = np.random.default_rng(seed).standard_normal(grid.shape)
+    r = band_symbols(grid, 1.0).radial / (2.0 * np.pi / grid.side_length)
+    f = RealField(grid, grid.band_inverse(grid.band_forward(noise) * ((r <= k_max) / (1.0 + r))))
+    peak = float(np.max(np.abs(f.values)))
+    return f if peak == 0.0 else RealField(grid, f.values * (1.0 / peak))
+
+
+def gap_alone(f, sigma, p):
+    g = f.grid
+    first = p * f.values ** (p - 1) * frac_laplacian(f, sigma).values
+    B = g.band_forward(f.values**p)
+    if sigma != 0:
+        B *= band_symbols(g, sigma).radial
+    min_gap = float(np.min(first - g.band_inverse(B)))
+    return min_gap, min_gap >= -1e-9 * (1.0 + lp_norm(f, np.inf) ** 2)
+
+
+def suite_alone(grid, seed, count):
+    half = max(1, grid.dealias_cutoff // 2)
+    quarter = max(1, grid.dealias_cutoff // 4)
+    rows = []
+    for s in (0.5, 0.8, 1.2, 2.0):
+        for i in range(count):
+            f = field_alone(grid, seed + i, half)
+            rows.append((f"cordoba_s{s}", seed + i, *gap_alone(f, s, 2)))
+    for sigma in (0.6, 1.0):
+        for p in (2, 4):
+            for i in range(count):
+                f = field_alone(grid, seed + 1000 + i, quarter)
+                name = f"pointwise_p{p}_sigma{sigma}"
+                rows.append((name, seed + 1000 + i, *gap_alone(f, sigma, p)))
+    kernel = MollifierKernel(grid, max(0.05 * grid.side_length, 2.5 * grid.spacing))
+    n_operator = max(4, count // 4)
+    for i in range(n_operator):
+        f = field_alone(grid, seed + 2000 + i, half)
+        lam_moll = frac_laplacian(mollify(f, kernel), 0.7)
+        moll_lam = mollify(frac_laplacian(f, 0.7), kernel)
+        resid = float(np.max(np.abs(lam_moll.values - moll_lam.values)))
+        resid /= 1.0 + lp_norm(lam_moll, np.inf)
+        rows.append(("mollifier_commute", seed + 2000 + i, resid, resid <= 1e-11))
+    for i in range(n_operator):
+        f = field_alone(grid, seed + 3000 + i, quarter)
+        g = field_alone(grid, seed + 4000 + i, quarter)
+        ratio = check_commutator(f, g, 2.1)
+        rows.append(("commutator_alpha2.1", seed + 3000 + i, ratio, math.isfinite(ratio)))
+    return rows
+
+
+class TestStackedSuite:
+    # 3-D n = 64 stacks as 3-D n = 32 does, one field per stack by default,
+    # at four times the cost
+    @pytest.mark.parametrize("dim, n", [(1, 16), (1, 32), (1, 64), (2, 16), (2, 32), (2, 64),
+                                        (3, 16), (3, 32)])
+    def test_rows_equal_the_checks_of_each_field_alone(self, dim, n, monkeypatch):
+        # budgets of one field per stack, the default, and every field at once
+        grid = Grid(dim, n, 2 * np.pi)
+        count = 3 if dim < 3 else 2
+        expected = suite_alone(grid, 5, count)
+        for stack_bytes in (0, grid_module._STACK_BYTES, 1 << 30):
+            monkeypatch.setattr(grid_module, "_STACK_BYTES", stack_bytes)
+            rows, ok = run_property_suite(grid, seed=5, count=count)
+            assert rows == expected
+            assert ok == all(r[3] for r in expected)
+
+    @pytest.mark.parametrize("grid, count, stack", [(Grid(1, 64, 2 * np.pi), 100, 100),
+                                                    (Grid(3, 32, 2 * np.pi), 2, 1)])
+    def test_fields_made_once_in_stacks_by_the_byte_budget(self, grid, count, stack, monkeypatch):
+        # all the fields of a suite at 1-D n = 64, one per call at 3-D n = 32
+        made, gaps = [], []
+        make, gap = diagnostics._trig_fields, diagnostics._gap_field
+
+        def made_fields(g, seeds, *args):
+            values = make(g, seeds, *args)
+            made.append(values.shape[0])
+            return values
+
+        def stacked_gap(g, values, *args):
+            gaps.append(values.shape)
+            return gap(g, values, *args)
+
+        monkeypatch.setattr(diagnostics, "_trig_fields", made_fields)
+        monkeypatch.setattr(diagnostics, "_gap_field", stacked_gap)
+        rows, _ = run_property_suite(grid, seed=0, count=count)
+        n_operator = max(4, count // 4)
+        assert len(rows) == 8 * count + 2 * n_operator
+        # each field of each suite is made once
+        assert sum(made) == 2 * count + 3 * n_operator
+        assert max(made) == stack
+        # each Cordoba s and L^p (sigma, p) checks each stack once
+        assert gaps == [(stack, *grid.shape)] * (8 * count // stack)
+
+    def test_suite_passes_mode_counts_not_widths(self, monkeypatch):
+        # at L = 3 the width L / 341 admits int(L / width) = 340 modes; the
+        # Cordoba fields keep every mode up to k_half = 341 and none above
+        grid = Grid(1, 2048, 3.0)
+        k_half = grid.dealias_cutoff // 2
+        assert k_half == 341 and int(3.0 / (3.0 / k_half)) == 340
+        made = []
+        make = diagnostics._trig_fields
+
+        def made_fields(g, seeds, *args):
+            made.append((list(seeds), make(g, seeds, *args)))
+            return made[-1][1]
+
+        monkeypatch.setattr(diagnostics, "_trig_fields", made_fields)
+        run_property_suite(grid, seed=0, count=2)
+        seeds, cordoba = made[0]
+        assert seeds == [0, 1]
+        power = np.abs(np.fft.rfft(cordoba, axis=-1)) ** 2
+        peak = power.max(axis=-1)
+        assert np.all(power[:, k_half] > 1e-8 * peak)
+        assert np.all(power[:, k_half + 1 :].max(axis=-1) < 1e-24 * peak)
+
+    def test_stack_reports_are_each_fields_own(self, grid64):
+        # fields of different peaks: each tol follows its own field's max|f|
+        values = diagnostics._trig_fields(grid64, [1, 2, 3], 10) * np.array([[0.5], [1.0], [3.0]])
+        reports = diagnostics._gap_reports(grid64, values, 0.8, 4)
+        assert reports == [check_pointwise_lp(RealField(grid64, v), 0.8, 4) for v in values]
+        assert len({r.tol for r in reports}) == 3
+
+    def test_generator_field_is_its_stack_row(self, grid2d):
+        width = grid2d.side_length / 5
+        values = diagnostics._trig_fields(grid2d, [7, 8, 9], 5, 0.5)
+        for i, seed in enumerate((7, 8, 9)):
+            f = FieldGenerator("random_trig", seed=seed, amplitude=0.5, width=width)
+            assert np.array_equal(f.generate(grid2d).values, values[i])

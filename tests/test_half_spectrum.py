@@ -47,6 +47,7 @@ from fpme.grid import (
     inverse_transform,
     resample,
 )
+from fpme import grid as grid_module
 from fpme import linear
 from fpme.linear import _field, _rk4_step, make_coefficient_ops, rhs_with_ops
 from fpme.norms import _chi, _start_band
@@ -415,7 +416,7 @@ def test_stacked_rhs_is_the_unstacked_sum_bit_for_bit(grid, fields, epsilon, mon
     # budgets of no field, one and two fields' real bytes (1, 1 and 2
     # arrays per stack, a short last stack at dim 2 and 3) and one stack
     stack_bytes = 1 << 30 if fields is None else fields * 8 * grid.size
-    monkeypatch.setattr(linear, "_STACK_BYTES", stack_bytes)
+    monkeypatch.setattr(grid_module, "_STACK_BYTES", stack_bytes)
     kernel = MollifierKernel(grid, epsilon) if epsilon > 0 else None
     ops = make_coefficient_ops(coefficient(grid, seed=21), 0.75, epsilon, kernel)
     F = grid.band_forward(random_field(grid, seed=22).values)
@@ -427,7 +428,7 @@ def test_stacked_rhs_peak_not_above_unstacked():
     # at 3-D n = 32 a stack holds one array: each inverse is released
     # before the next is made, and each product is formed in place
     grid = Grid(3, 32, 2 * np.pi)
-    assert linear._STACK_BYTES // (8 * grid.size) == 1
+    assert grid_module._STACK_BYTES // (8 * grid.size) == 1
     ops = make_coefficient_ops(coefficient(grid, seed=23), 0.75, 0.0)
     F = grid.band_forward(random_field(grid, seed=24).values)
 
@@ -515,7 +516,7 @@ def test_transform_counts(grid, monkeypatch):
     counted(Grid, "band_inverse")
 
     def rhs_calls():
-        k = max(1, linear._STACK_BYTES // (8 * grid.size))
+        k = max(1, grid_module._STACK_BYTES // (8 * grid.size))
         return math.ceil((grid.dim + 1) / k)
 
     assert rhs_calls() == 1  # every test grid fits in one stack
@@ -523,8 +524,8 @@ def test_transform_counts(grid, monkeypatch):
     expect(band_forward=1, band_inverse=1, inverted=grid.dim + 1)
     assert ops.coeffs.shape == (grid.dim + 1, *grid.shape)
     # one array per call, then the default stacks
-    for stack_bytes in (0, linear._STACK_BYTES):
-        monkeypatch.setattr(linear, "_STACK_BYTES", stack_bytes)
+    for stack_bytes in (0, grid_module._STACK_BYTES):
+        monkeypatch.setattr(grid_module, "_STACK_BYTES", stack_bytes)
         _rk4_step(F, 1e-3, ops)
         expect(band_forward=4, band_inverse=4 * rhs_calls(), inverted=4 * (grid.dim + 1))
 
