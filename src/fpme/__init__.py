@@ -47,7 +47,6 @@ from .picard import (
     PicardResult,
     PicardState,
     horizon,
-    nonlinear_residual,
     run_picard,
     uniqueness_probe,
 )
@@ -92,7 +91,6 @@ __all__ = [
     "inv_frac_laplacian",
     "lp_norm",
     "mollify",
-    "nonlinear_residual",
     "MODES",
     "parse_config",
     "read_snapshot",

@@ -146,6 +146,12 @@ _NEEDS = {
 }
 
 
+def _where(lineno: int) -> str:
+    """A message's prefix: the entry's file line, or nothing for a --set
+    override (lineno 0), which the message names by its key."""
+    return f"line {lineno}: " if lineno else ""
+
+
 def _get(entries: dict[str, tuple[str, int]], key: str, parse=str, default=None):
     """The parsed value of key, or default when the document omits it."""
     value, lineno = entries.get(key, (None, 0))
@@ -155,7 +161,7 @@ def _get(entries: dict[str, tuple[str, int]], key: str, parse=str, default=None)
         return parse(value)
     except ValueError:
         raise ParseError(
-            f"line {lineno}: key {key!r} needs {_NEEDS[parse]}, got {value!r}"
+            f"{_where(lineno)}key {key!r} needs {_NEEDS[parse]}, got {value!r}"
         )
 
 
@@ -193,9 +199,7 @@ def parse_config(text: str, mode: str, overrides: dict[str, str] | None = None) 
 
     for key in entries:
         if key not in _KNOWN_KEYS:
-            _, lineno = entries[key]
-            where = f"line {lineno}: " if lineno else ""
-            raise ParseError(f"{where}unknown key {key!r}")
+            raise ParseError(f"{_where(entries[key][1])}unknown key {key!r}")
 
     if mode not in MODES:
         raise ValidationError(f"mode must be one of {MODES}, got {mode!r}")

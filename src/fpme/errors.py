@@ -29,12 +29,12 @@ class BlowUp(FpmeError):
 class NoConvergence(FpmeError):
     """Fixed-point iteration exhausted its budget."""
 
-    def __init__(self, deltas, max_outer: int):
+    def __init__(self, deltas, max_outer: int, reason: str | None = None):
         self.deltas = list(deltas)
         self.max_outer = max_outer
         tail = ", ".join(f"{d:.3e}" for d in self.deltas[-5:])
         super().__init__(
-            f"no convergence within {max_outer} outer iterations (last deltas: {tail})"
+            reason or f"no convergence within {max_outer} outer iterations (last deltas: {tail})"
         )
 
 

@@ -83,38 +83,37 @@ class DyadicPartition:
 
     crops holds, per block, the index into the band of the smallest box
     |k_i| <= K outside which the multiplier is zero, in the band layout with
-    cutoff K, or None when that box is the whole band.  The multipliers and
-    crops are built once per grid and shared, read-only, by every partition
-    on it.
+    cutoff K, or None when that box is the whole band.  The multipliers are
+    the read-only rows of one stack, whose Parseval bounds _besov_of_band
+    reduces in one pass; the stack and the crops are built once per grid and
+    shared by every partition on it.
     """
 
     grid: Grid
 
     def __post_init__(self):
-        js, mults, crops = _dyadic_multipliers(self.grid)
+        js, stack, rows, crops = _dyadic_multipliers(self.grid)
         object.__setattr__(self, "indices", js)
-        object.__setattr__(self, "multipliers", mults)
+        object.__setattr__(self, "_stack", stack)
+        object.__setattr__(self, "multipliers", rows)
         object.__setattr__(self, "crops", crops)
 
 
 @lru_cache(maxsize=8)
 def _dyadic_multipliers(
     g: Grid,
-) -> tuple[tuple[int, ...], tuple[np.ndarray, ...], tuple[tuple | None, ...]]:
+) -> tuple[tuple[int, ...], np.ndarray, tuple[np.ndarray, ...], tuple[tuple | None, ...]]:
     r = band_symbols(g, 1.0).radial / (2.0 * np.pi / g.side_length)
     r_top = g.dealias_cutoff * math.sqrt(g.dim)
-    j_max = math.ceil(math.log2(r_top))
-    mults = [_chi(2.0 * r)]
-    js = [-1]
-    for j in range(0, j_max + 1):
-        mults.append(_chi(r / 2.0**j) - _chi(r / 2.0 ** (j - 1)))
-        js.append(j)
-    for m in mults:
-        m.setflags(write=False)
+    js = range(-1, math.ceil(math.log2(r_top)) + 1)
+    stack = np.stack(
+        [_chi(2.0 * r)] + [_chi(r / 2.0**j) - _chi(r / 2.0 ** (j - 1)) for j in js[1:]]
+    )
+    stack.setflags(write=False)
     # largest |k_i| of each band mode
     k_inf = reduce(np.maximum, (np.abs(g.k_signed[ix]) for ix in g.band))
-    crops = tuple(_crop(g, int(np.max(k_inf[m != 0], initial=0))) for m in mults)
-    return tuple(js), tuple(mults), crops
+    crops = tuple(_crop(g, int(np.max(k_inf[m != 0], initial=0))) for m in stack)
+    return tuple(js), stack, tuple(stack), crops
 
 
 def _crop(g: Grid, keep: int) -> tuple | None:
@@ -150,10 +149,11 @@ def _besov_of_band(g: Grid, F: np.ndarray, alpha: float, partition: DyadicPartit
 
     Block j's weighted L1 norm is at most its Parseval bound
     2**(j alpha) * volume * sqrt(power_j) / size, with power_j the sum of
-    fold * m_j**2 * |F|**2 over its crop (Cauchy-Schwarz over the lattice,
-    then discrete Parseval).  The blocks are inverted in decreasing order of
-    bound, each over its crop alone and reduced as it is made, so one is
-    held at a time, and the loop stops at the first block whose bound,
+    fold * m_j**2 * |F|**2 over the band (Cauchy-Schwarz over the lattice,
+    then discrete Parseval), made for all blocks by one einsum over the
+    multiplier stack.  The blocks are inverted in decreasing order of bound,
+    each over its crop alone and reduced as it is made, so one is held at a
+    time, and the loop stops at the first block whose bound,
     widened by _BOUND_MARGIN, is below the sup so far: no block left can
     reach it, so the sup is the max over all blocks bit for bit.  Each L1
     norm is the plain sum lp_norm(., 1) computes.
@@ -164,19 +164,18 @@ def _besov_of_band(g: Grid, F: np.ndarray, alpha: float, partition: DyadicPartit
     # fold * |F|**2; the band has no Nyquist column
     power = F.real**2 + F.imag**2
     power[..., 1:] *= 2.0
-    ms, bounds = [], []
-    for j, m, crop in zip(partition.indices, partition.multipliers, partition.crops):
-        w = power
-        if crop is not None:
-            m, w = m[crop], power[crop]
-        ms.append(m)
-        bounds.append(2.0 ** (j * alpha) * g.volume * math.sqrt(np.sum(m * m * w)) / g.size)
+    ms = partition._stack.reshape(len(partition.indices), -1)
+    powers = np.einsum("jk,jk,k->j", ms, ms, power.reshape(-1))
+    bounds = [
+        2.0 ** (j * alpha) * g.volume * math.sqrt(p) / g.size
+        for j, p in zip(partition.indices, powers)
+    ]
     sup = 0.0
     for i in sorted(range(len(bounds)), key=bounds.__getitem__, reverse=True):
         if bounds[i] * (1.0 + _BOUND_MARGIN) < sup:
             break
-        crop = partition.crops[i]
-        block = g.band_inverse(ms[i] * (F if crop is None else F[crop]))
+        m, crop = partition.multipliers[i], partition.crops[i]
+        block = g.band_inverse(m * F if crop is None else m[crop] * F[crop])
         weight = 2.0 ** (partition.indices[i] * alpha)
         sup = max(sup, weight * float(np.abs(block, out=block).sum() * cell))
     return sup

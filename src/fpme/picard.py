@@ -46,8 +46,6 @@ from .linear import (
     _freeze,
     _march,
     _values,
-    make_coefficient_ops,
-    rhs_with_ops,
 )
 from .norms import DyadicPartition, _norm_of_rfft, _start_band, lp_norm, sobolev_norm
 
@@ -58,7 +56,6 @@ __all__ = [
     "horizon",
     "run_picard",
     "uniqueness_probe",
-    "nonlinear_residual",
 ]
 
 _MAX_RECALIBRATIONS = 3
@@ -235,7 +232,8 @@ def run_picard(u0: RealField, config: PicardConfig) -> PicardResult:
 
     Raises NoConvergence (carrying the delta sequence) when max_outer
     iterations do not bring consecutive trajectories within tol_picard in
-    the sup-in-time H^(alpha-1) distance.
+    the sup-in-time H^(alpha-1) distance, or when every attempt
+    recalibrates the Gronwall constant.
     """
     _validate_initial(u0, config)
     g = u0.grid
@@ -283,6 +281,12 @@ def run_picard(u0: RealField, config: PicardConfig) -> PicardResult:
             state.converged = delta_n < cfg.tol_picard
         else:
             break  # not recalibrated: this attempt stands
+    else:
+        raise NoConvergence(
+            state.deltas, cfg.max_outer,
+            f"recalibration budget exhausted: each of {_MAX_RECALIBRATIONS + 1} attempts "
+            f"raised the Gronwall constant, the last to C = {cfg.c_gronwall:.6g}",
+        )
 
     if not state.converged:
         raise NoConvergence(state.deltas, cfg.max_outer)
@@ -310,28 +314,6 @@ def run_picard(u0: RealField, config: PicardConfig) -> PicardResult:
         horizon=t0,
         c_gronwall=cfg.c_gronwall,
     )
-
-
-def nonlinear_residual(
-    result: PicardResult, s: float, stride: int = 4
-) -> list[tuple[float, float]]:
-    """L2 defect of the converged trajectory against the nonlinear equation.
-
-    The time derivative is a central difference across stride sample
-    intervals; the right-hand side is the unmollified operator with the
-    trajectory itself as coefficient.
-    """
-    times, fields = result.times, result.trajectory
-    out = []
-    m = len(fields) - 1
-    for i in range(stride, m - stride + 1, stride):
-        dt_window = float(times[i + stride] - times[i - stride])
-        dtu = (fields[i + stride].values - fields[i - stride].values) / dt_window
-        ops = make_coefficient_ops(fields[i], s, 0.0)
-        rhs_i = rhs_with_ops(fields[i], ops)
-        defect = RealField(fields[i].grid, dtu - rhs_i.values)
-        out.append((float(times[i]), lp_norm(defect, 2)))
-    return out
 
 
 def uniqueness_probe(u0: RealField, config: PicardConfig, delta_seed: RealField) -> float:

@@ -2,10 +2,17 @@
 
 Everything here is written directly from the defining formulas (matrix
 DFT, explicit convolution sums) so a bug in the fast FFT-based code
-cannot hide in its own oracle.
+cannot hide in its own oracle.  The one exception is nonlinear_march, the
+reference Picard is measured against: it reuses the package's frozen
+right-hand side, but it is another algorithm, with no segments and no
+fixed point.
 """
 
 import numpy as np
+
+from fpme.grid import band_symbols
+from fpme.linear import _freeze, _rhs_values
+from fpme.norms import _norm_of_rfft
 
 
 def dft_matrix(n: int) -> np.ndarray:
@@ -55,3 +62,32 @@ def radial_symbol_oracle(dim: int, n: int, length: float, power: float) -> np.nd
     nz = mags > 0
     out[nz] = mags[nz] ** power
     return out
+
+
+def nonlinear_march(u0, s: float, t_end: float, steps: int) -> np.ndarray:
+    """Band state at t_end of du/dt = div(u grad (-Lap)^(-s) u) from u0,
+    marched by RK4 in `steps` equal steps, each stage freezing v = u.
+
+    Like every state of the package's solvers, u keeps u0's coefficients off
+    the band, and the right-hand side reads only the band."""
+    g = u0.grid
+
+    def rhs(F):
+        # max|v| only sets the step bound rho_est, which this march ignores
+        return _rhs_values(F, _freeze(g, F, 0.0, s, 0.0))
+
+    F = g.band_forward(u0.values)
+    h = t_end / steps
+    for _ in range(steps):
+        k1 = rhs(F)
+        k2 = rhs(F + (0.5 * h) * k1)
+        k3 = rhs(F + (0.5 * h) * k2)
+        k4 = rhs(F + h * k3)
+        F = F + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return F
+
+
+def band_distance(g, F: np.ndarray, G: np.ndarray, order: float) -> float:
+    """H^order distance of two fields that agree off the band, from their
+    band states F and G."""
+    return _norm_of_rfft(g, F - G, band_symbols(g, order).sobolev)

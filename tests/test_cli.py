@@ -12,6 +12,7 @@ import pytest
 import fpme
 import fpme.diagnostics as diag_mod
 import fpme.linear as linear_mod
+import fpme.picard as picard_mod
 from fpme import read_snapshot
 from fpme.cli import main
 
@@ -178,6 +179,13 @@ class TestExitCodes:
         cfg, _ = write_cfg(tmp_path, PICARD_CFG, **{"solver.max_outer": 1})
         assert main(["picard", "--config", str(cfg)]) == 3
 
+    def test_picard_recalibration_budget_is_3(self, tmp_path, monkeypatch, capsys):
+        quotients = iter(50.0 * 1000.0**k for k in range(10))
+        monkeypatch.setattr(picard_mod, "_max_quotient", lambda h, dt, sc: next(quotients))
+        cfg, _ = write_cfg(tmp_path, PICARD_CFG)
+        assert main(["picard", "--config", str(cfg)]) == 3
+        assert capsys.readouterr().err.startswith("error: recalibration budget exhausted")
+
     def test_blowup_is_4(self, tmp_path, monkeypatch):
         real_step = linear_mod._rk4_step
 
@@ -307,6 +315,17 @@ class TestSweepRun:
             assert (out / sub / "final.fpm1").exists()
         diffs = [float(line.split(",")[1]) for line in summary[1:]]
         assert diffs[0] > diffs[1] > 0
+
+    def test_shipped_sweep_is_second_order_in_epsilon(self, tmp_path):
+        # measured l2_diff 8.27e-4, 2.26e-4, 5.11e-5 at eps 0.4, 0.2, 0.1:
+        # orders 1.87 and 2.14, as a symmetric mollifier gives on smooth data
+        out = tmp_path / "out"
+        assert run_shipped("sweep", out) == 0
+        rows = [line.split(",") for line in (out / "summary.csv").read_text().splitlines()[1:]]
+        assert [float(r[0]) for r in rows] == [0.4, 0.2, 0.1]
+        diffs = [float(r[1]) for r in rows]
+        for a, b in zip(diffs, diffs[1:]):
+            assert 1.5 <= np.log2(a / b) <= 2.5
 
     def test_snapshots_written_per_epsilon(self, tmp_path):
         cfg, out = write_cfg(

@@ -214,6 +214,10 @@ class TestOverrides:
         with pytest.raises(ParseError, match=r"^unknown key 'solver\.theta'"):
             parse_config(MINIMAL_LINEAR, mode="linear", overrides={"solver.theta": "1"})
 
+    def test_override_bad_value_no_line(self):
+        with pytest.raises(ParseError, match=r"^key 'grid\.n' needs an integer, got 'abc'$"):
+            parse_config(MINIMAL_LINEAR, mode="linear", overrides={"grid.n": "abc"})
+
     def test_override_validated(self):
         with pytest.raises(ValidationError):
             parse_config(MINIMAL_LINEAR, mode="linear", overrides={"solver.s": "0.3"})

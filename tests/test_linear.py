@@ -236,6 +236,25 @@ class TestSolveLinear:
         up = resample(sols[0], fine)
         assert np.max(np.abs(up.values - sols[1].values)) < 1e-6
 
+    @pytest.mark.parametrize("dim, n", [(1, 64), (2, 32), (3, 16)])
+    def test_constant_coefficient_decay_is_fourth_order(self, dim, n):
+        # with v = c constant the flow is du/dt = -c (-Lap)^(1-s) u, so the
+        # mode cos(k.x), k = (1, ..., 1), decays as exp(-c |k|^(2-2s) t)
+        g = Grid(dim, n, 2 * np.pi)
+        c, s, t_end = 0.8, 0.75, 0.5
+        wave = np.cos(sum(g.axes()))
+        prob = LinearProblem(
+            v=RealField(g, np.full(g.shape, c)), u0=RealField(g, 1.0 + 0.3 * wave),
+            s=s, epsilon=0.0, t_end=t_end,
+        )
+        exact = 1.0 + 0.3 * np.exp(-c * dim ** (1.0 - s) * t_end) * wave
+        errors = [
+            np.max(np.abs(solve_linear(prob, TimeStepPolicy(dt_max=dt), 2.1).final.values - exact))
+            for dt in (0.1, 0.05, 0.025, 0.0125)
+        ]
+        for a, b in zip(errors, errors[1:]):
+            assert 14.0 <= a / b <= 18.0
+
     def test_gronwall_quotient_finite(self, grid64):
         prob = make_problem(grid64, seed=9)
         sol = solve_linear(prob, TimeStepPolicy(dt_max=1e-3), alpha=2.1)

@@ -1,4 +1,4 @@
-"""Outer iteration: horizon, contraction, bounds, residual, uniqueness."""
+"""Outer iteration: horizon, contraction, bounds, reference march, uniqueness."""
 
 import math
 import tracemalloc
@@ -19,7 +19,6 @@ from fpme import (
     horizon,
     lp_norm,
     mollify,
-    nonlinear_residual,
     run_picard,
     sobolev_norm,
     solve_linear,
@@ -31,6 +30,7 @@ from fpme.norms import _start_band
 from fpme.picard import _advance_iterate, _Samples
 
 from conftest import random_field
+from helpers import band_distance, nonlinear_march
 
 
 def small_bump(grid, amplitude=0.05, width=0.8):
@@ -162,6 +162,20 @@ class TestRecalibration:
         assert result.c_gronwall == pytest.approx(60.0)  # max(1, 1.2*50)
         assert result.horizon == pytest.approx(math.log(2) / (2 * 60.0 * (1 + h0)), rel=1e-12)
         assert result.state.converged
+
+    def test_exhausted_budget_is_reported(self, grid64, monkeypatch):
+        # every attempt measures a quotient 1000x its last, so each one
+        # recalibrates; its single iterate is already below tol_picard
+        quotients = iter(50.0 * 1000.0**k for k in range(10))
+        monkeypatch.setattr(picard_mod, "_max_quotient", lambda h, dt, sc: next(quotients))
+        cfg = PicardConfig(s=0.75, alpha=2.1, samples=50)
+        with pytest.raises(NoConvergence, match=(
+            r"^recalibration budget exhausted: each of 4 attempts raised the Gronwall "
+            r"constant, the last to C = 6e\+10$"
+        )) as err:
+            run_picard(small_bump(grid64), cfg)
+        assert len(err.value.deltas) == 1
+        assert err.value.deltas[0] < cfg.tol_picard
 
     def test_override_disables_recalibration(self, grid64, monkeypatch):
         monkeypatch.setattr(picard_mod, "_max_quotient", lambda h, dt, sc: 50.0)
@@ -297,24 +311,47 @@ class TestSegments:
             assert np.max(np.abs(snap.values - pic.values)) <= 1e-14 * scale
 
 
-class TestResidual:
-    def test_converged_trajectory_solves_equation(self, grid64):
-        cfg = PicardConfig(s=0.75, alpha=2.1, samples=400)
-        result = run_picard(small_bump(grid64), cfg)
-        defects = nonlinear_residual(result, s=0.75, stride=4)
-        assert len(defects) > 10
-        worst = max(d for _, d in defects)
-        assert worst <= 1e-6
+class TestReference:
+    """Picard's final state against the direct nonlinear march of helpers.
 
-    def test_residual_shrinks_with_sampling(self, grid64):
-        # the frozen-coefficient lag is O(segment length): doubling the
-        # sample count should cut the defect roughly in half
-        worsts = []
-        for m in (100, 200):
-            cfg = PicardConfig(s=0.75, alpha=2.1, samples=m)
-            result = run_picard(small_bump(grid64), cfg)
-            worsts.append(max(d for _, d in nonlinear_residual(result, s=0.75, stride=4)))
-        assert worsts[1] < 0.7 * worsts[0]
+    The march is order 4 in its steps and 16 steps put it within 5e-15 of
+    its limit here, so the distance is Picard's own time error: the
+    coefficient frozen over each sample interval, first order in
+    1/samples.  Distances are in H^(alpha - 1) = H^1.1."""
+
+    @pytest.fixture(params=[(1, 64, 0.8), (2, 32, 1.2)], ids=["1d-n64", "2d-n32"])
+    def case(self, request):
+        dim, n, width = request.param
+        u0 = small_bump(Grid(dim, n, 2 * np.pi), width=width)
+        return u0, horizon(u0, PicardConfig(s=0.75, alpha=2.1))
+
+    def distance(self, case, samples, reference):
+        u0, t0 = case
+        cfg = PicardConfig(s=0.75, alpha=2.1, samples=samples, t0_override=t0)
+        final = run_picard(u0, cfg).trajectory._states[-1]
+        return band_distance(u0.grid, final, reference, 1.1)
+
+    def test_march_is_fourth_order(self, case):
+        u0, t0 = case
+        limit = nonlinear_march(u0, 0.75, t0, 64)
+        errors = [
+            band_distance(u0.grid, nonlinear_march(u0, 0.75, t0, steps), limit, 1.1)
+            for steps in (2, 4, 8)
+        ]
+        for a, b in zip(errors, errors[1:]):
+            assert 14.0 <= a / b <= 18.0
+
+    def test_distance_within_time_error_bound(self, case):
+        # measured 2.15e-5 / samples at 1-D and 1.58e-5 / samples at 2-D
+        u0, t0 = case
+        assert self.distance(case, 400, nonlinear_march(u0, 0.75, t0, 16)) <= 5e-5 / 400
+
+    def test_distance_is_first_order_in_samples(self, case):
+        u0, t0 = case
+        reference = nonlinear_march(u0, 0.75, t0, 16)
+        d = [self.distance(case, m, reference) for m in (50, 100, 200)]
+        for a, b in zip(d, d[1:]):
+            assert 1.8 <= a / b <= 2.2
 
 
 class TestUniquenessProbe:
