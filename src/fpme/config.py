@@ -277,7 +277,7 @@ def parse_config(text: str, mode: str, overrides: dict[str, str] | None = None) 
     if mode == "sweep_epsilon":
         if not epsilons:
             raise ValidationError("sweep.epsilons must not be empty")
-        if any(e <= 0 for e in epsilons):
+        if any(not (e > 0) for e in epsilons):
             raise ValidationError("sweep.epsilons must be positive (0 is run implicitly)")
     # Build each mollifier the run will build, so that a radius the grid
     # cannot resolve, or one past half the period, fails here.

@@ -23,11 +23,24 @@ Three conventions share that layout:
 * :meth:`Grid.band_forward` and :meth:`Grid.band_inverse` are the
   transform pair of masked spectra.  They compute ``rfftn`` restricted to
   the band and ``irfftn`` of the zero-extended band, unnormalized, and
-  transform no row the band drops (a pruned FFT); the inverse also takes a
-  smaller box.  The RK4 state, the samples of a Picard trajectory, the
-  frozen coefficients, the Littlewood-Paley blocks, and the dealiased
+  transform no row the band drops (a pruned transform); the inverse also
+  takes a smaller box.  The RK4 state, the samples of a Picard trajectory,
+  the frozen coefficients, the Littlewood-Paley blocks, and the dealiased
   products and random_trig fields of the diagnostics all live on the band,
   and a diagnostics record reads the state the solver holds there.
+
+  Two kernels compute the pair, by one rule.  At dim >= 2 on grids of at
+  most ``_MATRIX_POINTS`` = 64 points per axis, each axis is one BLAS
+  product with a DFT matrix over the band rows alone (a pruned DFT): the
+  real last axis a real product on the interleaved ``(re, im)`` pairs,
+  each signed axis a complex one, with no transpose.  Elsewhere numpy's
+  pocketfft runs ``rfft``/``fft`` along the axes.  A matrix costs n**2 per
+  line against pocketfft's n log n, so it wins only on short lines; a 1-D
+  field is a single line, which BLAS takes by another routine (gemv) than
+  the rows of a stack (gemm), so there a stack and its fields would
+  differ in the last bits.  Both kernels stay within 1e-15 relative of
+  ``rfftn``, a stack equals its fields transformed one at a time bit for
+  bit, and no result depends on the BLAS thread count.
 * :func:`apply_symbols` is the real-to-real multiplier path of the
   unmasked operators.  It uses numpy's unnormalized ``rfftn`` and its
   ``irfftn`` inverse, as do the Sobolev norms; its core,
@@ -75,6 +88,12 @@ __all__ = [
 # Real bytes of one stacked transform's fields: a stack pays one call's
 # overhead for all of them but keeps them alive at once.
 _STACK_BYTES = 256 * 1024
+
+# Largest n_points on which the band pair of a grid with dim >= 2 runs as DFT
+# matrix products: their cost grows as n**2 per line, pocketfft's as n log n.
+_MATRIX_POINTS = 64
+# pi to long double precision, for the twiddles of those matrices
+_PI = np.longdouble("3.14159265358979323846264338327950288")
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -140,16 +159,31 @@ class Grid:
         off = self.k_signed * self.spacing
         return tuple(np.meshgrid(*([off] * self.dim), indexing="ij"))
 
+    def _matrix_kernel(self) -> bool:
+        """Whether the band pair runs as DFT matrix products (see the module
+        docstring): at dim >= 2 on grids of at most _MATRIX_POINTS."""
+        return self.dim >= 2 and self.n_points <= _MATRIX_POINTS
+
     def band_forward(self, values: np.ndarray) -> np.ndarray:
         """Unnormalized ``rfftn`` of ``values`` restricted to the band.
 
         ``values`` may carry leading stack axes.  The axes run in
-        ``rfftn``'s order: ``rfft`` on the last axis, then ``fft`` along each
-        signed axis, and each axis drops its rows off the band before the
-        next transforms them.  The complex ``fft`` runs in place
-        (``out=``, numpy >= 2.0).
+        ``rfftn``'s order: the last axis first, then each signed axis, and
+        each axis drops its rows off the band before the next transforms
+        them.  At dim >= 2 on grids of at most ``_MATRIX_POINTS`` each axis
+        is one product with a DFT matrix over the band rows alone; otherwise
+        ``rfft`` and an in-place ``fft`` (``out=``, numpy >= 2.0) run along
+        the axes.
         """
-        B = np.fft.rfft(values, axis=-1)[..., : self.dealias_cutoff + 1].copy()
+        c = self.dealias_cutoff
+        if self._matrix_kernel():
+            fwd, _, real_fwd, _ = _band_matrices(self.n_points, c)
+            values = np.ascontiguousarray(values, dtype=float)
+            B = (values @ real_fwd).view(complex)
+            for ax in range(-2, -self.dim - 1, -1):
+                B = _along(fwd, B, ax)
+            return B
+        B = np.fft.rfft(values, axis=-1)[..., : c + 1].copy()
         for ax in range(-2, -self.dim - 1, -1):
             np.fft.fft(B, axis=ax, out=B)
             B = np.take(B, self.band[ax].ravel(), axis=ax)
@@ -161,12 +195,21 @@ class Grid:
 
         ``B`` may hold a smaller band than the 2/3 rule's, the modes with
         ``|k| <= K`` in the same layout; its cutoff ``K`` is read from its
-        last axis, ``B.shape[-1] - 1``.  Each signed axis is zero-padded to
-        ``n_points`` and inverted in ``irfftn``'s order, before the axes
-        after it are padded; ``irfft`` pads the last axis itself.  Each
-        ``ifft`` runs in place on its padded array (``out=``, numpy >= 2.0).
+        last axis, ``B.shape[-1] - 1``.  The axes run in ``irfftn``'s order,
+        each signed axis first and the last axis at the end.  Where
+        :meth:`band_forward` takes matrix products, so does this, with the
+        ``1/n`` per axis folded into the matrices.  Otherwise each signed
+        axis is zero-padded to ``n_points`` and inverted by an in-place
+        ``ifft`` (``out=``, numpy >= 2.0) before the axes after it are
+        padded, and ``irfft`` pads the last axis itself.
         """
         n, c = self.n_points, B.shape[-1] - 1
+        if self._matrix_kernel():
+            _, inv, _, real_inv = _band_matrices(n, c)
+            B = np.ascontiguousarray(B, dtype=complex)
+            for ax in range(-self.dim, -1):
+                B = _along(inv, B, ax)
+            return B.view(float) @ real_inv
         for ax in range(-self.dim, -1):
             padded = np.zeros((*B.shape[:ax], n, *B.shape[ax + 1 :]), dtype=complex)
             after = (slice(None),) * (-ax - 1)
@@ -174,6 +217,50 @@ class Grid:
             padded[(..., slice(n - c, n), *after)] = B[(..., slice(c + 1, 2 * c + 1), *after)]
             B = np.fft.ifft(padded, axis=ax, out=padded)
         return np.fft.irfft(B, n=n, axis=-1)
+
+
+@lru_cache(maxsize=32)
+def _band_matrices(n: int, c: int) -> tuple[np.ndarray, ...]:
+    """The DFT matrices of the band pair on ``n`` points over the band
+    ``|k| <= c``, built once per key and read-only.
+
+    Signed axes: ``fwd`` is ``(2c + 1, n)`` with rows ``exp(-i theta)`` for
+    the band rows in FFT order, ``inv`` is ``(n, 2c + 1)`` with
+    ``exp(i theta) / n``.  Last axis: ``real_fwd`` is ``(n, 2(c + 1))``
+    with interleaved columns ``cos`` and ``-sin``, so a real line times it
+    is the ``(re, im)`` pairs of its ``rfft`` columns ``0..c``;
+    ``real_inv`` is ``(2(c + 1), n)`` with rows ``w cos / n`` and
+    ``-w sin / n``, ``w = 1`` at k = 0 and 2 elsewhere (the conjugate
+    mirror), so the pairs times it are ``irfft`` of the zero-extended
+    columns (the band has no Nyquist column).  Each angle is reduced
+    exactly, ``theta = 2 pi ((x k) mod n) / n``, and its cosine and sine
+    are taken in long double before they are rounded: unreduced angles put
+    the pair several ulp further from ``rfftn``.
+    """
+    x = np.arange(n)
+    k = np.r_[0 : c + 1, -c:0]
+    theta = (2 * _PI / n) * (np.outer(k, x) % n)
+    cos, sin = np.cos(theta).astype(float), np.sin(theta).astype(float)
+    fwd = cos - 1j * sin
+    inv = np.ascontiguousarray((cos + 1j * sin).T) / n
+    cos, sin = cos[: c + 1], sin[: c + 1]
+    real_fwd = np.empty((n, 2 * (c + 1)))
+    real_fwd[:, 0::2] = cos.T
+    real_fwd[:, 1::2] = -sin.T
+    w = np.where(k[: c + 1] == 0, 1.0, 2.0)[:, None] / n
+    real_inv = np.empty((2 * (c + 1), n))
+    real_inv[0::2] = w * cos
+    real_inv[1::2] = -w * sin
+    for arr in (fwd, inv, real_fwd, real_inv):
+        arr.setflags(write=False)
+    return fwd, inv, real_fwd, real_inv
+
+
+def _along(W: np.ndarray, B: np.ndarray, ax: int) -> np.ndarray:
+    """``W`` applied along axis ``ax`` of the C-contiguous ``B``: one
+    product over the lines of that axis, with no transpose."""
+    lead, rest = B.shape[:ax], B.shape[ax + 1 :]
+    return (W @ B.reshape(*lead, B.shape[ax], -1)).reshape(*lead, W.shape[0], *rest)
 
 
 @dataclass(frozen=True, eq=False)

@@ -73,7 +73,7 @@ def _check_order(s: float) -> None:
 
 
 def _check_radius(name: str, epsilon: float) -> None:
-    if epsilon < 0:
+    if not (epsilon >= 0):
         raise ValueError(f"{name} must be >= 0, got {epsilon}")
 
 

@@ -29,6 +29,40 @@ def dft_forward_oracle(values: np.ndarray) -> np.ndarray:
     return out
 
 
+def _twiddles(n: int, k: np.ndarray, sign: int) -> np.ndarray:
+    """exp(sign * 2 pi i ((k x) mod n) / n) in long double, k by x = 0..n-1:
+    the angle is reduced exactly before it is rounded."""
+    theta = (8 * np.arctan(np.longdouble(1)) / n) * (np.outer(k, np.arange(n)) % n)
+    return np.cos(theta) + sign * 1j * np.sin(theta)
+
+
+def _dft_along(W: np.ndarray, F: np.ndarray, ax: int) -> np.ndarray:
+    return np.moveaxis(np.tensordot(W, np.moveaxis(F, ax, 0), axes=1), 0, ax)
+
+
+def band_dft_oracle(values: np.ndarray, c: int) -> np.ndarray:
+    """Unnormalized rfftn of real `values` on the band |k| <= c, in the
+    band layout, by long double DFT sums."""
+    n, F = values.shape[-1], values.astype(np.longdouble)
+    F = _dft_along(_twiddles(n, np.arange(c + 1), -1), F, -1)
+    for ax in range(-2, -values.ndim - 1, -1):
+        F = _dft_along(_twiddles(n, np.r_[0 : c + 1, -c:0], -1), F, ax)
+    return F
+
+
+def band_idft_oracle(B: np.ndarray, n: int) -> np.ndarray:
+    """irfftn of the band `B` (cutoff B.shape[-1] - 1) zero-extended to n
+    points per axis, by long double DFT sums: each signed axis inverted,
+    then the real part of the last axis' sum with each interior column
+    counted twice for its conjugate mirror."""
+    c, F = B.shape[-1] - 1, B.astype(np.clongdouble)
+    for ax in range(B.ndim - 1):
+        F = _dft_along(_twiddles(n, np.r_[0 : c + 1, -c:0], 1).T / n, F, ax)
+    k = np.arange(c + 1)
+    last = _twiddles(n, k, 1) * (np.where(k == 0, 1, 2)[:, None] / n)
+    return np.tensordot(F, last, axes=([-1], [0])).real
+
+
 def half_columns(full: np.ndarray) -> np.ndarray:
     """Last-axis columns 0..n/2 of a full-layout array: the rfftn layout.
 
@@ -64,9 +98,10 @@ def radial_symbol_oracle(dim: int, n: int, length: float, power: float) -> np.nd
     return out
 
 
-def nonlinear_march(u0, s: float, t_end: float, steps: int) -> np.ndarray:
+def nonlinear_march(u0, s: float, t_end: float, steps: int, F=None) -> np.ndarray:
     """Band state at t_end of du/dt = div(u grad (-Lap)^(-s) u) from u0,
-    marched by RK4 in `steps` equal steps, each stage freezing v = u.
+    marched by RK4 in `steps` equal steps, each stage freezing v = u; or, if
+    F is given, from the band state F of a field marched from u0.
 
     Like every state of the package's solvers, u keeps u0's coefficients off
     the band, and the right-hand side reads only the band."""
@@ -76,7 +111,8 @@ def nonlinear_march(u0, s: float, t_end: float, steps: int) -> np.ndarray:
         # max|v| only sets the step bound rho_est, which this march ignores
         return _rhs_values(F, _freeze(g, F, 0.0, s, 0.0))
 
-    F = g.band_forward(u0.values)
+    if F is None:
+        F = g.band_forward(u0.values)
     h = t_end / steps
     for _ in range(steps):
         k1 = rhs(F)

@@ -150,6 +150,9 @@ class TestExitCodes:
             ("linear", ["solver.epsilon=0.01"], "solver.epsilon"),
             ("linear", ["solver.epsilon=3.5"], "solver.epsilon"),
             ("sweep", ["sweep.epsilons=0.4, 0.01"], "sweep.epsilons"),
+            ("linear", ["solver.epsilon=nan"], "epsilon_moll"),
+            ("picard", ["solver.epsilon=nan"], "epsilon_moll"),
+            ("sweep", ["sweep.epsilons=0.4, nan"], "sweep.epsilons"),
             ("linear", ["initial.kind=random_trig", "initial.width=0"], "initial.width"),
             ("linear", ["initial.kind=random_trig", "initial.width=-1"], "initial.width"),
             ("linear", ["initial.kind=random_trig", "initial.width=100"], "initial.width"),
@@ -162,6 +165,7 @@ class TestExitCodes:
     ):
         # each of these used to pass the parser and then fail only after the
         # manifest (or a whole sweep radius) was written, or run clamped
+        # (a NaN radius ran unmollified)
         out = tmp_path / "out"
         assert run_shipped(cfg, out, *overrides) == 2
         assert key in capsys.readouterr().err

@@ -153,6 +153,21 @@ output.dir = /tmp/out
         with pytest.raises(ValidationError, match="must be positive"):
             parse_config(text, mode="sweep_epsilon")
 
+    @pytest.mark.parametrize(
+        "mode, override, key",
+        [
+            ("linear", {"solver.epsilon": "nan"}, "epsilon_moll"),
+            ("picard", {"solver.epsilon": "nan"}, "epsilon_moll"),
+            ("sweep_epsilon", {"sweep.epsilons": "0.4, nan"}, "sweep.epsilons"),
+        ],
+        ids=["linear", "picard", "sweep"],
+    )
+    def test_nan_radius_rejected(self, mode, override, key):
+        # NaN fails every comparison, so a check written as "< 0" or "<= 0"
+        # let it through to an unmollified run
+        with pytest.raises(ValidationError, match=key):
+            parse_config(MINIMAL_LINEAR, mode=mode, overrides=override)
+
     def test_generator_kind_checked(self):
         text = MINIMAL_LINEAR.replace("gaussian_bump", "perlin")
         with pytest.raises(ValidationError, match="initial.kind must be one of"):
@@ -188,9 +203,11 @@ def _bump(amplitude):
         ("linear", {"coefficient.amplitude": "-0.5"},
          lambda: LinearProblem(v=_bump(-0.5), u0=_bump(0.5), s=0.75, epsilon=0.0, t_end=0.05)),
         ("linear", {"solver.alpha": "-1"}, lambda: PicardConfig(s=0.75, alpha=-1.0)),
+        ("picard", {"solver.epsilon": "nan"},
+         lambda: PicardConfig(s=0.75, alpha=1.6, epsilon_moll=float("nan"))),
     ],
     ids=["picard-alpha-floor", "picard-negative-initial", "linear-negative-coefficient",
-         "negative-alpha"],
+         "negative-alpha", "nan-radius"],
 )
 def test_parse_time_and_library_rejections_agree(mode, override, library_call):
     # the parser runs the solvers' own checks, so it says what they say
@@ -199,6 +216,11 @@ def test_parse_time_and_library_rejections_agree(mode, override, library_call):
     with pytest.raises(ValidationError) as parsed:
         parse_config(MINIMAL_LINEAR, mode=mode, overrides=override)
     assert str(library.value) in str(parsed.value)
+
+
+def test_linear_problem_rejects_nan_radius():
+    with pytest.raises(ValueError, match=r"^epsilon must be >= 0, got nan$"):
+        LinearProblem(v=_bump(0.5), u0=_bump(0.5), s=0.75, epsilon=float("nan"), t_end=0.05)
 
 
 class TestOverrides:

@@ -54,7 +54,13 @@ from fpme.norms import _chi, _start_band
 from fpme.picard import _advance_iterate, _Samples
 
 from conftest import random_field
-from helpers import dft_forward_oracle, half_columns, radial_symbol_oracle
+from helpers import (
+    band_dft_oracle,
+    band_idft_oracle,
+    dft_forward_oracle,
+    half_columns,
+    radial_symbol_oracle,
+)
 
 GRIDS = [Grid(1, 64, 2 * np.pi), Grid(2, 32, 2 * np.pi), Grid(3, 16, 2 * np.pi)]
 TOL = 1e-13
@@ -207,9 +213,16 @@ def rel_err(new, old):
 # transforms and operators
 
 
-@pytest.mark.parametrize("dim", [1, 2, 3])
-@pytest.mark.parametrize("n", [8, 16, 32, 64])
-@pytest.mark.parametrize("stack", [(), (2,)], ids=["single", "stacked"])
+def pair_case(dim, n, stack):
+    return pytest.param(dim, n, stack, id=f"{'stacked' if stack else 'single'}-{n}-{dim}")
+
+
+@pytest.mark.parametrize(
+    "dim, n, stack",
+    [pair_case(d, n, st) for d in (1, 2, 3) for n in (8, 16, 32, 64) for st in ((), (2,))]
+    # past _MATRIX_POINTS: the pocketfft kernel at dim >= 2
+    + [pair_case(2, 128, ()), pair_case(2, 128, (2,)), pair_case(3, 128, ())],
+)
 def test_band_pair_matches_rfftn(dim, n, stack):
     grid = Grid(dim, n, 2 * np.pi)
     c = grid.dealias_cutoff
@@ -231,6 +244,30 @@ def test_band_pair_matches_rfftn(dim, n, stack):
     else:
         assert rel_err(B, restricted) <= 1e-15
         assert rel_err(inverse, oracle) <= 1e-15
+
+
+@pytest.mark.parametrize(
+    "dim, n", [(d, n) for d in (1, 2, 3) for n in (8, 16, 32)] + [(2, 64), (2, 128)]
+)
+def test_band_pair_matches_long_double_dft(dim, n, monkeypatch):
+    # a known answer for both kernels: DFT sums in long double with exactly
+    # reduced angles; the inverse also on a smaller band, a Besov crop's
+    grid = Grid(dim, n, 2 * np.pi)
+    c = grid.dealias_cutoff
+    rng = np.random.default_rng(10 * dim + n)
+    values = rng.standard_normal(grid.shape)
+    bands = []
+    for K in (c, c // 2):
+        shape = (*[2 * K + 1] * (dim - 1), K + 1)
+        bands.append(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    forward = band_dft_oracle(values, c)
+    inverses = [band_idft_oracle(B, n) for B in bands]
+    # pocketfft, then DFT matrices; a 1-D band pair is always pocketfft
+    for points in (0, 1 << 30) if dim > 1 else (0,):
+        monkeypatch.setattr(grid_module, "_MATRIX_POINTS", points)
+        assert rel_err(grid.band_forward(values), forward) <= 1e-15
+        for B, oracle in zip(bands, inverses):
+            assert rel_err(grid.band_inverse(B), oracle) <= 1e-15
 
 
 @pytest.mark.parametrize("grid", GRIDS, ids=lambda g: f"dim{g.dim}")
@@ -409,7 +446,13 @@ def unstacked_rhs(F, ops):
     return Fr
 
 
-@pytest.mark.parametrize("grid", GRIDS, ids=lambda g: f"dim{g.dim}")
+@pytest.mark.parametrize(
+    "grid",
+    # 2-D n = 128 runs the pocketfft kernel, the other grids the matrices at
+    # dim >= 2
+    [*GRIDS, Grid(2, 128, 2 * np.pi)],
+    ids=lambda g: f"dim{g.dim}" if g in GRIDS else f"dim{g.dim}-n{g.n_points}",
+)
 @pytest.mark.parametrize("fields", [0, 1, 2, None], ids=lambda f: f"fields{f}")
 @pytest.mark.parametrize("epsilon", [0.0, 1.0])
 def test_stacked_rhs_is_the_unstacked_sum_bit_for_bit(grid, fields, epsilon, monkeypatch):
@@ -692,8 +735,10 @@ def test_band_table_is_small_and_caches_no_full_table():
 
 
 def test_package_makes_no_complex_fft_call(monkeypatch):
-    # fftn/ifftn nowhere; fft/ifft only inside the band pair, where they run
-    # along the signed axes of a band transform
+    # fftn/ifftn nowhere; fft/ifft only inside the band pair, where its
+    # pocketfft kernel runs them along the signed axes: not at all on the
+    # 2-D n = 16 grid below, whose band pair is matrix products, and on a
+    # 2-D grid past _MATRIX_POINTS
     band_pair = {Grid.band_forward.__code__, Grid.band_inverse.__code__}
     calls = {"fft": 0, "ifft": 0}
 
@@ -741,5 +786,9 @@ def test_package_makes_no_complex_fft_call(monkeypatch):
                                 t0_override=0.01, tol_picard=1e-3))
     rows, passed = run_property_suite(line, seed=0, count=2)
     assert passed and rows
-    # the 2-D band transforms above ran through the guard
+    assert calls == {"fft": 0, "ifft": 0}
+
+    big = Grid(2, 128, 2 * np.pi)
+    big.band_inverse(big.band_forward(random_field(big, seed=3).values))
+    # the pocketfft band pair ran through the guard
     assert calls["fft"] > 0 and calls["ifft"] > 0

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import fpme.grid as grid_mod
 import fpme.linear as linear_mod
 from fpme import (
     BlowUp,
@@ -111,6 +112,32 @@ class TestRhsStructure:
         )
         out = frozen_rhs(u, prob)
         assert np.max(np.abs(out.values - expected)) < 1e-11
+
+    @pytest.mark.parametrize("points", [0, 64], ids=["pocketfft", "matrix"])
+    def test_two_mode_closed_form_2d(self, points, monkeypatch):
+        # u = A cos(a.x), v = B(1 + cos(b.x)): the transport term is
+        # AB |b|^(-2s) (a.b) sin(a.x) sin(b.x), the diffusion term
+        # AB |a|^(2-2s) (1 + cos(b.x)) cos(a.x); every output mode, a, a + b
+        # and a - b, lies inside the cutoff 5 of n = 16
+        monkeypatch.setattr(grid_mod, "_MATRIX_POINTS", points)
+        g = Grid(2, 16, 2 * np.pi)
+        x, y = g.axes()
+        s, A, B = 0.75, 0.7, 0.5
+        a, b = np.array([1, 2]), np.array([3, 1])
+        phase = lambda k: k[0] * x + k[1] * y  # noqa: E731
+        u = RealField(g, A * np.cos(phase(a)))
+        v = RealField(g, B * (1.0 + np.cos(phase(b))))
+        prob = LinearProblem(v=v, u0=u, s=s, epsilon=0.0, t_end=1.0)
+
+        norm_a, norm_b = np.linalg.norm(a), np.linalg.norm(b)
+        transport = (A * B * norm_b ** (-2 * s) * (a @ b) / 2) * (
+            np.cos(phase(a - b)) - np.cos(phase(a + b))
+        )
+        diffusion = A * B * norm_a ** (2 - 2 * s) * (
+            np.cos(phase(a)) + 0.5 * np.cos(phase(a + b)) + 0.5 * np.cos(phase(a - b))
+        )
+        out = frozen_rhs(u, prob)
+        assert np.max(np.abs(out.values - (transport - diffusion))) < 1e-11
 
     def test_grid_mismatch(self, grid64):
         other = Grid(1, 32, 2 * np.pi)
