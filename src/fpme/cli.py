@@ -50,9 +50,7 @@ def _linear_solution(spec: RunSpec, epsilon: float):
     )
 
 
-def _run_linear(spec: RunSpec, config_text: str) -> int:
-    out = Path(spec.output_dir)
-    write_manifest(out, config_text, spec.echo, {"mode": "linear"})
+def _run_linear(spec: RunSpec, out: Path) -> int:
     sol = _linear_solution(spec, spec.epsilon)
     write_records_csv(sol.records, out / "diagnostics.csv")
     write_snapshot(out / "final.fpm1", sol.final, spec.t_end)
@@ -63,9 +61,7 @@ def _run_linear(spec: RunSpec, config_text: str) -> int:
     return 0
 
 
-def _run_picard(spec: RunSpec, config_text: str) -> int:
-    out = Path(spec.output_dir)
-    write_manifest(out, config_text, spec.echo, {"mode": "picard"})
+def _run_picard(spec: RunSpec, out: Path) -> int:
     u0 = spec.initial.generate(spec.grid)
     result = run_picard(u0, spec.picard)
     state = result.state
@@ -75,7 +71,7 @@ def _run_picard(spec: RunSpec, config_text: str) -> int:
     write_records_csv(result.records, out / "diagnostics.csv")
     write_snapshot(out / "final.fpm1", result.trajectory[-1], result.horizon)
     snaps = []
-    for ts in sorted(set(spec.snapshot_times)):
+    for ts in sorted(spec.snapshot_times):
         if ts > result.horizon:
             print(f"picard: snapshot time {format_float(ts)} skipped, beyond "
                   f"horizon={format_float(result.horizon)}")
@@ -89,10 +85,8 @@ def _run_picard(spec: RunSpec, config_text: str) -> int:
     return 0
 
 
-def _run_sweep(spec: RunSpec, config_text: str) -> int:
-    out = Path(spec.output_dir)
-    write_manifest(out, config_text, spec.echo, {"mode": "sweep_epsilon"})
-    eps_list = sorted(set(spec.epsilons), reverse=True)
+def _run_sweep(spec: RunSpec, out: Path) -> int:
+    eps_list = sorted(spec.epsilons, reverse=True)
     finals = []
     for eps in eps_list + [0.0]:
         sol = _linear_solution(spec, eps)
@@ -115,9 +109,7 @@ def _run_sweep(spec: RunSpec, config_text: str) -> int:
     return 0
 
 
-def _run_properties(spec: RunSpec, config_text: str) -> int:
-    out = Path(spec.output_dir)
-    write_manifest(out, config_text, spec.echo, {"mode": "properties"})
+def _run_properties(spec: RunSpec, out: Path) -> int:
     rows, ok = run_property_suite(
         spec.grid, seed=spec.properties_seed, count=spec.properties_count
     )
@@ -136,8 +128,12 @@ _RUNNERS = {
 
 
 def execute(spec: RunSpec, config_text: str = "") -> int:
+    """Write manifest.json into spec's output.dir, then run its mode;
+    returns the exit code."""
+    out = Path(spec.output_dir)
     try:
-        return _RUNNERS[spec.mode](spec, config_text)
+        write_manifest(out, config_text, spec.echo, {"mode": spec.mode})
+        return _RUNNERS[spec.mode](spec, out)
     except NoConvergence as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -12,11 +12,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .diagnostics import FieldGenerator
+from .diagnostics import FieldGenerator, _check_suite
 from .errors import ParseError, UnresolvedKernel, ValidationError
 from .fracops import MollifierKernel
-from .grid import Grid
-from .linear import LinearProblem, TimeStepPolicy, _check_t_end
+from .grid import Grid, _check_integer
+from .linear import LinearProblem, TimeStepPolicy, _check_positive, _check_snapshot_times
 from .picard import PicardConfig, _check_alpha, _validate_initial
 
 __all__ = ["RunSpec", "parse_config", "MODES"]
@@ -221,10 +221,15 @@ def parse_config(text: str, mode: str, overrides: dict[str, str] | None = None) 
         if key in entries
     }
     dt_max = _get(entries, "solver.dt_max", float)
+    sample_every = _get(entries, "solver.sample_every", int, 1)
+    properties_seed = _get(entries, "properties.seed", int, 0)
+    properties_count = _get(entries, "properties.count", int, 100)
     try:
         grid = Grid(dim, n, length)
         if mode in ("linear", "sweep_epsilon"):
-            _check_t_end("solver.t_end", t_end)
+            _check_positive("solver.t_end", t_end)
+        _check_integer("solver.sample_every", sample_every, 1)
+        _check_suite(properties_seed, properties_count, "properties.")
         alpha = _get(entries, "solver.alpha", float, dim / 2.0 + 1.1)
         picard = PicardConfig(s=_get(entries, "solver.s", float, 0.75), alpha=alpha, **picard_args)
         if mode == "picard":
@@ -237,10 +242,6 @@ def parse_config(text: str, mode: str, overrides: dict[str, str] | None = None) 
             )
     except ValueError as exc:
         raise ValidationError(str(exc)) from exc
-
-    sample_every = _get(entries, "solver.sample_every", int, 1)
-    if sample_every < 1:
-        raise ValidationError(f"solver.sample_every must be >= 1, got {sample_every}")
 
     initial = _generator(entries, "initial", grid)
     coefficient = _generator(entries, "coefficient", grid)
@@ -266,19 +267,21 @@ def parse_config(text: str, mode: str, overrides: dict[str, str] | None = None) 
     if output_dir is None:
         raise ValidationError("output.dir is required")
     snapshot_times = _get(entries, "output.snapshot_times", _floats, ())
-    if any(not math.isfinite(ts) or ts < 0 for ts in snapshot_times):
-        raise ValidationError("output.snapshot_times must be finite and >= 0")
-    if mode in ("linear", "sweep_epsilon") and any(ts > t_end for ts in snapshot_times):
-        raise ValidationError(
-            f"output.snapshot_times must not exceed solver.t_end = {t_end}"
-        )
+    # picard saves the stored samples up to its horizon, which is not known yet
+    last = t_end if mode in ("linear", "sweep_epsilon") else math.inf
+    try:
+        _check_snapshot_times(snapshot_times, last)
+    except ValueError as exc:
+        raise ValidationError(f"output.snapshot_times: {exc}") from exc
 
     epsilons = _get(entries, "sweep.epsilons", _floats, (0.4, 0.2, 0.1))
     if mode == "sweep_epsilon":
         if not epsilons:
             raise ValidationError("sweep.epsilons must not be empty")
-        if any(not (e > 0) for e in epsilons):
-            raise ValidationError("sweep.epsilons must be positive (0 is run implicitly)")
+        if len(set(epsilons)) < len(epsilons) or any(not (e > 0) for e in epsilons):
+            raise ValidationError(
+                "sweep.epsilons must be positive and distinct (0 is run implicitly)"
+            )
     # Build each mollifier the run will build, so that a radius the grid
     # cannot resolve, or one past half the period, fails here.
     radii = [("solver.epsilon", picard.epsilon_moll)]
@@ -290,13 +293,6 @@ def parse_config(text: str, mode: str, overrides: dict[str, str] | None = None) 
                 MollifierKernel(grid, eps)
             except (ValueError, UnresolvedKernel) as exc:
                 raise ValidationError(f"{key}: {exc}") from exc
-
-    properties_seed = _get(entries, "properties.seed", int, 0)
-    properties_count = _get(entries, "properties.count", int, 100)
-    if properties_seed < 0:
-        raise ValidationError(f"properties.seed must be >= 0, got {properties_seed}")
-    if properties_count < 1:
-        raise ValidationError(f"properties.count must be >= 1, got {properties_count}")
 
     echo = {key: entries[key][0] for key in sorted(entries)}
     echo["mode"] = mode

@@ -12,17 +12,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateDenominator, InvalidExponent, UnsupportedExponent
+from .errors import DegenerateDenominator, GridMismatch, InvalidExponent, UnsupportedExponent
 from .fracops import MollifierKernel, frac_laplacian, gradient, mollify
 from .grid import (
     Grid,
     RealField,
+    _check_integer,
     _fields_per_stack,
     _multiply_symbols,
     apply_symbols,
     band_symbols,
     half_spectrum_symbols,
-    require_same_grid,
 )
 from .norms import (
     DyadicPartition, _besov_of_band, _norm_of_rfft, _start_band, homogeneous_seminorm, lp_norm
@@ -147,15 +147,14 @@ class FieldGenerator:
     KINDS = ("gaussian_bump", "multi_bump", "random_trig", "constant")
 
     def check(self, grid: Grid) -> None:
-        """Raise ValueError for an unknown kind, a negative seed, a width
-        that is not finite and positive, a random_trig width above the side
-        length, where no mode but the mean fits, or so narrow that its modes
-        up to L/width pass the band's cutoff, or a bump too narrow to be
-        band-limited on grid."""
+        """Raise ValueError for an unknown kind, a seed that is not an
+        integer >= 0, a width that is not finite and positive, a random_trig
+        width above the side length, where no mode but the mean fits, or so
+        narrow that its modes up to L/width pass the band's cutoff, or a
+        bump too narrow to be band-limited on grid."""
         if self.kind not in self.KINDS:
             raise ValueError(f"kind must be one of {self.KINDS}, got {self.kind!r}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        _check_integer("seed", self.seed, 0)
         if not (math.isfinite(self.width) and self.width > 0):
             raise ValueError(f"width must be finite and positive, got {self.width}")
         if self.kind == "random_trig" and self.width > grid.side_length:
@@ -261,7 +260,7 @@ def _gap_field(g: Grid, values: np.ndarray, sigma: float, p: int) -> np.ndarray:
     B = g.band_forward(values**p)
     # sigma = 0 is the identity: keep the zero mode, which radial drops
     if sigma != 0:
-        lam_f = next(_multiply_symbols(g, values, half_spectrum_symbols(g, sigma).radial))
+        lam_f = _multiply_symbols(g, values, half_spectrum_symbols(g, sigma).radial)[0]
         B *= band_symbols(g, sigma).radial
     return p * values ** (p - 1) * lam_f - g.band_inverse(B)
 
@@ -307,12 +306,13 @@ def check_commutator(f: RealField, g: RealField, alpha: float) -> float:
     """
     if not (alpha > 0):
         raise InvalidExponent(f"commutator check needs alpha > 0, got {alpha}")
-    require_same_grid(f, g)
     grid = f.grid
+    if g.grid != grid:
+        raise GridMismatch(f"fields live on different grids: {g.grid} vs {grid}")
     lam_prod = grid.band_inverse(
         band_symbols(grid, alpha).radial * grid.band_forward(f.values * g.values)
     )
-    lam_g = next(apply_symbols(g, half_spectrum_symbols(grid, alpha).radial))
+    lam_g = apply_symbols(g, half_spectrum_symbols(grid, alpha).radial)[0]
     diff = RealField(grid, lam_prod - f.values * lam_g.values)
     numerator = lp_norm(diff, 2)
 
@@ -331,6 +331,12 @@ def check_commutator(f: RealField, g: RealField, alpha: float) -> float:
 # batch suite (used by the properties CLI mode)
 
 
+def _check_suite(seed: int, count: int, prefix: str = "") -> None:
+    """The property suite's argument rules; prefix qualifies the names."""
+    _check_integer(f"{prefix}seed", seed, 0)
+    _check_integer(f"{prefix}count", count, 1)
+
+
 def run_property_suite(grid: Grid, seed: int = 0, count: int = 100):
     """Run the inequality and operator checks over generated field suites.
 
@@ -341,8 +347,10 @@ def run_property_suite(grid: Grid, seed: int = 0, count: int = 100):
     Every row equals the check of its field alone bit for bit.
 
     Returns (rows, all_passed) where each row is
-    (check name, field seed, statistic, passed).
+    (check name, field seed, statistic, passed).  Raises ValueError, before
+    any work, unless seed is an integer >= 0 and count one >= 1.
     """
+    _check_suite(seed, count)
     L = grid.side_length
     k_half = max(1, grid.dealias_cutoff // 2)
     k_quarter = max(1, grid.dealias_cutoff // 4)

@@ -33,7 +33,7 @@ def frac_laplacian(f: RealField, sigma: float) -> RealField:
         raise InvalidExponent(f"fractional Laplacian order must be in [0, 2], got {sigma}")
     if sigma == 0.0:
         return f
-    return next(apply_symbols(f, half_spectrum_symbols(f.grid, sigma).radial))
+    return apply_symbols(f, half_spectrum_symbols(f.grid, sigma).radial)[0]
 
 
 def inv_frac_laplacian(f: RealField, s: float) -> RealField:
@@ -43,7 +43,7 @@ def inv_frac_laplacian(f: RealField, s: float) -> RealField:
     """
     if not (0.0 < s < 1.0):
         raise InvalidExponent(f"inverse fractional Laplacian needs s in (0, 1), got {s}")
-    return next(apply_symbols(f, half_spectrum_symbols(f.grid, -2.0 * s).radial))
+    return apply_symbols(f, half_spectrum_symbols(f.grid, -2.0 * s).radial)[0]
 
 
 def gradient(f: RealField) -> list[RealField]:
@@ -53,7 +53,7 @@ def gradient(f: RealField) -> list[RealField]:
     symbol i*xi has no Hermitian-symmetric value there, and the standard
     convention (drop it) is also the one that keeps d/dx of a real sample
     real."""
-    return list(apply_symbols(f, *half_spectrum_symbols(f.grid, 1.0).grad))
+    return apply_symbols(f, *half_spectrum_symbols(f.grid, 1.0).grad)
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,4 +107,4 @@ def mollify(f: RealField, kernel: MollifierKernel) -> RealField:
     """Convolve with the periodized mollifier (spectral multiplication)."""
     if f.grid != kernel.grid:
         raise GridMismatch(f"kernel grid {kernel.grid} does not match field grid {f.grid}")
-    return next(apply_symbols(f, kernel.kernel_hat))
+    return apply_symbols(f, kernel.kernel_hat)[0]

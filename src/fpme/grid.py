@@ -63,9 +63,9 @@ The right-hand sides of :mod:`fpme.linear` and the property suite of
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
+from numbers import Integral
 
 import numpy as np
 
@@ -98,6 +98,12 @@ _PI = np.longdouble("3.14159265358979323846264338327950288")
 
 def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
+
+
+def _check_integer(name: str, value, least: int) -> None:
+    """The rule of every seed, sample count and iteration cap."""
+    if not (isinstance(value, Integral) and value >= least):
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -270,7 +276,7 @@ class HalfSpectrumSymbols:
     ``radial`` and ``sobolev`` are dense, of shape ``grid.spectral_shape``,
     or of the band's shape in the tables of :func:`band_symbols`; ``fold``
     and ``grad`` broadcast to that shape.  Every array is read-only: one
-    table is shared by all callers, threads included.
+    table is shared by all callers.
 
     radial:  ``|xi|**exponent``, zero mode mapped to 0.
     fold:    2 on the interior last-axis columns, 1 on the zero and Nyquist
@@ -368,14 +374,6 @@ class SpectralField:
         object.__setattr__(self, "coeffs", _frozen(arr.astype(complex, copy=False)))
 
 
-def require_same_grid(*fields) -> Grid:
-    grid = fields[0].grid
-    for f in fields[1:]:
-        if f.grid != grid:
-            raise GridMismatch(f"fields live on different grids: {f.grid} vs {grid}")
-    return grid
-
-
 def forward_transform(f: RealField) -> SpectralField:
     """Half-spectrum DFT with mean normalization: coefficient at 0 equals mean(f)."""
     g = f.grid
@@ -388,26 +386,21 @@ def inverse_transform(F: SpectralField) -> RealField:
     return RealField(g, np.fft.irfftn(F.coeffs, s=g.shape, axes=g.fft_axes, norm="forward"))
 
 
-def apply_symbols(f: RealField, *symbols: np.ndarray) -> Iterator[RealField]:
+def apply_symbols(f: RealField, *symbols: np.ndarray) -> list[RealField]:
     """Fourier multipliers of one field: ``irfftn(m * rfftn(f))`` for each m.
 
     Each ``m`` is a half-spectrum multiplier that broadcasts to
     ``grid.spectral_shape``.  One unnormalized ``rfftn`` of ``f`` serves all
-    of them, and the fields are yielded one at a time, so a caller that
-    reduces as it goes holds one of them at once.
+    of them; the fields are returned in the order of ``symbols``.
     """
-    for values in _multiply_symbols(f.grid, f.values, *symbols):
-        yield RealField(f.grid, values)
+    return [RealField(f.grid, v) for v in _multiply_symbols(f.grid, f.values, *symbols)]
 
 
-def _multiply_symbols(
-    grid: Grid, values: np.ndarray, *symbols: np.ndarray
-) -> Iterator[np.ndarray]:
+def _multiply_symbols(grid: Grid, values: np.ndarray, *symbols: np.ndarray) -> list[np.ndarray]:
     """:func:`apply_symbols` on arrays, which may carry leading stack axes;
     a stack equals its fields transformed one at a time bit for bit."""
     c = np.fft.rfftn(values, axes=grid.fft_axes)
-    for m in symbols:
-        yield np.fft.irfftn(m * c, s=grid.shape, axes=grid.fft_axes)
+    return [np.fft.irfftn(m * c, s=grid.shape, axes=grid.fft_axes) for m in symbols]
 
 
 def _fields_per_stack(grid: Grid) -> int:

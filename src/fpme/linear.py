@@ -40,7 +40,7 @@ import numpy as np
 from .diagnostics import DiagnosticsRecord, RecorderConfig, record
 from .errors import BlowUp, GridMismatch
 from .fracops import MollifierKernel
-from .grid import Grid, RealField, _fields_per_stack, band_symbols
+from .grid import Grid, RealField, _check_integer, _fields_per_stack, band_symbols
 from .norms import DyadicPartition, _start_band, sobolev_norm
 
 __all__ = [
@@ -82,9 +82,16 @@ def _check_safety(safety: float) -> None:
         raise ValueError(f"safety must be in (0, 1], got {safety}")
 
 
-def _check_t_end(name: str, t_end: float) -> None:
-    if not (t_end > 0):
-        raise ValueError(f"{name} must be positive, got {t_end}")
+def _check_positive(name: str, value: float) -> None:
+    if not (value > 0):
+        raise ValueError(f"{name} must be positive, got {value}")
+
+
+def _check_snapshot_times(times, t_end: float) -> None:
+    finite = all(math.isfinite(ts) and 0.0 <= ts <= t_end for ts in times)
+    if not finite or len(set(times)) < len(times):
+        raise ValueError(f"snapshot times must be distinct, finite and lie in "
+                         f"[0, t_end = {t_end}], got {tuple(times)}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,7 +125,7 @@ class LinearProblem:
         _check_order(self.s)
         _check_nonnegative("coefficient v", self.v)
         _check_radius("epsilon", self.epsilon)
-        _check_t_end("t_end", self.t_end)
+        _check_positive("t_end", self.t_end)
 
     @property
     def grid(self) -> Grid:
@@ -139,8 +146,7 @@ class TimeStepPolicy:
 
     def __post_init__(self):
         _check_safety(self.safety)
-        if not (self.dt_max > 0):
-            raise ValueError(f"dt_max must be positive, got {self.dt_max}")
+        _check_positive("dt_max", self.dt_max)
 
     def step_size(self, rho_est: float) -> float:
         if rho_est <= 0:
@@ -269,11 +275,14 @@ def _rk4_step(F: np.ndarray, dt: float, ops: CoefficientOps) -> np.ndarray:
     return F + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _march(F: np.ndarray, ops: CoefficientOps, dt_cap: float, stops, tiny: float):
+def _march(F: np.ndarray, ops: CoefficientOps, dt_cap: float, stops):
     """RK4 steps of F from t = 0, at most dt_cap each, landing exactly on each
-    of the increasing stop times in turn; yields (F, t, dt, landed)."""
+    of the nondecreasing stop times in turn, a step that ends within
+    1e-14 * stops[-1] of its stop being stretched onto it; yields
+    (F, t, dt, landed), the last with t == stops[-1]."""
     t, i = 0.0, 0
-    while t < stops[-1] - tiny:
+    tiny = 1e-14 * stops[-1]
+    while t < stops[-1]:
         target = stops[i]
         dt = min(dt_cap, target - t)
         landed = dt >= target - t - tiny
@@ -318,9 +327,12 @@ def solve_linear(
 
     Diagnostics are recorded at t = 0, every sample_every accepted steps and
     at t_end.  Steps are clipped so requested snapshot times are hit
-    exactly.  Raises ValueError if a snapshot time lies outside
-    [0, t_end], and BlowUp if the state leaves the finite range.
+    exactly.  Raises ValueError, before any work, if sample_every is not an
+    integer >= 1 or the snapshot times are not distinct and in [0, t_end],
+    and BlowUp if the state leaves the finite range.
     """
+    _check_integer("sample_every", sample_every, 1)
+    _check_snapshot_times(snapshot_times, problem.t_end)
     g = problem.grid
     ops = make_coefficient_ops(problem.v, problem.s, problem.epsilon)
     recorder = RecorderConfig(
@@ -329,27 +341,22 @@ def solve_linear(
         coefficient_scale=sobolev_norm(problem.v, alpha),
     )
 
-    if not all(0.0 <= ts <= problem.t_end for ts in snapshot_times):
-        raise ValueError(
-            f"snapshot times must lie in [0, t_end = {problem.t_end}], got {snapshot_times}"
-        )
-    events = sorted({float(ts) for ts in snapshot_times if ts > 0.0})
+    events = sorted(float(ts) for ts in snapshot_times if ts > 0.0)
     snapshots: list[tuple[float, RealField]] = []
-    if any(ts == 0.0 for ts in snapshot_times):
+    if 0.0 in snapshot_times:
         snapshots.append((0.0, problem.u0))
 
     final = problem.u0
     F_start, tail = _start_band(problem.u0, alpha)
     records = [record(problem.u0, 0.0, 0.0, recorder, None, (F_start, tail))]
     dt_base = policy.step_size(ops.rho_est)
-    tiny = 1e-14 * problem.t_end
 
-    march = _march(F_start, ops, dt_base, (*events, problem.t_end), tiny)
+    march = _march(F_start, ops, dt_base, (*events, problem.t_end))
     for steps, (F, t, dt, landed) in enumerate(march, start=1):
         final = _field(problem.u0, F, F_start, t)
         if landed and events:
             events.pop(0)
             snapshots.append((t, final))
-        if steps % sample_every == 0 or t >= problem.t_end - tiny:
+        if steps % sample_every == 0 or t == problem.t_end:
             records.append(record(final, t, dt, recorder, records[-1], (F, tail)))
     return LinearSolution(final=final, records=records, snapshots=snapshots)

@@ -161,9 +161,7 @@ def _besov_of_band(g: Grid, F: np.ndarray, alpha: float, partition: DyadicPartit
     if partition.grid != g:
         raise GridMismatch(f"partition grid {partition.grid} does not match field grid {g}")
     cell = g.spacing**g.dim
-    # fold * |F|**2; the band has no Nyquist column
-    power = F.real**2 + F.imag**2
-    power[..., 1:] *= 2.0
+    power = band_symbols(g, alpha).fold * (F.real**2 + F.imag**2)
     ms = partition._stack.reshape(len(partition.indices), -1)
     powers = np.einsum("jk,jk,k->j", ms, ms, power.reshape(-1))
     bounds = [

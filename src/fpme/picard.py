@@ -35,11 +35,12 @@ import numpy as np
 from .diagnostics import DiagnosticsRecord, RecorderConfig, growth_quotient, record
 from .errors import NoConvergence
 from .fracops import MollifierKernel, mollify
-from .grid import RealField, band_symbols
+from .grid import RealField, _check_integer, band_symbols
 from .linear import (
     TimeStepPolicy,
     _check_nonnegative,
     _check_order,
+    _check_positive,
     _check_radius,
     _check_safety,
     _field,
@@ -89,16 +90,12 @@ class PicardConfig:
             raise ValueError(f"alpha must be >= 0, got {self.alpha}")
         _check_safety(self.safety)
         _check_radius("epsilon_moll", self.epsilon_moll)
-        if not (self.c_gronwall > 0):
-            raise ValueError(f"c_gronwall must be positive, got {self.c_gronwall}")
-        if not (self.tol_picard > 0):
-            raise ValueError(f"tol_picard must be positive, got {self.tol_picard}")
-        if self.max_outer < 1:
-            raise ValueError(f"max_outer must be >= 1, got {self.max_outer}")
-        if self.t0_override is not None and not (self.t0_override > 0):
-            raise ValueError(f"t0_override must be positive, got {self.t0_override}")
-        if self.samples < 2:
-            raise ValueError(f"samples must be >= 2, got {self.samples}")
+        _check_positive("c_gronwall", self.c_gronwall)
+        _check_positive("tol_picard", self.tol_picard)
+        _check_integer("max_outer", self.max_outer, 1)
+        if self.t0_override is not None:
+            _check_positive("t0_override", self.t0_override)
+        _check_integer("samples", self.samples, 2)
 
 
 @dataclass(eq=False)
@@ -201,7 +198,6 @@ def _advance_iterate(
     weight_delta = band_symbols(g, config.alpha - 1.0).sobolev
     h_list = [_norm_of_rfft(g, F, weight, tail)]
     delta, min_u = 0.0, float(np.min(u_start.values))
-    tiny = 1e-14 * dt_seg
     frozen = None
     for i in range(m):
         Fv, prev.states[i] = prev.states[i], None
@@ -209,7 +205,7 @@ def _advance_iterate(
             ops = _freeze(g, Fv, prev.vmax[i], config.s, config.epsilon_moll, kernel)
             dt_cap = policy.step_size(ops.rho_est)
             frozen = Fv
-        for F, *_ in _march(F, ops, dt_cap, (dt_seg,), tiny):
+        for F, *_ in _march(F, ops, dt_cap, (dt_seg,)):
             pass
         u, vmax = _values(u_start, F, F_start, (i + 1) * dt_seg)
         new.states.append(F)

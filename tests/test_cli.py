@@ -171,6 +171,22 @@ class TestExitCodes:
         assert key in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "cfg, override",
+        [
+            ("sweep", "sweep.epsilons=0.4, 0.4, 0.2"),
+            ("linear", "output.snapshot_times=0.1, 0.1"),
+            ("picard", "output.snapshot_times=0.1, 0.1"),
+        ],
+    )
+    def test_repeated_value_rejected_before_output(self, tmp_path, capsys, cfg, override):
+        # these used to run with the repeats merged into one, without a word
+        out = tmp_path / "out"
+        assert run_shipped(cfg, out, override) == 2
+        err = capsys.readouterr().err
+        assert override.split("=")[0] in err and "distinct" in err
+        assert not out.exists()
+
     def test_unwritable_output_dir_is_2(self, tmp_path, capsys):
         blocker = tmp_path / "file"
         blocker.write_text("")
@@ -243,7 +259,8 @@ class TestLinearRun:
             tmp_path, LINEAR_CFG, **{"output.snapshot_times": "0.005, 5"}
         )
         assert main(["linear", "--config", str(cfg)]) == 2
-        assert "must not exceed solver.t_end" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "output.snapshot_times" in err and "t_end = 0.01" in err
         assert not out.exists()
 
     def test_manifest_contents(self, tmp_path):
@@ -354,7 +371,8 @@ class TestSweepRun:
             **{"sweep.epsilons": "0.4", "output.snapshot_times": "0.0025, 5"},
         )
         assert main(["sweep_epsilon", "--config", str(cfg)]) == 2
-        assert "must not exceed solver.t_end" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "output.snapshot_times" in err and "t_end = 0.005" in err
         assert not out.exists()
 
     def test_job_bytes_independent_of_other_epsilons(self, tmp_path):
@@ -395,6 +413,49 @@ def test_shipped_config_runs(tmp_path, cfg, files):
     assert run_shipped(cfg, out) == 0
     written = sorted(p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file())
     assert written == sorted(files)
+    got, ref = shipped_values(cfg, out), SHIPPED_REFERENCE[cfg]
+    assert got.keys() == ref.keys()
+    for key, value in ref.items():
+        if isinstance(value, int):
+            assert got[key] == value, key
+        elif (cfg, key) == ("picard", "l2"):
+            assert abs(got[key] - value) <= 5e-5 / 400, key  # picard.cfg: solver.samples = 400
+        else:
+            assert got[key] == pytest.approx(value, rel=1e-8), key
+
+
+# What the shipped configs compute at their seeds, compared by tolerance so
+# that it survives kernel rewrites: rtol 1e-8 on the linear and sweep values
+# and the Picard horizon, exact counts.  picard's final l2 is the direct
+# nonlinear march's (tests/helpers.py, 16 steps) at the horizon.  Picard's
+# H^(alpha-1) distance to that march is bounded by 5e-5 / samples (criterion
+# 6; 5.4e-8 measured here, against 1.25e-7), and it bounds the L2 distance.
+SHIPPED_REFERENCE = {
+    "linear": {"l2": 0.4782266594669303, "h_alpha": 1.1195864390130312,
+               "mass": 0.7089815403622064, "min_u": 0.0029185987477730537},
+    "picard": {"horizon": 0.29238078956052005, "l2": 0.04980931117641534, "iterates": 5},
+    "sweep": {"l2_diff": [0.0008274178332208484, 0.00022587598623697257,
+                          5.113865850376493e-05]},
+    "properties": {"checks": 850},
+}
+
+
+def csv_rows(path):
+    header, *rows = (line.split(",") for line in path.read_text().splitlines())
+    return [dict(zip(header, row)) for row in rows]
+
+
+def shipped_values(cfg, out):
+    """The SHIPPED_REFERENCE entries of a run of the shipped config cfg."""
+    if cfg == "properties":
+        return {"checks": len(csv_rows(out / "report.csv"))}
+    if cfg == "sweep":
+        return {"l2_diff": [float(r["l2_diff"]) for r in csv_rows(out / "summary.csv")]}
+    last = {k: float(v) for k, v in csv_rows(out / "diagnostics.csv")[-1].items()}
+    if cfg == "linear":
+        return {k: last[k] for k in ("l2", "h_alpha", "mass", "min_u")}
+    return {"horizon": read_snapshot(out / "final.fpm1")[1], "l2": last["l2"],
+            "iterates": len(csv_rows(out / "iterates.csv"))}
 
 
 class TestPropertiesRun:

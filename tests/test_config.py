@@ -18,6 +18,8 @@ from fpme import (
     ValidationError,
     parse_config,
     run_picard,
+    run_property_suite,
+    solve_linear,
 )
 from fpme.config import _KNOWN_KEYS, _PICARD_FIELDS
 
@@ -186,11 +188,19 @@ output.dir = /tmp/out
         assert getattr(spec, prefix).width == pytest.approx(spec.grid.side_length / 8)
 
 
+_GRID = Grid(1, 64, 6.283185307179586)
+
+
 def _bump(amplitude):
     """The field MINIMAL_LINEAR's generators make, at this amplitude."""
-    grid = Grid(1, 64, 6.283185307179586)
-    gen = FieldGenerator("gaussian_bump", amplitude=amplitude, width=grid.side_length / 8)
-    return gen.generate(grid)
+    gen = FieldGenerator("gaussian_bump", amplitude=amplitude, width=_GRID.side_length / 8)
+    return gen.generate(_GRID)
+
+
+def _solve(**kwargs):
+    """solve_linear on MINIMAL_LINEAR's problem."""
+    problem = LinearProblem(v=_bump(0.5), u0=_bump(0.5), s=0.75, epsilon=0.0, t_end=0.05)
+    return solve_linear(problem, TimeStepPolicy(dt_max=0.05 / 400), alpha=1.6, **kwargs)
 
 
 @pytest.mark.parametrize(
@@ -205,9 +215,17 @@ def _bump(amplitude):
         ("linear", {"solver.alpha": "-1"}, lambda: PicardConfig(s=0.75, alpha=-1.0)),
         ("picard", {"solver.epsilon": "nan"},
          lambda: PicardConfig(s=0.75, alpha=1.6, epsilon_moll=float("nan"))),
+        ("linear", {"solver.sample_every": "0"}, lambda: _solve(sample_every=0)),
+        ("linear", {"output.snapshot_times": "0.01, 0.01"},
+         lambda: _solve(snapshot_times=(0.01, 0.01))),
+        ("linear", {"output.snapshot_times": "0.01, 0.06"},
+         lambda: _solve(snapshot_times=(0.01, 0.06))),
+        ("properties", {"properties.seed": "-1"}, lambda: run_property_suite(_GRID, seed=-1)),
+        ("properties", {"properties.count": "0"}, lambda: run_property_suite(_GRID, count=0)),
     ],
     ids=["picard-alpha-floor", "picard-negative-initial", "linear-negative-coefficient",
-         "negative-alpha", "nan-radius"],
+         "negative-alpha", "nan-radius", "sample-every", "repeated-snapshot",
+         "snapshot-past-t-end", "suite-seed", "suite-count"],
 )
 def test_parse_time_and_library_rejections_agree(mode, override, library_call):
     # the parser runs the solvers' own checks, so it says what they say

@@ -252,6 +252,16 @@ class TestPropertySuite:
         assert any("mollifier" in n for n in names)
         assert any("commutator" in n for n in names)
 
+    @pytest.mark.parametrize(
+        "seed, count, name",
+        [(-1, 5, "seed"), (1.5, 5, "seed"), (0, 0, "count"), (0, -3, "count"), (0, 2.5, "count")],
+    )
+    def test_bad_seed_or_count_rejected(self, grid64, seed, count, name):
+        # count 0 or -3 used to return the operator rows alone and pass;
+        # seed -1 failed inside numpy's generator, 1.5 and 2.5 in range()
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer >= "):
+            run_property_suite(grid64, seed=seed, count=count)
+
     def test_rows_compose_across_counts(self, grid64):
         rows_small, _ = run_property_suite(grid64, seed=0, count=4)
         rows_large, _ = run_property_suite(grid64, seed=0, count=8)

@@ -253,6 +253,29 @@ class TestSolveLinear:
                 prob, TimeStepPolicy(dt_max=1e-3), alpha=2.1, snapshot_times=(0.02, bad)
             )
 
+    @pytest.mark.parametrize("bad", [0, -1, 2.5])
+    def test_sample_every_rejected_before_any_work(self, grid64, bad, monkeypatch):
+        # 0 used to divide by zero after the first record; -1 and 2.5 ran,
+        # recording at steps no integer stride gives
+        monkeypatch.setattr(linear_mod, "make_coefficient_ops", None)
+        with pytest.raises(ValueError, match=r"^sample_every must be an integer >= 1"):
+            solve_linear(
+                make_problem(grid64, seed=7), TimeStepPolicy(dt_max=1e-3), alpha=2.1,
+                sample_every=bad,
+            )
+
+    def test_march_ends_on_t_end_past_a_snapshot_just_below_it(self, grid64):
+        # a snapshot time within the landing tolerance below t_end used to end
+        # the march there, so no state or record reached t_end
+        prob = make_problem(grid64, seed=7, t_end=0.05)
+        below = float(np.nextafter(0.05, 0.0))
+        sol = solve_linear(
+            prob, TimeStepPolicy(dt_max=1e-2), alpha=2.1, sample_every=1000,
+            snapshot_times=(below,),
+        )
+        assert [t for t, _ in sol.snapshots] == [below]
+        assert [r.t for r in sol.records] == [0.0, 0.05]
+
     def test_self_convergence_under_refinement(self):
         coarse = Grid(1, 64, 2 * np.pi)
         fine = Grid(1, 128, 2 * np.pi)

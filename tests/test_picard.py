@@ -89,6 +89,13 @@ class TestValidation:
         with pytest.raises(ValueError, match="alpha must be >= 0"):
             PicardConfig(s=0.75, alpha=-1.0)
 
+    @pytest.mark.parametrize("field, bad", [("samples", 50.5), ("max_outer", 2.5)])
+    def test_fractional_count_rejected(self, field, bad):
+        # samples = 50.5 used to fail inside run_picard with a TypeError, and
+        # max_outer = 2.5 ran 3 iterates before giving up
+        with pytest.raises(ValueError, match=rf"^{field} must be an integer >= "):
+            PicardConfig(s=0.75, alpha=2.1, **{field: bad})
+
 
 class TestFixedPoint:
     def test_constant_converges_immediately(self, grid64):
