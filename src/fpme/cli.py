@@ -61,23 +61,38 @@ def _run_linear(spec: RunSpec, out: Path) -> int:
     return 0
 
 
-def _run_picard(spec: RunSpec, out: Path) -> int:
-    u0 = spec.initial.generate(spec.grid)
-    result = run_picard(u0, spec.picard)
-    state = result.state
-    write_picard_summary_csv(
-        state.sup_halpha, state.deltas, state.c_meas, state.min_u, out / "iterates.csv"
-    )
-    write_records_csv(result.records, out / "diagnostics.csv")
-    write_snapshot(out / "final.fpm1", result.trajectory[-1], result.horizon)
-    snaps = []
+def _picard_snapshots(spec: RunSpec, result) -> list:
+    """(t, field) of the stored sample nearest each snapshot time within the
+    horizon; ValueError if two times map to one sample."""
+    snaps, taken = [], {}
     for ts in sorted(spec.snapshot_times):
         if ts > result.horizon:
             print(f"picard: snapshot time {format_float(ts)} skipped, beyond "
                   f"horizon={format_float(result.horizon)}")
             continue
         idx = int(np.argmin(np.abs(result.times - ts)))
-        snaps.append((float(result.times[idx]), result.trajectory[idx]))
+        t = float(result.times[idx])
+        if idx in taken:
+            raise ValueError(
+                f"output.snapshot_times {format_float(taken[idx])} and {format_float(ts)} "
+                f"both map to the stored sample at t = {format_float(t)}; Picard stores "
+                f"a sample every {format_float(float(result.times[1]))}"
+            )
+        taken[idx] = ts
+        snaps.append((t, result.trajectory[idx]))
+    return snaps
+
+
+def _run_picard(spec: RunSpec, out: Path) -> int:
+    u0 = spec.initial.generate(spec.grid)
+    result = run_picard(u0, spec.picard)
+    snaps = _picard_snapshots(spec, result)
+    state = result.state
+    write_picard_summary_csv(
+        state.sup_halpha, state.deltas, state.c_meas, state.min_u, out / "iterates.csv"
+    )
+    write_records_csv(result.records, out / "diagnostics.csv")
+    write_snapshot(out / "final.fpm1", result.trajectory[-1], result.horizon)
     _write_field_snapshots(out, snaps)
     n_iter = len(state.sup_halpha)
     print(f"picard: converged in {n_iter} iterates, horizon={format_float(result.horizon)} "

@@ -10,37 +10,53 @@ complex conjugates of the stored ones and are not kept.
 Products are dealiased by Orszag's 2/3 rule, which keeps the modes with
 ``|k| <= dealias_cutoff`` on every axis.  A spectrum that is zero off those
 modes is stored on the *band* alone, shape
-``(2c + 1, ..., 2c + 1, c + 1)`` with ``c = dealias_cutoff``: the signed
-axes keep rows ``0..c`` and ``-c..-1`` in FFT order, the last axis columns
-``0..c``.  Symbols come from :func:`half_spectrum_symbols`, and on the band
-from :func:`band_symbols`, one builder over each layout's own frequencies;
-on the band only ``radial`` and ``sobolev`` are dense.  The same layout
-with a smaller ``c`` holds a spectrum that is zero off a smaller box, such
-as a low Littlewood-Paley block cropped to its support.
+``(2c + 1, ..., 2c + 1, c + 1)`` with ``c = dealias_cutoff``.  The last
+axis keeps the ``rfft`` columns ``0..c``.  Each signed axis (every axis
+but the last, so none at dim 1) holds cosine and sine coefficients instead
+of the ``exp(-ikx)`` ones: the FFT-order row of ``+k``, ``k = 0..c``,
+holds ``C_k = sum_x f cos(kx)``, and the row of ``-k`` holds
+``S_k = sum_x f sin(kx)``.  Per signed axis, with ``B`` the ``rfftn``
+coefficients in FFT order,
 
-Three conventions share that layout:
+    C_k = (B_k + B_-k) / 2,    S_k = i (B_k - B_-k) / 2,    B_+-k = C_k -+ i S_k,
+
+the real-even/odd split of r2r transforms.  :func:`_to_cos_sin` and
+:func:`_to_signed` convert one axis between the two.  An even symbol, one
+with the same value at ``-k`` as at ``+k`` on each signed axis, multiplies
+the band as it would ``B``.  A derivative along a signed axis swaps the two rows of
+each ``|k|`` (:func:`_band_gradient`).  Symbols come from
+:func:`half_spectrum_symbols`, and on the band from :func:`band_symbols`,
+one builder over each layout's own frequencies; on the band ``radial``,
+``fold`` and ``sobolev`` are dense at dim >= 2.  The same layout with a
+smaller ``c`` holds a spectrum that is zero off a smaller box, such as a
+low Littlewood-Paley block cropped to its support.
+
+Three conventions share these layouts:
 
 * :meth:`Grid.band_forward` and :meth:`Grid.band_inverse` are the
   transform pair of masked spectra.  They compute ``rfftn`` restricted to
-  the band and ``irfftn`` of the zero-extended band, unnormalized, and
-  transform no row the band drops (a pruned transform); the inverse also
-  takes a smaller box.  The RK4 state, the samples of a Picard trajectory,
-  the frozen coefficients, the Littlewood-Paley blocks, and the dealiased
-  products and random_trig fields of the diagnostics all live on the band,
-  and a diagnostics record reads the state the solver holds there.
+  the band and ``irfftn`` of the zero-extended band, unnormalized, in the
+  band layout, and transform no row the band drops (a pruned transform);
+  the inverse also takes a smaller box.  The RK4 state, the samples of a
+  Picard trajectory, the frozen coefficients, the Littlewood-Paley blocks,
+  and the dealiased products and random_trig fields of the diagnostics all
+  live on the band, and a diagnostics record reads the state the solver
+  holds there.
 
   Two kernels compute the pair, by one rule.  At dim >= 2 on grids of at
-  most ``_MATRIX_POINTS`` = 64 points per axis, each axis is one BLAS
-  product with a DFT matrix over the band rows alone (a pruned DFT): the
-  real last axis a real product on the interleaved ``(re, im)`` pairs,
-  each signed axis a complex one, with no transpose.  Elsewhere numpy's
-  pocketfft runs ``rfft``/``fft`` along the axes.  A matrix costs n**2 per
-  line against pocketfft's n log n, so it wins only on short lines; a 1-D
-  field is a single line, which BLAS takes by another routine (gemv) than
-  the rows of a stack (gemm), so there a stack and its fields would
-  differ in the last bits.  Both kernels stay within 1e-15 relative of
-  ``rfftn``, a stack equals its fields transformed one at a time bit for
-  bit, and no result depends on the BLAS thread count.
+  most ``_MATRIX_POINTS`` = 64 points per axis, each axis is one real BLAS
+  product with a cos/sin matrix over the band rows alone (a pruned DFT),
+  applied to the interleaved ``(re, im)`` pairs of the coefficients, with
+  no transpose and no complex product.  Elsewhere numpy's pocketfft runs
+  ``rfft``/``fft`` along the axes, and each signed axis is converted to
+  the cos/sin layout as it is cropped to the band, or from it as it is
+  zero-padded.  A matrix costs n**2 per line against pocketfft's n log n,
+  so it wins only on short lines; a 1-D field is a single line, which BLAS
+  takes by another routine (gemv) than the rows of a stack (gemm), so there
+  a stack and its fields would differ in the last bits.  Both kernels stay within 1e-15
+  relative of ``rfftn`` converted to the band layout, a stack equals its
+  fields transformed one at a time bit for bit, and no result depends on
+  the BLAS thread count.
 * :func:`apply_symbols` is the real-to-real multiplier path of the
   unmasked operators.  It uses numpy's unnormalized ``rfftn`` and its
   ``irfftn`` inverse, as do the Sobolev norms; its core,
@@ -57,8 +73,9 @@ Three conventions share that layout:
 Scaling by ``1/size`` is exact on power-of-two grids, so both conventions
 give the same real fields bit for bit.
 
-The right-hand sides of :mod:`fpme.linear` and the property suite of
-:mod:`fpme.diagnostics` stack fields by one budget, :func:`_fields_per_stack`.
+The right-hand sides and coefficient freezes of :mod:`fpme.linear` and the
+property suite of :mod:`fpme.diagnostics` stack fields by one budget,
+:func:`_fields_per_stack`.
 """
 
 from __future__ import annotations
@@ -171,89 +188,91 @@ class Grid:
         return self.dim >= 2 and self.n_points <= _MATRIX_POINTS
 
     def band_forward(self, values: np.ndarray) -> np.ndarray:
-        """Unnormalized ``rfftn`` of ``values`` restricted to the band.
+        """Unnormalized ``rfftn`` of ``values`` restricted to the band, in the
+        band layout: cos/sin coefficients on each signed axis.
 
         ``values`` may carry leading stack axes.  The axes run in
         ``rfftn``'s order: the last axis first, then each signed axis, and
         each axis drops its rows off the band before the next transforms
         them.  At dim >= 2 on grids of at most ``_MATRIX_POINTS`` each axis
-        is one product with a DFT matrix over the band rows alone; otherwise
-        ``rfft`` and an in-place ``fft`` (``out=``, numpy >= 2.0) run along
-        the axes.
+        is one real product with a matrix over the band rows alone, on the
+        ``(re, im)`` pairs the last axis makes; otherwise ``rfft`` and an
+        in-place ``fft`` (``out=``, numpy >= 2.0) run along the axes, and
+        :func:`_to_cos_sin` crops each signed axis to the band as it
+        converts it.
         """
         c = self.dealias_cutoff
         if self._matrix_kernel():
             fwd, _, real_fwd, _ = _band_matrices(self.n_points, c)
-            values = np.ascontiguousarray(values, dtype=float)
-            B = (values @ real_fwd).view(complex)
+            B = np.ascontiguousarray(values, dtype=float) @ real_fwd
             for ax in range(-2, -self.dim - 1, -1):
                 B = _along(fwd, B, ax)
-            return B
+            return B.view(complex)
         B = np.fft.rfft(values, axis=-1)[..., : c + 1].copy()
         for ax in range(-2, -self.dim - 1, -1):
             np.fft.fft(B, axis=ax, out=B)
-            B = np.take(B, self.band[ax].ravel(), axis=ax)
+            B = _to_cos_sin(B, ax, c)
         return B
 
     def band_inverse(self, B: np.ndarray) -> np.ndarray:
         """``irfftn`` of the band coefficients ``B`` zero-extended to the
         half-spectrum, as a real array with the leading stack axes of ``B``.
 
-        ``B`` may hold a smaller band than the 2/3 rule's, the modes with
-        ``|k| <= K`` in the same layout; its cutoff ``K`` is read from its
-        last axis, ``B.shape[-1] - 1``.  The axes run in ``irfftn``'s order,
-        each signed axis first and the last axis at the end.  Where
-        :meth:`band_forward` takes matrix products, so does this, with the
-        ``1/n`` per axis folded into the matrices.  Otherwise each signed
-        axis is zero-padded to ``n_points`` and inverted by an in-place
-        ``ifft`` (``out=``, numpy >= 2.0) before the axes after it are
-        padded, and ``irfft`` pads the last axis itself.
+        ``B`` is in the band layout, cos/sin coefficients on each signed
+        axis, and may hold a smaller band than the 2/3 rule's, the modes
+        with ``|k| <= K``; its cutoff ``K`` is read from its last axis,
+        ``B.shape[-1] - 1``.  The axes run in ``irfftn``'s order, each
+        signed axis first and the last axis at the end.  Where
+        :meth:`band_forward` takes real matrix products, so does this, on
+        the ``(re, im)`` pairs of ``B``, with the ``1/n`` per axis folded
+        into the matrices.  Otherwise :func:`_to_signed` turns each signed
+        axis back into FFT order as it zero-pads it to ``n_points``, an
+        in-place ``ifft`` (``out=``, numpy >= 2.0) inverts it before the
+        axes after it are padded, and ``irfft`` pads the last axis itself.
         """
         n, c = self.n_points, B.shape[-1] - 1
         if self._matrix_kernel():
             _, inv, _, real_inv = _band_matrices(n, c)
-            B = np.ascontiguousarray(B, dtype=complex)
+            B = np.ascontiguousarray(B, dtype=complex).view(float)
             for ax in range(-self.dim, -1):
                 B = _along(inv, B, ax)
-            return B.view(float) @ real_inv
+            return B @ real_inv
         for ax in range(-self.dim, -1):
-            padded = np.zeros((*B.shape[:ax], n, *B.shape[ax + 1 :]), dtype=complex)
-            after = (slice(None),) * (-ax - 1)
-            padded[(..., slice(0, c + 1), *after)] = B[(..., slice(0, c + 1), *after)]
-            padded[(..., slice(n - c, n), *after)] = B[(..., slice(c + 1, 2 * c + 1), *after)]
-            B = np.fft.ifft(padded, axis=ax, out=padded)
+            B = _to_signed(B, ax, n)
+            np.fft.ifft(B, axis=ax, out=B)
         return np.fft.irfft(B, n=n, axis=-1)
 
 
 @lru_cache(maxsize=32)
 def _band_matrices(n: int, c: int) -> tuple[np.ndarray, ...]:
-    """The DFT matrices of the band pair on ``n`` points over the band
+    """The real matrices of the band pair on ``n`` points over the band
     ``|k| <= c``, built once per key and read-only.
 
-    Signed axes: ``fwd`` is ``(2c + 1, n)`` with rows ``exp(-i theta)`` for
-    the band rows in FFT order, ``inv`` is ``(n, 2c + 1)`` with
-    ``exp(i theta) / n``.  Last axis: ``real_fwd`` is ``(n, 2(c + 1))``
-    with interleaved columns ``cos`` and ``-sin``, so a real line times it
-    is the ``(re, im)`` pairs of its ``rfft`` columns ``0..c``;
-    ``real_inv`` is ``(2(c + 1), n)`` with rows ``w cos / n`` and
-    ``-w sin / n``, ``w = 1`` at k = 0 and 2 elsewhere (the conjugate
-    mirror), so the pairs times it are ``irfft`` of the zero-extended
-    columns (the band has no Nyquist column).  Each angle is reduced
-    exactly, ``theta = 2 pi ((x k) mod n) / n``, and its cosine and sine
-    are taken in long double before they are rounded: unreduced angles put
-    the pair several ulp further from ``rfftn``.
+    Signed axes: ``fwd`` is ``(2c + 1, n)`` with the rows ``cos theta`` at
+    the FFT-order positions of ``+k``, ``k = 0..c``, and ``sin theta`` at
+    those of ``-k``; ``inv`` is its transpose times ``w / n``, ``w = 1`` at
+    k = 0 and 2 elsewhere, since ``B_k exp(ikx) + B_-k exp(-ikx)`` is
+    ``2 (C_k cos + S_k sin)``.  Both act on the ``(re, im)`` pairs of the
+    coefficients.  Last axis: ``real_fwd`` is ``(n, 2(c + 1))`` with
+    interleaved columns ``cos`` and ``-sin``, so a real line times it is
+    the ``(re, im)`` pairs of its ``rfft`` columns ``0..c``; ``real_inv``
+    is ``(2(c + 1), n)`` with rows ``w cos / n`` and ``-w sin / n`` (the
+    conjugate mirror), so the pairs times it are ``irfft`` of the
+    zero-extended columns (the band has no Nyquist column).  Each angle is
+    reduced exactly, ``theta = 2 pi ((x k) mod n) / n``, and its cosine and
+    sine are taken in long double before they are rounded: unreduced
+    angles put the pair several ulp further from ``rfftn``.
     """
     x = np.arange(n)
-    k = np.r_[0 : c + 1, -c:0]
+    k = np.arange(c + 1)
     theta = (2 * _PI / n) * (np.outer(k, x) % n)
     cos, sin = np.cos(theta).astype(float), np.sin(theta).astype(float)
-    fwd = cos - 1j * sin
-    inv = np.ascontiguousarray((cos + 1j * sin).T) / n
-    cos, sin = cos[: c + 1], sin[: c + 1]
+    w = np.where(k == 0, 1.0, 2.0)[:, None] / n
+    fwd = np.concatenate([cos, sin[:0:-1]])
+    inv = np.ascontiguousarray((fwd * np.concatenate([w, w[:0:-1]])).T)
     real_fwd = np.empty((n, 2 * (c + 1)))
     real_fwd[:, 0::2] = cos.T
     real_fwd[:, 1::2] = -sin.T
-    w = np.where(k[: c + 1] == 0, 1.0, 2.0)[:, None] / n
     real_inv = np.empty((2 * (c + 1), n))
     real_inv[0::2] = w * cos
     real_inv[1::2] = -w * sin
@@ -269,22 +288,84 @@ def _along(W: np.ndarray, B: np.ndarray, ax: int) -> np.ndarray:
     return (W @ B.reshape(*lead, B.shape[ax], -1)).reshape(*lead, W.shape[0], *rest)
 
 
+def _to_cos_sin(B: np.ndarray, ax: int, c: int) -> np.ndarray:
+    """Axis ``ax`` of ``B``, in FFT order of any length past ``2c``, cut to
+    ``|k| <= c`` in the band layout: ``C_k = (B_k + B_-k) / 2`` at the row of
+    ``+k`` and ``S_k = i (B_k - B_-k) / 2`` at that of ``-k``.  A new array;
+    ``B`` is not modified."""
+    size, after = B.shape[ax], (slice(None),) * (-ax - 1)
+    k = np.r_[0 : c + 1, c:0:-1]  # |k| at each band row
+    out = np.take(B, k % size, axis=ax)
+    minus = np.take(B, -k % size, axis=ax)
+    rows = [(..., slice(0, c + 1), *after), (..., slice(c + 1, None), *after)]
+    cos, sin = out[rows[0]], out[rows[1]]
+    cos += minus[rows[0]]
+    cos *= 0.5
+    sin -= minus[rows[1]]
+    sin *= 0.5j
+    return out
+
+
+def _to_signed(B: np.ndarray, ax: int, n: int) -> np.ndarray:
+    """The inverse of :func:`_to_cos_sin` along axis ``ax`` of the band
+    ``B``, zero-padded to ``n`` rows in FFT order: ``B_+-k = C_k -+ i S_k``.
+    A new array."""
+    c, after = (B.shape[ax] - 1) // 2, (slice(None),) * (-ax - 1)
+    out = np.zeros((*B.shape[:ax], n, *B.shape[ax + 1 :]), dtype=complex)
+    cos = B[(..., slice(0, c + 1), *after)]
+    isin = 1j * B[(..., slice(2 * c, c, -1), *after)]  # k = 1..c
+    out[(..., 0, *after)] = cos[(..., 0, *after)]
+    np.subtract(cos[(..., slice(1, None), *after)], isin, out=out[(..., slice(1, c + 1), *after)])
+    np.add(cos[(..., slice(1, None), *after)], isin,
+           out=out[(..., slice(n - 1, n - c - 1, -1), *after)])
+    return out
+
+
+def _band_gradient(
+    grad: tuple[np.ndarray, ...], F: np.ndarray, ax: int, out: np.ndarray
+) -> np.ndarray:
+    """Component ``ax`` (0-based) of the gradient of the band coefficients
+    ``F`` into ``out``, with ``grad`` the :func:`band_symbols` table's.
+
+    On the last axis ``out = 1j * xi * F``.  On a signed axis the
+    derivative of ``cos(kx)`` is ``-xi sin(kx)`` and that of ``sin(kx)`` is
+    ``xi cos(kx)``, so row ``p`` of ``out`` is ``grad[ax][p]`` times row
+    ``mirror(p)`` of ``F``, the row of ``-k_p``, and row 0 is zero.  ``F``
+    may carry leading stack axes.  Returns ``out``."""
+    m = grad[ax]
+    if ax == len(grad) - 1:
+        return np.multiply(m, F, out=out)
+    rows = (slice(1, None), *[slice(None)] * (len(grad) - 1 - ax))
+    mirror = (slice(None, 0, -1), *rows[1:])
+    np.multiply(m[(..., *rows)], F[(..., *mirror)], out=out[(..., *rows)])
+    out[(..., 0, *rows[1:])] = 0.0
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class HalfSpectrumSymbols:
-    """Fourier symbols of one grid over the ``rfftn`` half-spectrum.
+    """Fourier symbols of one grid over the ``rfftn`` half-spectrum, or over
+    the band in the tables of :func:`band_symbols`.
 
-    ``radial`` and ``sobolev`` are dense, of shape ``grid.spectral_shape``,
-    or of the band's shape in the tables of :func:`band_symbols`; ``fold``
-    and ``grad`` broadcast to that shape.  Every array is read-only: one
-    table is shared by all callers.
+    ``radial`` and ``sobolev`` are dense, of shape ``grid.spectral_shape``
+    or of the band's shape; ``fold`` is dense on the band at dim >= 2 and
+    otherwise broadcasts along the last axis; each of ``grad`` broadcasts
+    along its own axis.  Every array is read-only: one table is shared by
+    all callers.
 
     radial:  ``|xi|**exponent``, zero mode mapped to 0.
-    fold:    2 on the interior last-axis columns, 1 on the zero and Nyquist
-             columns.  An interior column also stands for its conjugate
-             mirror, so ``sum(fold * w * |rfftn(f)|**2)`` is the full-spectrum
-             sum for any radial ``w``.
+    fold:    on the half-spectrum, 2 on the interior last-axis columns and 1
+             on the zero and Nyquist columns: an interior column also stands
+             for its conjugate mirror, so ``sum(fold * w * |rfftn(f)|**2)``
+             is the full-spectrum sum for any radial ``w``.  On the band
+             also a factor 2 at each signed-axis ``k != 0``, since
+             ``|B_k|**2 + |B_-k|**2 = 2 (|C_k|**2 + |S_k|**2)``, so the same
+             sum holds for band coefficients.
     sobolev: ``(1 + |xi|**2)**exponent * fold``.
-    grad:    ``1j * xi`` along each axis with the Nyquist plane dropped.
+    grad:    on the half-spectrum ``1j * xi`` along each axis with the
+             Nyquist plane dropped.  On the band ``1j * xi`` on the last axis
+             and the real ``xi`` on each signed axis, which multiplies the
+             mirrored row there (:func:`_band_gradient`).
     """
 
     radial: np.ndarray
@@ -293,12 +374,15 @@ class HalfSpectrumSymbols:
     grad: tuple[np.ndarray, ...]
 
 
-def _symbols(grid: Grid, exponent: float, ks: tuple[np.ndarray, ...]) -> HalfSpectrumSymbols:
+def _symbols(
+    grid: Grid, exponent: float, ks: tuple[np.ndarray, ...], band: bool
+) -> HalfSpectrumSymbols:
     """The symbol table of ``grid`` at ``exponent`` on the modes whose integer
-    frequencies along each axis are ``ks``."""
+    frequencies along each axis are ``ks``, in the band layout if ``band``."""
     n, d = grid.n_points, grid.dim
     scale = 2.0 * np.pi / grid.side_length
     xi, grad = [], []
+    fold = np.where((ks[-1] == 0) | (ks[-1] == n // 2), 1.0, 2.0)
     for ax, k in enumerate(ks):
         shape = [1] * d
         shape[ax] = k.size
@@ -306,13 +390,15 @@ def _symbols(grid: Grid, exponent: float, ks: tuple[np.ndarray, ...]) -> HalfSpe
         xi.append(sk.reshape(shape))
         # The odd symbol has no Hermitian-symmetric value on the Nyquist plane.
         odd = np.where(np.abs(k) == n // 2, 0.0, sk)
-        grad.append((1j * odd).reshape(shape))
+        cos_sin = band and ax < d - 1
+        grad.append((odd if cos_sin else 1j * odd).reshape(shape))
+        if cos_sin:
+            fold = fold * np.where(k == 0, 1.0, 2.0).reshape(shape)
     xi_squared = sum(x**2 for x in xi)
     mag = np.sqrt(xi_squared)
     radial = np.zeros_like(mag)
     nz = mag > 0
     radial[nz] = mag[nz] ** exponent
-    fold = np.where((ks[-1] == 0) | (ks[-1] == n // 2), 1.0, 2.0)
     sobolev = (1.0 + xi_squared) ** exponent * fold
     for arr in (radial, fold, sobolev, *grad):
         arr.setflags(write=False)
@@ -323,14 +409,15 @@ def _symbols(grid: Grid, exponent: float, ks: tuple[np.ndarray, ...]) -> HalfSpe
 def half_spectrum_symbols(grid: Grid, exponent: float) -> HalfSpectrumSymbols:
     """The symbol table of ``grid`` at ``exponent``, built once per key."""
     last = np.fft.rfftfreq(grid.n_points, d=1.0 / grid.n_points)
-    return _symbols(grid, exponent, (*[grid.k_signed] * (grid.dim - 1), last))
+    return _symbols(grid, exponent, (*[grid.k_signed] * (grid.dim - 1), last), band=False)
 
 
 @lru_cache(maxsize=32)
 def band_symbols(grid: Grid, exponent: float) -> HalfSpectrumSymbols:
     """The symbol table of ``grid`` at ``exponent`` on the band, built once
     per key; the multipliers of :meth:`Grid.band_forward` coefficients."""
-    return _symbols(grid, exponent, tuple(grid.k_signed[ix.ravel()] for ix in grid.band))
+    ks = tuple(grid.k_signed[ix.ravel()] for ix in grid.band)
+    return _symbols(grid, exponent, ks, band=True)
 
 
 def _as_shaped(shape: tuple[int, ...], values: np.ndarray, name: str) -> np.ndarray:

@@ -13,13 +13,16 @@ result, which keeps those identities exact on the lattice.
 The right-hand side is zero off the 2/3-rule band, so the RK4 state is the
 band F of u's unnormalized ``rfftn`` (see :mod:`fpme.grid`), and the stages
 combine band coefficients.  One right-hand side is
-``filt * band_forward(sum_i c_i * band_inverse(M_i * filt * F))``: dim + 1
-inverse transforms and one forward transform, none of them over a row off
-the band.  The dim + 1 inverses run in stacks of at most 256 KiB of real
-output per band_inverse call, the budget grid._STACK_BYTES that the
-property suite of fpme.diagnostics stacks its fields by too: one rule for
-every grid, one call at 1-D, at 2-D n <= 64 and at 3-D n = 16, one call
-per array from 3-D n = 32 on.  Both solvers step through _march, which
+``filt * band_forward(sum_i c_i * band_inverse(M_i(filt * F)))``, the M_i
+being the Laplacian symbol and the derivative along each axis
+(grid._band_gradient, which on a signed axis swaps the cosine and sine
+rows): dim + 1 inverse transforms and one forward transform, none of them
+over a row off the band.  The dim + 1 inverses, and the dim + 1 of a
+coefficient freeze, run in stacks of at most 256 KiB of real output per
+band_inverse call, the budget grid._STACK_BYTES that the property suite of
+fpme.diagnostics stacks its fields by too: one rule for every grid, one
+call at 1-D, at 2-D n <= 64 and at 3-D n = 16, one call per array from 3-D
+n = 32 on.  Both solvers step through _march, which
 lands exactly on each stop time: solve_linear marches through the snapshot
 times to t_end, and a Picard segment is one march.  _field returns the
 state to real space once per step or segment, as
@@ -40,7 +43,9 @@ import numpy as np
 from .diagnostics import DiagnosticsRecord, RecorderConfig, record
 from .errors import BlowUp, GridMismatch
 from .fracops import MollifierKernel
-from .grid import Grid, RealField, _check_integer, _fields_per_stack, band_symbols
+from .grid import (
+    Grid, RealField, _band_gradient, _check_integer, _fields_per_stack, band_symbols
+)
 from .norms import DyadicPartition, _start_band, sobolev_norm
 
 __all__ = [
@@ -162,11 +167,12 @@ class CoefficientOps:
     filt is the mollifier kernel's read-only band_hat when epsilon > 0 and
     1.0 otherwise; grad_mults and lap_mult come read-only from the grid's
     cached band tables, shared by every freeze: lap_mult is dense on the
-    band, and each of grad_mults broadcasts to it along its own axis.
-    coeffs stacks the dealiased real fields that multiply them, shape
-    (dim + 1, *grid.shape): the components of grad p_v, then -v.  A
-    right-hand side inverts its dim + 1 multiplier products in stacks of
-    at most 256 KiB, one band_inverse call per stack.
+    band, and grad_mults is the table's grad, which grid._band_gradient
+    applies.  coeffs stacks the dealiased real fields that multiply them,
+    shape (dim + 1, *grid.shape): the components of grad p_v, then -v.  A
+    freeze inverts these, and a right-hand side its dim + 1 multiplier
+    products, in stacks of at most 256 KiB, one band_inverse call per
+    stack.
     """
 
     grid: Grid
@@ -194,18 +200,26 @@ def _freeze(
     kernel: MollifierKernel | None = None,
 ) -> CoefficientOps:
     """The ops of the coefficient whose band coefficients are Fv and whose
-    real samples have max|v| = vmax; no transform of v is made."""
+    real samples have max|v| = vmax; no transform of v is made.  The dim + 1
+    arrays of coeffs are inverted in stacks of at most _fields_per_stack,
+    one band_inverse call per stack, into coeffs."""
     sym = band_symbols(g, -2.0 * s)
     filt = 1.0
     if epsilon > 0:
         filt = (kernel or MollifierKernel(g, epsilon)).band_hat
 
     Fp = Fv * sym.radial
-    stack = np.empty((g.dim + 1, *Fv.shape), dtype=complex)
-    for i, gm in enumerate(sym.grad):
-        np.multiply(gm, Fp, out=stack[i])
-    np.negative(Fv, out=stack[-1])
-    coeffs = g.band_inverse(stack)
+    coeffs = np.empty((g.dim + 1, *g.shape))
+    k = _fields_per_stack(g)
+    for lo in range(0, g.dim + 1, k):
+        rows = range(lo, min(lo + k, g.dim + 1))
+        stack = np.empty((len(rows), *Fv.shape), dtype=complex)
+        for out, i in zip(stack, rows):
+            if i < g.dim:
+                _band_gradient(sym.grad, Fp, i, out)
+            else:
+                np.negative(Fv, out=out)
+        coeffs[rows.start : rows.stop] = g.band_inverse(stack)
 
     # sqrt is monotone and correctly rounded: the sqrt of the max is the
     # max of the sqrts, without a square-root array
@@ -222,11 +236,15 @@ def _freeze(
     )
 
 
-def _products(mults: tuple[np.ndarray, ...], Fu: np.ndarray) -> np.ndarray:
-    """The products m * Fu stacked along a new leading axis."""
-    stack = np.empty((len(mults), *Fu.shape), dtype=complex)
-    for j, m in enumerate(mults):
-        np.multiply(m, Fu, out=stack[j])
+def _products(ops: CoefficientOps, Fu: np.ndarray, rows: range) -> np.ndarray:
+    """Rows ``rows`` of the products of Fu a right-hand side inverts, stacked:
+    row 0 is lap_mult * Fu, row 1 + ax the derivative of Fu along axis ax."""
+    stack = np.empty((len(rows), *Fu.shape), dtype=complex)
+    for out, i in zip(stack, rows):
+        if i == 0:
+            np.multiply(ops.lap_mult, Fu, out=out)
+        else:
+            _band_gradient(ops.grad_mults, Fu, i - 1, out)
     return stack
 
 
@@ -238,15 +256,14 @@ def _rhs_values(F: np.ndarray, ops: CoefficientOps) -> np.ndarray:
     array, and each stack and its inverse are dropped before the next."""
     g = ops.grid
     Fu = F * ops.filt
-    # mults[i] pairs with coeffs row i - 1: -v (row -1), then grad p
-    mults = (ops.lap_mult, *ops.grad_mults)
     k = _fields_per_stack(g)
     r = None
-    for lo in range(0, len(mults), k):
+    for lo in range(0, g.dim + 1, k):
         # the stack is band_inverse's alone, which drops it after its first
         # pass; P is indexed, so no loop variable keeps a view of it alive
-        P = g.band_inverse(_products(mults[lo : lo + k], Fu))
+        P = g.band_inverse(_products(ops, Fu, range(lo, min(lo + k, g.dim + 1))))
         for j in range(len(P)):
+            # product j pairs with coeffs row lo + j - 1: -v (row -1), then grad p
             c = ops.coeffs[lo + j - 1]
             if r is None:
                 r = P[j] * c

@@ -29,11 +29,22 @@ def dft_forward_oracle(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def _twiddles(n: int, k: np.ndarray, sign: int) -> np.ndarray:
-    """exp(sign * 2 pi i ((k x) mod n) / n) in long double, k by x = 0..n-1:
-    the angle is reduced exactly before it is rounded."""
-    theta = (8 * np.arctan(np.longdouble(1)) / n) * (np.outer(k, np.arange(n)) % n)
-    return np.cos(theta) + sign * 1j * np.sin(theta)
+def _angles(n: int, k: np.ndarray) -> np.ndarray:
+    """2 pi ((k x) mod n) / n in long double, k by x = 0..n-1: the angle is
+    reduced exactly before it is rounded."""
+    return (8 * np.arctan(np.longdouble(1)) / n) * (np.outer(k, np.arange(n)) % n)
+
+
+def _cos_sin_rows(n: int, c: int) -> np.ndarray:
+    """The (2c + 1, n) long double rows of a signed axis of the band layout:
+    cos(k x) at the FFT-order position of +k, k = 0..c, and sin(k x) at
+    that of -k."""
+    rows = np.empty((2 * c + 1, n), dtype=np.longdouble)
+    for pos in range(2 * c + 1):
+        k = pos if pos <= c else pos - (2 * c + 1)
+        theta = _angles(n, np.array([abs(k)]))[0]
+        rows[pos] = np.cos(theta) if k >= 0 else np.sin(theta)
+    return rows
 
 
 def _dft_along(W: np.ndarray, F: np.ndarray, ax: int) -> np.ndarray:
@@ -42,25 +53,60 @@ def _dft_along(W: np.ndarray, F: np.ndarray, ax: int) -> np.ndarray:
 
 def band_dft_oracle(values: np.ndarray, c: int) -> np.ndarray:
     """Unnormalized rfftn of real `values` on the band |k| <= c, in the
-    band layout, by long double DFT sums."""
+    band layout, by long double sums: exp(-i k x) sums on the last axis,
+    then the cos(k x) and sin(k x) sums of each signed axis."""
     n, F = values.shape[-1], values.astype(np.longdouble)
-    F = _dft_along(_twiddles(n, np.arange(c + 1), -1), F, -1)
+    theta = _angles(n, np.arange(c + 1))
+    F = _dft_along(np.cos(theta) - 1j * np.sin(theta), F, -1)
     for ax in range(-2, -values.ndim - 1, -1):
-        F = _dft_along(_twiddles(n, np.r_[0 : c + 1, -c:0], -1), F, ax)
+        F = _dft_along(_cos_sin_rows(n, c), F, ax)
     return F
 
 
 def band_idft_oracle(B: np.ndarray, n: int) -> np.ndarray:
     """irfftn of the band `B` (cutoff B.shape[-1] - 1) zero-extended to n
-    points per axis, by long double DFT sums: each signed axis inverted,
-    then the real part of the last axis' sum with each interior column
-    counted twice for its conjugate mirror."""
+    points per axis, by long double sums: on each signed axis
+    (C_0 + 2 sum_k (C_k cos(k x) + S_k sin(k x))) / n, then the real part of
+    the last axis' exp(i k x) sum with each interior column counted twice
+    for its conjugate mirror."""
     c, F = B.shape[-1] - 1, B.astype(np.clongdouble)
+    twice = np.where(np.arange(2 * c + 1) == 0, 1, 2)[:, None] / n
     for ax in range(B.ndim - 1):
-        F = _dft_along(_twiddles(n, np.r_[0 : c + 1, -c:0], 1).T / n, F, ax)
+        F = _dft_along((twice * _cos_sin_rows(n, c)).T, F, ax)
     k = np.arange(c + 1)
-    last = _twiddles(n, k, 1) * (np.where(k == 0, 1, 2)[:, None] / n)
+    theta = _angles(n, k)
+    last = (np.cos(theta) + 1j * np.sin(theta)) * (np.where(k == 0, 1, 2)[:, None] / n)
     return np.tensordot(F, last, axes=([-1], [0])).real
+
+
+def cos_sin_band(B: np.ndarray, dim: int) -> np.ndarray:
+    """The band `B` of a grid of `dim` axes, in FFT order on its signed
+    axes, in the band layout: C_k = (B_k + B_-k) / 2 at the position of +k
+    and S_k = i (B_k - B_-k) / 2 at that of -k, as one matrix per axis."""
+    return _signed_map(B, dim, inverse=False)
+
+
+def signed_band(B: np.ndarray, dim: int) -> np.ndarray:
+    """The inverse of cos_sin_band: B_+-k = C_k -+ i S_k."""
+    return _signed_map(B, dim, inverse=True)
+
+
+def _signed_map(B: np.ndarray, dim: int, inverse: bool) -> np.ndarray:
+    for ax in range(B.ndim - dim, B.ndim - 1):
+        size = B.shape[ax]
+        c = (size - 1) // 2
+        T = np.zeros((size, size), dtype=complex)
+        T[0, 0] = 1.0
+        for k in range(1, c + 1):
+            plus, minus = k, size - k
+            if inverse:
+                T[plus, plus], T[plus, minus] = 1.0, -1j
+                T[minus, plus], T[minus, minus] = 1.0, 1j
+            else:
+                T[plus, plus], T[plus, minus] = 0.5, 0.5
+                T[minus, plus], T[minus, minus] = 0.5j, -0.5j
+        B = _dft_along(T, B, ax)
+    return B
 
 
 def half_columns(full: np.ndarray) -> np.ndarray:

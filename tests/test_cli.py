@@ -307,6 +307,16 @@ class TestPicardRun:
         assert (out / "snapshot_000.fpm1").exists()
         assert not (out / "snapshot_001.fpm1").exists()
 
+    def test_two_snapshot_times_on_one_sample_rejected(self, tmp_path, capsys):
+        # both times are nearest the same stored sample, which used to be
+        # written twice, as snapshot_000 and snapshot_001
+        out = tmp_path / "out"
+        assert run_shipped("picard", out, "output.snapshot_times=0.1, 0.1001") == 2
+        err = capsys.readouterr().err
+        assert "output.snapshot_times 0.1 and 0.1001" in err
+        assert "stored sample at t = 0.10014042042447811" in err
+        assert [p.name for p in out.iterdir()] == ["manifest.json"]
+
     def test_constant_initial_converges_fast(self, tmp_path):
         cfg, out = write_cfg(
             tmp_path, PICARD_CFG.replace("gaussian_bump", "constant"),

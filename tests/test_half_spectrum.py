@@ -6,7 +6,9 @@ transforms with symbols from one cached table per grid; masked spectra
 live on the band.  The oracles below compute the same quantities with
 mean-normalized complex FFTs over the full spectrum, with symbols built
 here from the signed integer modes.  The band pair is checked against
-rfftn/irfftn, and the band-state stepper against RK4 with the stages
+rfftn/irfftn, whose band helpers.cos_sin_band turns into the band's
+cos/sin layout, against long double cos/sin sums and against single modes
+in closed form, and the band-state stepper against RK4 with the stages
 combined in real space on rfftn/irfftn.
 """
 
@@ -41,6 +43,7 @@ from fpme import (
 from fpme.diagnostics import RecorderConfig, record
 from fpme.fracops import MollifierKernel
 from fpme.grid import (
+    _band_gradient,
     band_symbols,
     forward_transform,
     half_spectrum_symbols,
@@ -49,7 +52,7 @@ from fpme.grid import (
 )
 from fpme import grid as grid_module
 from fpme import linear
-from fpme.linear import _field, _rk4_step, make_coefficient_ops, rhs_with_ops
+from fpme.linear import _field, _freeze, _rk4_step, make_coefficient_ops, rhs_with_ops
 from fpme.norms import _chi, _start_band
 from fpme.picard import _advance_iterate, _Samples
 
@@ -57,9 +60,11 @@ from conftest import random_field
 from helpers import (
     band_dft_oracle,
     band_idft_oracle,
+    cos_sin_band,
     dft_forward_oracle,
     half_columns,
     radial_symbol_oracle,
+    signed_band,
 )
 
 GRIDS = [Grid(1, 64, 2 * np.pi), Grid(2, 32, 2 * np.pi), Grid(3, 16, 2 * np.pi)]
@@ -187,8 +192,10 @@ def real_space_rhs_values(u_values, ops):
     Fu = np.fft.rfftn(u_values, axes=axes)
     Fu *= filt
     r = np.zeros(shape)
-    for gm, gp in zip(ops.grad_mults, ops.coeffs[:-1]):
-        r += np.fft.irfftn(on_half_spectrum(grid, gm) * Fu, s=shape, axes=axes) * gp
+    # i xi on the half-spectrum, cut to the band
+    grad = half_spectrum_symbols(grid, 1.0).grad
+    for gm, gp in zip(grad, ops.coeffs[:-1]):
+        r += np.fft.irfftn(on_half_spectrum(grid, 1.0) * gm * Fu, s=shape, axes=axes) * gp
     lap_mult = on_half_spectrum(grid, ops.lap_mult)
     r -= -ops.coeffs[-1] * np.fft.irfftn(lap_mult * Fu, s=shape, axes=axes)
     Fr = np.fft.rfftn(r, axes=axes)
@@ -224,6 +231,8 @@ def pair_case(dim, n, stack):
     + [pair_case(2, 128, ()), pair_case(2, 128, (2,)), pair_case(3, 128, ())],
 )
 def test_band_pair_matches_rfftn(dim, n, stack):
+    # rfftn's band, turned into the cos/sin layout on the signed axes by the
+    # matrices of helpers.cos_sin_band, and back for the inverse's oracle
     grid = Grid(dim, n, 2 * np.pi)
     c = grid.dealias_cutoff
     values = np.random.default_rng(dim * n).standard_normal((*stack, *grid.shape))
@@ -232,9 +241,9 @@ def test_band_pair_matches_rfftn(dim, n, stack):
 
     B = grid.band_forward(values)
     assert B.shape == (*stack, *[2 * c + 1] * (dim - 1), c + 1)
-    restricted = np.fft.rfftn(values, axes=axes)[band]
+    restricted = cos_sin_band(np.fft.rfftn(values, axes=axes)[band], dim)
     extended = np.zeros((*stack, *grid.spectral_shape), dtype=complex)
-    extended[band] = B
+    extended[band] = signed_band(B, dim)
     inverse = grid.band_inverse(B)
     oracle = np.fft.irfftn(extended, s=grid.shape, axes=axes)
     assert inverse.shape == values.shape
@@ -250,8 +259,9 @@ def test_band_pair_matches_rfftn(dim, n, stack):
     "dim, n", [(d, n) for d in (1, 2, 3) for n in (8, 16, 32)] + [(2, 64), (2, 128)]
 )
 def test_band_pair_matches_long_double_dft(dim, n, monkeypatch):
-    # a known answer for both kernels: DFT sums in long double with exactly
-    # reduced angles; the inverse also on a smaller band, a Besov crop's
+    # a known answer for both kernels: cos/sin and exp sums in long double
+    # with exactly reduced angles; the inverse also on a smaller band, a
+    # Besov crop's, of the fields whose FFT-order bands are random
     grid = Grid(dim, n, 2 * np.pi)
     c = grid.dealias_cutoff
     rng = np.random.default_rng(10 * dim + n)
@@ -259,15 +269,147 @@ def test_band_pair_matches_long_double_dft(dim, n, monkeypatch):
     bands = []
     for K in (c, c // 2):
         shape = (*[2 * K + 1] * (dim - 1), K + 1)
-        bands.append(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        signed = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        bands.append(cos_sin_band(signed, dim))
     forward = band_dft_oracle(values, c)
     inverses = [band_idft_oracle(B, n) for B in bands]
-    # pocketfft, then DFT matrices; a 1-D band pair is always pocketfft
+    # pocketfft, then the matrices; a 1-D band pair is always pocketfft
     for points in (0, 1 << 30) if dim > 1 else (0,):
         monkeypatch.setattr(grid_module, "_MATRIX_POINTS", points)
         assert rel_err(grid.band_forward(values), forward) <= 1e-15
         for B, oracle in zip(bands, inverses):
             assert rel_err(grid.band_inverse(B), oracle) <= 1e-15
+
+
+def single_mode(grid, kinds, ks):
+    """The product over the axes of cos(k x) or sin(k x), kinds[ax] naming
+    which along axis ax, and its derivative along each axis, both by the
+    closed forms, with each angle reduced exactly on the lattice."""
+    n = grid.n_points
+    index = np.meshgrid(*[np.arange(n)] * grid.dim, indexing="ij")
+    waves = {"cos": (np.cos, lambda t: -np.sin(t)), "sin": (np.sin, np.cos)}
+
+    def wave(ax, derivative):
+        theta = (2.0 * np.pi / n) * ((ks[ax] * index[ax]) % n)
+        return waves[kinds[ax]][derivative](theta)
+
+    value = math.prod(wave(ax, False) for ax in range(grid.dim))
+    scale = 2.0 * np.pi / grid.side_length
+    grads = [
+        scale * ks[ax] * math.prod(wave(i, i == ax) for i in range(grid.dim))
+        for ax in range(grid.dim)
+    ]
+    return value, grads
+
+
+def band_position(grid, kinds, ks):
+    """The band index of the mode single_mode makes, and its coefficient:
+    n/2 per axis of a nonzero k (n for cos at k = 0), times -1j for a sine
+    on the last axis, whose coefficient is that of exp(-i k x)."""
+    c, n = grid.dealias_cutoff, grid.n_points
+    index, value = [], 1.0 + 0j
+    for ax, (kind, k) in enumerate(zip(kinds, ks)):
+        last = ax == grid.dim - 1
+        index.append(k if kind == "cos" or last else 2 * c + 1 - k)
+        value *= n if k == 0 else n / 2
+        if kind == "sin" and last:
+            value *= -1j
+    return tuple(index), value
+
+
+MODES = [
+    ("cos", "cos"), ("sin", "cos"), ("cos", "sin"), ("sin", "sin"),
+    ("cos", "sin", "cos"), ("sin", "cos", "sin"), ("sin", "sin", "sin"), ("cos", "cos", "cos"),
+]
+
+
+def wavenumbers(grid, zero):
+    """Three choices of k per axis: 1 on every axis, the band's cutoff on
+    the first and last, and k = 0 on the first if zero (else 3)."""
+    c = grid.dealias_cutoff
+    return [(1,) * grid.dim, (c, 2, c)[: grid.dim], (0 if zero else 3, c - 1, 1)[: grid.dim]]
+
+
+# n = 16 runs the matrices, n = 128 pocketfft (at 2-D, to keep the run short)
+MODE_CASES = [
+    pytest.param(kinds, n, id=f"{'-'.join(kinds)}-{n}")
+    for kinds in MODES for n in (16, 128) if n == 16 or len(kinds) == 2
+]
+
+
+@pytest.mark.parametrize("kinds, n", MODE_CASES)
+def test_single_mode_lands_on_one_band_position(kinds, n):
+    # cos(k x) lands on the row of +k, sin(k x) on the row of -k of each
+    # signed axis, with the closed form value, and every other position is
+    # zero
+    grid = Grid(len(kinds), n, 3.0)
+    for ks in wavenumbers(grid, zero=kinds[0] == "cos"):
+        value, _ = single_mode(grid, kinds, ks)
+        B = grid.band_forward(value)
+        index, coeff = band_position(grid, kinds, ks)
+        expected = np.zeros_like(B)
+        expected[index] = coeff
+        assert np.max(np.abs(B - expected)) <= 1e-13 * abs(coeff)
+        assert rel_err(grid.band_inverse(expected), value) <= 1e-14
+
+
+@pytest.mark.parametrize("kinds, n", MODE_CASES)
+def test_band_gradient_of_single_mode_is_band_of_its_derivative(kinds, n):
+    # every derivative is a nonzero mode: no k = 0
+    grid = Grid(len(kinds), n, 3.0)
+    grad = band_symbols(grid, 1.0).grad
+    for ks in wavenumbers(grid, zero=False):
+        value, derivatives = single_mode(grid, kinds, ks)
+        B = grid.band_forward(value)
+        for ax, d in enumerate(derivatives):
+            out = _band_gradient(grad, B, ax, np.full_like(B, np.nan))
+            oracle = grid.band_forward(d)
+            assert np.max(np.abs(out - oracle)) <= 1e-13 * np.max(np.abs(oracle))
+
+
+@pytest.mark.parametrize("dim, n", [(2, 16), (2, 64), (3, 16), (3, 32), (2, 128)])
+def test_band_pair_stack_equals_its_fields_bit_for_bit(dim, n):
+    grid = Grid(dim, n, 2 * np.pi)
+    values = np.random.default_rng(dim + n).standard_normal((3, *grid.shape))
+    B = grid.band_forward(values)
+    inverse = grid.band_inverse(B)
+    for i in range(3):
+        assert grid.band_forward(values[i]).tobytes() == B[i].tobytes()
+        assert grid.band_inverse(B[i]).tobytes() == inverse[i].tobytes()
+
+
+_THREADS_SCRIPT = """
+import hashlib, numpy as np
+from fpme import FieldGenerator, Grid
+from fpme.linear import _rhs_values, make_coefficient_ops
+digest = hashlib.sha256()
+for dim, n in ((2, 64), (3, 32)):
+    g = Grid(dim, n, 2 * np.pi)
+    v, u = (FieldGenerator("multi_bump", seed=seed, amplitude=0.5, width=1.2).generate(g)
+            for seed in (1, 2))
+    ops = make_coefficient_ops(v, 0.75, 0.0)
+    F = g.band_forward(u.values)
+    for arr in (F, g.band_inverse(F), ops.coeffs, _rhs_values(F, ops)):
+        digest.update(arr.tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_band_pair_does_not_depend_on_blas_threads():
+    # the real matrix products, the freeze and a right-hand side on one
+    # BLAS thread and on two, each in its own interpreter
+    import os
+    import subprocess
+
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    digests = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+               "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        proc = subprocess.run([sys.executable, "-c", _THREADS_SCRIPT], env=env,
+                              capture_output=True, text=True, check=True)
+        digests.append(proc.stdout.strip())
+    assert digests[0] == digests[1]
 
 
 @pytest.mark.parametrize("grid", GRIDS, ids=lambda g: f"dim{g.dim}")
@@ -439,8 +581,8 @@ def unstacked_rhs(F, ops):
     g = ops.grid
     Fu = F * ops.filt
     r = g.band_inverse(ops.lap_mult * Fu) * ops.coeffs[-1]
-    for gm, c in zip(ops.grad_mults, ops.coeffs):
-        r += g.band_inverse(gm * Fu) * c
+    for ax, c in enumerate(ops.coeffs[:-1]):
+        r += g.band_inverse(_band_gradient(ops.grad_mults, Fu, ax, np.empty_like(Fu))) * c
     Fr = g.band_forward(r)
     Fr *= ops.filt
     return Fr
@@ -465,6 +607,32 @@ def test_stacked_rhs_is_the_unstacked_sum_bit_for_bit(grid, fields, epsilon, mon
     F = grid.band_forward(random_field(grid, seed=22).values)
     out = linear._rhs_values(F, ops)
     assert out.tobytes() == unstacked_rhs(F, ops).tobytes()
+
+
+@pytest.mark.parametrize(
+    "grid", [*GRIDS, Grid(3, 32, 2 * np.pi)], ids=lambda g: f"dim{g.dim}-n{g.n_points}"
+)
+def test_freeze_inverts_in_stacks_by_the_budget_bit_for_bit(grid, monkeypatch):
+    # budgets of no field, one and two fields' real bytes, and one stack:
+    # the freeze makes ceil((dim + 1) / k) band_inverse calls of at most k
+    # arrays each, and its coeffs are the same bytes whatever the budget
+    Fv = grid.band_forward(coefficient(grid, seed=25).values)
+    sizes, coeffs = [], []
+    real = Grid.band_inverse
+
+    def counted(self, B):
+        sizes.append(len(B))
+        return real(self, B)
+
+    monkeypatch.setattr(Grid, "band_inverse", counted)
+    for fields in (0, 1, 2, None):
+        stack_bytes = 1 << 30 if fields is None else fields * 8 * grid.size
+        monkeypatch.setattr(grid_module, "_STACK_BYTES", stack_bytes)
+        sizes.clear()
+        coeffs.append(_freeze(grid, Fv, 1.0, 0.75, 0.0).coeffs.tobytes())
+        k = grid.dim + 1 if fields is None else max(1, fields)
+        assert sizes == [min(k, grid.dim + 1 - lo) for lo in range(0, grid.dim + 1, k)]
+    assert all(c == coeffs[0] for c in coeffs)
 
 
 def test_stacked_rhs_peak_not_above_unstacked():
@@ -704,30 +872,39 @@ def bits(arr):
 @pytest.mark.parametrize("n", [8, 16, 32, 64])
 def test_band_table_is_the_half_spectrum_table_cut_to_the_band(dim, n):
     # the oracle cuts the dense half-spectrum table to the band here; the
-    # band table is built from the band's own frequencies
+    # band table is built from the band's own frequencies.  On the band,
+    # fold and sobolev carry a factor 2 at each signed-axis k != 0, and the
+    # gradient on a signed axis is the real xi that multiplies the mirrored
+    # row: i xi's imaginary part
     grid = Grid(dim, n, 2 * np.pi)
     band_shape = grid.band_forward(np.zeros(grid.shape)).shape
+    signed = [np.abs(grid.k_signed[ix]) > 0 for ix in grid.band[:-1]]
+    twice = np.broadcast_to(2.0 ** sum(signed, np.zeros(band_shape)), band_shape)
     for exponent in (-1.5, 0.0, 0.5, 1.0, 1.6, 2.6):
         full, band = half_spectrum_symbols(grid, exponent), band_symbols(grid, exponent)
         pairs = [
-            (full.radial, band.radial),
-            (full.fold, band.fold),
-            (full.sobolev, band.sobolev),
-            *zip(full.grad, band.grad),
+            (full.radial, band.radial, 1.0),
+            (full.fold, band.fold, twice),
+            (full.sobolev, band.sobolev, twice),
+            (full.grad[-1], band.grad[-1], 1.0),
+            *[(f.imag, b, 1.0) for f, b in zip(full.grad[:-1], band.grad[:-1])],
         ]
-        for f, b in pairs:
-            cut = np.broadcast_to(f, grid.spectral_shape)[grid.band]
+        for f, b, factor in pairs:
+            cut = np.broadcast_to(f, grid.spectral_shape)[grid.band] * factor
             assert np.array_equal(bits(np.broadcast_to(b, band_shape)), bits(cut))
         assert band.radial.shape == band.sobolev.shape == band_shape
+        assert all(not np.iscomplexobj(b) for b in band.grad[:-1])
 
 
 def test_band_table_is_small_and_caches_no_full_table():
+    # radial, fold and sobolev are dense on the band at 3-D; together with
+    # the gradients they take less than one dense half-spectrum array
     grid = Grid(3, 64, 2 * np.pi)
     before = half_spectrum_symbols.cache_info().currsize
     sym = band_symbols(grid, 0.123)
     assert half_spectrum_symbols.cache_info().currsize == before
     total = sum(a.nbytes for a in (sym.radial, sym.fold, sym.sobolev, *sym.grad))
-    assert total <= 0.7e6
+    assert total < 8 * math.prod(grid.spectral_shape)
 
 
 # ---------------------------------------------------------------------------
