@@ -1,8 +1,9 @@
 """Flat key-value run configuration.
 
 A config document is lines of ``key = value`` with ``#`` comments.  Keys
-are namespaced with dots; unknown keys are rejected.  parse_config returns
-a fully validated RunSpec; --set overrides are applied before validation.
+are namespaced with dots; unknown keys are rejected, and every value is
+parsed whatever the mode.  parse_config returns a fully validated RunSpec;
+--set overrides are applied before validation.
 The solver keys are checked by the solver's own PicardConfig and
 TimeStepPolicy, which RunSpec carries.
 """
@@ -23,45 +24,14 @@ __all__ = ["RunSpec", "parse_config", "MODES"]
 
 MODES = ("linear", "picard", "sweep_epsilon", "properties")
 
-_KNOWN_KEYS = {
-    "grid.dim",
-    "grid.n",
-    "grid.length",
-    "solver.s",
-    "solver.alpha",
-    "solver.epsilon",
-    "solver.t_end",
-    "solver.safety",
-    "solver.dt_max",
-    "solver.sample_every",
-    "solver.samples",
-    "solver.tol_picard",
-    "solver.max_outer",
-    "solver.c_gronwall",
-    "solver.t0_override",
-    "solver.mollify_initial",
-    "initial.kind",
-    "initial.seed",
-    "initial.amplitude",
-    "initial.width",
-    "coefficient.kind",
-    "coefficient.seed",
-    "coefficient.amplitude",
-    "coefficient.width",
-    "output.dir",
-    "output.snapshot_times",
-    "sweep.epsilons",
-    "properties.seed",
-    "properties.count",
-}
 
 @dataclass(frozen=True)
 class RunSpec:
     """Resolved, validated description of one CLI job.
 
     picard carries s, alpha, epsilon and the Picard knobs in every mode.
-    policy is the RK4 step policy of linear and sweep_epsilon runs; other
-    modes have one only when solver.dt_max is set.
+    policy is the RK4 step policy of linear and sweep_epsilon runs and None
+    in the other modes.
     """
 
     mode: str
@@ -124,17 +94,35 @@ def _floats(value: str) -> tuple[float, ...]:
     return tuple(float(tok) for tok in value.split(","))
 
 
-# config key -> (PicardConfig field, parser).  A key is passed only when the
-# document sets it, so the dataclass defaults are the only defaults.
+# config key -> parser: every key a document may set.  Every value is
+# parsed, whether or not the mode reads it.
+_KEYS = {
+    "grid.dim": int, "grid.n": int, "grid.length": float,
+    "solver.s": float, "solver.alpha": float, "solver.epsilon": float,
+    "solver.t_end": float, "solver.safety": float, "solver.dt_max": float,
+    "solver.sample_every": int, "solver.samples": int, "solver.tol_picard": float,
+    "solver.max_outer": int, "solver.c_gronwall": float, "solver.t0_override": float,
+    "solver.mollify_initial": _boolean,
+    "initial.kind": str, "initial.seed": int, "initial.amplitude": float,
+    "initial.width": float,
+    "coefficient.kind": str, "coefficient.seed": int, "coefficient.amplitude": float,
+    "coefficient.width": float,
+    "output.dir": str, "output.snapshot_times": _floats,
+    "sweep.epsilons": _floats,
+    "properties.seed": int, "properties.count": int,
+}
+
+# config key -> PicardConfig field.  A key is passed only when the document
+# sets it, so the dataclass defaults are the only defaults.
 _PICARD_FIELDS = {
-    "solver.epsilon": ("epsilon_moll", float),
-    "solver.c_gronwall": ("c_gronwall", float),
-    "solver.tol_picard": ("tol_picard", float),
-    "solver.max_outer": ("max_outer", int),
-    "solver.t0_override": ("t0_override", float),
-    "solver.samples": ("samples", int),
-    "solver.safety": ("safety", float),
-    "solver.mollify_initial": ("mollify_initial", _boolean),
+    "solver.epsilon": "epsilon_moll",
+    "solver.c_gronwall": "c_gronwall",
+    "solver.tol_picard": "tol_picard",
+    "solver.max_outer": "max_outer",
+    "solver.t0_override": "t0_override",
+    "solver.samples": "samples",
+    "solver.safety": "safety",
+    "solver.mollify_initial": "mollify_initial",
 }
 
 # parser -> what a ParseError says the key needs
@@ -145,37 +133,48 @@ _NEEDS = {
     _floats: "comma-separated numbers",
 }
 
+# mode -> the keys it cannot run without
+_EVERY_MODE = ("grid.dim", "grid.n", "grid.length", "output.dir")
+_REQUIRED = {
+    "linear": (*_EVERY_MODE, "solver.t_end", "initial.kind", "coefficient.kind"),
+    "picard": (*_EVERY_MODE, "initial.kind"),
+    "sweep_epsilon": (*_EVERY_MODE, "solver.t_end", "initial.kind", "coefficient.kind"),
+    "properties": _EVERY_MODE,
+}
 
-def _where(lineno: int) -> str:
-    """A message's prefix: the entry's file line, or nothing for a --set
-    override (lineno 0), which the message names by its key."""
-    return f"line {lineno}: " if lineno else ""
-
-
-def _get(entries: dict[str, tuple[str, int]], key: str, parse=str, default=None):
-    """The parsed value of key, or default when the document omits it."""
-    value, lineno = entries.get(key, (None, 0))
-    if value is None:
-        return default
-    try:
-        return parse(value)
-    except ValueError:
-        raise ParseError(
-            f"{_where(lineno)}key {key!r} needs {_NEEDS[parse]}, got {value!r}"
-        )
+# The modes that march by RK4 steps, and the step keys only they read.
+_STEPPED = ("linear", "sweep_epsilon")
+_STEP_KEYS = ("solver.dt_max", "solver.sample_every")
 
 
-def _generator(
-    entries: dict[str, tuple[str, int]], prefix: str, grid: Grid
-) -> FieldGenerator | None:
-    kind = _get(entries, f"{prefix}.kind")
+def _parse(entries: dict[str, tuple[str, int]]) -> dict:
+    """Each entry's value by its key's parser, in document order.
+
+    An unknown key or a malformed value is a ParseError that names the
+    entry's file line, or only the key for a --set override (line 0).
+    """
+    values = {}
+    for key, (text, lineno) in entries.items():
+        where = f"line {lineno}: " if lineno else ""
+        parse = _KEYS.get(key)
+        if parse is None:
+            raise ParseError(f"{where}unknown key {key!r}")
+        try:
+            values[key] = parse(text)
+        except ValueError:
+            raise ParseError(f"{where}key {key!r} needs {_NEEDS[parse]}, got {text!r}")
+    return values
+
+
+def _generator(values: dict, prefix: str, grid: Grid) -> FieldGenerator | None:
+    kind = values.get(f"{prefix}.kind")
     if kind is None:
         return None
     gen = FieldGenerator(
         kind=kind,
-        seed=_get(entries, f"{prefix}.seed", int, 0),
-        amplitude=_get(entries, f"{prefix}.amplitude", float, 0.5),
-        width=_get(entries, f"{prefix}.width", float, grid.side_length / 8.0),
+        seed=values.get(f"{prefix}.seed", 0),
+        amplitude=values.get(f"{prefix}.amplitude", 0.5),
+        width=values.get(f"{prefix}.width", grid.side_length / 8.0),
     )
     try:
         gen.check(grid)
@@ -189,72 +188,62 @@ def parse_config(text: str, mode: str, overrides: dict[str, str] | None = None) 
 
     mode is the CLI positional, one of MODES.  overrides are --set pairs,
     applied on top of the file.  The solver keys build a PicardConfig in
-    every mode and a TimeStepPolicy for linear and sweep_epsilon (or
-    whenever solver.dt_max is set); those classes hold the defaults and
-    range checks, and their ValueErrors become ValidationErrors here.
+    every mode and a TimeStepPolicy for linear and sweep_epsilon, the only
+    modes that may set solver.dt_max and solver.sample_every; those classes
+    hold the defaults and range checks, and their ValueErrors become
+    ValidationErrors here.
     """
+    if mode not in MODES:
+        raise ValidationError(f"mode must be one of {MODES}, got {mode!r}")
     entries = _tokenize(text)
     for key, value in (overrides or {}).items():
         entries[key] = (value, 0)
+    values = _parse(entries)
+    get = values.get
 
-    for key in entries:
-        if key not in _KNOWN_KEYS:
-            raise ParseError(f"{_where(entries[key][1])}unknown key {key!r}")
+    for key in _REQUIRED[mode]:
+        if key not in values:
+            raise ValidationError(f"{key} is required for mode {mode}")
+    stepped = mode in _STEPPED
+    for key in _STEP_KEYS:
+        if key in values and not stepped:
+            raise ValidationError(
+                f"{key} is read only by modes {' and '.join(_STEPPED)}, not by mode {mode}"
+            )
 
-    if mode not in MODES:
-        raise ValidationError(f"mode must be one of {MODES}, got {mode!r}")
-
-    dim = _get(entries, "grid.dim", int)
-    n = _get(entries, "grid.n", int)
-    length = _get(entries, "grid.length", float)
-    for name, val in (("grid.dim", dim), ("grid.n", n), ("grid.length", length)):
-        if val is None:
-            raise ValidationError(f"{name} is required")
-
-    t_end = _get(entries, "solver.t_end", float)
-    if mode in ("linear", "sweep_epsilon") and t_end is None:
-        raise ValidationError(f"solver.t_end is required for mode {mode}")
-
-    picard_args = {
-        name: _get(entries, key, parse)
-        for key, (name, parse) in _PICARD_FIELDS.items()
-        if key in entries
-    }
-    dt_max = _get(entries, "solver.dt_max", float)
-    sample_every = _get(entries, "solver.sample_every", int, 1)
-    properties_seed = _get(entries, "properties.seed", int, 0)
-    properties_count = _get(entries, "properties.count", int, 100)
+    dim, t_end = values["grid.dim"], get("solver.t_end")
+    sample_every = get("solver.sample_every", 1)
+    properties_seed = get("properties.seed", 0)
+    properties_count = get("properties.count", 100)
     try:
-        grid = Grid(dim, n, length)
-        if mode in ("linear", "sweep_epsilon"):
+        grid = Grid(dim, values["grid.n"], values["grid.length"])
+        if stepped:
             _check_positive("solver.t_end", t_end)
         _check_integer("solver.sample_every", sample_every, 1)
         _check_suite(properties_seed, properties_count, "properties.")
-        alpha = _get(entries, "solver.alpha", float, dim / 2.0 + 1.1)
-        picard = PicardConfig(s=_get(entries, "solver.s", float, 0.75), alpha=alpha, **picard_args)
+        picard = PicardConfig(
+            s=get("solver.s", 0.75),
+            alpha=get("solver.alpha", dim / 2.0 + 1.1),
+            **{name: values[key] for key, name in _PICARD_FIELDS.items() if key in values},
+        )
         if mode == "picard":
             _check_alpha(picard, dim)
         policy = None
-        if mode in ("linear", "sweep_epsilon") or dt_max is not None:
+        if stepped:
             policy = TimeStepPolicy(
-                dt_max=t_end / picard.samples if dt_max is None else dt_max,
-                safety=picard.safety,
+                dt_max=get("solver.dt_max", t_end / picard.samples), safety=picard.safety
             )
     except ValueError as exc:
         raise ValidationError(str(exc)) from exc
 
-    initial = _generator(entries, "initial", grid)
-    coefficient = _generator(entries, "coefficient", grid)
-    if mode in ("linear", "picard", "sweep_epsilon") and initial is None:
-        raise ValidationError(f"initial.kind is required for mode {mode}")
-    if mode in ("linear", "sweep_epsilon") and coefficient is None:
-        raise ValidationError(f"coefficient.kind is required for mode {mode}")
+    initial = _generator(values, "initial", grid)
+    coefficient = _generator(values, "coefficient", grid)
     # The solvers' own input checks on the generated fields; past the checks
     # above, only the sign of the first frozen coefficient can fail them.
     try:
         if mode == "picard":
             _validate_initial(initial.generate(grid), picard)
-        elif mode in ("linear", "sweep_epsilon"):
+        elif stepped:
             LinearProblem(v=coefficient.generate(grid), u0=initial.generate(grid),
                           s=picard.s, epsilon=picard.epsilon_moll, t_end=t_end)
     except ValueError as exc:
@@ -263,18 +252,15 @@ def parse_config(text: str, mode: str, overrides: dict[str, str] | None = None) 
             f"{prefix}.kind = {gen.kind} with {prefix}.amplitude = {gen.amplitude}: {exc}"
         ) from exc
 
-    output_dir = _get(entries, "output.dir")
-    if output_dir is None:
-        raise ValidationError("output.dir is required")
-    snapshot_times = _get(entries, "output.snapshot_times", _floats, ())
+    snapshot_times = get("output.snapshot_times", ())
     # picard saves the stored samples up to its horizon, which is not known yet
-    last = t_end if mode in ("linear", "sweep_epsilon") else math.inf
+    last = t_end if stepped else math.inf
     try:
         _check_snapshot_times(snapshot_times, last)
     except ValueError as exc:
         raise ValidationError(f"output.snapshot_times: {exc}") from exc
 
-    epsilons = _get(entries, "sweep.epsilons", _floats, (0.4, 0.2, 0.1))
+    epsilons = get("sweep.epsilons", (0.4, 0.2, 0.1))
     if mode == "sweep_epsilon":
         if not epsilons:
             raise ValidationError("sweep.epsilons must not be empty")
@@ -306,7 +292,7 @@ def parse_config(text: str, mode: str, overrides: dict[str, str] | None = None) 
         sample_every=sample_every,
         initial=initial,
         coefficient=coefficient,
-        output_dir=output_dir,
+        output_dir=values["output.dir"],
         snapshot_times=snapshot_times,
         epsilons=epsilons,
         properties_seed=properties_seed,

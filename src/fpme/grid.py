@@ -136,7 +136,7 @@ class Grid:
     n_points:
         Samples per axis.  Power of two, at least 8.
     side_length:
-        Torus period L > 0 (same on every axis).
+        Torus period L, finite and > 0 (same on every axis).
     """
 
     dim: int
@@ -144,14 +144,18 @@ class Grid:
     side_length: float
 
     def __post_init__(self):
+        _check_integer("dim", self.dim, 1)
         if self.dim not in (1, 2, 3):
             raise ValueError(f"dim must be 1, 2 or 3, got {self.dim}")
-        if not _is_power_of_two(self.n_points) or self.n_points < 8:
+        _check_integer("n_points", self.n_points, 8)
+        if not _is_power_of_two(self.n_points):
             raise ValueError(
                 f"n_points must be a power of two >= 8, got {self.n_points}"
             )
-        if not (self.side_length > 0):
-            raise ValueError(f"side_length must be positive, got {self.side_length}")
+        if not (0 < self.side_length < np.inf):
+            raise ValueError(
+                f"side_length must be positive and finite, got {self.side_length}"
+            )
         object.__setattr__(self, "spacing", self.side_length / self.n_points)
         object.__setattr__(self, "shape", (self.n_points,) * self.dim)
         object.__setattr__(self, "size", self.n_points**self.dim)

@@ -32,7 +32,7 @@ def lp_norm(f: RealField, p: float) -> float:
 
 def sobolev_norm(f: RealField, alpha: float) -> float:
     """Inhomogeneous H^alpha norm, Parseval-consistent with lp_norm(., 2)."""
-    if alpha < 0:
+    if not (alpha >= 0):
         raise ValueError(f"alpha must be >= 0, got {alpha}")
     g = f.grid
     weight = half_spectrum_symbols(g, alpha).sobolev
@@ -49,6 +49,8 @@ def _norm_of_rfft(g: Grid, c: np.ndarray, weight: np.ndarray, tail: float = 0.0)
 
 def homogeneous_seminorm(f: RealField, alpha: float) -> float:
     """Homogeneous seminorm |xi|^alpha on nonzero modes, any real alpha."""
+    if math.isnan(alpha):
+        raise ValueError(f"alpha must be a number, got {alpha}")
     g = f.grid
     sym = half_spectrum_symbols(g, 2.0 * alpha)
     return _norm_of_rfft(g, np.fft.rfftn(f.values, axes=g.fft_axes), sym.radial * sym.fold)
@@ -189,6 +191,8 @@ def besov_norm(f: RealField, alpha: float, partition: DyadicPartition) -> float:
     over its support only, and a block whose Parseval bound cannot reach
     the sup is not inverted at all (see _besov_of_band); the value is the
     max over all blocks bit for bit.  Raises GridMismatch when partition
-    is on another grid.
+    is on another grid, ValueError when alpha is NaN.
     """
+    if math.isnan(alpha):
+        raise ValueError(f"alpha must be a number, got {alpha}")
     return _besov_of_band(f.grid, f.grid.band_forward(f.values), alpha, partition)

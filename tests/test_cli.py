@@ -118,7 +118,27 @@ class TestExitCodes:
             tmp_path, LINEAR_CFG, **{"solver.alpha": 2.1, f"solver.{key}": bad}
         )
         assert main([mode, "--config", str(cfg)]) == 2
-        assert "error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error:" in err
+        if key == "dt_max" and mode != "linear":
+            # only linear reads the key, so the others reject it whatever its value
+            assert (f"solver.dt_max is read only by modes linear and sweep_epsilon, "
+                    f"not by mode {mode}") in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", ["picard", "properties"])
+    @pytest.mark.parametrize("key", ["solver.dt_max", "solver.sample_every"])
+    def test_step_key_rejected_before_output(self, tmp_path, capsys, name, key):
+        out = tmp_path / "out"
+        assert run_shipped(name, out, f"{key}=1") == 2
+        assert f"error: {key} is read only by modes linear and sweep_epsilon, not by mode {name}" \
+            in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_infinite_length_rejected_before_output(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run_shipped("properties", out, "grid.length=inf") == 2
+        assert "side_length must be positive and finite, got inf" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("mode", ["linear", "sweep_epsilon"])

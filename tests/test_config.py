@@ -21,7 +21,7 @@ from fpme import (
     run_property_suite,
     solve_linear,
 )
-from fpme.config import _KNOWN_KEYS, _PICARD_FIELDS
+from fpme.config import _KEYS, _PICARD_FIELDS
 
 MINIMAL_LINEAR = """
 grid.dim = 1
@@ -188,6 +188,49 @@ output.dir = /tmp/out
         assert getattr(spec, prefix).width == pytest.approx(spec.grid.side_length / 8)
 
 
+class TestModeKeys:
+    @pytest.mark.parametrize(
+        "mode, prefix, line, message",
+        [
+            ("picard", "coefficient", "coefficient.seed = abc",
+             r"^line 8: key 'coefficient\.seed' needs an integer, got 'abc'$"),
+            ("properties", "initial", "initial.amplitude = x",
+             r"^line 8: key 'initial\.amplitude' needs a number, got 'x'$"),
+        ],
+        ids=["picard", "properties"],
+    )
+    def test_malformed_value_of_a_key_the_mode_skips(self, mode, prefix, line, message):
+        # without its kind no generator is built, so the mode never reads the key
+        text = MINIMAL_LINEAR.replace(f"{prefix}.kind = gaussian_bump\n", "")
+        with pytest.raises(ParseError, match=message):
+            parse_config(text + line + "\n", mode=mode)
+
+    @pytest.mark.parametrize("mode", ["picard", "properties"])
+    @pytest.mark.parametrize("key, value", [("solver.dt_max", "1e-3"), ("solver.sample_every", "2")])
+    def test_step_keys_rejected_outside_the_stepped_modes(self, mode, key, value):
+        message = f"^{re.escape(key)} is read only by modes linear and sweep_epsilon, not by mode {mode}$"
+        with pytest.raises(ValidationError, match=message):
+            parse_config(MINIMAL_LINEAR, mode=mode, overrides={key: value})
+
+    @pytest.mark.parametrize("mode", ["linear", "sweep_epsilon"])
+    def test_step_keys_read_by_the_stepped_modes(self, mode):
+        overrides = {"solver.dt_max": "1e-3", "solver.sample_every": "2",
+                     "sweep.epsilons": "0.4, 0.2"}
+        spec = parse_config(MINIMAL_LINEAR, mode=mode, overrides=overrides)
+        assert spec.policy.dt_max == 1e-3
+        assert spec.sample_every == 2
+
+    @pytest.mark.parametrize("mode", ["picard", "properties"])
+    def test_no_step_policy_outside_the_stepped_modes(self, mode):
+        assert parse_config(MINIMAL_LINEAR, mode=mode).policy is None
+
+    @pytest.mark.parametrize("key", ["grid.dim", "grid.n", "grid.length", "output.dir"])
+    def test_required_key_names_the_mode(self, key):
+        text = "\n".join(line for line in MINIMAL_LINEAR.splitlines() if not line.startswith(key))
+        with pytest.raises(ValidationError, match=f"^{re.escape(key)} is required for mode properties$"):
+            parse_config(text, mode="properties")
+
+
 _GRID = Grid(1, 64, 6.283185307179586)
 
 
@@ -284,12 +327,12 @@ def _readme_key_table() -> dict[str, str]:
 
 
 def test_readme_key_table_matches_parser():
-    assert set(_readme_key_table()) == _KNOWN_KEYS
+    assert set(_readme_key_table()) == set(_KEYS)
 
 
 def test_readme_solver_defaults_match_dataclasses():
     table = _readme_key_table()
-    fields = [(key, PicardConfig, name, parse) for key, (name, parse) in _PICARD_FIELDS.items()]
+    fields = [(key, PicardConfig, name, _KEYS[key]) for key, name in _PICARD_FIELDS.items()]
     fields += [
         ("solver.safety", TimeStepPolicy, "safety", float),
         ("solver.dt_max", TimeStepPolicy, "dt_max", float),

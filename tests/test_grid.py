@@ -34,6 +34,20 @@ class TestGridValidation:
         with pytest.raises(ValueError):
             Grid(1, 64, 0.0)
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((1, 8, np.inf), "side_length must be positive and finite, got inf"),
+            ((1, 8, np.nan), "side_length must be positive and finite, got nan"),
+            ((2.0, 64, 1.0), "dim must be an integer >= 1, got 2.0"),
+            ((1, 64.0, 1.0), "n_points must be an integer >= 8, got 64.0"),
+        ],
+        ids=["infinite-length", "nan-length", "float-dim", "float-n"],
+    )
+    def test_non_finite_length_and_non_integer_sizes_rejected(self, args, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Grid(*args)
+
     def test_derived_quantities(self):
         g = Grid(2, 16, 3.0)
         assert g.spacing == pytest.approx(3.0 / 16)

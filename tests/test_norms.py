@@ -74,6 +74,22 @@ class TestLpNorm:
         assert lp_norm(f, 2) == pytest.approx(spectral, rel=1e-10)
 
 
+@pytest.mark.parametrize(
+    "norm",
+    [
+        sobolev_norm,
+        homogeneous_seminorm,
+        lambda f, alpha: besov_norm(f, alpha, DyadicPartition(f.grid)),
+    ],
+    ids=["sobolev", "homogeneous", "besov"],
+)
+def test_nan_exponent_rejected(grid64, norm):
+    # NaN fails every comparison: unchecked, the Besov sup stayed at 0.0 and
+    # the Sobolev norms came out NaN
+    with pytest.raises(ValueError, match="alpha"):
+        norm(random_field(grid64, 0), float("nan"))
+
+
 class TestSobolevNorm:
     def test_alpha_zero_is_l2(self, grid64):
         f = random_field(grid64, seed=42)
