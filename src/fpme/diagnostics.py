@@ -98,7 +98,8 @@ def record(
 
     band is (F, tail) as a solver holds it: F the band of u's unnormalized
     rfftn and tail the H^alpha weighted power of u's coefficients off the
-    band (see norms._start_band).  Without it one rfftn of u makes both.
+    band (see norms._start_band).  Without it one rfftn and one band
+    forward of u make them.
     h_alpha and besov_alpha are read from F and tail, so a record with band
     makes no forward transform, and one band inverse per Littlewood-Paley
     block whose Parseval bound can reach the Besov sup (see

@@ -20,16 +20,16 @@ coefficients in FFT order,
 
     C_k = (B_k + B_-k) / 2,    S_k = i (B_k - B_-k) / 2,    B_+-k = C_k -+ i S_k,
 
-the real-even/odd split of r2r transforms.  :func:`_to_cos_sin` and
-:func:`_to_signed` convert one axis between the two.  An even symbol, one
-with the same value at ``-k`` as at ``+k`` on each signed axis, multiplies
-the band as it would ``B``.  A derivative along a signed axis swaps the two rows of
-each ``|k|`` (:func:`_band_gradient`).  Symbols come from
-:func:`half_spectrum_symbols`, and on the band from :func:`band_symbols`,
-one builder over each layout's own frequencies; on the band ``radial``,
-``fold`` and ``sobolev`` are dense at dim >= 2.  The same layout with a
-smaller ``c`` holds a spectrum that is zero off a smaller box, such as a
-low Littlewood-Paley block cropped to its support.
+the real-even/odd split of r2r transforms.  The matrices of
+:func:`_band_matrices` make and read this layout directly.  An even symbol,
+one with the same value at ``-k`` as at ``+k`` on each signed axis,
+multiplies the band as it would ``B``.  A derivative along a signed axis
+swaps the two rows of each ``|k|`` (:func:`_band_gradient`).  Symbols come
+from :func:`half_spectrum_symbols`, and on the band from
+:func:`band_symbols`, one builder over each layout's own frequencies; on
+the band ``radial``, ``fold`` and ``sobolev`` are dense at dim >= 2.  The
+same layout with a smaller ``c`` holds a spectrum that is zero off a
+smaller box, such as a low Littlewood-Paley block cropped to its support.
 
 Three conventions share these layouts:
 
@@ -43,20 +43,20 @@ Three conventions share these layouts:
   live on the band, and a diagnostics record reads the state the solver
   holds there.
 
-  Two kernels compute the pair, by one rule.  At dim >= 2 on grids of at
-  most ``_MATRIX_POINTS`` = 64 points per axis, each axis is one real BLAS
-  product with a cos/sin matrix over the band rows alone (a pruned DFT),
-  applied to the interleaved ``(re, im)`` pairs of the coefficients, with
-  no transpose and no complex product.  Elsewhere numpy's pocketfft runs
-  ``rfft``/``fft`` along the axes, and each signed axis is converted to
-  the cos/sin layout as it is cropped to the band, or from it as it is
-  zero-padded.  A matrix costs n**2 per line against pocketfft's n log n,
-  so it wins only on short lines; a 1-D field is a single line, which BLAS
-  takes by another routine (gemv) than the rows of a stack (gemm), so there
-  a stack and its fields would differ in the last bits.  Both kernels stay within 1e-15
-  relative of ``rfftn`` converted to the band layout, a stack equals its
-  fields transformed one at a time bit for bit, and no result depends on
-  the BLAS thread count.
+  One kernel per dimension computes the pair.  At dim 1 ``rfft`` and
+  ``irfft`` run along the single axis.  At dim >= 2, on every grid size,
+  each axis is one real BLAS product with a cos/sin matrix over the band
+  rows alone (a pruned DFT), applied to the interleaved ``(re, im)`` pairs
+  of the coefficients, with no transpose and no complex product.  A 1-D
+  field is a single line, which BLAS takes by another routine (gemv) than
+  the rows of a stack (gemm), so at dim 1 matrix products would make a
+  stack and its fields differ in the last bits.  A matrix costs n**2 per
+  line against an FFT's n log n: the products beat pocketfft at every size
+  measured up to n = 128 and lose past it, by up to 1.4x at 2-D n = 256
+  and about 2.5x at n = 1024 (2-core Xeon, numpy 2.4.6).  On the tested
+  grids, n <= 128, the pair stays within 1e-15 relative of ``rfftn``
+  converted to the band layout; a stack equals its fields transformed one
+  at a time bit for bit, and no result depends on the BLAS thread count.
 * :func:`apply_symbols` is the real-to-real multiplier path of the
   unmasked operators.  It uses numpy's unnormalized ``rfftn`` and its
   ``irfftn`` inverse, as do the Sobolev norms; its core,
@@ -106,10 +106,7 @@ __all__ = [
 # overhead for all of them but keeps them alive at once.
 _STACK_BYTES = 256 * 1024
 
-# Largest n_points on which the band pair of a grid with dim >= 2 runs as DFT
-# matrix products: their cost grows as n**2 per line, pocketfft's as n log n.
-_MATRIX_POINTS = 64
-# pi to long double precision, for the twiddles of those matrices
+# pi to long double precision, for the twiddles of the band pair's matrices
 _PI = np.longdouble("3.14159265358979323846264338327950288")
 
 
@@ -118,8 +115,9 @@ def _is_power_of_two(n: int) -> bool:
 
 
 def _check_integer(name: str, value, least: int) -> None:
-    """The rule of every seed, sample count and iteration cap."""
-    if not (isinstance(value, Integral) and value >= least):
+    """The rule of every seed, sample count and iteration cap; a bool is not
+    an integer here."""
+    if not (isinstance(value, Integral) and not isinstance(value, bool) and value >= least):
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
@@ -186,37 +184,25 @@ class Grid:
         off = self.k_signed * self.spacing
         return tuple(np.meshgrid(*([off] * self.dim), indexing="ij"))
 
-    def _matrix_kernel(self) -> bool:
-        """Whether the band pair runs as DFT matrix products (see the module
-        docstring): at dim >= 2 on grids of at most _MATRIX_POINTS."""
-        return self.dim >= 2 and self.n_points <= _MATRIX_POINTS
-
     def band_forward(self, values: np.ndarray) -> np.ndarray:
         """Unnormalized ``rfftn`` of ``values`` restricted to the band, in the
         band layout: cos/sin coefficients on each signed axis.
 
-        ``values`` may carry leading stack axes.  The axes run in
-        ``rfftn``'s order: the last axis first, then each signed axis, and
-        each axis drops its rows off the band before the next transforms
-        them.  At dim >= 2 on grids of at most ``_MATRIX_POINTS`` each axis
-        is one real product with a matrix over the band rows alone, on the
-        ``(re, im)`` pairs the last axis makes; otherwise ``rfft`` and an
-        in-place ``fft`` (``out=``, numpy >= 2.0) run along the axes, and
-        :func:`_to_cos_sin` crops each signed axis to the band as it
-        converts it.
+        ``values`` may carry leading stack axes.  At dim 1 this is ``rfft``
+        cut to the band.  At dim >= 2 the axes run in ``rfftn``'s order,
+        the last axis first, then each signed axis, each one real product
+        with a matrix over the band rows alone on the ``(re, im)`` pairs
+        the last axis makes, so each axis drops its rows off the band
+        before the next transforms them.
         """
         c = self.dealias_cutoff
-        if self._matrix_kernel():
-            fwd, _, real_fwd, _ = _band_matrices(self.n_points, c)
-            B = np.ascontiguousarray(values, dtype=float) @ real_fwd
-            for ax in range(-2, -self.dim - 1, -1):
-                B = _along(fwd, B, ax)
-            return B.view(complex)
-        B = np.fft.rfft(values, axis=-1)[..., : c + 1].copy()
+        if self.dim == 1:
+            return np.fft.rfft(values, axis=-1)[..., : c + 1].copy()
+        fwd, _, real_fwd, _ = _band_matrices(self.n_points, c)
+        B = np.ascontiguousarray(values, dtype=float) @ real_fwd
         for ax in range(-2, -self.dim - 1, -1):
-            np.fft.fft(B, axis=ax, out=B)
-            B = _to_cos_sin(B, ax, c)
-        return B
+            B = _along(fwd, B, ax)
+        return B.view(complex)
 
     def band_inverse(self, B: np.ndarray) -> np.ndarray:
         """``irfftn`` of the band coefficients ``B`` zero-extended to the
@@ -225,26 +211,20 @@ class Grid:
         ``B`` is in the band layout, cos/sin coefficients on each signed
         axis, and may hold a smaller band than the 2/3 rule's, the modes
         with ``|k| <= K``; its cutoff ``K`` is read from its last axis,
-        ``B.shape[-1] - 1``.  The axes run in ``irfftn``'s order, each
-        signed axis first and the last axis at the end.  Where
-        :meth:`band_forward` takes real matrix products, so does this, on
-        the ``(re, im)`` pairs of ``B``, with the ``1/n`` per axis folded
-        into the matrices.  Otherwise :func:`_to_signed` turns each signed
-        axis back into FFT order as it zero-pads it to ``n_points``, an
-        in-place ``ifft`` (``out=``, numpy >= 2.0) inverts it before the
-        axes after it are padded, and ``irfft`` pads the last axis itself.
+        ``B.shape[-1] - 1``.  At dim 1 this is ``irfft``, which zero-pads
+        the band itself.  At dim >= 2 the axes run in ``irfftn``'s order,
+        each signed axis first and the last axis at the end, as real
+        products on the ``(re, im)`` pairs of ``B`` with the ``1/n`` per
+        axis folded into the matrices.
         """
         n, c = self.n_points, B.shape[-1] - 1
-        if self._matrix_kernel():
-            _, inv, _, real_inv = _band_matrices(n, c)
-            B = np.ascontiguousarray(B, dtype=complex).view(float)
-            for ax in range(-self.dim, -1):
-                B = _along(inv, B, ax)
-            return B @ real_inv
+        if self.dim == 1:
+            return np.fft.irfft(B, n=n, axis=-1)
+        _, inv, _, real_inv = _band_matrices(n, c)
+        B = np.ascontiguousarray(B, dtype=complex).view(float)
         for ax in range(-self.dim, -1):
-            B = _to_signed(B, ax, n)
-            np.fft.ifft(B, axis=ax, out=B)
-        return np.fft.irfft(B, n=n, axis=-1)
+            B = _along(inv, B, ax)
+        return B @ real_inv
 
 
 @lru_cache(maxsize=32)
@@ -290,39 +270,6 @@ def _along(W: np.ndarray, B: np.ndarray, ax: int) -> np.ndarray:
     product over the lines of that axis, with no transpose."""
     lead, rest = B.shape[:ax], B.shape[ax + 1 :]
     return (W @ B.reshape(*lead, B.shape[ax], -1)).reshape(*lead, W.shape[0], *rest)
-
-
-def _to_cos_sin(B: np.ndarray, ax: int, c: int) -> np.ndarray:
-    """Axis ``ax`` of ``B``, in FFT order of any length past ``2c``, cut to
-    ``|k| <= c`` in the band layout: ``C_k = (B_k + B_-k) / 2`` at the row of
-    ``+k`` and ``S_k = i (B_k - B_-k) / 2`` at that of ``-k``.  A new array;
-    ``B`` is not modified."""
-    size, after = B.shape[ax], (slice(None),) * (-ax - 1)
-    k = np.r_[0 : c + 1, c:0:-1]  # |k| at each band row
-    out = np.take(B, k % size, axis=ax)
-    minus = np.take(B, -k % size, axis=ax)
-    rows = [(..., slice(0, c + 1), *after), (..., slice(c + 1, None), *after)]
-    cos, sin = out[rows[0]], out[rows[1]]
-    cos += minus[rows[0]]
-    cos *= 0.5
-    sin -= minus[rows[1]]
-    sin *= 0.5j
-    return out
-
-
-def _to_signed(B: np.ndarray, ax: int, n: int) -> np.ndarray:
-    """The inverse of :func:`_to_cos_sin` along axis ``ax`` of the band
-    ``B``, zero-padded to ``n`` rows in FFT order: ``B_+-k = C_k -+ i S_k``.
-    A new array."""
-    c, after = (B.shape[ax] - 1) // 2, (slice(None),) * (-ax - 1)
-    out = np.zeros((*B.shape[:ax], n, *B.shape[ax + 1 :]), dtype=complex)
-    cos = B[(..., slice(0, c + 1), *after)]
-    isin = 1j * B[(..., slice(2 * c, c, -1), *after)]  # k = 1..c
-    out[(..., 0, *after)] = cos[(..., 0, *after)]
-    np.subtract(cos[(..., slice(1, None), *after)], isin, out=out[(..., slice(1, c + 1), *after)])
-    np.add(cos[(..., slice(1, None), *after)], isin,
-           out=out[(..., slice(n - 1, n - c - 1, -1), *after)])
-    return out
 
 
 def _band_gradient(

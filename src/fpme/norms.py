@@ -9,7 +9,7 @@ from functools import lru_cache, reduce
 import numpy as np
 
 from .errors import GridMismatch
-from .grid import Grid, RealField, _to_cos_sin, band_symbols, half_spectrum_symbols
+from .grid import Grid, RealField, band_symbols, half_spectrum_symbols
 
 __all__ = [
     "lp_norm",
@@ -132,15 +132,13 @@ def _crop(g: Grid, keep: int) -> tuple | None:
 def _start_band(u: RealField, alpha: float) -> tuple[np.ndarray, float]:
     """The band of u's unnormalized rfftn, in the band layout, and the
     H^alpha weighted power of its coefficients off the band, which every
-    state marched from u keeps; one rfftn makes both."""
+    state marched from u keeps: one band forward makes the first, one
+    rfftn the second."""
     g = u.grid
     c = np.fft.rfftn(u.values, axes=g.fft_axes)
     off_band = half_spectrum_symbols(g, alpha).sobolev * (c.real**2 + c.imag**2)
     off_band[g.band] = 0.0
-    F = c[g.band]
-    for ax in range(-g.dim, -1):
-        F = _to_cos_sin(F, ax, g.dealias_cutoff)
-    return F, float(np.sum(off_band))
+    return g.band_forward(u.values), float(np.sum(off_band))
 
 
 # Relative widening of each block's Parseval bound before it is compared

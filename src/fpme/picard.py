@@ -33,7 +33,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .diagnostics import DiagnosticsRecord, RecorderConfig, growth_quotient, record
-from .errors import NoConvergence
+from .errors import GridMismatch, NoConvergence
 from .fracops import MollifierKernel, mollify
 from .grid import RealField, _check_integer, band_symbols
 from .linear import (
@@ -317,7 +317,10 @@ def uniqueness_probe(u0: RealField, config: PicardConfig, delta_seed: RealField)
 
     Both runs share the base run's window and Gronwall constant so their
     sample grids coincide.  A zero perturbation returns 1 by convention.
+    Raises GridMismatch when delta_seed is on another grid than u0.
     """
+    if delta_seed.grid != u0.grid:
+        raise GridMismatch(f"delta_seed grid {delta_seed.grid} does not match u0 grid {u0.grid}")
     seed_l2 = lp_norm(delta_seed, 2)
     seed_halpha = sobolev_norm(delta_seed, config.alpha)
     limit = 1e-6 * (1.0 + sobolev_norm(u0, config.alpha))

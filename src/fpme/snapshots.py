@@ -24,7 +24,7 @@ _MAGIC = "FPM1"
 
 def write_snapshot(path: str | os.PathLike, field: RealField, t: float) -> None:
     g = field.grid
-    header = f"{_MAGIC} dim={g.dim} n={g.n_points} L={g.side_length!r} t={float(t)!r}\n"
+    header = f"{_MAGIC} dim={g.dim} n={g.n_points} L={float(g.side_length)!r} t={float(t)!r}\n"
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii"))
         fh.write(np.ascontiguousarray(field.values).astype("<f8").tobytes())

@@ -41,8 +41,9 @@ class TestGridValidation:
             ((1, 8, np.nan), "side_length must be positive and finite, got nan"),
             ((2.0, 64, 1.0), "dim must be an integer >= 1, got 2.0"),
             ((1, 64.0, 1.0), "n_points must be an integer >= 8, got 64.0"),
+            ((True, 8, 1.0), "dim must be an integer >= 1, got True"),
         ],
-        ids=["infinite-length", "nan-length", "float-dim", "float-n"],
+        ids=["infinite-length", "nan-length", "float-dim", "float-n", "bool-dim"],
     )
     def test_non_finite_length_and_non_integer_sizes_rejected(self, args, message):
         with pytest.raises(ValueError, match=f"^{message}$"):

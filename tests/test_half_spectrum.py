@@ -227,7 +227,7 @@ def pair_case(dim, n, stack):
 @pytest.mark.parametrize(
     "dim, n, stack",
     [pair_case(d, n, st) for d in (1, 2, 3) for n in (8, 16, 32, 64) for st in ((), (2,))]
-    # past _MATRIX_POINTS: the pocketfft kernel at dim >= 2
+    # n = 128, the largest tested size
     + [pair_case(2, 128, ()), pair_case(2, 128, (2,)), pair_case(3, 128, ())],
 )
 def test_band_pair_matches_rfftn(dim, n, stack):
@@ -258,10 +258,11 @@ def test_band_pair_matches_rfftn(dim, n, stack):
 @pytest.mark.parametrize(
     "dim, n", [(d, n) for d in (1, 2, 3) for n in (8, 16, 32)] + [(2, 64), (2, 128)]
 )
-def test_band_pair_matches_long_double_dft(dim, n, monkeypatch):
-    # a known answer for both kernels: cos/sin and exp sums in long double
-    # with exactly reduced angles; the inverse also on a smaller band, a
-    # Besov crop's, of the fields whose FFT-order bands are random
+def test_band_pair_matches_long_double_dft(dim, n):
+    # a known answer for the 1-D and the matrix kernel: cos/sin and exp
+    # sums in long double with exactly reduced angles; the inverse also on a
+    # smaller band, a Besov crop's, of the fields whose FFT-order bands are
+    # random
     grid = Grid(dim, n, 2 * np.pi)
     c = grid.dealias_cutoff
     rng = np.random.default_rng(10 * dim + n)
@@ -273,12 +274,9 @@ def test_band_pair_matches_long_double_dft(dim, n, monkeypatch):
         bands.append(cos_sin_band(signed, dim))
     forward = band_dft_oracle(values, c)
     inverses = [band_idft_oracle(B, n) for B in bands]
-    # pocketfft, then the matrices; a 1-D band pair is always pocketfft
-    for points in (0, 1 << 30) if dim > 1 else (0,):
-        monkeypatch.setattr(grid_module, "_MATRIX_POINTS", points)
-        assert rel_err(grid.band_forward(values), forward) <= 1e-15
-        for B, oracle in zip(bands, inverses):
-            assert rel_err(grid.band_inverse(B), oracle) <= 1e-15
+    assert rel_err(grid.band_forward(values), forward) <= 1e-15
+    for B, oracle in zip(bands, inverses):
+        assert rel_err(grid.band_inverse(B), oracle) <= 1e-15
 
 
 def single_mode(grid, kinds, ks):
@@ -330,7 +328,7 @@ def wavenumbers(grid, zero):
     return [(1,) * grid.dim, (c, 2, c)[: grid.dim], (0 if zero else 3, c - 1, 1)[: grid.dim]]
 
 
-# n = 16 runs the matrices, n = 128 pocketfft (at 2-D, to keep the run short)
+# n = 16 and n = 128, the largest tested size (at 2-D, to keep the run short)
 MODE_CASES = [
     pytest.param(kinds, n, id=f"{'-'.join(kinds)}-{n}")
     for kinds in MODES for n in (16, 128) if n == 16 or len(kinds) == 2
@@ -590,8 +588,7 @@ def unstacked_rhs(F, ops):
 
 @pytest.mark.parametrize(
     "grid",
-    # 2-D n = 128 runs the pocketfft kernel, the other grids the matrices at
-    # dim >= 2
+    # the test grids and 2-D n = 128, the largest tested size
     [*GRIDS, Grid(2, 128, 2 * np.pi)],
     ids=lambda g: f"dim{g.dim}" if g in GRIDS else f"dim{g.dim}-n{g.n_points}",
 )
@@ -694,10 +691,11 @@ def test_transform_counts(grid, monkeypatch):
     # its samples on the band, so beyond its RK4 steps it makes one band
     # inverse per freeze and one per sample's real field, and no forward
     # transform; a record given the band state makes only the band
-    # inverses of its Besov norm, and one rfftn without it.  A Besov norm
-    # inverts blocks until no block left can reach the sup, so its count
-    # depends on the data: one block of the noise field below, and every
-    # block of the zero field, whose bounds are never below its sup of 0.
+    # inverses of its Besov norm, and one rfftn and one band forward without
+    # it, as _start_band makes.  A Besov norm inverts blocks until no block
+    # left can reach the sup, so its count depends on the data: one block of
+    # the noise field below, and every block of the zero field, whose bounds
+    # are never below its sup of 0.
     # "inverted" counts the arrays the band inverses invert.
     names = ("rfftn", "irfftn", "band_forward", "band_inverse", "inverted")
     counts = dict.fromkeys(names, 0)
@@ -758,10 +756,10 @@ def test_transform_counts(grid, monkeypatch):
     ]
     recorder = RecorderConfig(alpha=1.1, partition=partition, coefficient_scale=1.0)
     band = _start_band(f, 1.1)
-    expect(rfftn=1)
+    expect(rfftn=1, band_forward=1)
     calls += [
         (lambda: record(f, 0.0, 0.0, recorder, None, band), inverses),
-        (lambda: record(f, 0.0, 0.0, recorder), {"rfftn": 1, **inverses}),
+        (lambda: record(f, 0.0, 0.0, recorder), {"rfftn": 1, "band_forward": 1, **inverses}),
     ]
     for call, made in calls:
         call()
@@ -770,7 +768,7 @@ def test_transform_counts(grid, monkeypatch):
     config = PicardConfig(s=0.75, alpha=grid.dim / 2.0 + 1.1, samples=5)
     u0 = coefficient(grid, seed=10)
     F0, tail = _start_band(u0, config.alpha)
-    expect(rfftn=1)
+    expect(rfftn=1, band_forward=1)
     prev = coefficient_samples(grid, u0, F0, config.samples)
     expect(band_forward=config.samples)
     # dt_seg is far below safety / rho_est, so each segment is one RK4 step
@@ -912,31 +910,14 @@ def test_band_table_is_small_and_caches_no_full_table():
 
 
 def test_package_makes_no_complex_fft_call(monkeypatch):
-    # fftn/ifftn nowhere; fft/ifft only inside the band pair, where its
-    # pocketfft kernel runs them along the signed axes: not at all on the
-    # 2-D n = 16 grid below, whose band pair is matrix products, and on a
-    # 2-D grid past _MATRIX_POINTS
-    band_pair = {Grid.band_forward.__code__, Grid.band_inverse.__code__}
-    calls = {"fft": 0, "ifft": 0}
-
+    # fft, ifft, fftn and ifftn nowhere: the band pair is rfft/irfft at 1-D
+    # and real matrix products at dim >= 2, on the 2-D n = 16 grid below as
+    # on the largest tested size, 2-D n = 128
     def forbidden(*args, **kwargs):
         raise AssertionError("complex FFT called")
 
-    def band_only(name):
-        real = getattr(np.fft, name)
-
-        def wrapper(*args, **kwargs):
-            if sys._getframe(1).f_code not in band_pair:
-                raise AssertionError(f"complex {name} called outside the band pair")
-            calls[name] += 1
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(np.fft, name, wrapper)
-
-    for name in ("fftn", "ifftn"):
+    for name in ("fft", "ifft", "fftn", "ifftn"):
         monkeypatch.setattr(np.fft, name, forbidden)
-    for name in calls:
-        band_only(name)
 
     grid = Grid(2, 16, 2 * np.pi)
     # modes up to k = 5, the band's cutoff at n = 16
@@ -963,9 +944,6 @@ def test_package_makes_no_complex_fft_call(monkeypatch):
                                 t0_override=0.01, tol_picard=1e-3))
     rows, passed = run_property_suite(line, seed=0, count=2)
     assert passed and rows
-    assert calls == {"fft": 0, "ifft": 0}
 
     big = Grid(2, 128, 2 * np.pi)
     big.band_inverse(big.band_forward(random_field(big, seed=3).values))
-    # the pocketfft band pair ran through the guard
-    assert calls["fft"] > 0 and calls["ifft"] > 0

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-import fpme.grid as grid_mod
 import fpme.linear as linear_mod
 from fpme import (
     BlowUp,
@@ -113,13 +112,11 @@ class TestRhsStructure:
         out = frozen_rhs(u, prob)
         assert np.max(np.abs(out.values - expected)) < 1e-11
 
-    @pytest.mark.parametrize("points", [0, 64], ids=["pocketfft", "matrix"])
-    def test_two_mode_closed_form_2d(self, points, monkeypatch):
+    def test_two_mode_closed_form_2d(self):
         # u = A cos(a.x), v = B(1 + cos(b.x)): the transport term is
         # AB |b|^(-2s) (a.b) sin(a.x) sin(b.x), the diffusion term
         # AB |a|^(2-2s) (1 + cos(b.x)) cos(a.x); every output mode, a, a + b
         # and a - b, lies inside the cutoff 5 of n = 16
-        monkeypatch.setattr(grid_mod, "_MATRIX_POINTS", points)
         g = Grid(2, 16, 2 * np.pi)
         x, y = g.axes()
         s, A, B = 0.75, 0.7, 0.5
@@ -253,10 +250,10 @@ class TestSolveLinear:
                 prob, TimeStepPolicy(dt_max=1e-3), alpha=2.1, snapshot_times=(0.02, bad)
             )
 
-    @pytest.mark.parametrize("bad", [0, -1, 2.5])
+    @pytest.mark.parametrize("bad", [0, -1, 2.5, True])
     def test_sample_every_rejected_before_any_work(self, grid64, bad, monkeypatch):
         # 0 used to divide by zero after the first record; -1 and 2.5 ran,
-        # recording at steps no integer stride gives
+        # recording at steps no integer stride gives, and True ran as 1
         monkeypatch.setattr(linear_mod, "make_coefficient_ops", None)
         with pytest.raises(ValueError, match=r"^sample_every must be an integer >= 1"):
             solve_linear(

@@ -11,6 +11,7 @@ import fpme.picard as picard_mod
 from fpme import (
     FieldGenerator,
     Grid,
+    GridMismatch,
     LinearProblem,
     NoConvergence,
     PicardConfig,
@@ -89,10 +90,13 @@ class TestValidation:
         with pytest.raises(ValueError, match="alpha must be >= 0"):
             PicardConfig(s=0.75, alpha=-1.0)
 
-    @pytest.mark.parametrize("field, bad", [("samples", 50.5), ("max_outer", 2.5)])
+    @pytest.mark.parametrize(
+        "field, bad", [("samples", 50.5), ("max_outer", 2.5), ("max_outer", True)]
+    )
     def test_fractional_count_rejected(self, field, bad):
-        # samples = 50.5 used to fail inside run_picard with a TypeError, and
-        # max_outer = 2.5 ran 3 iterates before giving up
+        # samples = 50.5 used to fail inside run_picard with a TypeError,
+        # max_outer = 2.5 ran 3 iterates before giving up, and max_outer =
+        # True ran as 1
         with pytest.raises(ValueError, match=rf"^{field} must be an integer >= "):
             PicardConfig(s=0.75, alpha=2.1, **{field: bad})
 
@@ -387,6 +391,20 @@ class TestUniquenessProbe:
         u0 = small_bump(grid64)
         ratio = uniqueness_probe(u0, PicardConfig(**BASE), RealField(grid64, np.zeros(64)))
         assert ratio == 1.0
+
+    @pytest.mark.parametrize(
+        "seed_grid", [Grid(1, 16, 2 * np.pi), Grid(2, 16, 3.0)], ids=["dim1", "length3"]
+    )
+    def test_seed_on_another_grid_rejected_before_any_work(self, seed_grid, monkeypatch):
+        # a 1-D seed used to broadcast across the 2-D field (ratio 2.5066),
+        # and a seed on another side length ran as if on u0's (2.0944)
+        grid = Grid(2, 16, 2 * np.pi)
+        u0 = small_bump(grid, width=2.5)
+        monkeypatch.setattr(picard_mod, "sobolev_norm", None)
+        monkeypatch.setattr(picard_mod, "run_picard", None)
+        seed = RealField(seed_grid, np.full(seed_grid.shape, 1e-9))
+        with pytest.raises(GridMismatch, match="^delta_seed grid"):
+            uniqueness_probe(u0, PicardConfig(**BASE), seed)
 
     def test_large_seed_rejected(self, grid64):
         u0 = small_bump(grid64)

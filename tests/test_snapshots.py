@@ -20,14 +20,17 @@ def test_round_trip_bit_exact(tmp_path):
 
 
 def test_round_trip_many_shapes(tmp_path):
-    for dim, n in [(1, 8), (1, 128), (2, 8), (3, 8)]:
-        g = Grid(dim, n, 1.75)
+    # a numpy float side length used to write L=np.float64(...), a header
+    # read_snapshot rejected
+    for dim, n, L in [(1, 8, 1.75), (1, 128, 1.75), (2, 8, 1.75), (3, 8, 1.75),
+                      (1, 16, np.float64(2 * np.pi))]:
+        g = Grid(dim, n, L)
         f = random_field(g, seed=dim * n)
         p = tmp_path / f"f_{dim}_{n}.fpm1"
         write_snapshot(p, f, t=1e-9)
         back, t = read_snapshot(p)
         assert np.array_equal(back.values, f.values)
-        assert back.grid.side_length == 1.75
+        assert back.grid.side_length == L
         assert t == 1e-9
 
 
