@@ -112,12 +112,14 @@ class TestRhsStructure:
         out = frozen_rhs(u, prob)
         assert np.max(np.abs(out.values - expected)) < 1e-11
 
-    def test_two_mode_closed_form_2d(self):
+    @pytest.mark.parametrize("n", [16, 128], ids=["matrix", "matrix_n128"])
+    def test_two_mode_closed_form_2d(self, n):
         # u = A cos(a.x), v = B(1 + cos(b.x)): the transport term is
         # AB |b|^(-2s) (a.b) sin(a.x) sin(b.x), the diffusion term
         # AB |a|^(2-2s) (1 + cos(b.x)) cos(a.x); every output mode, a, a + b
-        # and a - b, lies inside the cutoff 5 of n = 16
-        g = Grid(2, 16, 2 * np.pi)
+        # and a - b, lies inside the cutoff 5 of n = 16.  The 2-D band pair
+        # is the cos/sin matrix products at every n, 128 included
+        g = Grid(2, n, 2 * np.pi)
         x, y = g.axes()
         s, A, B = 0.75, 0.7, 0.5
         a, b = np.array([1, 2]), np.array([3, 1])
