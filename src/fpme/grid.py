@@ -24,8 +24,9 @@ the real-even/odd split of r2r transforms.  The matrices of
 :func:`_band_matrices` make and read this layout directly.  An even symbol,
 one with the same value at ``-k`` as at ``+k`` on each signed axis,
 multiplies the band as it would ``B``.  A derivative along a signed axis
-swaps the two rows of each ``|k|`` (:func:`_band_gradient`).  Symbols come
-from :func:`half_spectrum_symbols`, and on the band from
+swaps the two rows of each ``|k|``: no multiplier, so
+:meth:`Grid.band_inverse` takes it as a derivative matrix in its product.
+Symbols come from :func:`half_spectrum_symbols`, and on the band from
 :func:`band_symbols`, one builder over each layout's own frequencies; on
 the band ``radial``, ``fold`` and ``sobolev`` are dense at dim >= 2.  The
 same layout with a smaller ``c`` holds a spectrum that is zero off a
@@ -44,19 +45,21 @@ Three conventions share these layouts:
   holds there.
 
   One kernel per dimension computes the pair.  At dim 1 ``rfft`` and
-  ``irfft`` run along the single axis.  At dim >= 2, on every grid size,
-  each axis is one real BLAS product with a cos/sin matrix over the band
-  rows alone (a pruned DFT), applied to the interleaved ``(re, im)`` pairs
-  of the coefficients, with no transpose and no complex product.  A 1-D
-  field is a single line, which BLAS takes by another routine (gemv) than
-  the rows of a stack (gemm), so at dim 1 matrix products would make a
-  stack and its fields differ in the last bits.  A matrix costs n**2 per
-  line against an FFT's n log n: the products beat pocketfft at every size
-  measured up to n = 128 and lose past it, by up to 1.4x at 2-D n = 256
-  and about 2.5x at n = 1024 (2-core Xeon, numpy 2.4.6).  On the tested
-  grids, n <= 128, the pair stays within 1e-15 relative of ``rfftn``
-  converted to the band layout; a stack equals its fields transformed one
-  at a time bit for bit, and no result depends on the BLAS thread count.
+  ``irfft`` run along the single axis: BLAS takes a single line by gemv,
+  not gemm, so matrix products would make a 1-D stack and its fields
+  differ in the last bits.  At dim >= 2 each axis is one real BLAS product
+  with a cos/sin matrix over the band rows alone (a pruned DFT) on the
+  interleaved ``(re, im)`` pairs, with no transpose and no complex
+  product.  A matrix costs n**2 per line against an FFT's n log n: the
+  products beat pocketfft at every size measured up to n = 128 and lose
+  past it, by up to 1.4x at 2-D n = 256 and about 2.5x at n = 1024 (2-core
+  Xeon, numpy 2.4.6).  On the tested grids, n <= 128, the pair stays
+  within 1e-15 relative of ``rfftn`` in the band layout, and a stack,
+  derivative rows included, equals its fields one at a time bit for bit.
+  Up to 3-D n = 32 and 2-D n = 128 no product is split across BLAS
+  threads.  At 3-D n = 64 OpenBLAS splits some, and a forward transform
+  then differs between thread counts in a few near-zero coefficients,
+  within 1e-15 of its largest; a linear run still writes the same bytes.
 * :func:`apply_symbols` is the real-to-real multiplier path of the
   unmasked operators.  It uses numpy's unnormalized ``rfftn`` and its
   ``irfftn`` inverse, as do the Sobolev norms; its core,
@@ -110,10 +113,6 @@ _STACK_BYTES = 256 * 1024
 _PI = np.longdouble("3.14159265358979323846264338327950288")
 
 
-def _is_power_of_two(n: int) -> bool:
-    return n >= 1 and (n & (n - 1)) == 0
-
-
 def _check_integer(name: str, value, least: int) -> None:
     """The rule of every seed, sample count and iteration cap; a bool is not
     an integer here."""
@@ -146,14 +145,10 @@ class Grid:
         if self.dim not in (1, 2, 3):
             raise ValueError(f"dim must be 1, 2 or 3, got {self.dim}")
         _check_integer("n_points", self.n_points, 8)
-        if not _is_power_of_two(self.n_points):
-            raise ValueError(
-                f"n_points must be a power of two >= 8, got {self.n_points}"
-            )
+        if self.n_points & (self.n_points - 1):
+            raise ValueError(f"n_points must be a power of two >= 8, got {self.n_points}")
         if not (0 < self.side_length < np.inf):
-            raise ValueError(
-                f"side_length must be positive and finite, got {self.side_length}"
-            )
+            raise ValueError(f"side_length must be positive and finite, got {self.side_length}")
         object.__setattr__(self, "spacing", self.side_length / self.n_points)
         object.__setattr__(self, "shape", (self.n_points,) * self.dim)
         object.__setattr__(self, "size", self.n_points**self.dim)
@@ -204,27 +199,35 @@ class Grid:
             B = _along(fwd, B, ax)
         return B.view(complex)
 
-    def band_inverse(self, B: np.ndarray) -> np.ndarray:
+    def band_inverse(self, B: np.ndarray, derivs=None) -> np.ndarray:
         """``irfftn`` of the band coefficients ``B`` zero-extended to the
         half-spectrum, as a real array with the leading stack axes of ``B``.
 
         ``B`` is in the band layout, cos/sin coefficients on each signed
         axis, and may hold a smaller band than the 2/3 rule's, the modes
         with ``|k| <= K``; its cutoff ``K`` is read from its last axis,
-        ``B.shape[-1] - 1``.  At dim 1 this is ``irfft``, which zero-pads
-        the band itself.  At dim >= 2 the axes run in ``irfftn``'s order,
-        each signed axis first and the last axis at the end, as real
-        products on the ``(re, im)`` pairs of ``B`` with the ``1/n`` per
-        axis folded into the matrices.
+        ``B.shape[-1] - 1``.  ``derivs``, if given, names for each row of
+        ``B``'s one stack axis the axis (0-based) to differentiate its
+        field along, or None.  At dim 1 this is ``irfft``, which zero-pads
+        the band itself, of each row times ``1j * xi`` if differentiated.
+        At dim >= 2 the axes run in ``irfftn``'s order, each signed axis
+        first and the last axis at the end, as real products on the
+        ``(re, im)`` pairs of ``B`` with the matrices of
+        :func:`_inverse_matrices`, which fold in the ``1/n`` per axis and
+        give a differentiated row its axis's derivative matrix.
         """
         n, c = self.n_points, B.shape[-1] - 1
         if self.dim == 1:
+            if derivs is not None:
+                B = np.array(B, dtype=complex)
+                for i in [i for i, ax in enumerate(derivs) if ax is not None]:
+                    B[i] *= _inverse_matrices(self, c, ())[0]
             return np.fft.irfft(B, n=n, axis=-1)
-        _, inv, _, real_inv = _band_matrices(n, c)
+        mats = _inverse_matrices(self, c, tuple(derivs or ()))
         B = np.ascontiguousarray(B, dtype=complex).view(float)
-        for ax in range(-self.dim, -1):
-            B = _along(inv, B, ax)
-        return B @ real_inv
+        for W, ax in zip(mats, range(-self.dim, -1)):
+            B = _along(W, B, ax)
+        return B @ mats[-1]
 
 
 @lru_cache(maxsize=32)
@@ -267,30 +270,49 @@ def _band_matrices(n: int, c: int) -> tuple[np.ndarray, ...]:
 
 def _along(W: np.ndarray, B: np.ndarray, ax: int) -> np.ndarray:
     """``W`` applied along axis ``ax`` of the C-contiguous ``B``: one
-    product over the lines of that axis, with no transpose."""
+    product over the lines of that axis, with no transpose.  ``W`` may
+    carry leading axes that broadcast against ``B``'s."""
     lead, rest = B.shape[:ax], B.shape[ax + 1 :]
-    return (W @ B.reshape(*lead, B.shape[ax], -1)).reshape(*lead, W.shape[0], *rest)
+    return (W @ B.reshape(*lead, B.shape[ax], -1)).reshape(*lead, W.shape[-2], *rest)
 
 
-def _band_gradient(
-    grad: tuple[np.ndarray, ...], F: np.ndarray, ax: int, out: np.ndarray
-) -> np.ndarray:
-    """Component ``ax`` (0-based) of the gradient of the band coefficients
-    ``F`` into ``out``, with ``grad`` the :func:`band_symbols` table's.
-
-    On the last axis ``out = 1j * xi * F``.  On a signed axis the
-    derivative of ``cos(kx)`` is ``-xi sin(kx)`` and that of ``sin(kx)`` is
-    ``xi cos(kx)``, so row ``p`` of ``out`` is ``grad[ax][p]`` times row
-    ``mirror(p)`` of ``F``, the row of ``-k_p``, and row 0 is zero.  ``F``
-    may carry leading stack axes.  Returns ``out``."""
-    m = grad[ax]
-    if ax == len(grad) - 1:
-        return np.multiply(m, F, out=out)
-    rows = (slice(1, None), *[slice(None)] * (len(grad) - 1 - ax))
-    mirror = (slice(None, 0, -1), *rows[1:])
-    np.multiply(m[(..., *rows)], F[(..., *mirror)], out=out[(..., *rows)])
-    out[(..., 0, *rows[1:])] = 0.0
-    return out
+@lru_cache(maxsize=64)
+def _inverse_matrices(grid: Grid, c: int, derivs: tuple) -> tuple[np.ndarray, ...]:
+    """What :meth:`Grid.band_inverse` applies to a stack over the band
+    ``|k| <= c`` whose row ``i`` is differentiated along axis ``derivs[i]``
+    or not (None), built once per key and read-only: at dim 1 the factor
+    ``1j * xi_k``, ``k = 0..c``, of a differentiated row; at dim >= 2 one
+    matrix per axis, in its order, the plain one if no row is
+    differentiated along that axis and else one per row, stacked on an
+    axis that broadcasts over the product's lines.  As ``cos(kx)' = -xi
+    sin(kx)`` and ``sin(kx)' = xi cos(kx)``, a signed axis's derivative
+    matrix has column ``mirror(p)``, ``mirror`` swapping the rows of ``+k``
+    and ``-k``, equal to column ``p`` of ``inv`` times ``xi_p`` (negative
+    at ``-k``), and column 0 zero.  On the last axis ``1j * xi_k`` maps
+    ``(re, im)`` to ``(-xi_k im, xi_k re)``: row ``2k`` is ``xi_k`` times
+    row ``2k + 1`` of ``real_inv``, and row ``2k + 1`` is ``-xi_k`` times
+    row ``2k``.
+    """
+    grad = band_symbols(grid, 1.0).grad[-1].ravel()[: c + 1]
+    if grid.dim == 1:
+        return (grad,)
+    _, inv, _, real_inv = _band_matrices(grid.n_points, c)
+    xi = grad.imag
+    inv_d = np.zeros_like(inv)
+    inv_d[:, :0:-1] = inv[:, 1:] * np.concatenate([xi[1:], -xi[:0:-1]])
+    real_inv_d = np.empty_like(real_inv)
+    real_inv_d[0::2] = xi[:, None] * real_inv[1::2]
+    real_inv_d[1::2] = -xi[:, None] * real_inv[0::2]
+    d, mats = grid.dim, []
+    plain, derivative = (*[inv] * (d - 1), real_inv), (*[inv_d] * (d - 1), real_inv_d)
+    for ax, W, W_d in zip(range(d), plain, derivative):
+        if ax in derivs:
+            # the lines of the last axis's product carry d - 2 leading axes
+            shape = (len(derivs), *[1] * min(ax, d - 2), *W.shape)
+            W = np.stack([W_d if a == ax else W for a in derivs]).reshape(shape)
+            W.setflags(write=False)
+        mats.append(W)
+    return tuple(mats)
 
 
 @dataclass(frozen=True, eq=False)
@@ -313,10 +335,9 @@ class HalfSpectrumSymbols:
              ``|B_k|**2 + |B_-k|**2 = 2 (|C_k|**2 + |S_k|**2)``, so the same
              sum holds for band coefficients.
     sobolev: ``(1 + |xi|**2)**exponent * fold``.
-    grad:    on the half-spectrum ``1j * xi`` along each axis with the
-             Nyquist plane dropped.  On the band ``1j * xi`` on the last axis
-             and the real ``xi`` on each signed axis, which multiplies the
-             mirrored row there (:func:`_band_gradient`).
+    grad:    ``1j * xi`` along each axis, the Nyquist plane dropped.  On
+             the band it multiplies the last axis alone; the band inverse
+             differentiates (:func:`_inverse_matrices`).
     """
 
     radial: np.ndarray
@@ -341,9 +362,8 @@ def _symbols(
         xi.append(sk.reshape(shape))
         # The odd symbol has no Hermitian-symmetric value on the Nyquist plane.
         odd = np.where(np.abs(k) == n // 2, 0.0, sk)
-        cos_sin = band and ax < d - 1
-        grad.append((odd if cos_sin else 1j * odd).reshape(shape))
-        if cos_sin:
+        grad.append((1j * odd).reshape(shape))
+        if band and ax < d - 1:
             fold = fold * np.where(k == 0, 1.0, 2.0).reshape(shape)
     xi_squared = sum(x**2 for x in xi)
     mag = np.sqrt(xi_squared)

@@ -14,16 +14,14 @@ The right-hand side is zero off the 2/3-rule band, so the RK4 state is the
 band F of u's unnormalized ``rfftn`` (see :mod:`fpme.grid`), and the stages
 combine band coefficients.  One right-hand side is
 ``filt * band_forward(sum_i c_i * band_inverse(M_i(filt * F)))``, the M_i
-being the Laplacian symbol and the derivative along each axis
-(grid._band_gradient, which on a signed axis swaps the cosine and sine
-rows): dim + 1 inverse transforms and one forward transform, none of them
-over a row off the band.  The dim + 1 inverses, and the dim + 1 of a
-coefficient freeze, run in stacks of at most 256 KiB of real output per
-band_inverse call, the budget grid._STACK_BYTES that the property suite of
-fpme.diagnostics stacks its fields by too: one rule for every grid, one
-call at 1-D, at 2-D n <= 64 and at 3-D n = 16, one call per array from 3-D
-n = 32 on.  Both solvers step through _march, which
-lands exactly on each stop time: solve_linear marches through the snapshot
+being the derivative along each axis, which band_inverse takes inside its
+own products, and the Laplacian symbol: dim + 1 inverse transforms and one
+forward transform, none over a row off the band.  These inverses, and
+those of a coefficient freeze, run in stacks of at most 256 KiB of real
+output per band_inverse call (grid._STACK_BYTES, the property suite's
+budget too): one call at 1-D, at 2-D n <= 64 and at 3-D n = 16, one per
+array from 3-D n = 32 on.  Both solvers step through _march, which lands
+exactly on each stop time: solve_linear marches through the snapshot
 times to t_end, and a Picard segment is one march.  _field returns the
 state to real space once per step or segment, as
 ``u = u_start + band_inverse(F - F_start)``, so u keeps u_start's
@@ -37,15 +35,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
 from .diagnostics import DiagnosticsRecord, RecorderConfig, record
 from .errors import BlowUp, GridMismatch
 from .fracops import MollifierKernel
-from .grid import (
-    Grid, RealField, _band_gradient, _check_integer, _fields_per_stack, band_symbols
-)
+from .grid import Grid, RealField, _check_integer, _fields_per_stack, band_symbols
 from .norms import DyadicPartition, _start_band, sobolev_norm
 
 __all__ = [
@@ -165,20 +162,16 @@ class CoefficientOps:
 
     Spectral arrays live on the 2/3-rule band, which is the dealias mask.
     filt is the mollifier kernel's read-only band_hat when epsilon > 0 and
-    1.0 otherwise; grad_mults and lap_mult come read-only from the grid's
-    cached band tables, shared by every freeze: lap_mult is dense on the
-    band, and grad_mults is the table's grad, which grid._band_gradient
-    applies.  coeffs stacks the dealiased real fields that multiply them,
-    shape (dim + 1, *grid.shape): the components of grad p_v, then -v.  A
-    freeze inverts these, and a right-hand side its dim + 1 multiplier
-    products, in stacks of at most 256 KiB, one band_inverse call per
-    stack.
+    1.0 otherwise; lap_mult is the grid's cached, read-only band table of
+    |xi|^(2-2s), shared by every freeze.  coeffs stacks the dealiased real
+    fields of shape (dim + 1, *grid.shape) that multiply the inverted rows
+    of a right-hand side: the components of grad p_v, each the factor of
+    the derivative along its axis, then -v, that of lap_mult * filt * F.
     """
 
     grid: Grid
     filt: np.ndarray | float
     coeffs: np.ndarray
-    grad_mults: tuple[np.ndarray, ...]
     lap_mult: np.ndarray
     rho_est: float
 
@@ -191,84 +184,63 @@ def make_coefficient_ops(
     return _freeze(g, g.band_forward(v.values), vmax, s, epsilon, kernel)
 
 
-def _freeze(
-    g: Grid,
-    Fv: np.ndarray,
-    vmax: float,
-    s: float,
-    epsilon: float,
-    kernel: MollifierKernel | None = None,
-) -> CoefficientOps:
+def _freeze(g: Grid, Fv: np.ndarray, vmax: float, s: float, epsilon: float,
+            kernel: MollifierKernel | None = None) -> CoefficientOps:
     """The ops of the coefficient whose band coefficients are Fv and whose
-    real samples have max|v| = vmax; no transform of v is made.  The dim + 1
-    arrays of coeffs are inverted in stacks of at most _fields_per_stack,
-    one band_inverse call per stack, into coeffs."""
-    sym = band_symbols(g, -2.0 * s)
-    filt = 1.0
-    if epsilon > 0:
-        filt = (kernel or MollifierKernel(g, epsilon)).band_hat
-
-    Fp = Fv * sym.radial
+    real samples have max|v| = vmax; no transform of v is made.  The rows
+    of coeffs are inverted by _stacks, one band_inverse call per stack."""
+    # table before kernel: else glibc trims a heap coeffs lands on (3-D n = 64 page-faults)
+    radial = band_symbols(g, -2.0 * s).radial
+    filt = (kernel or MollifierKernel(g, epsilon)).band_hat if epsilon > 0 else 1.0
+    Fp = Fv * radial
     coeffs = np.empty((g.dim + 1, *g.shape))
-    k = _fields_per_stack(g)
-    for lo in range(0, g.dim + 1, k):
-        rows = range(lo, min(lo + k, g.dim + 1))
-        stack = np.empty((len(rows), *Fv.shape), dtype=complex)
-        for out, i in zip(stack, rows):
-            if i < g.dim:
-                _band_gradient(sym.grad, Fp, i, out)
-            else:
-                np.negative(Fv, out=out)
-        coeffs[rows.start : rows.stop] = g.band_inverse(stack)
+    for lo, hi, derivs in _stacks(g.dim, _fields_per_stack(g)):
+        coeffs[lo:hi] = g.band_inverse(_stack(Fp, derivs, np.negative, Fv), derivs)
 
     # sqrt is monotone and correctly rounded: the sqrt of the max is the
     # max of the sqrts, without a square-root array
     grad_p_max = math.sqrt(float(np.max(sum(gp**2 for gp in coeffs[:-1]))))
     xi_max = g.xi_max_retained
     rho_est = float(vmax * xi_max ** (2.0 - 2.0 * s) + grad_p_max * xi_max)
-    return CoefficientOps(
-        grid=g,
-        filt=filt,
-        coeffs=coeffs,
-        grad_mults=sym.grad,
-        lap_mult=band_symbols(g, 2.0 - 2.0 * s).radial,
-        rho_est=rho_est,
-    )
+    lap_mult = band_symbols(g, 2.0 - 2.0 * s).radial
+    return CoefficientOps(grid=g, filt=filt, coeffs=coeffs, lap_mult=lap_mult, rho_est=rho_est)
 
 
-def _products(ops: CoefficientOps, Fu: np.ndarray, rows: range) -> np.ndarray:
-    """Rows ``rows`` of the products of Fu a right-hand side inverts, stacked:
-    row 0 is lap_mult * Fu, row 1 + ax the derivative of Fu along axis ax."""
-    stack = np.empty((len(rows), *Fu.shape), dtype=complex)
-    for out, i in zip(stack, rows):
-        if i == 0:
-            np.multiply(ops.lap_mult, Fu, out=out)
-        else:
-            _band_gradient(ops.grad_mults, Fu, i - 1, out)
+@lru_cache(maxsize=16)
+def _stacks(dim: int, k: int) -> tuple[tuple[int, int, tuple], ...]:
+    """(lo, hi, derivs) of each band_inverse call, k rows at most, over the
+    dim + 1 rows in coeffs order: row i < dim differentiated along axis i."""
+    rows = (*range(dim), None)
+    return tuple((lo, lo + len(d), d) for lo in range(0, dim + 1, k) for d in [rows[lo : lo + k]])
+
+
+def _stack(Fd: np.ndarray, derivs: tuple, last, *args) -> np.ndarray:
+    """One band_inverse call's rows: Fd if differentiated, else the ufunc last(*args)."""
+    stack = np.empty((len(derivs), *Fd.shape), dtype=complex)
+    stack[: len(derivs) - (derivs[-1] is None)] = Fd
+    if derivs[-1] is None:
+        last(*args, out=stack[-1])
     return stack
 
 
 def _rhs_values(F: np.ndarray, ops: CoefficientOps) -> np.ndarray:
     """Right-hand side on the band coefficients F of the state.
 
-    The products are summed in a fixed order, -v times the Laplacian term
-    first, then each gradient term, whatever the stacking; r is a fresh
-    array, and each stack and its inverse are dropped before the next."""
+    Each inverted stack is multiplied by its rows of coeffs in place and
+    added onto r, its first row, row by row in coeffs order, whatever the
+    stacking; each later stack is dropped before the next is made."""
     g = ops.grid
-    Fu = F * ops.filt
-    k = _fields_per_stack(g)
+    Fu = F if np.isscalar(ops.filt) else F * ops.filt
     r = None
-    for lo in range(0, g.dim + 1, k):
+    for lo, hi, derivs in _stacks(g.dim, _fields_per_stack(g)):
         # the stack is band_inverse's alone, which drops it after its first
         # pass; P is indexed, so no loop variable keeps a view of it alive
-        P = g.band_inverse(_products(ops, Fu, range(lo, min(lo + k, g.dim + 1))))
+        P = g.band_inverse(_stack(Fu, derivs, np.multiply, ops.lap_mult, Fu), derivs)
+        P *= ops.coeffs[lo:hi]
+        if r is None:
+            r, P = P[0], P[1:]
         for j in range(len(P)):
-            # product j pairs with coeffs row lo + j - 1: -v (row -1), then grad p
-            c = ops.coeffs[lo + j - 1]
-            if r is None:
-                r = P[j] * c
-            else:
-                r += np.multiply(P[j], c, out=P[j])
+            r += P[j]
         del P
     Fr = g.band_forward(r)
     Fr *= ops.filt
@@ -285,11 +257,18 @@ def rhs_with_ops(u: RealField, ops: CoefficientOps) -> RealField:
 
 def _rk4_step(F: np.ndarray, dt: float, ops: CoefficientOps) -> np.ndarray:
     """One RK4 step of the band state F; F itself is not modified."""
-    k1 = _rhs_values(F, ops)
-    k2 = _rhs_values(F + (0.5 * dt) * k1, ops)
-    k3 = _rhs_values(F + (0.5 * dt) * k2, ops)
-    k4 = _rhs_values(F + dt * k3, ops)
-    return F + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    ks = [_rhs_values(F, ops)]
+    t = np.empty_like(F)
+    for c in (0.5 * dt, 0.5 * dt, dt):
+        np.add(np.multiply(ks[-1], c, out=t), F, out=t)
+        ks.append(_rhs_values(t, ops))
+    k1, k2, k3, k4 = ks
+    # F + dt / 6 (k1 + 2 k2 + 2 k3 + k4), summed left to right in k2
+    np.add(k1, np.multiply(k2, 2.0, out=k2), out=k2)
+    np.add(k2, np.multiply(k3, 2.0, out=k3), out=k2)
+    k2 += k4
+    k2 *= dt / 6.0
+    return np.add(k2, F, out=k2)
 
 
 def _march(F: np.ndarray, ops: CoefficientOps, dt_cap: float, stops):
@@ -314,7 +293,8 @@ def _values(
 ) -> tuple[np.ndarray, float]:
     """Samples u of state F marched from u_start (band F_start), and
     max|u|; BlowUp at t."""
-    u = u_start.values + u_start.grid.band_inverse(F - F_start)
+    u = u_start.grid.band_inverse(F - F_start)
+    u += u_start.values
     linf = float(np.max(np.abs(u)))
     if not math.isfinite(linf) or linf > _BLOWUP_LIMIT:
         raise BlowUp(t, linf)

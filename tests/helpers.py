@@ -35,15 +35,19 @@ def _angles(n: int, k: np.ndarray) -> np.ndarray:
     return (8 * np.arctan(np.longdouble(1)) / n) * (np.outer(k, np.arange(n)) % n)
 
 
-def _cos_sin_rows(n: int, c: int) -> np.ndarray:
+def _cos_sin_rows(n: int, c: int, derivative: bool = False) -> np.ndarray:
     """The (2c + 1, n) long double rows of a signed axis of the band layout:
     cos(k x) at the FFT-order position of +k, k = 0..c, and sin(k x) at
-    that of -k."""
+    that of -k; with derivative, their derivatives in x, -k sin(k x) and
+    k cos(k x)."""
     rows = np.empty((2 * c + 1, n), dtype=np.longdouble)
     for pos in range(2 * c + 1):
         k = pos if pos <= c else pos - (2 * c + 1)
         theta = _angles(n, np.array([abs(k)]))[0]
-        rows[pos] = np.cos(theta) if k >= 0 else np.sin(theta)
+        if derivative:
+            rows[pos] = -k * np.sin(theta) if k >= 0 else -k * np.cos(theta)
+        else:
+            rows[pos] = np.cos(theta) if k >= 0 else np.sin(theta)
     return rows
 
 
@@ -63,19 +67,25 @@ def band_dft_oracle(values: np.ndarray, c: int) -> np.ndarray:
     return F
 
 
-def band_idft_oracle(B: np.ndarray, n: int) -> np.ndarray:
+def band_idft_oracle(B: np.ndarray, n: int, deriv=None, length=None) -> np.ndarray:
     """irfftn of the band `B` (cutoff B.shape[-1] - 1) zero-extended to n
     points per axis, by long double sums: on each signed axis
     (C_0 + 2 sum_k (C_k cos(k x) + S_k sin(k x))) / n, then the real part of
     the last axis' exp(i k x) sum with each interior column counted twice
-    for its conjugate mirror."""
+    for its conjugate mirror.  With deriv, the derivative along axis deriv
+    (0-based) on the torus of side length: that axis sums the derivatives
+    of its waves, times 2 pi / length."""
     c, F = B.shape[-1] - 1, B.astype(np.clongdouble)
+    scale = 8 * np.arctan(np.longdouble(1)) / length if deriv is not None else 1
     twice = np.where(np.arange(2 * c + 1) == 0, 1, 2)[:, None] / n
     for ax in range(B.ndim - 1):
-        F = _dft_along((twice * _cos_sin_rows(n, c)).T, F, ax)
+        rows = _cos_sin_rows(n, c, derivative=ax == deriv)
+        F = _dft_along((twice * rows * (scale if ax == deriv else 1)).T, F, ax)
     k = np.arange(c + 1)
     theta = _angles(n, k)
     last = (np.cos(theta) + 1j * np.sin(theta)) * (np.where(k == 0, 1, 2)[:, None] / n)
+    if deriv == B.ndim - 1:
+        last = last * (1j * scale * k[:, None])
     return np.tensordot(F, last, axes=([-1], [0])).real
 
 

@@ -43,7 +43,6 @@ from fpme import (
 from fpme.diagnostics import RecorderConfig, record
 from fpme.fracops import MollifierKernel
 from fpme.grid import (
-    _band_gradient,
     band_symbols,
     forward_transform,
     half_spectrum_symbols,
@@ -262,7 +261,7 @@ def test_band_pair_matches_long_double_dft(dim, n):
     # a known answer for the 1-D and the matrix kernel: cos/sin and exp
     # sums in long double with exactly reduced angles; the inverse also on a
     # smaller band, a Besov crop's, of the fields whose FFT-order bands are
-    # random
+    # random, and differentiated along each axis
     grid = Grid(dim, n, 2 * np.pi)
     c = grid.dealias_cutoff
     rng = np.random.default_rng(10 * dim + n)
@@ -277,6 +276,9 @@ def test_band_pair_matches_long_double_dft(dim, n):
     assert rel_err(grid.band_forward(values), forward) <= 1e-15
     for B, oracle in zip(bands, inverses):
         assert rel_err(grid.band_inverse(B), oracle) <= 1e-15
+        for ax in range(dim):
+            derivative = band_idft_oracle(B, n, deriv=ax, length=grid.side_length)
+            assert rel_err(grid.band_inverse(B[None], (ax,))[0], derivative) <= 1e-15
 
 
 def single_mode(grid, kinds, ks):
@@ -316,6 +318,7 @@ def band_position(grid, kinds, ks):
 
 
 MODES = [
+    ("cos",), ("sin",),
     ("cos", "cos"), ("sin", "cos"), ("cos", "sin"), ("sin", "sin"),
     ("cos", "sin", "cos"), ("sin", "cos", "sin"), ("sin", "sin", "sin"), ("cos", "cos", "cos"),
 ]
@@ -328,10 +331,11 @@ def wavenumbers(grid, zero):
     return [(1,) * grid.dim, (c, 2, c)[: grid.dim], (0 if zero else 3, c - 1, 1)[: grid.dim]]
 
 
-# n = 16 and n = 128, the largest tested size (at 2-D, to keep the run short)
+# n = 16 and n = 128, the largest tested size (at 1-D and 2-D, to keep the
+# run short)
 MODE_CASES = [
     pytest.param(kinds, n, id=f"{'-'.join(kinds)}-{n}")
-    for kinds in MODES for n in (16, 128) if n == 16 or len(kinds) == 2
+    for kinds in MODES for n in (16, 128) if n == 16 or len(kinds) <= 2
 ]
 
 
@@ -353,61 +357,107 @@ def test_single_mode_lands_on_one_band_position(kinds, n):
 
 @pytest.mark.parametrize("kinds, n", MODE_CASES)
 def test_band_gradient_of_single_mode_is_band_of_its_derivative(kinds, n):
-    # every derivative is a nonzero mode: no k = 0
+    # the band inverse of a single mode's band, differentiated along each
+    # axis, is its closed-form derivative, and the band of that is the band
+    # of the derivative; every derivative is a nonzero mode: no k = 0
     grid = Grid(len(kinds), n, 3.0)
-    grad = band_symbols(grid, 1.0).grad
     for ks in wavenumbers(grid, zero=False):
         value, derivatives = single_mode(grid, kinds, ks)
         B = grid.band_forward(value)
         for ax, d in enumerate(derivatives):
-            out = _band_gradient(grad, B, ax, np.full_like(B, np.nan))
+            out = grid.band_inverse(B[None], (ax,))[0]
+            assert np.max(np.abs(out - d)) <= 1e-13 * np.max(np.abs(d))
             oracle = grid.band_forward(d)
-            assert np.max(np.abs(out - oracle)) <= 1e-13 * np.max(np.abs(oracle))
+            band = grid.band_forward(out)
+            assert np.max(np.abs(band - oracle)) <= 1e-13 * np.max(np.abs(oracle))
 
 
-@pytest.mark.parametrize("dim, n", [(2, 16), (2, 64), (3, 16), (3, 32), (2, 128)])
+@pytest.mark.parametrize(
+    "dim, n", [(2, 16), (2, 64), (3, 16), (3, 32), (2, 128), (1, 64), (3, 64)]
+)
 def test_band_pair_stack_equals_its_fields_bit_for_bit(dim, n):
+    # also a stack with derivative rows, on the first and the last axis,
+    # against each row inverted alone
     grid = Grid(dim, n, 2 * np.pi)
     values = np.random.default_rng(dim + n).standard_normal((3, *grid.shape))
     B = grid.band_forward(values)
     inverse = grid.band_inverse(B)
+    derivs = (0, None, dim - 1)
+    differentiated = grid.band_inverse(B, derivs)
     for i in range(3):
         assert grid.band_forward(values[i]).tobytes() == B[i].tobytes()
         assert grid.band_inverse(B[i]).tobytes() == inverse[i].tobytes()
+        alone = grid.band_inverse(B[i : i + 1], derivs[i : i + 1])[0]
+        assert alone.tobytes() == differentiated[i].tobytes()
+    assert differentiated[1].tobytes() == inverse[1].tobytes()
 
 
 _THREADS_SCRIPT = """
-import hashlib, numpy as np
+import sys, numpy as np
 from fpme import FieldGenerator, Grid
+from fpme.cli import main
 from fpme.linear import _rhs_values, make_coefficient_ops
-digest = hashlib.sha256()
-for dim, n in ((2, 64), (3, 32)):
+arrays = {}
+for dim, n in ((2, 64), (3, 32), (3, 64)):
     g = Grid(dim, n, 2 * np.pi)
     v, u = (FieldGenerator("multi_bump", seed=seed, amplitude=0.5, width=1.2).generate(g)
             for seed in (1, 2))
     ops = make_coefficient_ops(v, 0.75, 0.0)
     F = g.band_forward(u.values)
-    for arr in (F, g.band_inverse(F), ops.coeffs, _rhs_values(F, ops)):
-        digest.update(arr.tobytes())
-print(digest.hexdigest())
+    for name, arr in (("F", F), ("inverse", g.band_inverse(F)), ("coeffs", ops.coeffs),
+                      ("rhs", _rhs_values(F, ops))):
+        arrays[f"{dim}-{n}-{name}"] = arr
+np.savez(sys.argv[1], **arrays)
+sys.exit(main(["linear", "--config", sys.argv[2], *sys.argv[3:]]))
 """
 
+# four RK4 steps of linear.cfg on the 3-D n = 64 grid
+_LINEAR_64 = [
+    f"--set={key}" for key in (
+        "grid.dim=3", "grid.n=64", "initial.width=1.2", "coefficient.width=1.2",
+        "solver.epsilon=0.4", "solver.t_end=0.004", "solver.samples=4",
+        "output.snapshot_times=0.0, 0.004",
+    )
+]
 
-def test_band_pair_does_not_depend_on_blas_threads():
-    # the real matrix products, the freeze and a right-hand side on one
-    # BLAS thread and on two, each in its own interpreter
+
+def test_band_pair_does_not_depend_on_blas_threads(tmp_path):
+    # the real matrix products, the freeze, a right-hand side and a 3-D
+    # n = 64 linear run on one BLAS thread and on two, each in its own
+    # interpreter.  Up to 3-D n = 32 no product is split across threads and
+    # the arrays are the same bytes.  At 3-D n = 64 OpenBLAS splits some:
+    # the forward transform and the right-hand side then differ in a few
+    # near-zero coefficients, within 1e-15 of the array's largest, and the
+    # files the run writes are still the same bytes.
     import os
     import subprocess
 
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    digests = []
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    config = os.path.join(root, "configs", "linear.cfg")
+    out = tmp_path / "out"
+    arrays = []
     for threads in ("1", "2"):
         env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
-               "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
-        proc = subprocess.run([sys.executable, "-c", _THREADS_SCRIPT], env=env,
-                              capture_output=True, text=True, check=True)
-        digests.append(proc.stdout.strip())
-    assert digests[0] == digests[1]
+               "PYTHONPATH": os.path.join(root, "src") + os.pathsep
+               + os.environ.get("PYTHONPATH", "")}
+        saved = tmp_path / f"arrays{threads}.npz"
+        subprocess.run([sys.executable, "-c", _THREADS_SCRIPT, saved, config, *_LINEAR_64,
+                        f"--set=output.dir={out}"],
+                       env=env, capture_output=True, text=True, check=True)
+        out.rename(tmp_path / f"out{threads}")
+        arrays.append(np.load(saved))
+    one, two = arrays
+    assert one.files == two.files
+    for key in one.files:
+        if key.startswith("3-64-"):
+            assert np.max(np.abs(one[key] - two[key])) <= 1e-15 * np.max(np.abs(one[key]))
+        else:
+            assert one[key].tobytes() == two[key].tobytes()
+    written = sorted(p.name for p in (tmp_path / "out1").iterdir())
+    assert written == sorted(p.name for p in (tmp_path / "out2").iterdir())
+    assert "final.fpm1" in written
+    for name in written:
+        assert (tmp_path / "out1" / name).read_bytes() == (tmp_path / "out2" / name).read_bytes()
 
 
 @pytest.mark.parametrize("grid", GRIDS, ids=lambda g: f"dim{g.dim}")
@@ -574,13 +624,14 @@ def test_spectral_state_steps_match_real_space_oracle(grid, epsilon):
 
 
 def unstacked_rhs(F, ops):
-    """The right-hand side with one band inverse per product, summed -v
-    times the Laplacian term first, then each gradient term."""
+    """The right-hand side with one band inverse per product, summed in
+    coeffs order: each gradient term, then -v times the Laplacian term."""
     g = ops.grid
     Fu = F * ops.filt
-    r = g.band_inverse(ops.lap_mult * Fu) * ops.coeffs[-1]
+    r = 0.0
     for ax, c in enumerate(ops.coeffs[:-1]):
-        r += g.band_inverse(_band_gradient(ops.grad_mults, Fu, ax, np.empty_like(Fu))) * c
+        r = r + g.band_inverse(Fu[None], (ax,))[0] * c
+    r += g.band_inverse(ops.lap_mult * Fu) * ops.coeffs[-1]
     Fr = g.band_forward(r)
     Fr *= ops.filt
     return Fr
@@ -617,9 +668,9 @@ def test_freeze_inverts_in_stacks_by_the_budget_bit_for_bit(grid, monkeypatch):
     sizes, coeffs = [], []
     real = Grid.band_inverse
 
-    def counted(self, B):
+    def counted(self, B, *derivs):
         sizes.append(len(B))
-        return real(self, B)
+        return real(self, B, *derivs)
 
     monkeypatch.setattr(Grid, "band_inverse", counted)
     for fields in (0, 1, 2, None):
@@ -831,22 +882,21 @@ def test_symbols_shared_and_read_only(epsilon):
     band = band_symbols(grid, -1.5)
     assert band is band_symbols(grid, -1.5)
     assert a.lap_mult is b.lap_mult is band_symbols(grid, 0.5).radial
-    assert all(x is y is z for x, y, z in zip(a.grad_mults, b.grad_mults, band.grad))
     if epsilon == 0.0:
         assert a.filt == b.filt == 1.0
-        spectral = (a.lap_mult, *a.grad_mults)
+        spectral = (a.lap_mult,)
     else:
         assert a.filt is b.filt is kernel.band_hat
-        spectral = (a.filt, a.lap_mult, *a.grad_mults)
+        spectral = (a.filt, a.lap_mult)
     shape = grid.band_forward(v.values).shape
-    for arr in spectral[: -grid.dim]:
+    for arr in spectral:
         assert arr.shape == shape
         assert arr.flags.writeable is False
-    # the gradient multipliers vary along one axis each and broadcast
-    for arr in a.grad_mults:
+    # the gradients vary along one axis each and broadcast; the band
+    # inverse's derivative matrices are built from them
+    for arr in band.grad:
         assert arr.shape != shape and np.broadcast_shapes(arr.shape, shape) == shape
-        assert arr.flags.writeable is False
-    for arr in (band.radial, band.fold, band.sobolev):
+    for arr in (band.radial, band.fold, band.sobolev, *band.grad):
         assert arr.flags.writeable is False
     sym = half_spectrum_symbols(grid, 0.5)
     for arr in (sym.radial, sym.fold, sym.sobolev, *sym.grad):
@@ -871,9 +921,8 @@ def bits(arr):
 def test_band_table_is_the_half_spectrum_table_cut_to_the_band(dim, n):
     # the oracle cuts the dense half-spectrum table to the band here; the
     # band table is built from the band's own frequencies.  On the band,
-    # fold and sobolev carry a factor 2 at each signed-axis k != 0, and the
-    # gradient on a signed axis is the real xi that multiplies the mirrored
-    # row: i xi's imaginary part
+    # fold and sobolev carry a factor 2 at each signed-axis k != 0; the
+    # gradient is i xi on every axis, as on the half-spectrum
     grid = Grid(dim, n, 2 * np.pi)
     band_shape = grid.band_forward(np.zeros(grid.shape)).shape
     signed = [np.abs(grid.k_signed[ix]) > 0 for ix in grid.band[:-1]]
@@ -884,14 +933,15 @@ def test_band_table_is_the_half_spectrum_table_cut_to_the_band(dim, n):
             (full.radial, band.radial, 1.0),
             (full.fold, band.fold, twice),
             (full.sobolev, band.sobolev, twice),
-            (full.grad[-1], band.grad[-1], 1.0),
-            *[(f.imag, b, 1.0) for f, b in zip(full.grad[:-1], band.grad[:-1])],
         ]
+        # no factor on the gradients: 1.0 * (-0 - 1j) is 0 - 1j
+        pairs += [(f, b, None) for f, b in zip(full.grad, band.grad)]
         for f, b, factor in pairs:
-            cut = np.broadcast_to(f, grid.spectral_shape)[grid.band] * factor
+            cut = np.broadcast_to(f, grid.spectral_shape)[grid.band]
+            if factor is not None:
+                cut = cut * factor
             assert np.array_equal(bits(np.broadcast_to(b, band_shape)), bits(cut))
         assert band.radial.shape == band.sobolev.shape == band_shape
-        assert all(not np.iscomplexobj(b) for b in band.grad[:-1])
 
 
 def test_band_table_is_small_and_caches_no_full_table():
