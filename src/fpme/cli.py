@@ -96,7 +96,7 @@ def _run_picard(spec: RunSpec, out: Path) -> int:
     _write_field_snapshots(out, snaps)
     n_iter = len(state.sup_halpha)
     print(f"picard: converged in {n_iter} iterates, horizon={format_float(result.horizon)} "
-          f"delta={format_float(state.deltas[-1]) if state.deltas else '0.0'}")
+          f"delta={format_float(state.deltas[-1])}")
     return 0
 
 

@@ -44,22 +44,21 @@ Three conventions share these layouts:
   live on the band, and a diagnostics record reads the state the solver
   holds there.
 
-  One kernel per dimension computes the pair.  At dim 1 ``rfft`` and
-  ``irfft`` run along the single axis: BLAS takes a single line by gemv,
-  not gemm, so matrix products would make a 1-D stack and its fields
-  differ in the last bits.  At dim >= 2 each axis is one real BLAS product
-  with a cos/sin matrix over the band rows alone (a pruned DFT) on the
-  interleaved ``(re, im)`` pairs, with no transpose and no complex
-  product.  A matrix costs n**2 per line against an FFT's n log n: the
-  products beat pocketfft at every size measured up to n = 128 and lose
-  past it, by up to 1.4x at 2-D n = 256 and about 2.5x at n = 1024 (2-core
-  Xeon, numpy 2.4.6).  On the tested grids, n <= 128, the pair stays
-  within 1e-15 relative of ``rfftn`` in the band layout, and a stack,
-  derivative rows included, equals its fields one at a time bit for bit.
-  Up to 3-D n = 32 and 2-D n = 128 no product is split across BLAS
-  threads.  At 3-D n = 64 OpenBLAS splits some, and a forward transform
-  then differs between thread counts in a few near-zero coefficients,
-  within 1e-15 of its largest; a linear run still writes the same bytes.
+  One kernel computes the pair at every dimension: each axis is one real
+  BLAS product with a cos/sin matrix over the band rows alone (a pruned
+  DFT) on the interleaved ``(re, im)`` pairs, with no transpose and no
+  complex product.  A matrix costs n**2 per line against an FFT's
+  n log n: the products beat pocketfft at every size measured up to
+  n = 128 and lose past it, at 1-D by 1.3-1.6x at n = 256 and 4-8x at
+  n = 512, at 2-D by up to 1.4x at n = 256 and about 2.5x at n = 1024
+  (2-core Xeon, numpy 2.4.6).  On the tested grids the pair stays within
+  1e-15 relative of ``rfftn`` in the band layout, and a stack, derivative
+  rows included, equals its fields one at a time bit for bit.  At 1-D
+  n <= 512, up to 3-D n = 32 and at 2-D n = 128 it gives the same bytes
+  on one BLAS thread and on two.  At 3-D n = 64 OpenBLAS splits some
+  products, and a forward transform then differs between thread counts in
+  a few near-zero coefficients, within 1e-15 of its largest; a linear run
+  still writes the same bytes.
 * :func:`apply_symbols` is the real-to-real multiplier path of the
   unmasked operators.  It uses numpy's unnormalized ``rfftn`` and its
   ``irfftn`` inverse, as do the Sobolev norms; its core,
@@ -183,18 +182,17 @@ class Grid:
         """Unnormalized ``rfftn`` of ``values`` restricted to the band, in the
         band layout: cos/sin coefficients on each signed axis.
 
-        ``values`` may carry leading stack axes.  At dim 1 this is ``rfft``
-        cut to the band.  At dim >= 2 the axes run in ``rfftn``'s order,
-        the last axis first, then each signed axis, each one real product
-        with a matrix over the band rows alone on the ``(re, im)`` pairs
-        the last axis makes, so each axis drops its rows off the band
-        before the next transforms them.
+        ``values`` may carry leading stack axes.  The axes run in
+        ``rfftn``'s order, the last axis first, then each signed axis, each
+        one real product with a matrix of :func:`_band_matrices` over the
+        band rows alone on the ``(re, im)`` pairs the last axis makes, so
+        each axis drops its rows off the band before the next transforms
+        them.
         """
-        c = self.dealias_cutoff
-        if self.dim == 1:
-            return np.fft.rfft(values, axis=-1)[..., : c + 1].copy()
-        fwd, _, real_fwd, _ = _band_matrices(self.n_points, c)
-        B = np.ascontiguousarray(values, dtype=float) @ real_fwd
+        fwd, _, real_fwd, _ = _band_matrices(self.n_points, self.dealias_cutoff, self.dim > 1)
+        B = np.ascontiguousarray(values, dtype=float)
+        # a unit line axis per 1-D line: each line is one gemv, alone or in a stack
+        B = B @ real_fwd if self.dim > 1 else (B[..., None, :] @ real_fwd)[..., 0, :]
         for ax in range(-2, -self.dim - 1, -1):
             B = _along(fwd, B, ax)
         return B.view(complex)
@@ -208,32 +206,25 @@ class Grid:
         with ``|k| <= K``; its cutoff ``K`` is read from its last axis,
         ``B.shape[-1] - 1``.  ``derivs``, if given, names for each row of
         ``B``'s one stack axis the axis (0-based) to differentiate its
-        field along, or None.  At dim 1 this is ``irfft``, which zero-pads
-        the band itself, of each row times ``1j * xi`` if differentiated.
-        At dim >= 2 the axes run in ``irfftn``'s order, each signed axis
-        first and the last axis at the end, as real products on the
-        ``(re, im)`` pairs of ``B`` with the matrices of
+        field along, or None.  The axes run in ``irfftn``'s order, each
+        signed axis first and the last axis at the end, as real products on
+        the ``(re, im)`` pairs of ``B`` with the matrices of
         :func:`_inverse_matrices`, which fold in the ``1/n`` per axis and
         give a differentiated row its axis's derivative matrix.
         """
-        n, c = self.n_points, B.shape[-1] - 1
-        if self.dim == 1:
-            if derivs is not None:
-                B = np.array(B, dtype=complex)
-                for i in [i for i, ax in enumerate(derivs) if ax is not None]:
-                    B[i] *= _inverse_matrices(self, c, ())[0]
-            return np.fft.irfft(B, n=n, axis=-1)
-        mats = _inverse_matrices(self, c, tuple(derivs or ()))
+        mats = _inverse_matrices(self, B.shape[-1] - 1, tuple(derivs or ()))
         B = np.ascontiguousarray(B, dtype=complex).view(float)
         for W, ax in zip(mats, range(-self.dim, -1)):
             B = _along(W, B, ax)
-        return B @ mats[-1]
+        return B @ mats[-1] if self.dim > 1 else (B[..., None, :] @ mats[-1])[..., 0, :]
 
 
 @lru_cache(maxsize=32)
-def _band_matrices(n: int, c: int) -> tuple[np.ndarray, ...]:
-    """The real matrices of the band pair on ``n`` points over the band
-    ``|k| <= c``, built once per key and read-only.
+def _band_matrices(n: int, c: int, signed: bool) -> tuple[np.ndarray | None, ...]:
+    """The real matrices ``fwd, inv, real_fwd, real_inv`` of the band pair
+    on ``n`` points over the band ``|k| <= c``, built once per key and
+    read-only; ``fwd`` and ``inv`` are None unless ``signed``, as a 1-D
+    band has no signed axis.
 
     Signed axes: ``fwd`` is ``(2c + 1, n)`` with the rows ``cos theta`` at
     the FFT-order positions of ``+k``, ``k = 0..c``, and ``sin theta`` at
@@ -246,26 +237,28 @@ def _band_matrices(n: int, c: int) -> tuple[np.ndarray, ...]:
     is ``(2(c + 1), n)`` with rows ``w cos / n`` and ``-w sin / n`` (the
     conjugate mirror), so the pairs times it are ``irfft`` of the
     zero-extended columns (the band has no Nyquist column).  Each angle is
-    reduced exactly, ``theta = 2 pi ((x k) mod n) / n``, and its cosine and
-    sine are taken in long double before they are rounded: unreduced
-    angles put the pair several ulp further from ``rfftn``.
+    reduced exactly, ``2 pi ((x k) mod n) / n``, and read from a table of
+    the ``n`` angles of one period, whose cosines and sines are taken in
+    long double before they are rounded: unreduced angles put the pair
+    several ulp further from ``rfftn``.
     """
     x = np.arange(n)
     k = np.arange(c + 1)
-    theta = (2 * _PI / n) * (np.outer(k, x) % n)
-    cos, sin = np.cos(theta).astype(float), np.sin(theta).astype(float)
+    theta = (2 * _PI / n) * x
+    m = np.outer(k, x) % n
+    cos, sin = np.cos(theta).astype(float)[m], np.sin(theta).astype(float)[m]
     w = np.where(k == 0, 1.0, 2.0)[:, None] / n
-    fwd = np.concatenate([cos, sin[:0:-1]])
-    inv = np.ascontiguousarray((fwd * np.concatenate([w, w[:0:-1]])).T)
+    fwd = inv = None
+    if signed:
+        fwd = _frozen(np.concatenate([cos, sin[:0:-1]]))
+        inv = _frozen(np.ascontiguousarray((fwd * np.concatenate([w, w[:0:-1]])).T))
     real_fwd = np.empty((n, 2 * (c + 1)))
     real_fwd[:, 0::2] = cos.T
     real_fwd[:, 1::2] = -sin.T
     real_inv = np.empty((2 * (c + 1), n))
     real_inv[0::2] = w * cos
     real_inv[1::2] = -w * sin
-    for arr in (fwd, inv, real_fwd, real_inv):
-        arr.setflags(write=False)
-    return fwd, inv, real_fwd, real_inv
+    return fwd, inv, _frozen(real_fwd), _frozen(real_inv)
 
 
 def _along(W: np.ndarray, B: np.ndarray, ax: int) -> np.ndarray:
@@ -280,26 +273,24 @@ def _along(W: np.ndarray, B: np.ndarray, ax: int) -> np.ndarray:
 def _inverse_matrices(grid: Grid, c: int, derivs: tuple) -> tuple[np.ndarray, ...]:
     """What :meth:`Grid.band_inverse` applies to a stack over the band
     ``|k| <= c`` whose row ``i`` is differentiated along axis ``derivs[i]``
-    or not (None), built once per key and read-only: at dim 1 the factor
-    ``1j * xi_k``, ``k = 0..c``, of a differentiated row; at dim >= 2 one
-    matrix per axis, in its order, the plain one if no row is
-    differentiated along that axis and else one per row, stacked on an
-    axis that broadcasts over the product's lines.  As ``cos(kx)' = -xi
-    sin(kx)`` and ``sin(kx)' = xi cos(kx)``, a signed axis's derivative
-    matrix has column ``mirror(p)``, ``mirror`` swapping the rows of ``+k``
-    and ``-k``, equal to column ``p`` of ``inv`` times ``xi_p`` (negative
-    at ``-k``), and column 0 zero.  On the last axis ``1j * xi_k`` maps
+    or not (None), built once per key and read-only: one matrix per axis,
+    in its order, the plain one if no row is differentiated along that
+    axis and else one per row, stacked on an axis that broadcasts over the
+    product's lines.  As ``cos(kx)' = -xi sin(kx)`` and ``sin(kx)' = xi
+    cos(kx)``, a signed axis's derivative matrix has column ``mirror(p)``,
+    ``mirror`` swapping the rows of ``+k`` and ``-k``, equal to column
+    ``p`` of ``inv`` times ``xi_p`` (negative at ``-k``), and column 0
+    zero.  On the last axis, the only one at dim 1, ``1j * xi_k`` maps
     ``(re, im)`` to ``(-xi_k im, xi_k re)``: row ``2k`` is ``xi_k`` times
     row ``2k + 1`` of ``real_inv``, and row ``2k + 1`` is ``-xi_k`` times
     row ``2k``.
     """
-    grad = band_symbols(grid, 1.0).grad[-1].ravel()[: c + 1]
-    if grid.dim == 1:
-        return (grad,)
-    _, inv, _, real_inv = _band_matrices(grid.n_points, c)
-    xi = grad.imag
-    inv_d = np.zeros_like(inv)
-    inv_d[:, :0:-1] = inv[:, 1:] * np.concatenate([xi[1:], -xi[:0:-1]])
+    _, inv, _, real_inv = _band_matrices(grid.n_points, c, grid.dim > 1)
+    xi = band_symbols(grid, 1.0).grad[-1].imag.ravel()[: c + 1]
+    inv_d = None
+    if grid.dim > 1:
+        inv_d = np.zeros_like(inv)
+        inv_d[:, :0:-1] = inv[:, 1:] * np.concatenate([xi[1:], -xi[:0:-1]])
     real_inv_d = np.empty_like(real_inv)
     real_inv_d[0::2] = xi[:, None] * real_inv[1::2]
     real_inv_d[1::2] = -xi[:, None] * real_inv[0::2]

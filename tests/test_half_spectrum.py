@@ -226,7 +226,7 @@ def pair_case(dim, n, stack):
 @pytest.mark.parametrize(
     "dim, n, stack",
     [pair_case(d, n, st) for d in (1, 2, 3) for n in (8, 16, 32, 64) for st in ((), (2,))]
-    # n = 128, the largest tested size
+    # n = 128, the largest size of the accuracy tests
     + [pair_case(2, 128, ()), pair_case(2, 128, (2,)), pair_case(3, 128, ())],
 )
 def test_band_pair_matches_rfftn(dim, n, stack):
@@ -246,19 +246,15 @@ def test_band_pair_matches_rfftn(dim, n, stack):
     inverse = grid.band_inverse(B)
     oracle = np.fft.irfftn(extended, s=grid.shape, axes=axes)
     assert inverse.shape == values.shape
-    if dim == 1:
-        assert np.array_equal(B, restricted)
-        assert np.array_equal(inverse, oracle)
-    else:
-        assert rel_err(B, restricted) <= 1e-15
-        assert rel_err(inverse, oracle) <= 1e-15
+    assert rel_err(B, restricted) <= 1e-15
+    assert rel_err(inverse, oracle) <= 1e-15
 
 
 @pytest.mark.parametrize(
     "dim, n", [(d, n) for d in (1, 2, 3) for n in (8, 16, 32)] + [(2, 64), (2, 128)]
 )
 def test_band_pair_matches_long_double_dft(dim, n):
-    # a known answer for the 1-D and the matrix kernel: cos/sin and exp
+    # a known answer for the matrix kernel at every dim: cos/sin and exp
     # sums in long double with exactly reduced angles; the inverse also on a
     # smaller band, a Besov crop's, of the fields whose FFT-order bands are
     # random, and differentiated along each axis
@@ -331,8 +327,8 @@ def wavenumbers(grid, zero):
     return [(1,) * grid.dim, (c, 2, c)[: grid.dim], (0 if zero else 3, c - 1, 1)[: grid.dim]]
 
 
-# n = 16 and n = 128, the largest tested size (at 1-D and 2-D, to keep the
-# run short)
+# n = 16 and n = 128, the largest size of the accuracy tests (at 1-D and
+# 2-D, to keep the run short)
 MODE_CASES = [
     pytest.param(kinds, n, id=f"{'-'.join(kinds)}-{n}")
     for kinds in MODES for n in (16, 128) if n == 16 or len(kinds) <= 2
@@ -373,18 +369,21 @@ def test_band_gradient_of_single_mode_is_band_of_its_derivative(kinds, n):
 
 
 @pytest.mark.parametrize(
-    "dim, n", [(2, 16), (2, 64), (3, 16), (3, 32), (2, 128), (1, 64), (3, 64)]
+    "dim, n",
+    [(2, 16), (2, 64), (3, 16), (3, 32), (2, 128), (1, 64), (3, 64), (1, 128), (1, 512)],
 )
 def test_band_pair_stack_equals_its_fields_bit_for_bit(dim, n):
     # also a stack with derivative rows, on the first and the last axis,
-    # against each row inverted alone
+    # against each row inverted alone; at 1-D a stack of 100 lines, each
+    # line its own product
     grid = Grid(dim, n, 2 * np.pi)
-    values = np.random.default_rng(dim + n).standard_normal((3, *grid.shape))
+    rows = 100 if dim == 1 else 3
+    values = np.random.default_rng(dim + n).standard_normal((rows, *grid.shape))
     B = grid.band_forward(values)
     inverse = grid.band_inverse(B)
-    derivs = (0, None, dim - 1)
+    derivs = ((0, None, dim - 1) * rows)[:rows]
     differentiated = grid.band_inverse(B, derivs)
-    for i in range(3):
+    for i in range(rows):
         assert grid.band_forward(values[i]).tobytes() == B[i].tobytes()
         assert grid.band_inverse(B[i]).tobytes() == inverse[i].tobytes()
         alone = grid.band_inverse(B[i : i + 1], derivs[i : i + 1])[0]
@@ -398,7 +397,7 @@ from fpme import FieldGenerator, Grid
 from fpme.cli import main
 from fpme.linear import _rhs_values, make_coefficient_ops
 arrays = {}
-for dim, n in ((2, 64), (3, 32), (3, 64)):
+for dim, n in ((1, 128), (1, 512), (2, 64), (3, 32), (3, 64)):
     g = Grid(dim, n, 2 * np.pi)
     v, u = (FieldGenerator("multi_bump", seed=seed, amplitude=0.5, width=1.2).generate(g)
             for seed in (1, 2))
@@ -424,8 +423,9 @@ _LINEAR_64 = [
 def test_band_pair_does_not_depend_on_blas_threads(tmp_path):
     # the real matrix products, the freeze, a right-hand side and a 3-D
     # n = 64 linear run on one BLAS thread and on two, each in its own
-    # interpreter.  Up to 3-D n = 32 no product is split across threads and
-    # the arrays are the same bytes.  At 3-D n = 64 OpenBLAS splits some:
+    # interpreter.  At 1-D n = 128 and 512 (gemv, which OpenBLAS may split
+    # at these sizes), up to 3-D n = 32 and at 2-D n = 64 the arrays are
+    # the same bytes.  At 3-D n = 64 OpenBLAS splits some products:
     # the forward transform and the right-hand side then differ in a few
     # near-zero coefficients, within 1e-15 of the array's largest, and the
     # files the run writes are still the same bytes.
@@ -639,7 +639,7 @@ def unstacked_rhs(F, ops):
 
 @pytest.mark.parametrize(
     "grid",
-    # the test grids and 2-D n = 128, the largest tested size
+    # the test grids and 2-D n = 128, the largest size at dim >= 2
     [*GRIDS, Grid(2, 128, 2 * np.pi)],
     ids=lambda g: f"dim{g.dim}" if g in GRIDS else f"dim{g.dim}-n{g.n_points}",
 )
@@ -960,13 +960,14 @@ def test_band_table_is_small_and_caches_no_full_table():
 
 
 def test_package_makes_no_complex_fft_call(monkeypatch):
-    # fft, ifft, fftn and ifftn nowhere: the band pair is rfft/irfft at 1-D
-    # and real matrix products at dim >= 2, on the 2-D n = 16 grid below as
-    # on the largest tested size, 2-D n = 128
+    # fft, ifft, fftn and ifftn nowhere, nor the 1-D rfft and irfft: the
+    # band pair is real matrix products at every dim, on the 1-D and 2-D
+    # n = 16 grids below as on 2-D n = 128.  rfftn's own passes use
+    # numpy.fft._pocketfft's globals, which this leaves alone
     def forbidden(*args, **kwargs):
-        raise AssertionError("complex FFT called")
+        raise AssertionError("complex or 1-D FFT called")
 
-    for name in ("fft", "ifft", "fftn", "ifftn"):
+    for name in ("fft", "ifft", "fftn", "ifftn", "rfft", "irfft"):
         monkeypatch.setattr(np.fft, name, forbidden)
 
     grid = Grid(2, 16, 2 * np.pi)

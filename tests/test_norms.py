@@ -256,16 +256,18 @@ class TestBesovNorm:
             expected = 2.0 ** (j0 * alpha) * lp_norm(f, 1)
             assert besov_norm(f, alpha, p) == pytest.approx(expected, rel=1e-12)
 
-    def test_generic_mode_within_factor_two(self, grid64):
+    def test_generic_mode_is_its_largest_weighted_block(self, grid64):
+        # block j of cos(kx) is m_j(k) cos(kx), so the norm is
+        # max_j 2**(j alpha) m_j(k) ||cos kx||_1; at k = 3 and 6 two blocks
+        # share the mode with m_j(k) = 1/2 each
         p = DyadicPartition(grid64)
         x = grid64.axes()[0]
         alpha = 1.1
         for k in (3, 6, 11):
             f = RealField(grid64, np.cos(k * x))
-            j0 = int(np.round(np.log2(k)))
-            ref = 2.0 ** (j0 * alpha) * lp_norm(f, 1)
-            val = besov_norm(f, alpha, p)
-            assert ref / 2 <= val <= 2 * ref
+            weights = [2.0 ** (j * alpha) * m[k] for j, m in zip(p.indices, p.multipliers)]
+            expected = max(weights) * lp_norm(f, 1)
+            assert besov_norm(f, alpha, p) == pytest.approx(expected, rel=1e-12, abs=0)
 
     def test_partition_of_another_grid_rejected(self, grid64):
         f = random_field(grid64, seed=48)

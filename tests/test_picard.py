@@ -105,8 +105,12 @@ class TestFixedPoint:
     def test_constant_converges_immediately(self, grid64):
         u0 = RealField(grid64, np.full(64, 0.3))
         result = run_picard(u0, PicardConfig(**BASE))
-        assert result.state.converged
-        assert result.state.deltas == [0.0]
+        # one iterate, converged, its delta roundoff: the band pair's sums
+        # leave the constant's nonzero modes at roundoff, not exactly zero
+        # (measured 0.26 eps times the H^alpha norm)
+        state = result.state
+        assert state.converged and len(state.deltas) == 1
+        assert state.deltas[0] <= 4 * np.finfo(float).eps * state.sup_halpha[0]
         assert all(np.array_equal(f.values, u0.values) for f in result.trajectory)
 
     def test_bump_contracts_geometrically(self, grid64):
