@@ -140,7 +140,9 @@ class TimeStepPolicy:
 
     The step is safety / rho_est with
     rho_est = ||v||_inf xi_max^(2-2s) + ||grad p_v||_inf xi_max,
-    capped at dt_max.  xi_max is the largest retained wavenumber magnitude.
+    capped at dt_max.  xi_max is the largest retained wavenumber magnitude,
+    and v and grad p_v are the dealiased fields the stepper multiplies by,
+    the rows of CoefficientOps.coeffs (v being -coeffs[-1]).
     """
 
     dt_max: float
@@ -161,8 +163,9 @@ class CoefficientOps:
     """Everything derived from (v, s, epsilon) that the stepper reuses.
 
     Spectral arrays live on the 2/3-rule band, which is the dealias mask.
-    filt is the mollifier kernel's read-only band_hat when epsilon > 0 and
-    1.0 otherwise; lap_mult is the grid's cached, read-only band table of
+    filt is the mollifier kernel's read-only band_hat when epsilon > 0,
+    cached per grid and radius and shared by every freeze, and 1.0
+    otherwise; lap_mult is the grid's cached, read-only band table of
     |xi|^(2-2s), shared by every freeze.  coeffs stacks the dealiased real
     fields of shape (dim + 1, *grid.shape) that multiply the inverted rows
     of a right-hand side: the components of grad p_v, each the factor of
@@ -176,32 +179,41 @@ class CoefficientOps:
     rho_est: float
 
 
-def make_coefficient_ops(
-    v: RealField, s: float, epsilon: float, kernel: MollifierKernel | None = None
-) -> CoefficientOps:
-    g = v.grid
-    vmax = float(np.max(np.abs(v.values)))
-    return _freeze(g, g.band_forward(v.values), vmax, s, epsilon, kernel)
+def make_coefficient_ops(v: RealField, s: float, epsilon: float) -> CoefficientOps:
+    return _freeze(v.grid, v.grid.band_forward(v.values), s, epsilon)
 
 
-def _freeze(g: Grid, Fv: np.ndarray, vmax: float, s: float, epsilon: float,
-            kernel: MollifierKernel | None = None) -> CoefficientOps:
-    """The ops of the coefficient whose band coefficients are Fv and whose
-    real samples have max|v| = vmax; no transform of v is made.  The rows
-    of coeffs are inverted by _stacks, one band_inverse call per stack."""
-    # table before kernel: else glibc trims a heap coeffs lands on (3-D n = 64 page-faults)
+@lru_cache(maxsize=16)
+def _band_hat(g: Grid, epsilon: float) -> np.ndarray:
+    """The read-only band symbol of the mollifier at radius epsilon > 0 on
+    g, built once per key; the kernel itself is not kept."""
+    return MollifierKernel(g, epsilon).band_hat
+
+
+def _freeze(g: Grid, Fv: np.ndarray, s: float, epsilon: float) -> CoefficientOps:
+    """The ops of the coefficient whose band coefficients are Fv; no
+    transform of v is made.  The rows of coeffs are inverted by _stacks,
+    one band_inverse call per stack, and rho_est reads them: max|v| from
+    the dealiased -v of the last row, ||grad p_v||_inf from the others."""
+    # table before _band_hat's first build: else glibc trims a heap coeffs
+    # lands on (3-D n = 64 page-faults)
     radial = band_symbols(g, -2.0 * s).radial
-    filt = (kernel or MollifierKernel(g, epsilon)).band_hat if epsilon > 0 else 1.0
+    filt = _band_hat(g, epsilon) if epsilon > 0 else 1.0
     Fp = Fv * radial
     coeffs = np.empty((g.dim + 1, *g.shape))
     for lo, hi, derivs in _stacks(g.dim, _fields_per_stack(g)):
         coeffs[lo:hi] = g.band_inverse(_stack(Fp, derivs, np.negative, Fv), derivs)
 
     # sqrt is monotone and correctly rounded: the sqrt of the max is the
-    # max of the sqrts, without a square-root array
-    grad_p_max = math.sqrt(float(np.max(sum(gp**2 for gp in coeffs[:-1]))))
+    # max of the sqrts, without a square-root array; the squares and |v|
+    # share one scratch array
+    sq, scratch = np.square(coeffs[0]), np.empty(g.shape)
+    for gp in coeffs[1:-1]:
+        sq += np.square(gp, out=scratch)
+    grad_p_max = math.sqrt(float(sq.max()))
+    v_max = float(np.abs(coeffs[-1], out=scratch).max())
     xi_max = g.xi_max_retained
-    rho_est = float(vmax * xi_max ** (2.0 - 2.0 * s) + grad_p_max * xi_max)
+    rho_est = float(v_max * xi_max ** (2.0 - 2.0 * s) + grad_p_max * xi_max)
     lap_mult = band_symbols(g, 2.0 - 2.0 * s).radial
     return CoefficientOps(grid=g, filt=filt, coeffs=coeffs, lap_mult=lap_mult, rho_est=rho_est)
 
@@ -288,22 +300,20 @@ def _march(F: np.ndarray, ops: CoefficientOps, dt_cap: float, stops):
         yield F, t, dt, landed
 
 
-def _values(
-    u_start: RealField, F: np.ndarray, F_start: np.ndarray, t: float
-) -> tuple[np.ndarray, float]:
-    """Samples u of state F marched from u_start (band F_start), and
-    max|u|; BlowUp at t."""
+def _values(u_start: RealField, F: np.ndarray, F_start: np.ndarray, t: float) -> np.ndarray:
+    """Samples u of state F marched from u_start (band F_start); BlowUp at
+    t if max|u| leaves the finite range."""
     u = u_start.grid.band_inverse(F - F_start)
     u += u_start.values
     linf = float(np.max(np.abs(u)))
     if not math.isfinite(linf) or linf > _BLOWUP_LIMIT:
         raise BlowUp(t, linf)
-    return u, linf
+    return u
 
 
 def _field(u_start: RealField, F: np.ndarray, F_start: np.ndarray, t: float) -> RealField:
     """State F marched from u_start (band F_start) in real space; BlowUp at t."""
-    return RealField(u_start.grid, _values(u_start, F, F_start, t)[0])
+    return RealField(u_start.grid, _values(u_start, F, F_start, t))
 
 
 @dataclass(eq=False)

@@ -20,8 +20,8 @@ samples is a band reduction of their state difference, the next iterate
 freezes a band state directly, each previous sample is dropped once it has
 been frozen and compared, and the diagnostics records read the band states.
 Real samples exist only where they are read: one array per sample inside
-the march, for the blow-up check and the min u and max|u| it keeps, and one
-RealField per access of PicardResult.trajectory.
+the march, for the blow-up check and the min u it keeps, and one RealField
+per access of PicardResult.trajectory.
 """
 
 from __future__ import annotations
@@ -81,7 +81,7 @@ class PicardConfig:
     max_outer: int = 30
     t0_override: float | None = None
     samples: int = 400
-    safety: float = 0.5
+    safety: float = TimeStepPolicy.safety
     mollify_initial: bool = True
 
     def __post_init__(self):
@@ -159,60 +159,50 @@ def _validate_initial(u0: RealField, config: PicardConfig) -> None:
     _check_nonnegative("u0", u0)
 
 
-@dataclass(eq=False)
-class _Samples:
-    """One trajectory of an attempt: the band state of each sample, states[0]
-    being the start's band, and max|u| of each sample's real field, which a
-    freeze of that sample reads."""
-
-    states: list[np.ndarray | None]
-    vmax: list[float]
-
-
 def _advance_iterate(
     u_start: RealField,
     tail: float,
-    prev: _Samples,
+    prev: list[np.ndarray | None],
     config: PicardConfig,
     dt_seg: float,
-    kernel: MollifierKernel | None,
-) -> tuple[_Samples, list[float], float, float]:
+) -> tuple[list[np.ndarray], list[float], float, float]:
     """One outer Picard step: march the window from u_start, whose band is
-    prev.states[0] and whose off-band H^alpha power is tail, freezing the
-    band state prev.states[i] over segment i.
+    prev[0] and whose off-band H^alpha power is tail, freezing the band
+    state prev[i] over segment i; prev is the previous trajectory, the
+    band state of each of its samples.
 
     The freeze is made once per distinct coefficient, so the first iterate,
     whose prev repeats the start, freezes once.  prev is consumed: each of
     its samples is dropped once it has been frozen and compared, so about
-    one trajectory of band states is alive at a time.  Returns the new
-    samples, their H^alpha norms, delta (the sup over samples of the
-    H^(alpha-1) distance to prev) and the least value of any sample.  Both
-    norms are band reductions, exact because every sample keeps u_start's
-    coefficients off the band."""
+    one trajectory of band states is alive at a time.  Each freeze reads
+    its band state alone.  Returns the new trajectory's band states, their
+    H^alpha norms, delta (the sup over samples of the H^(alpha-1) distance
+    to prev) and the least value of any sample.  Both norms are band
+    reductions, exact because every sample keeps u_start's coefficients
+    off the band."""
     g = u_start.grid
     policy = TimeStepPolicy(dt_max=dt_seg, safety=config.safety)
-    m = len(prev.states) - 1
-    F = F_start = prev.states[0]
-    new = _Samples([F_start], [prev.vmax[0]])
+    m = len(prev) - 1
+    F = F_start = prev[0]
+    new = [F_start]
     weight = band_symbols(g, config.alpha).sobolev
     weight_delta = band_symbols(g, config.alpha - 1.0).sobolev
     h_list = [_norm_of_rfft(g, F, weight, tail)]
     delta, min_u = 0.0, float(np.min(u_start.values))
     frozen = None
     for i in range(m):
-        Fv, prev.states[i] = prev.states[i], None
+        Fv, prev[i] = prev[i], None
         if Fv is not frozen:
-            ops = _freeze(g, Fv, prev.vmax[i], config.s, config.epsilon_moll, kernel)
+            ops = _freeze(g, Fv, config.s, config.epsilon_moll)
             dt_cap = policy.step_size(ops.rho_est)
             frozen = Fv
         for F, *_ in _march(F, ops, dt_cap, (dt_seg,)):
             pass
-        u, vmax = _values(u_start, F, F_start, (i + 1) * dt_seg)
-        new.states.append(F)
-        new.vmax.append(vmax)
+        u = _values(u_start, F, F_start, (i + 1) * dt_seg)
+        new.append(F)
         min_u = min(min_u, float(np.min(u)))
         h_list.append(_norm_of_rfft(g, F, weight, tail))
-        delta = max(delta, _norm_of_rfft(g, F - prev.states[i + 1], weight_delta))
+        delta = max(delta, _norm_of_rfft(g, F - prev[i + 1], weight_delta))
     return new, h_list, delta, min_u
 
 
@@ -233,20 +223,18 @@ def run_picard(u0: RealField, config: PicardConfig) -> PicardResult:
     """
     _validate_initial(u0, config)
     g = u0.grid
-    kernel = (
-        MollifierKernel(g, config.epsilon_moll) if config.epsilon_moll > 0 else None
-    )
-    u_init = mollify(u0, kernel) if (kernel is not None and config.mollify_initial) else u0
+    u_init = u0
+    if config.epsilon_moll > 0 and config.mollify_initial:
+        u_init = mollify(u0, MollifierKernel(g, config.epsilon_moll))
     h_u0 = sobolev_norm(u0, config.alpha)
     m = config.samples
     F_start, tail = _start_band(u_init, config.alpha)
-    vmax_start = float(np.max(np.abs(u_init.values)))
 
     cfg = config
     for _ in range(_MAX_RECALIBRATIONS + 1):
         t0 = horizon(u0, cfg)
         dt_seg = t0 / m
-        traj = _Samples([F_start] * (m + 1), [vmax_start] * (m + 1))
+        traj = [F_start] * (m + 1)
         state = PicardState(
             sup_halpha=[sobolev_norm(u_init, cfg.alpha)],
             deltas=[],
@@ -255,9 +243,7 @@ def run_picard(u0: RealField, config: PicardConfig) -> PicardResult:
             min_u=[float(np.min(u_init.values))],
         )
         while not state.converged and len(state.deltas) < cfg.max_outer:
-            traj, h_list, delta_n, min_u = _advance_iterate(
-                u_init, tail, traj, cfg, dt_seg, kernel
-            )
+            traj, h_list, delta_n, min_u = _advance_iterate(u_init, tail, traj, cfg, dt_seg)
             coeff_scale = state.sup_halpha[-1]
             c_meas_n = _max_quotient(h_list, dt_seg, coeff_scale)
             state.sup_halpha.append(max(h_list))
@@ -288,7 +274,7 @@ def run_picard(u0: RealField, config: PicardConfig) -> PicardResult:
         raise NoConvergence(state.deltas, cfg.max_outer)
 
     times = np.arange(m + 1) * dt_seg
-    trajectory = _Trajectory(u_init, traj.states, times)
+    trajectory = _Trajectory(u_init, traj, times)
     stride = max(1, m // 100)
     recorder = RecorderConfig(
         alpha=cfg.alpha,
@@ -299,7 +285,7 @@ def run_picard(u0: RealField, config: PicardConfig) -> PicardResult:
     for i in (*range(0, m, stride), m):
         prev_rec = records[-1] if records else None
         records.append(record(
-            trajectory[i], float(times[i]), dt_seg, recorder, prev_rec, (traj.states[i], tail)
+            trajectory[i], float(times[i]), dt_seg, recorder, prev_rec, (traj[i], tail)
         ))
 
     return PicardResult(

@@ -164,8 +164,7 @@ def nonlinear_march(u0, s: float, t_end: float, steps: int, F=None) -> np.ndarra
     g = u0.grid
 
     def rhs(F):
-        # max|v| only sets the step bound rho_est, which this march ignores
-        return _rhs_values(F, _freeze(g, F, 0.0, s, 0.0))
+        return _rhs_values(F, _freeze(g, F, s, 0.0))
 
     if F is None:
         F = g.band_forward(u0.values)

@@ -74,6 +74,10 @@ class TestParsing:
         with pytest.raises(ParseError, match="expected 'key = value'"):
             parse_config("just some words\n", mode="linear")
 
+    def test_empty_key(self):
+        with pytest.raises(ParseError, match="line 2: empty key"):
+            parse_config("grid.n = 64\n = 3\n", mode="linear")
+
     def test_bad_number(self):
         with pytest.raises(ParseError, match="needs a number"):
             parse_config(
@@ -153,6 +157,12 @@ output.dir = /tmp/out
     def test_sweep_rejects_nonpositive_epsilon(self):
         text = MINIMAL_LINEAR + "sweep.epsilons = 0.4, 0.0\n"
         with pytest.raises(ValidationError, match="must be positive"):
+            parse_config(text, mode="sweep_epsilon")
+
+    def test_sweep_rejects_empty_epsilons(self):
+        # an empty value parses to no radii, not to the default ones
+        text = MINIMAL_LINEAR + "sweep.epsilons =\n"
+        with pytest.raises(ValidationError, match="sweep.epsilons must not be empty"):
             parse_config(text, mode="sweep_epsilon")
 
     @pytest.mark.parametrize(

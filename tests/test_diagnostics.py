@@ -106,6 +106,12 @@ class TestCommutator:
         with pytest.raises(InvalidExponent):
             check_commutator(f, f, 0.0)
 
+    def test_fields_on_different_grids_rejected(self, grid64):
+        f = random_field(grid64, 0, k_max=8)
+        g = random_field(Grid(1, 32, 2 * np.pi), 0, k_max=8)
+        with pytest.raises(GridMismatch):
+            check_commutator(f, g, 2.1)
+
     def test_nyquist_content_closed_form(self):
         # f carries a Nyquist mode; gradient() drops it, so grad f = -sin x.
         # The dealiased product keeps (1 + cos x)(1 + 0.5 sin 2x) exactly.

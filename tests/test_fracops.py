@@ -147,6 +147,11 @@ class TestMollifierKernel:
         with pytest.raises(ValueError):
             MollifierKernel(grid64, grid64.side_length)
 
+    @pytest.mark.parametrize("eps", [0.0, -0.4])
+    def test_nonpositive_epsilon(self, grid64, eps):
+        with pytest.raises(ValueError, match="epsilon must be positive"):
+            MollifierKernel(grid64, eps)
+
     def test_mean_preserved(self, grid64):
         k = MollifierKernel(grid64, 0.4)
         f = random_field(grid64, seed=31)

@@ -184,6 +184,12 @@ class TestResample:
         up = resample(f, fine)
         assert np.mean(up.values) == pytest.approx(np.mean(f.values), rel=1e-13)
 
+    def test_same_size_keeps_the_values(self, grid64):
+        f = random_field(grid64, seed=3)
+        same = resample(f, Grid(1, 64, 2 * np.pi))
+        assert same.grid == grid64
+        assert np.array_equal(same.values, f.values)
+
     def test_incompatible_grids(self, grid64):
         other_len = Grid(1, 128, 1.0)
         with pytest.raises(GridMismatch):

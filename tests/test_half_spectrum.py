@@ -53,7 +53,7 @@ from fpme import grid as grid_module
 from fpme import linear
 from fpme.linear import _field, _freeze, _rk4_step, make_coefficient_ops, rhs_with_ops
 from fpme.norms import _chi, _start_band
-from fpme.picard import _advance_iterate, _Samples
+from fpme.picard import _advance_iterate
 
 from conftest import random_field
 from helpers import (
@@ -154,7 +154,7 @@ def complex_coefficient_ops(v, s, epsilon):
     grad_p_mag = np.sqrt(sum(gp**2 for gp in grad_p))
     xi_max = g.xi_max_retained
     rho_est = float(
-        np.max(np.abs(v.values)) * xi_max ** (2.0 - 2.0 * s)
+        np.max(np.abs(v_d)) * xi_max ** (2.0 - 2.0 * s)
         + np.max(grad_p_mag) * xi_max
     )
     return v_d, grad_p, grad_mults, lap_mult, mask, kernel_hat, rho_est
@@ -650,8 +650,7 @@ def test_stacked_rhs_is_the_unstacked_sum_bit_for_bit(grid, fields, epsilon, mon
     # arrays per stack, a short last stack at dim 2 and 3) and one stack
     stack_bytes = 1 << 30 if fields is None else fields * 8 * grid.size
     monkeypatch.setattr(grid_module, "_STACK_BYTES", stack_bytes)
-    kernel = MollifierKernel(grid, epsilon) if epsilon > 0 else None
-    ops = make_coefficient_ops(coefficient(grid, seed=21), 0.75, epsilon, kernel)
+    ops = make_coefficient_ops(coefficient(grid, seed=21), 0.75, epsilon)
     F = grid.band_forward(random_field(grid, seed=22).values)
     out = linear._rhs_values(F, ops)
     assert out.tobytes() == unstacked_rhs(F, ops).tobytes()
@@ -677,7 +676,7 @@ def test_freeze_inverts_in_stacks_by_the_budget_bit_for_bit(grid, monkeypatch):
         stack_bytes = 1 << 30 if fields is None else fields * 8 * grid.size
         monkeypatch.setattr(grid_module, "_STACK_BYTES", stack_bytes)
         sizes.clear()
-        coeffs.append(_freeze(grid, Fv, 1.0, 0.75, 0.0).coeffs.tobytes())
+        coeffs.append(_freeze(grid, Fv, 0.75, 0.0).coeffs.tobytes())
         k = grid.dim + 1 if fields is None else max(1, fields)
         assert sizes == [min(k, grid.dim + 1 - lo) for lo in range(0, grid.dim + 1, k)]
     assert all(c == coeffs[0] for c in coeffs)
@@ -703,14 +702,11 @@ def test_stacked_rhs_peak_not_above_unstacked():
     assert peak(linear._rhs_values) <= peak(unstacked_rhs)
 
 
-def coefficient_samples(grid, u0, F0, samples):
-    """A previous iterate from u0 (band F0) whose later samples are distinct
-    coefficients, as band states with their max|v|."""
+def coefficient_samples(grid, F0, samples):
+    """A previous iterate from band F0 whose later samples are distinct
+    coefficients, as band states."""
     coeffs = [coefficient(grid, seed=11 + i) for i in range(samples)]
-    return _Samples(
-        [F0] + [grid.band_forward(c.values) for c in coeffs],
-        [float(np.max(np.abs(c.values))) for c in (u0, *coeffs)],
-    )
+    return [F0] + [grid.band_forward(c.values) for c in coeffs]
 
 
 @pytest.mark.parametrize("grid", GRIDS, ids=lambda g: f"dim{g.dim}")
@@ -718,17 +714,16 @@ def test_iterate_h_alpha_matches_sobolev_norm(grid):
     config = PicardConfig(s=0.75, alpha=grid.dim / 2.0 + 1.1, samples=6)
     u0 = coefficient(grid, seed=10)
     F0, tail = _start_band(u0, config.alpha)
-    prev = coefficient_samples(grid, u0, F0, config.samples)
-    new, h_list, _, min_u = _advance_iterate(u0, tail, prev, config, 0.01, None)
-    assert len(h_list) == len(new.states) == len(new.vmax) == config.samples + 1
-    assert new.states[0] is F0 is not None
-    fields = [_field(u0, F, F0, 0.0) for F in new.states]
-    for field, h, vmax in zip(fields, h_list, new.vmax):
+    prev = coefficient_samples(grid, F0, config.samples)
+    new, h_list, _, min_u = _advance_iterate(u0, tail, prev, config, 0.01)
+    assert len(h_list) == len(new) == config.samples + 1
+    assert new[0] is F0 is not None
+    fields = [_field(u0, F, F0, 0.0) for F in new]
+    for field, h in zip(fields, h_list):
         assert h == pytest.approx(sobolev_norm(field, config.alpha), rel=TOL)
-        assert vmax == float(np.max(np.abs(field.values)))
     assert min_u == min(float(np.min(f.values)) for f in fields)
     # each previous sample is dropped once it has been frozen and compared
-    assert all(F is None for F in prev.states[:-1])
+    assert all(F is None for F in prev[:-1])
 
 
 @pytest.mark.parametrize("grid", GRIDS, ids=lambda g: f"dim{g.dim}")
@@ -769,6 +764,7 @@ def test_transform_counts(grid, monkeypatch):
 
     v = coefficient(grid, seed=12)
     kernel = MollifierKernel(grid, 1.0)
+    linear._band_hat(grid, 1.0)  # a freeze's filter, built once per grid and radius
     F = grid.band_forward(random_field(grid, seed=13).values)
     counted(np.fft, "rfftn")
     counted(np.fft, "irfftn")
@@ -780,7 +776,7 @@ def test_transform_counts(grid, monkeypatch):
         return math.ceil((grid.dim + 1) / k)
 
     assert rhs_calls() == 1  # every test grid fits in one stack
-    ops = make_coefficient_ops(v, 0.75, 1.0, kernel)
+    ops = make_coefficient_ops(v, 0.75, 1.0)
     expect(band_forward=1, band_inverse=1, inverted=grid.dim + 1)
     assert ops.coeffs.shape == (grid.dim + 1, *grid.shape)
     # one array per call, then the default stacks
@@ -820,11 +816,11 @@ def test_transform_counts(grid, monkeypatch):
     u0 = coefficient(grid, seed=10)
     F0, tail = _start_band(u0, config.alpha)
     expect(rfftn=1, band_forward=1)
-    prev = coefficient_samples(grid, u0, F0, config.samples)
+    prev = coefficient_samples(grid, F0, config.samples)
     expect(band_forward=config.samples)
     # dt_seg is far below safety / rho_est, so each segment is one RK4 step
     # beside one freeze and one real field
-    _advance_iterate(u0, tail, prev, config, 1e-4, None)
+    _advance_iterate(u0, tail, prev, config, 1e-4)
     expect(band_forward=config.samples * 4,
            band_inverse=config.samples * (4 * rhs_calls() + 2),
            inverted=config.samples * (4 * (grid.dim + 1) + grid.dim + 1 + 1))
@@ -872,13 +868,12 @@ def test_nyquist_mode_dropped_by_rhs_and_gradient(grid):
 
 @pytest.mark.parametrize("epsilon", [0.0, 1.0])
 def test_symbols_shared_and_read_only(epsilon):
-    # every freeze on a grid reads the same cached band tables, as the
-    # Picard loop's freezes share one mollifier kernel
+    # every freeze on a grid reads the same cached band tables, the
+    # mollifier's band symbol included
     grid = GRIDS[1]
     v = coefficient(grid, seed=7)
-    kernel = MollifierKernel(grid, epsilon) if epsilon > 0 else None
-    a = make_coefficient_ops(v, 0.75, epsilon, kernel)
-    b = make_coefficient_ops(RealField(grid, 2.0 * v.values), 0.75, epsilon, kernel)
+    a = make_coefficient_ops(v, 0.75, epsilon)
+    b = make_coefficient_ops(RealField(grid, 2.0 * v.values), 0.75, epsilon)
     band = band_symbols(grid, -1.5)
     assert band is band_symbols(grid, -1.5)
     assert a.lap_mult is b.lap_mult is band_symbols(grid, 0.5).radial
@@ -886,7 +881,8 @@ def test_symbols_shared_and_read_only(epsilon):
         assert a.filt == b.filt == 1.0
         spectral = (a.lap_mult,)
     else:
-        assert a.filt is b.filt is kernel.band_hat
+        assert a.filt is b.filt
+        assert np.array_equal(a.filt, MollifierKernel(grid, epsilon).band_hat)
         spectral = (a.filt, a.lap_mult)
     shape = grid.band_forward(v.values).shape
     for arr in spectral:

@@ -160,6 +160,13 @@ class TestProblemValidation:
             with pytest.raises(ValueError):
                 LinearProblem(v=v, u0=v, s=s, epsilon=0.0, t_end=1.0)
 
+    def test_grids_must_match(self, grid64):
+        from fpme import GridMismatch
+
+        with pytest.raises(GridMismatch, match="v and u0 must share a grid"):
+            LinearProblem(v=bump(grid64, 1), u0=bump(Grid(1, 128, 2 * np.pi), 2),
+                          s=0.75, epsilon=0.0, t_end=1.0)
+
     def test_tiny_negative_coefficient_tolerated(self, grid64):
         vals = bump(grid64, 1).values.copy()
         vals[0] = -1e-13

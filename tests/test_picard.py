@@ -28,7 +28,7 @@ from fpme import (
 from fpme.fracops import MollifierKernel
 from fpme.linear import _field
 from fpme.norms import _start_band
-from fpme.picard import _advance_iterate, _Samples
+from fpme.picard import _advance_iterate
 
 from conftest import random_field
 from helpers import band_distance, nonlinear_march
@@ -216,6 +216,24 @@ class TestFreezes:
         result = run_picard(small_bump(grid64), cfg)
         assert len(calls) == (len(result.state.deltas) - 1) * cfg.samples + 1
 
+    @pytest.mark.parametrize(
+        "grid", [Grid(1, 64, 2 * np.pi), Grid(2, 32, 2 * np.pi)], ids=["dim1", "dim2"]
+    )
+    @pytest.mark.parametrize("epsilon", [0.0, 0.4])
+    def test_band_state_freeze_matches_field_freeze(self, grid, epsilon):
+        # Picard freezes the band states it stores; make_coefficient_ops of
+        # the same samples' RealFields gives the same ops to roundoff,
+        # rho_est included, and the same cached filter
+        cfg = PicardConfig(s=0.75, alpha=2.1, epsilon_moll=epsilon, samples=20)
+        result = run_picard(small_bump(grid, width=1.2), cfg)
+        for F, u in zip(result.trajectory._states, result.trajectory):
+            a = picard_mod._freeze(grid, F, cfg.s, epsilon)
+            b = linear_mod.make_coefficient_ops(u, cfg.s, epsilon)
+            for row_a, row_b in zip(a.coeffs, b.coeffs):
+                assert np.max(np.abs(row_a - row_b)) <= 1e-13 * np.max(np.abs(row_b))
+            assert a.rho_est == pytest.approx(b.rho_est, rel=1e-13)
+            assert a.filt is b.filt
+
 
 class TestBandTrajectory:
     """The trajectory is held as band states; real fields are made on access."""
@@ -228,17 +246,17 @@ class TestBandTrajectory:
         m = cfg.samples
         dt_seg = horizon(u0, cfg) / m
         F0, tail = _start_band(u0, cfg.alpha)
-        traj = _Samples([F0] * (m + 1), [float(np.max(np.abs(u0.values)))] * (m + 1))
+        traj = [F0] * (m + 1)
 
         def values(F):
             return _field(u0, F, F0, 0.0).values
 
         for _ in range(2):
-            kept = list(traj.states)
-            traj, _, delta, _ = _advance_iterate(u0, tail, traj, cfg, dt_seg, None)
+            kept = list(traj)
+            traj, _, delta, _ = _advance_iterate(u0, tail, traj, cfg, dt_seg)
             real = max(
                 sobolev_norm(RealField(grid2d, values(a) - values(b)), cfg.alpha - 1.0)
-                for a, b in zip(traj.states, kept)
+                for a, b in zip(traj, kept)
             )
             assert delta == pytest.approx(real, rel=1e-12)
 
