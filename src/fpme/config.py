@@ -79,15 +79,6 @@ def _tokenize(text: str) -> dict[str, tuple[str, int]]:
     return entries
 
 
-def _boolean(value: str) -> bool:
-    low = value.lower()
-    if low in ("true", "yes", "1", "on"):
-        return True
-    if low in ("false", "no", "0", "off"):
-        return False
-    raise ValueError(value)
-
-
 def _floats(value: str) -> tuple[float, ...]:
     if not value.strip():
         return ()
@@ -102,7 +93,6 @@ _KEYS = {
     "solver.t_end": float, "solver.safety": float, "solver.dt_max": float,
     "solver.sample_every": int, "solver.samples": int, "solver.tol_picard": float,
     "solver.max_outer": int, "solver.c_gronwall": float, "solver.t0_override": float,
-    "solver.mollify_initial": _boolean,
     "initial.kind": str, "initial.seed": int, "initial.amplitude": float,
     "initial.width": float,
     "coefficient.kind": str, "coefficient.seed": int, "coefficient.amplitude": float,
@@ -122,14 +112,12 @@ _PICARD_FIELDS = {
     "solver.t0_override": "t0_override",
     "solver.samples": "samples",
     "solver.safety": "safety",
-    "solver.mollify_initial": "mollify_initial",
 }
 
 # parser -> what a ParseError says the key needs
 _NEEDS = {
     float: "a number",
     int: "an integer",
-    _boolean: "a boolean",
     _floats: "comma-separated numbers",
 }
 

@@ -66,11 +66,10 @@ _MAX_RECALIBRATIONS = 3
 class PicardConfig:
     """Iteration parameters.
 
-    epsilon_moll feeds both the inner solver's mollifier and (when
-    mollify_initial is set) the initial data; zero reproduces the plain
-    scheme.  samples is the number of inner sample intervals per window;
-    the coefficient refreezes and the trajectory is stored at that cadence,
-    and the inner RK4 step is capped by the same interval.
+    A positive epsilon_moll mollifies both the inner solver and the initial
+    data; zero reproduces the plain scheme.  samples is the number of inner
+    sample intervals per window: the coefficient refreezes and the
+    trajectory is stored at that cadence, which also caps the RK4 step.
     """
 
     s: float
@@ -82,7 +81,6 @@ class PicardConfig:
     t0_override: float | None = None
     samples: int = 400
     safety: float = TimeStepPolicy.safety
-    mollify_initial: bool = True
 
     def __post_init__(self):
         _check_order(self.s)
@@ -224,7 +222,7 @@ def run_picard(u0: RealField, config: PicardConfig) -> PicardResult:
     _validate_initial(u0, config)
     g = u0.grid
     u_init = u0
-    if config.epsilon_moll > 0 and config.mollify_initial:
+    if config.epsilon_moll > 0:
         u_init = mollify(u0, MollifierKernel(g, config.epsilon_moll))
     h_u0 = sobolev_norm(u0, config.alpha)
     m = config.samples

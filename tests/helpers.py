@@ -182,3 +182,24 @@ def band_distance(g, F: np.ndarray, G: np.ndarray, order: float) -> float:
     """H^order distance of two fields that agree off the band, from their
     band states F and G."""
     return _norm_of_rfft(g, F - G, band_symbols(g, order).sobolev)
+
+
+def hilbert_flux_solution(g, t: float, e: tuple[int, ...]) -> np.ndarray:
+    """Values on g at time t of the solution of du/dt = div(u grad (-Lap)^(-1/2) u)
+    from u0 = 1 + cos(theta) / 2, theta = (2 pi / L) e.x for the integer
+    vector e.
+
+    On such a plane wave -Lap is (2 pi |e| / L)^2 (-d^2/dtheta^2), so u is
+    U(theta, tau), tau = 2 pi |e| t / L, with U the solution of
+    U_tau + (U HU)_theta = 0 and H the Hilbert transform.  G = HU + i U
+    solves G_tau + G G_theta = 0 from G0(z) = i (1 + exp(-i z) / 2), so
+    U = Im G0(zeta) with zeta + tau G0(zeta) = theta, solved by Newton from
+    zeta = theta."""
+    k = 2 * np.pi / g.side_length
+    theta = k * sum(ei * x for ei, x in zip(e, g.axes()))
+    tau = k * np.linalg.norm(e) * t
+    zeta = theta.astype(complex)
+    for _ in range(60):
+        w = 0.5 * np.exp(-1j * zeta)
+        zeta -= (zeta + tau * 1j * (1 + w) - theta) / (1 + tau * w)
+    return 1 + (0.5 * np.exp(-1j * zeta)).real

@@ -47,7 +47,7 @@ def verdict(capsys, num, ok, detail):
 
 PICARD_CFG = PicardConfig(
     s=0.75, alpha=2.1, epsilon_moll=0.0, c_gronwall=1.0, tol_picard=1e-8,
-    max_outer=30, samples=400, safety=0.5, mollify_initial=True,
+    max_outer=30, samples=400, safety=0.5,
 )
 
 

@@ -81,11 +81,21 @@ class TestExitCodes:
         assert code == 2
         assert "cannot read config" in capsys.readouterr().err
 
-    def test_unknown_key_is_usage_error(self, tmp_path, capsys):
-        cfg = tmp_path / "bad.cfg"
-        cfg.write_text("solver.theta = 1\n")
-        assert main(["properties", "--config", str(cfg)]) == 2
-        assert "unknown key" in capsys.readouterr().err
+    @pytest.mark.parametrize("where", ["document", "set"])
+    def test_unknown_key_is_usage_error(self, tmp_path, capsys, where):
+        out = tmp_path / "out"
+        if where == "document":
+            key = "solver.theta"
+            cfg = tmp_path / "bad.cfg"
+            cfg.write_text(f"{key} = 1\noutput.dir = {out}\n")
+            code = main(["properties", "--config", str(cfg)])
+        else:
+            # a positive solver.epsilon always mollifies the initial datum
+            key = "solver.mollify_initial"
+            code = run_shipped("picard", out, f"{key}=true")
+        assert code == 2
+        assert f"unknown key '{key}'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_validation_error(self, tmp_path, capsys):
         cfg, _ = write_cfg(tmp_path, LINEAR_CFG)
@@ -338,10 +348,7 @@ class TestPicardRun:
         assert [p.name for p in out.iterdir()] == ["manifest.json"]
 
     def test_constant_initial_converges_fast(self, tmp_path):
-        cfg, out = write_cfg(
-            tmp_path, PICARD_CFG.replace("gaussian_bump", "constant"),
-            **{"solver.mollify_initial": "false"},
-        )
+        cfg, out = write_cfg(tmp_path, PICARD_CFG.replace("gaussian_bump", "constant"))
         assert main(["picard", "--config", str(cfg)]) == 0
         rows = (out / "iterates.csv").read_text().splitlines()[1:]
         assert len(rows) <= 2

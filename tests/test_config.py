@@ -50,7 +50,6 @@ class TestParsing:
         assert spec.picard.max_outer == 30
         assert spec.picard.c_gronwall == 1.0
         assert spec.picard.t0_override is None
-        assert spec.picard.mollify_initial is True
         assert spec.initial.amplitude == 0.5
         assert spec.initial.width == pytest.approx(spec.grid.side_length / 8)
         assert spec.epsilons == (0.4, 0.2, 0.1)
@@ -84,9 +83,11 @@ class TestParsing:
                 MINIMAL_LINEAR.replace("solver.t_end = 0.05", "solver.t_end = soon"), mode="linear"
             )
 
-    def test_bad_boolean(self):
-        bad = MINIMAL_LINEAR + "solver.mollify_initial = maybe\n"
-        with pytest.raises(ParseError, match="needs a boolean"):
+    def test_mollify_initial_is_unknown_key(self):
+        # A positive solver.epsilon always mollifies the initial datum;
+        # no key switches that off.
+        bad = MINIMAL_LINEAR + "solver.mollify_initial = true\n"
+        with pytest.raises(ParseError, match=r"^line 9: unknown key 'solver\.mollify_initial'$"):
             parse_config(bad, mode="linear")
 
     def test_float_list(self):
@@ -355,4 +356,4 @@ def test_readme_solver_defaults_match_dataclasses():
         cell = table[key].strip("`")
         assert (None if cell == "unset" else parse(cell)) == default, (key, cell)
         checked += 1
-    assert checked == 9
+    assert checked == 8
