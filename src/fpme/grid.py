@@ -47,18 +47,18 @@ Three conventions share these layouts:
   One kernel computes the pair at every dimension: each axis is one real
   BLAS product with a cos/sin matrix over the band rows alone (a pruned
   DFT) on the interleaved ``(re, im)`` pairs, with no transpose and no
-  complex product.  A matrix costs n**2 per line against an FFT's
-  n log n: the products beat pocketfft at every size measured up to
-  n = 128 and lose past it, at 1-D by 1.3-1.6x at n = 256 and 4-8x at
-  n = 512, at 2-D by up to 1.4x at n = 256 and about 2.5x at n = 1024
-  (2-core Xeon, numpy 2.4.6).  On the tested grids the pair stays within
-  1e-15 relative of ``rfftn`` in the band layout, and a stack, derivative
-  rows included, equals its fields one at a time bit for bit.  At 1-D
-  n <= 512, up to 3-D n = 32 and at 2-D n = 128 it gives the same bytes
-  on one BLAS thread and on two.  At 3-D n = 64 OpenBLAS splits some
-  products, and a forward transform then differs between thread counts in
-  a few near-zero coefficients, within 1e-15 of its largest; a linear run
-  still writes the same bytes.
+  complex product.  A matrix costs n**2 per line against an FFT's n log n:
+  the products beat pocketfft at every size measured up to n = 128 and lose
+  past it (README has the measurements).  On the tested grids the pair
+  stays within 1e-15 relative of ``rfftn`` in the band layout, and a stack,
+  derivative rows included, equals its fields one at a time bit for bit.
+  At 1-D n <= 512, up to 3-D n = 32 and at 2-D n = 128 it gives the same
+  bytes on one BLAS thread and on two.  At 3-D n = 64 OpenBLAS splits some
+  products, and a forward transform then differs between thread counts in a
+  few near-zero coefficients, within 1e-15 of its largest; a linear run
+  still writes the same bytes.  The products run from lists of bound
+  ``np.matmul`` calls (:func:`_products`): the pair's own keep no buffer
+  and return fresh arrays, and :mod:`fpme.linear`'s plan reuses its own.
 * :func:`apply_symbols` is the real-to-real multiplier path of the
   unmasked operators.  It uses numpy's unnormalized ``rfftn`` and its
   ``irfftn`` inverse, as do the Sobolev norms; its core,
@@ -77,7 +77,8 @@ give the same real fields bit for bit.
 
 The right-hand sides and coefficient freezes of :mod:`fpme.linear` and the
 property suite of :mod:`fpme.diagnostics` stack fields by one budget,
-:func:`_fields_per_stack`.
+:func:`_fields_per_stack`, ``_STACK_BYTES``, which also bounds each buffer
+a plan keeps.
 """
 
 from __future__ import annotations
@@ -179,44 +180,31 @@ class Grid:
         return tuple(np.meshgrid(*([off] * self.dim), indexing="ij"))
 
     def band_forward(self, values: np.ndarray) -> np.ndarray:
-        """Unnormalized ``rfftn`` of ``values`` restricted to the band, in the
-        band layout: cos/sin coefficients on each signed axis.
-
-        ``values`` may carry leading stack axes.  The axes run in
-        ``rfftn``'s order, the last axis first, then each signed axis, each
-        one real product with a matrix of :func:`_band_matrices` over the
-        band rows alone on the ``(re, im)`` pairs the last axis makes, so
-        each axis drops its rows off the band before the next transforms
-        them.
+        """Unnormalized ``rfftn`` of ``values``, which may carry leading stack
+        axes, restricted to the band, in the band layout, as a fresh array.
+        The axes run in ``rfftn``'s order, the last axis first, each one real
+        product over the band rows alone (:func:`_products`), so each axis
+        drops its rows off the band before the next transforms them.
         """
-        fwd, _, real_fwd, _ = _band_matrices(self.n_points, self.dealias_cutoff, self.dim > 1)
-        B = np.ascontiguousarray(values, dtype=float)
-        # a unit line axis per 1-D line: each line is one gemv, alone or in a stack
-        B = B @ real_fwd if self.dim > 1 else (B[..., None, :] @ real_fwd)[..., 0, :]
-        for ax in range(-2, -self.dim - 1, -1):
-            B = _along(fwd, B, ax)
-        return B.view(complex)
+        x = np.ascontiguousarray(values, dtype=float)
+        return _run(_fresh(self, x.shape), x).view(complex)
 
     def band_inverse(self, B: np.ndarray, derivs=None) -> np.ndarray:
         """``irfftn`` of the band coefficients ``B`` zero-extended to the
-        half-spectrum, as a real array with the leading stack axes of ``B``.
+        half-spectrum, as a fresh real array with the leading stack axes of
+        ``B``.
 
-        ``B`` is in the band layout, cos/sin coefficients on each signed
-        axis, and may hold a smaller band than the 2/3 rule's, the modes
-        with ``|k| <= K``; its cutoff ``K`` is read from its last axis,
-        ``B.shape[-1] - 1``.  ``derivs``, if given, names for each row of
-        ``B``'s one stack axis the axis (0-based) to differentiate its
-        field along, or None.  The axes run in ``irfftn``'s order, each
-        signed axis first and the last axis at the end, as real products on
-        the ``(re, im)`` pairs of ``B`` with the matrices of
-        :func:`_inverse_matrices`, which fold in the ``1/n`` per axis and
-        give a differentiated row its axis's derivative matrix.
+        ``B`` may hold a smaller band than the 2/3 rule's, the modes with
+        ``|k| <= K``; ``K`` is read from its last axis.  ``derivs``, if
+        given, names for each row of ``B``'s one stack axis the axis
+        (0-based) to differentiate its field along, or None.  The axes run
+        in ``irfftn``'s order, the last axis at the end, as real products
+        (:func:`_products`) with the matrices of :func:`_inverse_matrices`,
+        which fold in the ``1/n`` per axis and give a differentiated row its
+        axis's derivative matrix.
         """
-        mats = _inverse_matrices(self, B.shape[-1] - 1, tuple(derivs or ()))
-        B = np.ascontiguousarray(B, dtype=complex).view(float)
-        for W, ax in zip(mats, range(-self.dim, -1)):
-            B = _along(W, B, ax)
-        return B @ mats[-1] if self.dim > 1 else (B[..., None, :] @ mats[-1])[..., 0, :]
+        x = np.ascontiguousarray(B, dtype=complex).view(float)
+        return _run(_fresh(self, x.shape, tuple(derivs or ())), x)
 
 
 @lru_cache(maxsize=32)
@@ -261,12 +249,57 @@ def _band_matrices(n: int, c: int, signed: bool) -> tuple[np.ndarray | None, ...
     return fwd, inv, _frozen(real_fwd), _frozen(real_inv)
 
 
-def _along(W: np.ndarray, B: np.ndarray, ax: int) -> np.ndarray:
-    """``W`` applied along axis ``ax`` of the C-contiguous ``B``: one
-    product over the lines of that axis, with no transpose.  ``W`` may
-    carry leading axes that broadcast against ``B``'s."""
-    lead, rest = B.shape[:ax], B.shape[ax + 1 :]
-    return (W @ B.reshape(*lead, B.shape[ax], -1)).reshape(*lead, W.shape[-2], *rest)
+def _products(grid: Grid, x, derivs: tuple | None = None, keep: int = 0) -> list[tuple]:
+    """The products ``(a, b, out, y)``, for ``np.matmul(a, b, out=out)``,
+    of :meth:`Grid.band_forward` on ``x`` or, given ``derivs``, of
+    :meth:`Grid.band_inverse` on the ``(re, im)`` pairs ``x``, ``y`` being
+    each in the transform layout: a signed axis's ``W`` on the left over
+    the lines of that axis, the last axis's on the right, at 1-D with a
+    unit line axis (each line one gemv, alone or in a stack).  ``x``, if
+    an array, and the first ``keep`` products are buffers bound into the
+    steps, which each :func:`_run` overwrites; the rest are shapes, made
+    fresh by each run, ``x`` then being given to it."""
+    shape, steps = getattr(x, "shape", x), []
+    if derivs is None:
+        fwd, _, real_fwd, _ = _band_matrices(grid.n_points, grid.dealias_cutoff, grid.dim > 1)
+        mats, axes = (real_fwd, *[fwd] * (grid.dim - 1)), range(-1, -grid.dim - 1, -1)
+    else:
+        mats = _inverse_matrices(grid, shape[-1] // 2 - 1, derivs)
+        axes = (*range(-grid.dim, -1), -1)
+    unit = (1,) * (grid.dim == 1)
+    for i, (W, ax) in enumerate(zip(mats, axes)):
+        if ax == -1:
+            new = (*shape[:-1], W.shape[-1])
+            a, o = (*shape[:-1], *unit, shape[-1]), (*new[:-1], *unit, new[-1])
+        else:
+            new = (*shape[:ax], W.shape[-2], *shape[ax + 1 :])
+            a, o = (*shape[:ax], shape[ax], -1), (*shape[:ax], W.shape[-2], -1)
+        a = a if type(x) is tuple else x.reshape(a)
+        x = np.zeros(new) if i < keep else new
+        o = o if type(x) is tuple else x.reshape(o)
+        steps.append((a, W, o, x) if ax == -1 else (W, a, o, x))
+        shape = new
+    return steps
+
+
+# the band pair's unbound products, built once per grid, shape and derivs
+_fresh = lru_cache(maxsize=64)(_products)
+
+
+def _run(steps: list[tuple], x: np.ndarray | None = None, out: np.ndarray | None = None):
+    """Run the products of :func:`_products` and return the last, ``x``
+    being the input if they hold none; ``out``, if given, takes the last
+    in place of its buffer, in the transform layout."""
+    if out is not None:
+        *steps, (a, b, o, y) = steps
+        steps.append((a, b, out.reshape(getattr(o, "shape", o)), out))
+    for a, b, o, y in steps:
+        if type(a) is tuple:
+            a = x.reshape(a)
+        elif type(b) is tuple:
+            b = x.reshape(b)
+        x = np.matmul(a, b, out=None if type(o) is tuple else o)
+    return x.reshape(y) if type(y) is tuple else y
 
 
 @lru_cache(maxsize=64)

@@ -18,13 +18,18 @@ being the derivative along each axis, which band_inverse takes inside its
 own products, and the Laplacian symbol: dim + 1 inverse transforms and one
 forward transform, none over a row off the band.  These inverses, and
 those of a coefficient freeze, run in stacks of at most 256 KiB of real
-output per band_inverse call (grid._STACK_BYTES, the property suite's
-budget too): one call at 1-D, at 2-D n <= 64 and at 3-D n = 16, one per
-array from 3-D n = 32 on.  Both solvers step through _march, which lands
-exactly on each stop time: solve_linear marches through the snapshot
-times to t_end, and a Picard segment is one march.  _field returns the
-state to real space once per step or segment, as
-``u = u_start + band_inverse(F - F_start)``, so u keeps u_start's
+output (grid._STACK_BYTES, the property suite's budget too): one stack at
+1-D, at 2-D n <= 64 and at 3-D n = 16, two at 2-D n = 128, one per array
+from 3-D n = 32 on.  Both run on a plan built once per grid (_plan).  Where
+a field fits in the budget, up to 3-D n = 32, the plan keeps every buffer
+they write but their outputs, none larger than the budget, and each call
+overwrites them, which assumes fpme's one Python thread; beyond it a call
+makes them as it goes.  What a caller keeps is fresh: the right-hand side,
+the band _rk4_step returns, coeffs and _values' field.  Both solvers step
+through _march, which lands exactly on each stop time: solve_linear
+marches through the snapshot times to t_end, and a Picard segment is one
+march.  _field returns the state to real space once per step or segment,
+as ``u = u_start + band_inverse(F - F_start)``, so u keeps u_start's
 coefficients off the band, and a state the right-hand side does not move
 stays equal to u_start bit for bit.  A diagnostics record reads F and
 u_start's off-band H^alpha power, which every state keeps, so it makes no
@@ -42,7 +47,8 @@ import numpy as np
 from .diagnostics import DiagnosticsRecord, RecorderConfig, record
 from .errors import BlowUp, GridMismatch
 from .fracops import MollifierKernel
-from .grid import Grid, RealField, _check_integer, _fields_per_stack, band_symbols
+from . import grid as grid_module
+from .grid import Grid, RealField, _check_integer, _fields_per_stack, _products, _run, band_symbols
 from .norms import DyadicPartition, _start_band, sobolev_norm
 
 __all__ = [
@@ -192,17 +198,17 @@ def _band_hat(g: Grid, epsilon: float) -> np.ndarray:
 
 def _freeze(g: Grid, Fv: np.ndarray, s: float, epsilon: float) -> CoefficientOps:
     """The ops of the coefficient whose band coefficients are Fv; no
-    transform of v is made.  The rows of coeffs are inverted by _stacks,
-    one band_inverse call per stack, and rho_est reads them: max|v| from
-    the dealiased -v of the last row, ||grad p_v||_inf from the others."""
+    transform of v is made.  Each stack of the plan inverts its rows of
+    coeffs straight into them, and rho_est reads them: max|v| from the
+    dealiased -v of the last row, ||grad p_v||_inf from the others."""
     # table before _band_hat's first build: else glibc trims a heap coeffs
     # lands on (3-D n = 64 page-faults)
     radial = band_symbols(g, -2.0 * s).radial
     filt = _band_hat(g, epsilon) if epsilon > 0 else 1.0
     Fp = Fv * radial
     coeffs = np.empty((g.dim + 1, *g.shape))
-    for lo, hi, derivs in _stacks(g.dim, _fields_per_stack(g)):
-        coeffs[lo:hi] = g.band_inverse(_stack(Fp, derivs, np.negative, Fv), derivs)
+    for lo, hi, derivs, inp, steps in _plan(g, grid_module._STACK_BYTES)[0]:
+        _run(steps, _stack(inp, derivs, Fp, np.negative, Fv), coeffs[lo:hi])
 
     # sqrt is monotone and correctly rounded: the sqrt of the max is the
     # max of the sqrts, without a square-root array; the squares and |v|
@@ -219,43 +225,60 @@ def _freeze(g: Grid, Fv: np.ndarray, s: float, epsilon: float) -> CoefficientOps
 
 
 @lru_cache(maxsize=16)
-def _stacks(dim: int, k: int) -> tuple[tuple[int, int, tuple], ...]:
-    """(lo, hi, derivs) of each band_inverse call, k rows at most, over the
-    dim + 1 rows in coeffs order: row i < dim differentiated along axis i."""
-    rows = (*range(dim), None)
-    return tuple((lo, lo + len(d), d) for lo in range(0, dim + 1, k) for d in [rows[lo : lo + k]])
+def _plan(g: Grid, budget: int) -> tuple[list[tuple], list[tuple]]:
+    """What a right-hand side and a freeze on g run, built once per grid
+    and budget: (lo, hi, derivs, input, products) of each band inverse, at
+    most _fields_per_stack rows of coeffs each, row i < dim differentiated
+    along axis i, and the products of the right-hand side's band forward
+    of r, the first inverse's first row.  The plan keeps every buffer,
+    inputs included, if a field fits in the budget, and else none."""
+    c, k, keep = g.dealias_cutoff, _fields_per_stack(g), 8 * g.size <= budget
+    rows, stacks = (*range(g.dim), None), []
+    for lo in range(0, g.dim + 1, k):
+        derivs = rows[lo : lo + k]
+        shape = (len(derivs), *[2 * c + 1] * (g.dim - 1), c + 1)
+        inp = np.zeros(shape, dtype=complex) if keep else shape
+        x = inp.view(float) if keep else (*shape[:-1], 2 * c + 2)
+        stacks.append((lo, lo + len(derivs), derivs, inp, _products(g, x, derivs, keep * g.dim)))
+    r = stacks[0][4][-1][3][0] if keep else g.shape  # row 0 of the last product's y
+    return stacks, _products(g, r, None, keep * (g.dim - 1))
 
 
-def _stack(Fd: np.ndarray, derivs: tuple, last, *args) -> np.ndarray:
-    """One band_inverse call's rows: Fd if differentiated, else the ufunc last(*args)."""
-    stack = np.empty((len(derivs), *Fd.shape), dtype=complex)
-    stack[: len(derivs) - (derivs[-1] is None)] = Fd
+def _stack(inp, derivs: tuple, Fd: np.ndarray, last, *args) -> np.ndarray:
+    """One stack's input, as (re, im) pairs, in the buffer inp or a fresh
+    array of the shape inp: Fd in each differentiated row, the ufunc
+    last(*args) in the other."""
+    inp = np.empty(inp, dtype=complex) if type(inp) is tuple else inp
+    inp[: len(derivs) - (derivs[-1] is None)] = Fd
     if derivs[-1] is None:
-        last(*args, out=stack[-1])
-    return stack
+        last(*args, out=inp[-1])
+    return inp.view(float)
 
 
 def _rhs_values(F: np.ndarray, ops: CoefficientOps) -> np.ndarray:
-    """Right-hand side on the band coefficients F of the state.
+    """Right-hand side on the band coefficients F of the state, a fresh
+    array.
 
     Each inverted stack is multiplied by its rows of coeffs in place and
     added onto r, its first row, row by row in coeffs order, whatever the
     stacking; each later stack is dropped before the next is made."""
-    g = ops.grid
-    Fu = F if np.isscalar(ops.filt) else F * ops.filt
+    stacks, forward = _plan(ops.grid, grid_module._STACK_BYTES)
+    scalar = np.isscalar(ops.filt)
+    Fu = F if scalar else F * ops.filt
     r = None
-    for lo, hi, derivs in _stacks(g.dim, _fields_per_stack(g)):
-        # the stack is band_inverse's alone, which drops it after its first
-        # pass; P is indexed, so no loop variable keeps a view of it alive
-        P = g.band_inverse(_stack(Fu, derivs, np.multiply, ops.lap_mult, Fu), derivs)
+    for lo, hi, derivs, inp, steps in stacks:
+        # a fresh stack input is _run's alone, which drops it after one
+        # product; P is indexed, so no loop variable keeps a view of it alive
+        P = _run(steps, _stack(inp, derivs, Fu, np.multiply, ops.lap_mult, Fu))
         P *= ops.coeffs[lo:hi]
         if r is None:
             r, P = P[0], P[1:]
         for j in range(len(P)):
             r += P[j]
         del P
-    Fr = g.band_forward(r)
-    Fr *= ops.filt
+    Fr = _run(forward, r).view(complex)
+    if not scalar:
+        Fr *= ops.filt
     return Fr
 
 

@@ -661,17 +661,18 @@ def test_stacked_rhs_is_the_unstacked_sum_bit_for_bit(grid, fields, epsilon, mon
 )
 def test_freeze_inverts_in_stacks_by_the_budget_bit_for_bit(grid, monkeypatch):
     # budgets of no field, one and two fields' real bytes, and one stack:
-    # the freeze makes ceil((dim + 1) / k) band_inverse calls of at most k
-    # arrays each, and its coeffs are the same bytes whatever the budget
+    # the freeze runs its plan's band inverse ceil((dim + 1) / k) times on
+    # stacks of at most k arrays, and its coeffs are the same bytes
+    # whatever the budget
     Fv = grid.band_forward(coefficient(grid, seed=25).values)
     sizes, coeffs = [], []
-    real = Grid.band_inverse
+    real = linear._run
 
-    def counted(self, B, *derivs):
-        sizes.append(len(B))
-        return real(self, B, *derivs)
+    def counted(steps, x, out=None):
+        sizes.append(len(x))
+        return real(steps, x, out)
 
-    monkeypatch.setattr(Grid, "band_inverse", counted)
+    monkeypatch.setattr(linear, "_run", counted)
     for fields in (0, 1, 2, None):
         stack_bytes = 1 << 30 if fields is None else fields * 8 * grid.size
         monkeypatch.setattr(grid_module, "_STACK_BYTES", stack_bytes)
@@ -700,6 +701,76 @@ def test_stacked_rhs_peak_not_above_unstacked():
             tracemalloc.stop()
 
     assert peak(linear._rhs_values) <= peak(unstacked_rhs)
+
+
+@pytest.mark.parametrize("epsilon", [0.0, 1.0])
+def test_warm_rk4_step_peak_is_its_stage_bands_and_one_field(epsilon):
+    # at 3-D n = 32 one stacked row is exactly the budget, so the plan keeps
+    # every buffer of a right-hand side: a warmed step allocates its fresh
+    # stage bands k1..k4 and t and, on top, less than one field
+    grid = Grid(3, 32, 2 * np.pi)
+    assert 8 * grid.size == grid_module._STACK_BYTES
+    ops = make_coefficient_ops(coefficient(grid, seed=23), 0.75, epsilon)
+    F = grid.band_forward(random_field(grid, seed=24).values)
+    _rk4_step(F, 1e-4, ops)
+    tracemalloc.start()
+    try:
+        _rk4_step(F, 1e-4, ops)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * F.nbytes + 8 * grid.size
+
+
+@pytest.mark.parametrize("dim, n", [(1, 64), (2, 128), (3, 32), (3, 64)])
+def test_plan_keeps_no_buffer_above_the_budget(dim, n):
+    # the plan's buffers are its writeable arrays (every matrix is
+    # read-only): all of them fit the budget, and there are none once a
+    # field does not fit it, as at 3-D n = 64
+    grid = Grid(dim, n, 2 * np.pi)
+    budget = grid_module._STACK_BYTES
+    stacks, forward = linear._plan(grid, budget)
+    steps = [*forward, *(s for *_, products in stacks for s in products)]
+    candidates = [inp for *_, inp, _ in stacks] + [a for s in steps for a in s]
+    buffers = [a for a in candidates if isinstance(a, np.ndarray) and a.flags.writeable]
+    assert bool(buffers) == (8 * grid.size <= budget)
+    assert max((b.nbytes for b in buffers), default=0) <= budget
+
+
+# the test grids, and 2-D n = 128, whose right-hand side runs two stacks
+ALIAS_GRIDS = [*GRIDS[:2], Grid(2, 128, 2 * np.pi), GRIDS[2]]
+
+
+@pytest.mark.parametrize("grid", ALIAS_GRIDS, ids=lambda g: f"dim{g.dim}-n{g.n_points}")
+@pytest.mark.parametrize("epsilon", [0.0, 1.0])
+def test_kept_arrays_are_not_the_plans_buffers(grid, epsilon):
+    # every array a caller keeps stays as it was when the same calls run
+    # again on other data, which overwrites every buffer of the plan
+    def outputs(seed):
+        ops = make_coefficient_ops(coefficient(grid, seed=seed), 0.75, epsilon)
+        F = grid.band_forward(random_field(grid, seed=seed + 1).values)
+        return [F, grid.band_inverse(F), ops.coeffs, _freeze(grid, F, 0.75, epsilon).coeffs,
+                linear._rhs_values(F, ops), _rk4_step(F, 1e-4, ops)]
+
+    kept = outputs(30)
+    saved = [a.tobytes() for a in kept]
+    outputs(32)
+    assert [a.tobytes() for a in kept] == saved
+
+
+@pytest.mark.parametrize("grid", ALIAS_GRIDS, ids=lambda g: f"dim{g.dim}-n{g.n_points}")
+def test_solve_linear_repeats_after_a_solve_on_other_data(grid):
+    def solve(seed):
+        problem = LinearProblem(coefficient(grid, seed=seed), random_field(grid, seed=seed + 1),
+                                0.75, 0.0, 2e-3)
+        sol = solve_linear(problem, TimeStepPolicy(dt_max=5e-4), grid.dim / 2.0 + 1.1,
+                           snapshot_times=(1e-3, 2e-3))
+        return ([sol.final.values.tobytes(), repr(sol.records)]
+                + [(t, f.values.tobytes()) for t, f in sol.snapshots])
+
+    first = solve(40)
+    solve(42)
+    assert solve(40) == first
 
 
 def coefficient_samples(grid, F0, samples):
@@ -742,7 +813,9 @@ def test_transform_counts(grid, monkeypatch):
     # left can reach the sup, so its count depends on the data: one block of
     # the noise field below, and every block of the zero field, whose bounds
     # are never below its sup of 0.
-    # "inverted" counts the arrays the band inverses invert.
+    # "inverted" counts the arrays the band inverses invert.  The band pair
+    # of a right-hand side and a freeze runs on their plan, through
+    # linear._run, and counts as Grid.band_forward and band_inverse calls.
     names = ("rfftn", "irfftn", "band_forward", "band_inverse", "inverted")
     counts = dict.fromkeys(names, 0)
 
@@ -770,6 +843,16 @@ def test_transform_counts(grid, monkeypatch):
     counted(np.fft, "irfftn")
     counted(Grid, "band_forward")
     counted(Grid, "band_inverse")
+    run = linear._run
+
+    def planned(steps, x, out=None):
+        # a stack of (re, im) pairs, with its stack axis, is a band inverse
+        inverse = x.ndim > grid.dim
+        counts["band_inverse" if inverse else "band_forward"] += 1
+        counts["inverted"] += len(x) if inverse else 0
+        return run(steps, x, out)
+
+    monkeypatch.setattr(linear, "_run", planned)
 
     def rhs_calls():
         k = max(1, grid_module._STACK_BYTES // (8 * grid.size))
