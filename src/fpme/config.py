@@ -29,9 +29,9 @@ MODES = ("linear", "picard", "sweep_epsilon", "properties")
 class RunSpec:
     """Resolved, validated description of one CLI job.
 
-    picard carries s, alpha, epsilon and the Picard knobs in every mode.
-    policy is the RK4 step policy of linear and sweep_epsilon runs and None
-    in the other modes.
+    picard carries s, alpha, epsilon and safety in every mode, and the
+    Picard knobs only as a picard document sets them.  policy is the RK4
+    step policy of linear and sweep_epsilon runs and None in the other modes.
     """
 
     mode: str
@@ -130,9 +130,17 @@ _REQUIRED = {
     "properties": _EVERY_MODE,
 }
 
-# The modes that march by RK4 steps, and the step keys only they read.
-_STEPPED = ("linear", "sweep_epsilon")
-_STEP_KEYS = ("solver.dt_max", "solver.sample_every")
+# config key -> the modes that run the one solver reading it; any other
+# mode rejects the key.  The solver keys both solvers read are not listed.
+_READERS = {
+    **dict.fromkeys(("solver.t_end", "solver.dt_max", "solver.sample_every"),
+                    ("linear", "sweep_epsilon")),
+    **dict.fromkeys(("solver.samples", "solver.tol_picard", "solver.max_outer",
+                     "solver.c_gronwall", "solver.t0_override"), ("picard",)),
+}
+
+# linear and sweep_epsilon cap their RK4 step at t_end / _STEPS by default
+_STEPS = 400
 
 
 def _parse(entries: dict[str, tuple[str, int]]) -> dict:
@@ -175,11 +183,11 @@ def parse_config(text: str, mode: str, overrides: dict[str, str] | None = None) 
     """Parse and validate a config document for one mode.
 
     mode is the CLI positional, one of MODES.  overrides are --set pairs,
-    applied on top of the file.  The solver keys build a PicardConfig in
-    every mode and a TimeStepPolicy for linear and sweep_epsilon, the only
-    modes that may set solver.dt_max and solver.sample_every; those classes
-    hold the defaults and range checks, and their ValueErrors become
-    ValidationErrors here.
+    applied on top of the file.  A key of _READERS outside its modes is a
+    ValidationError.  The solver keys build a PicardConfig in every mode
+    and a TimeStepPolicy for linear and sweep_epsilon, whose dt_max
+    defaults to t_end / _STEPS; those classes hold the other defaults and
+    the range checks, and their ValueErrors become ValidationErrors here.
     """
     if mode not in MODES:
         raise ValidationError(f"mode must be one of {MODES}, got {mode!r}")
@@ -192,12 +200,14 @@ def parse_config(text: str, mode: str, overrides: dict[str, str] | None = None) 
     for key in _REQUIRED[mode]:
         if key not in values:
             raise ValidationError(f"{key} is required for mode {mode}")
-    stepped = mode in _STEPPED
-    for key in _STEP_KEYS:
-        if key in values and not stepped:
+    for key in values:
+        readers = _READERS.get(key, MODES)
+        if mode not in readers:
             raise ValidationError(
-                f"{key} is read only by modes {' and '.join(_STEPPED)}, not by mode {mode}"
+                f"{key} is read only by mode{'s' * (len(readers) > 1)} "
+                f"{' and '.join(readers)}, not by mode {mode}"
             )
+    stepped = mode in _READERS["solver.t_end"]
 
     dim, t_end = values["grid.dim"], get("solver.t_end")
     sample_every = get("solver.sample_every", 1)
@@ -219,7 +229,7 @@ def parse_config(text: str, mode: str, overrides: dict[str, str] | None = None) 
         policy = None
         if stepped:
             policy = TimeStepPolicy(
-                dt_max=get("solver.dt_max", t_end / picard.samples), safety=picard.safety
+                dt_max=get("solver.dt_max", t_end / _STEPS), safety=picard.safety
             )
     except ValueError as exc:
         raise ValidationError(str(exc)) from exc

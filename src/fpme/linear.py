@@ -91,8 +91,8 @@ def _check_safety(safety: float) -> None:
 
 
 def _check_positive(name: str, value: float) -> None:
-    if not (value > 0):
-        raise ValueError(f"{name} must be positive, got {value}")
+    if not (0 < value < math.inf):
+        raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
 def _check_snapshot_times(times, t_end: float) -> None:
@@ -118,7 +118,7 @@ class LinearProblem:
     epsilon:
         Mollification radius; 0 disables mollification.
     t_end:
-        Final time, positive.
+        Final time, positive and finite.
     """
 
     v: RealField

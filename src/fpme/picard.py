@@ -84,8 +84,8 @@ class PicardConfig:
 
     def __post_init__(self):
         _check_order(self.s)
-        if not (self.alpha >= 0):
-            raise ValueError(f"alpha must be >= 0, got {self.alpha}")
+        if not (0 <= self.alpha < math.inf):
+            raise ValueError(f"alpha must be >= 0 and finite, got {self.alpha}")
         _check_safety(self.safety)
         _check_radius("epsilon_moll", self.epsilon_moll)
         _check_positive("c_gronwall", self.c_gronwall)

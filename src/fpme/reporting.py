@@ -31,25 +31,27 @@ def format_float(x) -> str:
     return repr(float(x))
 
 
-def _write_lines(path, header: str, rows: Iterable[str]) -> None:
+def _write_rows(path, header: str, rows: Iterable[Sequence]) -> None:
+    """header, then one line per row: float cells through format_float,
+    other cells through str."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="\n") as fh:
         fh.write(header + "\n")
         for row in rows:
-            fh.write(row + "\n")
+            cells = (format_float(c) if isinstance(c, (float, np.floating)) else str(c)
+                     for c in row)
+            fh.write(",".join(cells) + "\n")
+
+
+def _flag(ok) -> str:
+    return "true" if ok else "false"
 
 
 def write_records_csv(records: Sequence[DiagnosticsRecord], path) -> None:
-    header = "t,dt,l2,h_alpha,min_u,mass,c_meas,besov_alpha"
-    rows = (
-        ",".join(
-            format_float(v)
-            for v in (r.t, r.dt, r.l2, r.h_alpha, r.min_u, r.mass, r.c_meas, r.besov_alpha)
-        )
-        for r in records
-    )
-    _write_lines(path, header, rows)
+    rows = ((r.t, r.dt, r.l2, r.h_alpha, r.min_u, r.mass, r.c_meas, r.besov_alpha)
+            for r in records)
+    _write_rows(path, "t,dt,l2,h_alpha,min_u,mass,c_meas,besov_alpha", rows)
 
 
 def write_picard_summary_csv(sup_halpha: Sequence[float], deltas: Sequence[float],
@@ -57,31 +59,14 @@ def write_picard_summary_csv(sup_halpha: Sequence[float], deltas: Sequence[float
     """Per-iterate summary.  Iterate 1 has no contraction increment, so its
     delta column is empty; deltas[k] belongs to iterate k+2.
     """
-    header = "n,sup_halpha,delta,c_meas,min_u"
-    rows = []
-    for idx, sup in enumerate(sup_halpha):
-        delta = format_float(deltas[idx - 1]) if 1 <= idx <= len(deltas) else ""
-        rows.append(
-            ",".join(
-                (
-                    str(idx + 1),
-                    format_float(sup),
-                    delta,
-                    format_float(c_meas[idx]),
-                    format_float(min_u[idx]),
-                )
-            )
-        )
-    _write_lines(path, header, rows)
+    rows = ((n + 1, sup, deltas[n - 1] if 1 <= n <= len(deltas) else "", c_meas[n], min_u[n])
+            for n, sup in enumerate(sup_halpha))
+    _write_rows(path, "n,sup_halpha,delta,c_meas,min_u", rows)
 
 
 def write_property_report_csv(rows: Sequence[tuple], path) -> None:
-    header = "check,seed,statistic,passed"
-    lines = (
-        f"{name},{seed},{format_float(stat)},{'true' if ok else 'false'}"
-        for name, seed, stat, ok in rows
-    )
-    _write_lines(path, header, lines)
+    _write_rows(path, "check,seed,statistic,passed",
+                ((name, seed, stat, _flag(ok)) for name, seed, stat, ok in rows))
 
 
 def write_sweep_summary_csv(entries: Sequence[tuple[float, float]], path) -> None:
@@ -89,14 +74,10 @@ def write_sweep_summary_csv(entries: Sequence[tuple[float, float]], path) -> Non
     ordered by decreasing epsilon.  The third column records whether each
     distance shrank relative to the previous (coarser) epsilon.
     """
-    header = "epsilon,l2_diff,decreasing_from_prev"
-    rows = []
-    prev = None
-    for eps, diff in entries:
-        flag = "true" if prev is None or diff <= prev else "false"
-        rows.append(f"{format_float(eps)},{format_float(diff)},{flag}")
-        prev = diff
-    _write_lines(path, header, rows)
+    diffs = [diff for _, diff in entries]
+    rows = ((eps, diff, _flag(n == 0 or diff <= diffs[n - 1]))
+            for n, (eps, diff) in enumerate(entries))
+    _write_rows(path, "epsilon,l2_diff,decreasing_from_prev", rows)
 
 
 def write_manifest(out_dir, config_text: str, echo: dict, extra: dict | None = None) -> None:

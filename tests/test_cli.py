@@ -15,6 +15,7 @@ import fpme.linear as linear_mod
 import fpme.picard as picard_mod
 from fpme import read_snapshot
 from fpme.cli import main
+from fpme.config import _READERS
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 # shipped config -> the mode it is written for
@@ -28,12 +29,11 @@ def run_shipped(name, out, *overrides):
         args += ["--set", item]
     return main(args)
 
-LINEAR_CFG = """
+# LINEAR_CFG without the keys only linear and sweep_epsilon read
+SOLVER_CFG = """
 grid.dim = 1
 grid.n = 64
 grid.length = 6.283185307179586
-solver.t_end = 0.01
-solver.samples = 50
 initial.kind = gaussian_bump
 initial.seed = 1
 initial.width = 0.8
@@ -42,6 +42,7 @@ coefficient.seed = 2
 coefficient.width = 0.9
 output.dir = {out}
 """
+LINEAR_CFG = SOLVER_CFG + "solver.t_end = 0.01\nsolver.dt_max = 0.0002\n"
 
 PICARD_CFG = """
 grid.dim = 1
@@ -124,16 +125,20 @@ class TestExitCodes:
         ],
     )
     def test_bad_solver_value_rejected_before_output(self, tmp_path, capsys, mode, key, bad):
+        template = LINEAR_CFG if mode == "linear" else SOLVER_CFG
         cfg, out = write_cfg(
-            tmp_path, LINEAR_CFG, **{"solver.alpha": 2.1, f"solver.{key}": bad}
+            tmp_path, template, **{"solver.alpha": 2.1, f"solver.{key}": bad}
         )
         assert main([mode, "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
-        assert "error:" in err
-        if key == "dt_max" and mode != "linear":
-            # only linear reads the key, so the others reject it whatever its value
-            assert (f"solver.dt_max is read only by modes linear and sweep_epsilon, "
-                    f"not by mode {mode}") in err
+        assert err.startswith("error:")
+        readers = _READERS.get(f"solver.{key}", (mode,))
+        if mode not in readers:
+            # the mode does not read the key, so it rejects it whatever its value
+            assert (f"solver.{key} is read only by mode{'s' * (len(readers) > 1)} "
+                    f"{' and '.join(readers)}, not by mode {mode}") in err
+        else:
+            assert key in err and "read only by" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize("name", ["picard", "properties"])
@@ -143,6 +148,20 @@ class TestExitCodes:
         assert run_shipped(name, out, f"{key}=1") == 2
         assert f"error: {key} is read only by modes linear and sweep_epsilon, not by mode {name}" \
             in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "key, name",
+        [(key, name) for key, readers in _READERS.items() for name, mode in SHIPPED.items()
+         if mode not in readers],
+    )
+    def test_one_solver_key_rejected_before_output(self, tmp_path, capsys, key, name):
+        # the shipped config of a mode that does not read the key
+        out = tmp_path / "out"
+        assert run_shipped(name, out, f"{key}=2") == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key} is read only by mode")
+        assert err.endswith(f"{' and '.join(_READERS[key])}, not by mode {SHIPPED[name]}\n")
         assert not out.exists()
 
     def test_infinite_length_rejected_before_output(self, tmp_path, capsys):
@@ -181,6 +200,9 @@ class TestExitCodes:
             ("linear", ["solver.epsilon=3.5"], "solver.epsilon"),
             ("sweep", ["sweep.epsilons=0.4, 0.01"], "sweep.epsilons"),
             ("linear", ["solver.epsilon=nan"], "epsilon_moll"),
+            ("linear", ["solver.alpha=inf"], "alpha must be >= 0 and finite"),
+            ("picard", ["solver.alpha=inf"], "alpha must be >= 0 and finite"),
+            ("picard", ["solver.c_gronwall=inf"], "c_gronwall must be positive and finite"),
             ("picard", ["solver.epsilon=nan"], "epsilon_moll"),
             ("sweep", ["sweep.epsilons=0.4, nan"], "sweep.epsilons"),
             ("linear", ["initial.kind=random_trig", "initial.width=0"], "initial.width"),
@@ -361,7 +383,7 @@ class TestSweepRun:
         cfg, out = write_cfg(
             tmp_path,
             LINEAR_CFG.replace("solver.t_end = 0.01", "solver.t_end = 0.005")
-            .replace("solver.samples = 50", "solver.samples = 20"),
+            .replace("solver.dt_max = 0.0002", "solver.dt_max = 0.00025"),
             **{"sweep.epsilons": "0.4, 0.2"},
         )
         assert main(["sweep_epsilon", "--config", str(cfg)]) == 0
@@ -389,7 +411,7 @@ class TestSweepRun:
         cfg, out = write_cfg(
             tmp_path,
             LINEAR_CFG.replace("solver.t_end = 0.01", "solver.t_end = 0.005")
-            .replace("solver.samples = 50", "solver.samples = 20"),
+            .replace("solver.dt_max = 0.0002", "solver.dt_max = 0.00025"),
             **{"sweep.epsilons": "0.4", "output.snapshot_times": "0.0, 0.0025, 0.005"},
         )
         assert main(["sweep_epsilon", "--config", str(cfg)]) == 0
@@ -417,7 +439,7 @@ class TestSweepRun:
             cfg, out = write_cfg(
                 tmp_path,
                 LINEAR_CFG.replace("solver.t_end = 0.01", "solver.t_end = 0.005")
-                .replace("solver.samples = 50", "solver.samples = 20"),
+                .replace("solver.dt_max = 0.0002", "solver.dt_max = 0.00025"),
                 name=f"{tag}.cfg",
                 **{"sweep.epsilons": epsilons},
             )

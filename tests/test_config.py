@@ -1,6 +1,8 @@
 """Config parsing, validation messages and override layering."""
 
 import dataclasses
+import functools
+import math
 import re
 from pathlib import Path
 
@@ -21,17 +23,22 @@ from fpme import (
     run_property_suite,
     solve_linear,
 )
-from fpme.config import _KEYS, _PICARD_FIELDS
+import fpme.config
+from fpme.config import _KEYS, _PICARD_FIELDS, _READERS, _STEPS
 
-MINIMAL_LINEAR = """
+# a picard or properties document: no key only the stepped modes read
+MINIMAL = """
 grid.dim = 1
 grid.n = 64
 grid.length = 6.283185307179586
-solver.t_end = 0.05
 initial.kind = gaussian_bump
 coefficient.kind = gaussian_bump
 output.dir = /tmp/out
 """
+MINIMAL_LINEAR = MINIMAL + "solver.t_end = 0.05\n"
+# mode -> its minimal document
+DOCS = {"linear": MINIMAL_LINEAR, "sweep_epsilon": MINIMAL_LINEAR,
+        "picard": MINIMAL, "properties": MINIMAL}
 
 
 class TestParsing:
@@ -44,6 +51,7 @@ class TestParsing:
         assert spec.alpha == pytest.approx(1.6)
         assert spec.epsilon == 0.0
         assert spec.picard.safety == spec.policy.safety == 0.5
+        # the default cap is linear's own, not t_end / PicardConfig.samples
         assert spec.policy.dt_max == 0.05 / 400
         assert spec.picard.samples == 400
         assert spec.picard.tol_picard == 1e-8
@@ -137,7 +145,9 @@ output.dir = /tmp/out
 
     def test_nonpositive_t_end_names_the_key(self):
         text = MINIMAL_LINEAR.replace("solver.t_end = 0.05", "solver.t_end = 0")
-        with pytest.raises(ValidationError, match=r"^solver\.t_end must be positive, got 0\.0$"):
+        with pytest.raises(
+            ValidationError, match=r"^solver\.t_end must be positive and finite, got 0\.0$"
+        ):
             parse_config(text, mode="linear")
 
     def test_initial_required(self):
@@ -179,7 +189,7 @@ output.dir = /tmp/out
         # NaN fails every comparison, so a check written as "< 0" or "<= 0"
         # let it through to an unmollified run
         with pytest.raises(ValidationError, match=key):
-            parse_config(MINIMAL_LINEAR, mode=mode, overrides=override)
+            parse_config(DOCS[mode], mode=mode, overrides=override)
 
     def test_generator_kind_checked(self):
         text = MINIMAL_LINEAR.replace("gaussian_bump", "perlin")
@@ -190,10 +200,11 @@ output.dir = /tmp/out
     def test_generator_width_checked_against_grid(self, prefix):
         # the default width L/8 is band-limited at n = 64 but not at n = 32
         other = "coefficient" if prefix == "initial" else "initial"
-        text = MINIMAL_LINEAR.replace("grid.n = 64", "grid.n = 32") + f"{other}.width = 2.0\n"
+        text = MINIMAL.replace("grid.n = 64", "grid.n = 32") + f"{other}.width = 2.0\n"
+        linear = text + "solver.t_end = 0.05\n"
         with pytest.raises(ValidationError, match=f"{prefix}.width .* too narrow"):
-            parse_config(text, mode="linear")
-        parse_config(text + f"{prefix}.width = 1.2\n", mode="linear")
+            parse_config(linear, mode="linear")
+        parse_config(linear + f"{prefix}.width = 1.2\n", mode="linear")
         # properties mode: linear would reject the sign-changing random_trig coefficient
         spec = parse_config(text.replace("gaussian_bump", "random_trig"), mode="properties")
         assert getattr(spec, prefix).width == pytest.approx(spec.grid.side_length / 8)
@@ -204,15 +215,15 @@ class TestModeKeys:
         "mode, prefix, line, message",
         [
             ("picard", "coefficient", "coefficient.seed = abc",
-             r"^line 8: key 'coefficient\.seed' needs an integer, got 'abc'$"),
+             r"^line 7: key 'coefficient\.seed' needs an integer, got 'abc'$"),
             ("properties", "initial", "initial.amplitude = x",
-             r"^line 8: key 'initial\.amplitude' needs a number, got 'x'$"),
+             r"^line 7: key 'initial\.amplitude' needs a number, got 'x'$"),
         ],
         ids=["picard", "properties"],
     )
     def test_malformed_value_of_a_key_the_mode_skips(self, mode, prefix, line, message):
         # without its kind no generator is built, so the mode never reads the key
-        text = MINIMAL_LINEAR.replace(f"{prefix}.kind = gaussian_bump\n", "")
+        text = MINIMAL.replace(f"{prefix}.kind = gaussian_bump\n", "")
         with pytest.raises(ParseError, match=message):
             parse_config(text + line + "\n", mode=mode)
 
@@ -221,7 +232,32 @@ class TestModeKeys:
     def test_step_keys_rejected_outside_the_stepped_modes(self, mode, key, value):
         message = f"^{re.escape(key)} is read only by modes linear and sweep_epsilon, not by mode {mode}$"
         with pytest.raises(ValidationError, match=message):
-            parse_config(MINIMAL_LINEAR, mode=mode, overrides={key: value})
+            parse_config(MINIMAL, mode=mode, overrides={key: value})
+
+    @pytest.mark.parametrize(
+        "key, mode",
+        [(key, mode) for key, readers in _READERS.items() for mode in MODES if mode not in readers],
+    )
+    def test_one_solver_key_rejected_outside_its_modes(self, key, mode):
+        readers = _READERS[key]
+        assert key.startswith("solver.") and key in _KEYS
+        names = "modes linear and sweep_epsilon" if len(readers) == 2 else "mode picard"
+        message = f"^{re.escape(key)} is read only by {names}, not by mode {mode}$"
+        with pytest.raises(ValidationError, match=message):
+            parse_config(DOCS[mode], mode=mode, overrides={key: "2"})
+
+    def test_picard_keys_read_by_picard(self):
+        overrides = {"solver.samples": "25", "solver.tol_picard": "1e-6", "solver.max_outer": "5",
+                     "solver.c_gronwall": "2", "solver.t0_override": "0.01"}
+        picard = parse_config(MINIMAL, mode="picard", overrides=overrides).picard
+        assert (picard.samples, picard.tol_picard, picard.max_outer, picard.c_gronwall,
+                picard.t0_override) == (25, 1e-6, 5, 2.0, 0.01)
+
+    def test_linear_cap_does_not_follow_picard_samples(self, monkeypatch):
+        monkeypatch.setattr(fpme.config, "PicardConfig", functools.partial(PicardConfig, samples=25))
+        spec = parse_config(MINIMAL_LINEAR, mode="linear")
+        assert spec.picard.samples == 25
+        assert spec.policy.dt_max == 0.05 / 400
 
     @pytest.mark.parametrize("mode", ["linear", "sweep_epsilon"])
     def test_step_keys_read_by_the_stepped_modes(self, mode):
@@ -233,11 +269,11 @@ class TestModeKeys:
 
     @pytest.mark.parametrize("mode", ["picard", "properties"])
     def test_no_step_policy_outside_the_stepped_modes(self, mode):
-        assert parse_config(MINIMAL_LINEAR, mode=mode).policy is None
+        assert parse_config(MINIMAL, mode=mode).policy is None
 
     @pytest.mark.parametrize("key", ["grid.dim", "grid.n", "grid.length", "output.dir"])
     def test_required_key_names_the_mode(self, key):
-        text = "\n".join(line for line in MINIMAL_LINEAR.splitlines() if not line.startswith(key))
+        text = "\n".join(line for line in MINIMAL.splitlines() if not line.startswith(key))
         with pytest.raises(ValidationError, match=f"^{re.escape(key)} is required for mode properties$"):
             parse_config(text, mode="properties")
 
@@ -267,6 +303,14 @@ def _solve(**kwargs):
         ("linear", {"coefficient.amplitude": "-0.5"},
          lambda: LinearProblem(v=_bump(-0.5), u0=_bump(0.5), s=0.75, epsilon=0.0, t_end=0.05)),
         ("linear", {"solver.alpha": "-1"}, lambda: PicardConfig(s=0.75, alpha=-1.0)),
+        ("linear", {"solver.alpha": "inf"}, lambda: PicardConfig(s=0.75, alpha=math.inf)),
+        ("linear", {"solver.t_end": "inf"},
+         lambda: LinearProblem(v=_bump(0.5), u0=_bump(0.5), s=0.75, epsilon=0.0, t_end=math.inf)),
+        ("linear", {"solver.dt_max": "inf"}, lambda: TimeStepPolicy(dt_max=math.inf)),
+        ("picard", {"solver.t0_override": "inf"},
+         lambda: PicardConfig(s=0.75, alpha=1.6, t0_override=math.inf)),
+        ("picard", {"solver.c_gronwall": "inf"},
+         lambda: PicardConfig(s=0.75, alpha=1.6, c_gronwall=math.inf)),
         ("picard", {"solver.epsilon": "nan"},
          lambda: PicardConfig(s=0.75, alpha=1.6, epsilon_moll=float("nan"))),
         ("linear", {"solver.sample_every": "0"}, lambda: _solve(sample_every=0)),
@@ -278,7 +322,8 @@ def _solve(**kwargs):
         ("properties", {"properties.count": "0"}, lambda: run_property_suite(_GRID, count=0)),
     ],
     ids=["picard-alpha-floor", "picard-negative-initial", "linear-negative-coefficient",
-         "negative-alpha", "nan-radius", "sample-every", "repeated-snapshot",
+         "negative-alpha", "infinite-alpha", "infinite-t-end", "infinite-dt-max",
+         "infinite-t0-override", "infinite-c-gronwall", "nan-radius", "sample-every", "repeated-snapshot",
          "snapshot-past-t-end", "suite-seed", "suite-count"],
 )
 def test_parse_time_and_library_rejections_agree(mode, override, library_call):
@@ -286,7 +331,7 @@ def test_parse_time_and_library_rejections_agree(mode, override, library_call):
     with pytest.raises(ValueError) as library:
         library_call()
     with pytest.raises(ValidationError) as parsed:
-        parse_config(MINIMAL_LINEAR, mode=mode, overrides=override)
+        parse_config(DOCS[mode], mode=mode, overrides=override)
     assert str(library.value) in str(parsed.value)
 
 
@@ -348,6 +393,7 @@ def test_readme_solver_defaults_match_dataclasses():
         ("solver.safety", TimeStepPolicy, "safety", float),
         ("solver.dt_max", TimeStepPolicy, "dt_max", float),
     ]
+    assert table["solver.dt_max"] == f"`t_end / {_STEPS}`"
     checked = 0
     for key, cls, name, parse in fields:
         default = next(f.default for f in dataclasses.fields(cls) if f.name == name)

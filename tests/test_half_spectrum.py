@@ -414,7 +414,7 @@ sys.exit(main(["linear", "--config", sys.argv[2], *sys.argv[3:]]))
 _LINEAR_64 = [
     f"--set={key}" for key in (
         "grid.dim=3", "grid.n=64", "initial.width=1.2", "coefficient.width=1.2",
-        "solver.epsilon=0.4", "solver.t_end=0.004", "solver.samples=4",
+        "solver.epsilon=0.4", "solver.t_end=0.004", "solver.dt_max=0.001",
         "output.snapshot_times=0.0, 0.004",
     )
 ]
