@@ -11,6 +11,7 @@ TimeStepPolicy, which RunSpec carries.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 from .diagnostics import FieldGenerator, _check_suite
@@ -18,6 +19,7 @@ from .errors import ParseError, UnresolvedKernel, ValidationError
 from .fracops import MollifierKernel
 from .grid import Grid, _check_integer
 from .linear import LinearProblem, TimeStepPolicy, _check_positive, _check_snapshot_times
+from .norms import _block_indices
 from .picard import PicardConfig, _check_alpha, _validate_initial
 
 __all__ = ["RunSpec", "parse_config", "MODES"]
@@ -143,6 +145,22 @@ _READERS = {
 _STEPS = 400
 
 
+def _check_weights(grid: Grid, alpha: float) -> None:
+    """The largest H^alpha weight on grid, fold 2 times (1 + |xi|**2)**alpha
+    at the half spectrum's corner, and the largest Besov weight
+    2**(j_top * alpha) must be floats.  Compared in log space, since a
+    float ** past the largest float raises."""
+    logs = (math.log(2.0) + alpha * math.log1p(grid.xi_squared_max),
+            alpha * _block_indices(grid)[-1] * math.log(2.0))
+    top = math.log(sys.float_info.max)
+    if max(logs) >= top:
+        raise ValueError(
+            f"solver.alpha = {alpha} overflows this grid's norm weights: the largest "
+            f"H^alpha weight is e^{logs[0]:.6g} and Besov weight e^{logs[1]:.6g}, and "
+            f"the largest float is e^{top:.6g}"
+        )
+
+
 def _parse(entries: dict[str, tuple[str, int]]) -> dict:
     """Each entry's value by its key's parser, in document order.
 
@@ -226,6 +244,8 @@ def parse_config(text: str, mode: str, overrides: dict[str, str] | None = None) 
         )
         if mode == "picard":
             _check_alpha(picard, dim)
+        if mode != "properties":
+            _check_weights(grid, picard.alpha)
         policy = None
         if stepped:
             policy = TimeStepPolicy(

@@ -133,7 +133,9 @@ class Grid:
     n_points:
         Samples per axis.  Power of two, at least 8.
     side_length:
-        Torus period L, finite and > 0 (same on every axis).
+        Torus period L, finite and > 0 (same on every axis), such that
+        L**2, L**dim and the largest squared wavenumber dim (pi n / L)**2
+        are finite.
     """
 
     dim: int
@@ -147,8 +149,20 @@ class Grid:
         _check_integer("n_points", self.n_points, 8)
         if self.n_points & (self.n_points - 1):
             raise ValueError(f"n_points must be a power of two >= 8, got {self.n_points}")
-        if not (0 < self.side_length < np.inf):
-            raise ValueError(f"side_length must be positive and finite, got {self.side_length}")
+        n, L = self.n_points, self.side_length
+        if not (0 < L < np.inf):
+            raise ValueError(f"side_length must be positive and finite, got {L}")
+        # The mollifier squares offsets up to L, the volume is L**dim, and the
+        # symbol tables square |xi| up to the half spectrum's corner.
+        with np.errstate(over="ignore"):
+            xi_top = np.pi * n / np.float64(L)
+            powers = (L * L, np.float64(L) ** self.dim, self.dim * xi_top * xi_top)
+        if not np.isfinite(powers).all():
+            raise ValueError(
+                f"side_length {L} is out of range: side_length**2 = {powers[0]:.3g}, "
+                f"side_length**{self.dim} = {powers[1]:.3g} and the largest |xi|**2 "
+                f"= {powers[2]:.3g} must be finite"
+            )
         object.__setattr__(self, "spacing", self.side_length / self.n_points)
         object.__setattr__(self, "shape", (self.n_points,) * self.dim)
         object.__setattr__(self, "size", self.n_points**self.dim)
@@ -156,7 +170,6 @@ class Grid:
         # Trailing axes: real-to-complex transforms of a field run over these.
         object.__setattr__(self, "fft_axes", tuple(range(-self.dim, 0)))
 
-        n, L = self.n_points, self.side_length
         object.__setattr__(self, "spectral_shape", (*self.shape[:-1], n // 2 + 1))
         # Signed integer frequencies in [-N/2, N/2), FFT layout.
         object.__setattr__(self, "k_signed", np.fft.fftfreq(n, d=1.0 / n))
@@ -168,6 +181,8 @@ class Grid:
         # Largest retained |xi| after dealiasing (corner of the kept cube).
         xi_max = (2.0 * np.pi / L) * cutoff * np.sqrt(self.dim)
         object.__setattr__(self, "xi_max_retained", xi_max)
+        # Largest |xi|**2 of the half spectrum, which the symbol tables reach.
+        object.__setattr__(self, "xi_squared_max", float(powers[2]))
 
     def axes(self) -> tuple[np.ndarray, ...]:
         """Coordinate arrays of the lattice, meshgrid ij layout."""

@@ -26,10 +26,12 @@ they write but their outputs, none larger than the budget, and each call
 overwrites them, which assumes fpme's one Python thread; beyond it a call
 makes them as it goes.  What a caller keeps is fresh: the right-hand side,
 the band _rk4_step returns, coeffs and _values' field.  Both solvers step
-through _march, which lands exactly on each stop time: solve_linear
-marches through the snapshot times to t_end, and a Picard segment is one
-march.  _field returns the state to real space once per step or segment,
-as ``u = u_start + band_inverse(F - F_start)``, so u keeps u_start's
+through _march, the one owner of the step rule: it reads the coefficient's
+ops from a callable at each RK4 stage time, caps each step by the policy
+and the ops at its start, and lands exactly on each stop time, here the
+snapshot times and t_end of solve_linear's one freeze, or the end of a
+Picard segment's.  _field returns the state to real space once per step or
+segment, as ``u = u_start + band_inverse(F - F_start)``, so u keeps u_start's
 coefficients off the band, and a state the right-hand side does not move
 stays equal to u_start bit for bit.  A diagnostics record reads F and
 u_start's off-band H^alpha power, which every state keeps, so it makes no
@@ -290,13 +292,14 @@ def rhs_with_ops(u: RealField, ops: CoefficientOps) -> RealField:
     return RealField(g, g.band_inverse(_rhs_values(g.band_forward(u.values), ops)))
 
 
-def _rk4_step(F: np.ndarray, dt: float, ops: CoefficientOps) -> np.ndarray:
-    """One RK4 step of the band state F; F itself is not modified."""
+def _rk4_step(F: np.ndarray, dt: float, ops: CoefficientOps, mid, end) -> np.ndarray:
+    """One RK4 step of the band state F, which is not modified, with the ops
+    at its start (k1), mid at its midpoint (k2, k3) and end at its end (k4)."""
     ks = [_rhs_values(F, ops)]
     t = np.empty_like(F)
-    for c in (0.5 * dt, 0.5 * dt, dt):
+    for c, stage in ((0.5 * dt, mid), (0.5 * dt, mid), (dt, end)):
         np.add(np.multiply(ks[-1], c, out=t), F, out=t)
-        ks.append(_rhs_values(t, ops))
+        ks.append(_rhs_values(t, stage))
     k1, k2, k3, k4 = ks
     # F + dt / 6 (k1 + 2 k2 + 2 k3 + k4), summed left to right in k2
     np.add(k1, np.multiply(k2, 2.0, out=k2), out=k2)
@@ -306,18 +309,19 @@ def _rk4_step(F: np.ndarray, dt: float, ops: CoefficientOps) -> np.ndarray:
     return np.add(k2, F, out=k2)
 
 
-def _march(F: np.ndarray, ops: CoefficientOps, dt_cap: float, stops):
-    """RK4 steps of F from t = 0, at most dt_cap each, landing exactly on each
-    of the nondecreasing stop times in turn, a step that ends within
-    1e-14 * stops[-1] of its stop being stretched onto it; yields
-    (F, t, dt, landed), the last with t == stops[-1]."""
+def _march(F: np.ndarray, coeff, policy: TimeStepPolicy, stops):
+    """RK4 steps of F from t = 0, coeff(t) giving the ops at each stage time
+    t, each step at most policy.step_size of the ops at its start, landing
+    exactly on each of the nondecreasing stop times in turn, a step that
+    ends within 1e-14 * stops[-1] of its stop being stretched onto it;
+    yields (F, t, dt, landed), the last with t == stops[-1]."""
     t, i = 0.0, 0
     tiny = 1e-14 * stops[-1]
     while t < stops[-1]:
-        target = stops[i]
-        dt = min(dt_cap, target - t)
+        target, ops = stops[i], coeff(t)
+        dt = min(policy.step_size(ops.rho_est), target - t)
         landed = dt >= target - t - tiny
-        F = _rk4_step(F, dt, ops)
+        F = _rk4_step(F, dt, ops, coeff(t + 0.5 * dt), coeff(t + dt))
         t = target if landed else t + dt
         i += landed
         yield F, t, dt, landed
@@ -379,9 +383,7 @@ def solve_linear(
     final = problem.u0
     F_start, tail = _start_band(problem.u0, alpha)
     records = [record(problem.u0, 0.0, 0.0, recorder, None, (F_start, tail))]
-    dt_base = policy.step_size(ops.rho_est)
-
-    march = _march(F_start, ops, dt_base, (*events, problem.t_end))
+    march = _march(F_start, lambda t: ops, policy, (*events, problem.t_end))
     for steps, (F, t, dt, landed) in enumerate(march, start=1):
         final = _field(problem.u0, F, F_start, t)
         if landed and events:

@@ -101,13 +101,18 @@ class DyadicPartition:
         object.__setattr__(self, "crops", crops)
 
 
+def _block_indices(g: Grid) -> range:
+    """The partition's block indices, -1 up to the least j with 2**j at or
+    past the band's corner, cutoff * sqrt(dim) fundamentals."""
+    return range(-1, math.ceil(math.log2(g.dealias_cutoff * math.sqrt(g.dim))) + 1)
+
+
 @lru_cache(maxsize=8)
 def _dyadic_multipliers(
     g: Grid,
 ) -> tuple[tuple[int, ...], np.ndarray, tuple[np.ndarray, ...], tuple[tuple | None, ...]]:
     r = band_symbols(g, 1.0).radial / (2.0 * np.pi / g.side_length)
-    r_top = g.dealias_cutoff * math.sqrt(g.dim)
-    js = range(-1, math.ceil(math.log2(r_top)) + 1)
+    js = _block_indices(g)
     stack = np.stack(
         [_chi(2.0 * r)] + [_chi(r / 2.0**j) - _chi(r / 2.0 ** (j - 1)) for j in js[1:]]
     )

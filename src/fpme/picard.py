@@ -191,10 +191,8 @@ def _advance_iterate(
     for i in range(m):
         Fv, prev[i] = prev[i], None
         if Fv is not frozen:
-            ops = _freeze(g, Fv, config.s, config.epsilon_moll)
-            dt_cap = policy.step_size(ops.rho_est)
-            frozen = Fv
-        for F, *_ in _march(F, ops, dt_cap, (dt_seg,)):
+            frozen, ops = Fv, _freeze(g, Fv, config.s, config.epsilon_moll)
+        for F, *_ in _march(F, lambda t: ops, policy, (dt_seg,)):
             pass
         u = _values(u_start, F, F_start, (i + 1) * dt_seg)
         new.append(F)

@@ -209,6 +209,12 @@ class TestExitCodes:
             ("linear", ["initial.kind=random_trig", "initial.width=-1"], "initial.width"),
             ("linear", ["initial.kind=random_trig", "initial.width=100"], "initial.width"),
             ("linear", ["initial.kind=random_trig", "initial.width=0.001"], "initial.width"),
+            ("linear", ["solver.alpha=200"], "solver.alpha = 200.0 overflows"),
+            ("picard", ["solver.alpha=1000"], "solver.alpha = 1000.0 overflows"),
+            # the corner |xi| = 32 overflows at 110; the band's 21 would not
+            ("picard", ["solver.alpha=110"], "solver.alpha = 110.0 overflows"),
+            ("picard", ["grid.length=1e-300"], "side_length 1e-300 is out of range"),
+            ("properties", ["grid.length=1e-300"], "side_length 1e-300 is out of range"),
         ],
         ids=lambda v: "+".join(v) if isinstance(v, list) else v,
     )

@@ -49,6 +49,21 @@ class TestGridValidation:
         with pytest.raises(ValueError, match=f"^{message}$"):
             Grid(*args)
 
+    @pytest.mark.parametrize(
+        "dim, length, square",
+        [(1, 1e-300, "the largest |xi|**2 = inf"), (2, 1e200, "side_length**2 = inf"),
+         (3, 1e120, "side_length**3 = inf")],
+    )
+    def test_length_whose_tables_overflow_rejected(self, dim, length, square):
+        # the symbol tables, the mollifier and the volume square or power L
+        # or |xi|; 1e-300 overflowed the tables, and 1e120 at dim 3 raised
+        # OverflowError from the volume
+        with pytest.raises(ValueError) as err:
+            Grid(dim, 64, length)
+        message = str(err.value)
+        assert message.startswith(f"side_length {length} is out of range: ")
+        assert square in message and message.endswith(" must be finite")
+
     def test_derived_quantities(self):
         g = Grid(2, 16, 3.0)
         assert g.spacing == pytest.approx(3.0 / 16)

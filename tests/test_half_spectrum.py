@@ -615,7 +615,7 @@ def test_spectral_state_steps_match_real_space_oracle(grid, epsilon):
     F0 = grid.band_forward(u0.values)
     F, oracle = F0, u0.values
     for _ in range(5):
-        F = _rk4_step(F, dt, ops)
+        F = _rk4_step(F, dt, ops, ops, ops)
         oracle = real_space_rk4_step(oracle, dt, ops)
         u = u0.values + grid.band_inverse(F - F0)
         assert rel_err(u, oracle) <= 1e-14
@@ -712,10 +712,10 @@ def test_warm_rk4_step_peak_is_its_stage_bands_and_one_field(epsilon):
     assert 8 * grid.size == grid_module._STACK_BYTES
     ops = make_coefficient_ops(coefficient(grid, seed=23), 0.75, epsilon)
     F = grid.band_forward(random_field(grid, seed=24).values)
-    _rk4_step(F, 1e-4, ops)
+    _rk4_step(F, 1e-4, ops, ops, ops)
     tracemalloc.start()
     try:
-        _rk4_step(F, 1e-4, ops)
+        _rk4_step(F, 1e-4, ops, ops, ops)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -750,7 +750,7 @@ def test_kept_arrays_are_not_the_plans_buffers(grid, epsilon):
         ops = make_coefficient_ops(coefficient(grid, seed=seed), 0.75, epsilon)
         F = grid.band_forward(random_field(grid, seed=seed + 1).values)
         return [F, grid.band_inverse(F), ops.coeffs, _freeze(grid, F, 0.75, epsilon).coeffs,
-                linear._rhs_values(F, ops), _rk4_step(F, 1e-4, ops)]
+                linear._rhs_values(F, ops), _rk4_step(F, 1e-4, ops, ops, ops)]
 
     kept = outputs(30)
     saved = [a.tobytes() for a in kept]
@@ -865,7 +865,7 @@ def test_transform_counts(grid, monkeypatch):
     # one array per call, then the default stacks
     for stack_bytes in (0, grid_module._STACK_BYTES):
         monkeypatch.setattr(grid_module, "_STACK_BYTES", stack_bytes)
-        _rk4_step(F, 1e-3, ops)
+        _rk4_step(F, 1e-3, ops, ops, ops)
         expect(band_forward=4, band_inverse=4 * rhs_calls(), inverted=4 * (grid.dim + 1))
 
     f = random_field(grid, seed=14)

@@ -17,9 +17,10 @@ from fpme import (
 )
 from fpme.fracops import MollifierKernel
 from fpme.grid import resample
-from fpme.linear import make_coefficient_ops, rhs_with_ops
+from fpme.linear import _freeze, _march, make_coefficient_ops, rhs_with_ops
 
 from conftest import random_field
+from helpers import band_distance
 
 
 def frozen_rhs(u, prob):
@@ -341,6 +342,40 @@ class TestSolveLinear:
         assert diff <= envelope
 
 
+class TestTimeDependentCoefficient:
+    """The right-hand side is linear in v, so under v(t) = (1 + t) v0 the
+    state at T is the constant-v0 flow at T + T**2 / 2: a known answer for a
+    march that reads its coefficient at each RK4 stage time."""
+
+    T, S = 0.2, 0.75
+
+    def final(self, F, coeff, t_end, steps):
+        for F, *_ in _march(F, coeff, TimeStepPolicy(dt_max=t_end / steps), (t_end,)):
+            pass
+        return F
+
+    @pytest.mark.parametrize("dim, n", [(1, 64), (2, 32)])
+    def test_march_is_fourth_order_in_steps(self, dim, n):
+        g = Grid(dim, n, 2 * np.pi)
+        Fu, Fv = (
+            g.band_forward(FieldGenerator("multi_bump", seed, 0.5, 1.2).generate(g).values)
+            for seed in (3, 4)
+        )
+        T, s = self.T, self.S
+        ops = _freeze(g, Fv, s, 0.0)
+        exact = self.final(Fu, lambda t: ops, T + T * T / 2, 4096)
+        errors = [
+            band_distance(g, self.final(Fu, lambda t: _freeze(g, (1 + t) * Fv, s, 0.0), T, k),
+                          exact, 1.1)
+            for k in (8, 16, 32, 64)
+        ]
+        # a stage that reads the step's start instead of its own time gives
+        # order 1 and errors near 1e-3
+        orders = np.log2(np.divide(errors[:-1], errors[1:]))
+        assert min(orders[:2]) >= 3.5, errors
+        assert all(a > b for a, b in zip(errors, errors[1:])), errors
+
+
 class TestPositivity:
     def test_nonnegative_run_stays_nonnegative(self, grid64):
         prob = make_problem(grid64, seed=12, epsilon=0.2)
@@ -366,14 +401,14 @@ class TestPositivity:
 class TestBlowUp:
     def test_divergent_step_raises(self, grid64, monkeypatch):
         # the honest dt policy never reaches this branch, so force it
-        monkeypatch.setattr(linear_mod, "_rk4_step", lambda u, dt, ops: u * 1e14)
+        monkeypatch.setattr(linear_mod, "_rk4_step", lambda F, dt, *stages: F * 1e14)
         prob = make_problem(grid64, seed=16, amp=1.0)
         with pytest.raises(BlowUp) as err:
             solve_linear(prob, TimeStepPolicy(dt_max=1e-3), alpha=2.1)
         assert err.value.linf > 1e12
 
     def test_nan_raises(self, grid64, monkeypatch):
-        monkeypatch.setattr(linear_mod, "_rk4_step", lambda u, dt, ops: u * np.nan)
+        monkeypatch.setattr(linear_mod, "_rk4_step", lambda F, dt, *stages: F * np.nan)
         prob = make_problem(grid64, seed=17)
         with pytest.raises(BlowUp):
             solve_linear(prob, TimeStepPolicy(dt_max=1e-3), alpha=2.1)
