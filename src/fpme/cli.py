@@ -13,8 +13,6 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .config import MODES, RunSpec, parse_config
 from .diagnostics import run_property_suite
 from .errors import BlowUp, FpmeError, NoConvergence, ParseError, ValidationError
@@ -35,9 +33,13 @@ from .snapshots import write_snapshot
 __all__ = ["main", "execute"]
 
 
-def _write_field_snapshots(out: Path, snapshots) -> None:
-    for idx, (t, fld) in enumerate(snapshots):
-        write_snapshot(out / f"snapshot_{idx:03d}.fpm1", fld, t)
+def _write_solution(out: Path, records, final: RealField, t: float, snapshots) -> None:
+    """diagnostics.csv, final.fpm1 at time t and snapshot_NNN.fpm1 of each
+    (t, field) in snapshots, in order."""
+    write_records_csv(records, out / "diagnostics.csv")
+    write_snapshot(out / "final.fpm1", final, t)
+    for idx, (ts, fld) in enumerate(snapshots):
+        write_snapshot(out / f"snapshot_{idx:03d}.fpm1", fld, ts)
 
 
 def _linear_solution(spec: RunSpec, epsilon: float):
@@ -52,48 +54,27 @@ def _linear_solution(spec: RunSpec, epsilon: float):
 
 def _run_linear(spec: RunSpec, out: Path) -> int:
     sol = _linear_solution(spec, spec.epsilon)
-    write_records_csv(sol.records, out / "diagnostics.csv")
-    write_snapshot(out / "final.fpm1", sol.final, spec.t_end)
-    _write_field_snapshots(out, sol.snapshots)
+    _write_solution(out, sol.records, sol.final, spec.t_end, sol.snapshots)
     last = sol.records[-1]
     print(f"linear: t={format_float(last.t)} l2={format_float(last.l2)} "
           f"min_u={format_float(last.min_u)}")
     return 0
 
 
-def _picard_snapshots(spec: RunSpec, result) -> list:
-    """(t, field) of the stored sample nearest each snapshot time within the
-    horizon; ValueError if two times map to one sample."""
-    snaps, taken = [], {}
+def _run_picard(spec: RunSpec, out: Path) -> int:
+    u0 = spec.initial.generate(spec.grid)
+    result = run_picard(u0, spec.picard, spec.snapshot_times)
     for ts in sorted(spec.snapshot_times):
         if ts > result.horizon:
             print(f"picard: snapshot time {format_float(ts)} skipped, beyond "
                   f"horizon={format_float(result.horizon)}")
-            continue
-        idx = int(np.argmin(np.abs(result.times - ts)))
-        t = float(result.times[idx])
-        if idx in taken:
-            raise ValueError(
-                f"output.snapshot_times {format_float(taken[idx])} and {format_float(ts)} "
-                f"both map to the stored sample at t = {format_float(t)}; Picard stores "
-                f"a sample every {format_float(float(result.times[1]))}"
-            )
-        taken[idx] = ts
-        snaps.append((t, result.trajectory[idx]))
-    return snaps
-
-
-def _run_picard(spec: RunSpec, out: Path) -> int:
-    u0 = spec.initial.generate(spec.grid)
-    result = run_picard(u0, spec.picard)
-    snaps = _picard_snapshots(spec, result)
     state = result.state
     write_picard_summary_csv(
         state.sup_halpha, state.deltas, state.c_meas, state.min_u, out / "iterates.csv"
     )
-    write_records_csv(result.records, out / "diagnostics.csv")
-    write_snapshot(out / "final.fpm1", result.trajectory[-1], result.horizon)
-    _write_field_snapshots(out, snaps)
+    _write_solution(
+        out, result.records, result.trajectory[-1], result.horizon, result.snapshots
+    )
     n_iter = len(state.sup_halpha)
     print(f"picard: converged in {n_iter} iterates, horizon={format_float(result.horizon)} "
           f"delta={format_float(state.deltas[-1])}")
@@ -106,9 +87,7 @@ def _run_sweep(spec: RunSpec, out: Path) -> int:
     for eps in eps_list + [0.0]:
         sol = _linear_solution(spec, eps)
         sub = out / f"eps_{format_float(eps)}"
-        write_records_csv(sol.records, sub / "diagnostics.csv")
-        write_snapshot(sub / "final.fpm1", sol.final, spec.t_end)
-        _write_field_snapshots(sub, sol.snapshots)
+        _write_solution(sub, sol.records, sol.final, spec.t_end, sol.snapshots)
         finals.append(sol.final)
 
     baseline = finals[-1]
@@ -149,15 +128,9 @@ def execute(spec: RunSpec, config_text: str = "") -> int:
     try:
         write_manifest(out, config_text, spec.echo, {"mode": spec.mode})
         return _RUNNERS[spec.mode](spec, out)
-    except NoConvergence as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except BlowUp as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
     except (FpmeError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, NoConvergence) else 4 if isinstance(exc, BlowUp) else 2
 
 
 def main(argv=None) -> int:

@@ -14,13 +14,22 @@ import math
 import sys
 from dataclasses import dataclass, field
 
-from .diagnostics import FieldGenerator, _check_suite
+import numpy as np
+
+from .diagnostics import _COMMUTATOR_ALPHA, FieldGenerator, _check_suite
 from .errors import ParseError, UnresolvedKernel, ValidationError
 from .fracops import MollifierKernel
 from .grid import Grid, _check_integer
-from .linear import LinearProblem, TimeStepPolicy, _check_positive, _check_snapshot_times
+from .linear import (
+    LinearProblem,
+    TimeStepPolicy,
+    _check_positive,
+    _check_rate,
+    _check_snapshot_times,
+    make_coefficient_ops,
+)
 from .norms import _block_indices
-from .picard import PicardConfig, _check_alpha, _validate_initial
+from .picard import PicardConfig, _check_alpha, _validate_initial, horizon
 
 __all__ = ["RunSpec", "parse_config", "MODES"]
 
@@ -145,17 +154,17 @@ _READERS = {
 _STEPS = 400
 
 
-def _check_weights(grid: Grid, alpha: float) -> None:
+def _check_weights(grid: Grid, alpha: float, cause: str) -> None:
     """The largest H^alpha weight on grid, fold 2 times (1 + |xi|**2)**alpha
     at the half spectrum's corner, and the largest Besov weight
     2**(j_top * alpha) must be floats.  Compared in log space, since a
-    float ** past the largest float raises."""
+    float ** past the largest float raises; cause leads the message."""
     logs = (math.log(2.0) + alpha * math.log1p(grid.xi_squared_max),
             alpha * _block_indices(grid)[-1] * math.log(2.0))
     top = math.log(sys.float_info.max)
     if max(logs) >= top:
         raise ValueError(
-            f"solver.alpha = {alpha} overflows this grid's norm weights: the largest "
+            f"{cause} overflows this grid's norm weights: the largest "
             f"H^alpha weight is e^{logs[0]:.6g} and Besov weight e^{logs[1]:.6g}, and "
             f"the largest float is e^{top:.6g}"
         )
@@ -244,8 +253,11 @@ def parse_config(text: str, mode: str, overrides: dict[str, str] | None = None) 
         )
         if mode == "picard":
             _check_alpha(picard, dim)
-        if mode != "properties":
-            _check_weights(grid, picard.alpha)
+        if mode == "properties":
+            _check_weights(grid, _COMMUTATOR_ALPHA, f"grid.length = {grid.side_length} with "
+                           f"the property suite's commutator alpha = {_COMMUTATOR_ALPHA}")
+        else:
+            _check_weights(grid, picard.alpha, f"solver.alpha = {picard.alpha}")
         policy = None
         if stepped:
             policy = TimeStepPolicy(
@@ -258,12 +270,21 @@ def parse_config(text: str, mode: str, overrides: dict[str, str] | None = None) 
     coefficient = _generator(values, "coefficient", grid)
     # The solvers' own input checks on the generated fields; past the checks
     # above, only the sign of the first frozen coefficient can fail them.
+    # Then the first freeze's step rate, and in picard the horizon, which an
+    # amplitude too large for floats makes inf and 0; the overflow is the
+    # error, not a warning.  rho_est does not depend on the radius.
     try:
-        if mode == "picard":
-            _validate_initial(initial.generate(grid), picard)
-        elif stepped:
-            LinearProblem(v=coefficient.generate(grid), u0=initial.generate(grid),
-                          s=picard.s, epsilon=picard.epsilon_moll, t_end=t_end)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if mode == "picard":
+                v = initial.generate(grid)
+                _validate_initial(v, picard)
+                _check_positive("the Picard horizon", horizon(v, picard))
+            elif stepped:
+                v = coefficient.generate(grid)
+                LinearProblem(v=v, u0=initial.generate(grid), s=picard.s,
+                              epsilon=picard.epsilon_moll, t_end=t_end)
+            if mode != "properties":
+                _check_rate(make_coefficient_ops(v, picard.s, 0.0).rho_est)
     except ValueError as exc:
         prefix, gen = ("initial", initial) if mode == "picard" else ("coefficient", coefficient)
         raise ValidationError(

@@ -332,6 +332,11 @@ def check_commutator(f: RealField, g: RealField, alpha: float) -> float:
 # batch suite (used by the properties CLI mode)
 
 
+# the exponent of the suite's commutator check, whose norm weights the
+# properties mode checks before any output
+_COMMUTATOR_ALPHA = 2.1
+
+
 def _check_suite(seed: int, count: int, prefix: str = "") -> None:
     """The property suite's argument rules; prefix qualifies the names."""
     _check_integer(f"{prefix}seed", seed, 0)
@@ -402,7 +407,8 @@ def run_property_suite(grid: Grid, seed: int = 0, count: int = 100):
     seconds = fields(seed + 4000, n_operator, k_quarter)
     for i in range(n_operator):
         f, g = next(firsts), next(seconds)
-        ratio = check_commutator(f, g, 2.1)
-        rows.append(("commutator_alpha2.1", seed + 3000 + i, ratio, math.isfinite(ratio)))
+        ratio = check_commutator(f, g, _COMMUTATOR_ALPHA)
+        rows.append((f"commutator_alpha{_COMMUTATOR_ALPHA}", seed + 3000 + i, ratio,
+                     math.isfinite(ratio)))
 
     return rows, all(r[3] for r in rows)

@@ -97,6 +97,12 @@ def _check_positive(name: str, value: float) -> None:
         raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
+def _check_rate(rho_est: float) -> None:
+    if not math.isfinite(rho_est):
+        raise ValueError(f"the frozen coefficient's step rate rho_est must be finite, "
+                         f"got {rho_est}")
+
+
 def _check_snapshot_times(times, t_end: float) -> None:
     finite = all(math.isfinite(ts) and 0.0 <= ts <= t_end for ts in times)
     if not finite or len(set(times)) < len(times):
@@ -150,7 +156,8 @@ class TimeStepPolicy:
     rho_est = ||v||_inf xi_max^(2-2s) + ||grad p_v||_inf xi_max,
     capped at dt_max.  xi_max is the largest retained wavenumber magnitude,
     and v and grad p_v are the dealiased fields the stepper multiplies by,
-    the rows of CoefficientOps.coeffs (v being -coeffs[-1]).
+    the rows of CoefficientOps.coeffs (v being -coeffs[-1]).  A rho_est
+    that is not finite is a ValueError, not a zero or a dt_max step.
     """
 
     dt_max: float
@@ -161,6 +168,7 @@ class TimeStepPolicy:
         _check_positive("dt_max", self.dt_max)
 
     def step_size(self, rho_est: float) -> float:
+        _check_rate(rho_est)
         if rho_est <= 0:
             return self.dt_max
         return min(self.dt_max, self.safety / rho_est)

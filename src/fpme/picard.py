@@ -43,6 +43,7 @@ from .linear import (
     _check_positive,
     _check_radius,
     _check_safety,
+    _check_snapshot_times,
     _field,
     _freeze,
     _march,
@@ -127,8 +128,8 @@ class _Trajectory(Sequence):
 @dataclass(eq=False)
 class PicardResult:
     """The converged run.  trajectory is a read-only sequence of the m + 1
-    samples at times; it holds their band states and makes each RealField
-    when it is read."""
+    samples at times, made from band states when read; snapshots holds the
+    (t, field) of each requested time within the horizon, in time order."""
 
     times: np.ndarray
     trajectory: Sequence[RealField]
@@ -136,6 +137,7 @@ class PicardResult:
     records: list[DiagnosticsRecord]
     horizon: float
     c_gronwall: float
+    snapshots: list[tuple[float, RealField]]
 
 
 def horizon(u0: RealField, config: PicardConfig) -> float:
@@ -163,11 +165,16 @@ def _advance_iterate(
     prev: list[np.ndarray | None],
     config: PicardConfig,
     dt_seg: float,
+    snaps: dict[int, dict[float, np.ndarray | None]] | None = None,
 ) -> tuple[list[np.ndarray], list[float], float, float]:
     """One outer Picard step: march the window from u_start, whose band is
     prev[0] and whose off-band H^alpha power is tail, freezing the band
     state prev[i] over segment i; prev is the previous trajectory, the
-    band state of each of its samples.
+    band state of each of its samples.  snaps maps a segment i to
+    the times t of [i dt_seg, (i + 1) dt_seg), or up to the horizon in the
+    last segment; each is set to the band state of a march of its own
+    from sample i under segment i's freeze, of length 0 at the sample.
+    The segment march does not see them.
 
     The freeze is made once per distinct coefficient, so the first iterate,
     whose prev repeats the start, freezes once.  prev is consumed: each of
@@ -187,19 +194,28 @@ def _advance_iterate(
     weight_delta = band_symbols(g, config.alpha - 1.0).sobolev
     h_list = [_norm_of_rfft(g, F, weight, tail)]
     delta, min_u = 0.0, float(np.min(u_start.values))
-    frozen = None
+    frozen, snaps = None, snaps or {}
     for i in range(m):
         Fv, prev[i] = prev[i], None
         if Fv is not frozen:
             frozen, ops = Fv, _freeze(g, Fv, config.s, config.epsilon_moll)
-        for F, *_ in _march(F, lambda t: ops, policy, (dt_seg,)):
-            pass
+        seg = snaps.get(i, ())
+        for ts in seg:
+            seg[ts] = _landed(F, ops, policy, ts - i * dt_seg)
+        F = _landed(F, ops, policy, dt_seg)
         u = _values(u_start, F, F_start, (i + 1) * dt_seg)
         new.append(F)
         min_u = min(min_u, float(np.min(u)))
         h_list.append(_norm_of_rfft(g, F, weight, tail))
         delta = max(delta, _norm_of_rfft(g, F - prev[i + 1], weight_delta))
     return new, h_list, delta, min_u
+
+
+def _landed(F: np.ndarray, ops, policy: TimeStepPolicy, t: float) -> np.ndarray:
+    """The band state F marched under the fixed ops to time t; F at t = 0."""
+    for F, *_ in _march(F, lambda _: ops, policy, (t,)):
+        pass
+    return F
 
 
 def _max_quotient(h_list: list[float], dt_seg: float, coeff_scale: float) -> float:
@@ -209,14 +225,21 @@ def _max_quotient(h_list: list[float], dt_seg: float, coeff_scale: float) -> flo
     )
 
 
-def run_picard(u0: RealField, config: PicardConfig) -> PicardResult:
+def run_picard(
+    u0: RealField, config: PicardConfig, snapshot_times: tuple[float, ...] = ()
+) -> PicardResult:
     """Iterate to the fixed point of the frozen-coefficient map.
 
-    Raises NoConvergence (carrying the delta sequence) when max_outer
-    iterations do not bring consecutive trajectories within tol_picard in
-    the sup-in-time H^(alpha-1) distance, or when every attempt
-    recalibrates the Gronwall constant.
+    Each snapshot time within the horizon is hit exactly, in every
+    iterate, by _advance_iterate; times past the horizon are left out.
+
+    Raises ValueError, before any work, unless the snapshot times are
+    distinct, finite and >= 0, and NoConvergence (carrying the delta
+    sequence) when max_outer iterations do not bring consecutive
+    trajectories within tol_picard in the sup-in-time H^(alpha-1)
+    distance, or when every attempt recalibrates the Gronwall constant.
     """
+    _check_snapshot_times(snapshot_times, math.inf)
     _validate_initial(u0, config)
     g = u0.grid
     u_init = u0
@@ -230,6 +253,11 @@ def run_picard(u0: RealField, config: PicardConfig) -> PicardResult:
     for _ in range(_MAX_RECALIBRATIONS + 1):
         t0 = horizon(u0, cfg)
         dt_seg = t0 / m
+        times = np.arange(m + 1) * dt_seg
+        snaps = {}
+        for ts in sorted(ts for ts in snapshot_times if ts <= t0):
+            i = min(int(np.searchsorted(times, ts, "right")) - 1, m - 1)
+            snaps.setdefault(i, {})[ts] = None
         traj = [F_start] * (m + 1)
         state = PicardState(
             sup_halpha=[sobolev_norm(u_init, cfg.alpha)],
@@ -239,7 +267,7 @@ def run_picard(u0: RealField, config: PicardConfig) -> PicardResult:
             min_u=[float(np.min(u_init.values))],
         )
         while not state.converged and len(state.deltas) < cfg.max_outer:
-            traj, h_list, delta_n, min_u = _advance_iterate(u_init, tail, traj, cfg, dt_seg)
+            traj, h_list, delta_n, min_u = _advance_iterate(u_init, tail, traj, cfg, dt_seg, snaps)
             coeff_scale = state.sup_halpha[-1]
             c_meas_n = _max_quotient(h_list, dt_seg, coeff_scale)
             state.sup_halpha.append(max(h_list))
@@ -269,8 +297,9 @@ def run_picard(u0: RealField, config: PicardConfig) -> PicardResult:
     if not state.converged:
         raise NoConvergence(state.deltas, cfg.max_outer)
 
-    times = np.arange(m + 1) * dt_seg
     trajectory = _Trajectory(u_init, traj, times)
+    snapshots = [(ts, _field(u_init, F, F_start, ts))
+                 for seg in snaps.values() for ts, F in seg.items()]
     stride = max(1, m // 100)
     recorder = RecorderConfig(
         alpha=cfg.alpha,
@@ -284,14 +313,8 @@ def run_picard(u0: RealField, config: PicardConfig) -> PicardResult:
             trajectory[i], float(times[i]), dt_seg, recorder, prev_rec, (traj[i], tail)
         ))
 
-    return PicardResult(
-        times=times,
-        trajectory=trajectory,
-        state=state,
-        records=records,
-        horizon=t0,
-        c_gronwall=cfg.c_gronwall,
-    )
+    return PicardResult(times=times, trajectory=trajectory, state=state, records=records,
+                        horizon=t0, c_gronwall=cfg.c_gronwall, snapshots=snapshots)
 
 
 def uniqueness_probe(u0: RealField, config: PicardConfig, delta_seed: RealField) -> float:

@@ -215,6 +215,15 @@ class TestExitCodes:
             ("picard", ["solver.alpha=110"], "solver.alpha = 110.0 overflows"),
             ("picard", ["grid.length=1e-300"], "side_length 1e-300 is out of range"),
             ("properties", ["grid.length=1e-300"], "side_length 1e-300 is out of range"),
+            # an infinite rho_est used to step by 0 forever, and a zero
+            # horizon failed after the manifest
+            ("linear", ["coefficient.amplitude=1e300"], "coefficient.amplitude = 1e+300"),
+            ("picard", ["initial.amplitude=1e300"], "initial.amplitude = 1e+300"),
+            # the suite's commutator weights overflow: this one failed after
+            # the manifest, and 1e-100 reported 25 false failures
+            ("properties", ["grid.dim=3", "grid.n=16", "grid.length=1e-110"],
+             "grid.length = 1e-110"),
+            ("properties", ["grid.length=1e-100"], "grid.length = 1e-100"),
         ],
         ids=lambda v: "+".join(v) if isinstance(v, list) else v,
     )
@@ -365,15 +374,19 @@ class TestPicardRun:
         assert (out / "snapshot_000.fpm1").exists()
         assert not (out / "snapshot_001.fpm1").exists()
 
-    def test_two_snapshot_times_on_one_sample_rejected(self, tmp_path, capsys):
-        # both times are nearest the same stored sample, which used to be
-        # written twice, as snapshot_000 and snapshot_001
-        out = tmp_path / "out"
-        assert run_shipped("picard", out, "output.snapshot_times=0.1, 0.1001") == 2
-        err = capsys.readouterr().err
-        assert "output.snapshot_times 0.1 and 0.1001" in err
-        assert "stored sample at t = 0.10014042042447811" in err
-        assert [p.name for p in out.iterdir()] == ["manifest.json"]
+    def test_two_snapshot_times_near_one_sample_both_written(self, tmp_path):
+        # 0.1 and 0.1001 are both nearest the stored sample at 0.10014..., and
+        # used to exit 2 after the manifest; each is marched to, and
+        # every other output is the bytes of a run without snapshot times
+        plain, out = tmp_path / "plain", tmp_path / "out"
+        assert run_shipped("picard", plain) == 0
+        assert run_shipped("picard", out, "output.snapshot_times=0.1001, 0.0, 0.1") == 0
+        snaps = [read_snapshot(out / f"snapshot_00{i}.fpm1") for i in range(3)]
+        assert [t for _, t in snaps] == [0.0, 0.1, 0.1001]
+        assert not np.array_equal(snaps[1][0].values, snaps[2][0].values)
+        assert not (out / "snapshot_003.fpm1").exists()
+        for name in ("iterates.csv", "diagnostics.csv", "final.fpm1"):
+            assert (out / name).read_bytes() == (plain / name).read_bytes(), name
 
     def test_constant_initial_converges_fast(self, tmp_path):
         cfg, out = write_cfg(tmp_path, PICARD_CFG.replace("gaussian_bump", "constant"))

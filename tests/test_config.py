@@ -318,13 +318,15 @@ def _solve(**kwargs):
          lambda: _solve(snapshot_times=(0.01, 0.01))),
         ("linear", {"output.snapshot_times": "0.01, 0.06"},
          lambda: _solve(snapshot_times=(0.01, 0.06))),
+        ("picard", {"output.snapshot_times": "0.01, 0.01"},
+         lambda: run_picard(_bump(0.5), PicardConfig(s=0.75, alpha=1.6), (0.01, 0.01))),
         ("properties", {"properties.seed": "-1"}, lambda: run_property_suite(_GRID, seed=-1)),
         ("properties", {"properties.count": "0"}, lambda: run_property_suite(_GRID, count=0)),
     ],
     ids=["picard-alpha-floor", "picard-negative-initial", "linear-negative-coefficient",
          "negative-alpha", "infinite-alpha", "infinite-t-end", "infinite-dt-max",
          "infinite-t0-override", "infinite-c-gronwall", "nan-radius", "sample-every", "repeated-snapshot",
-         "snapshot-past-t-end", "suite-seed", "suite-count"],
+         "snapshot-past-t-end", "picard-repeated-snapshot", "suite-seed", "suite-count"],
 )
 def test_parse_time_and_library_rejections_agree(mode, override, library_call):
     # the parser runs the solvers' own checks, so it says what they say

@@ -1,5 +1,7 @@
 """Frozen-coefficient solver: rhs structure, stability, conservation."""
 
+import signal
+
 import numpy as np
 import pytest
 
@@ -182,6 +184,32 @@ class TestTimeStepPolicy:
     def test_stiff_rho_scales_down(self):
         pol = TimeStepPolicy(dt_max=0.1, safety=0.5)
         assert pol.step_size(1000.0) == pytest.approx(5e-4)
+
+    @pytest.mark.parametrize("rho", [np.inf, np.nan])
+    def test_non_finite_rho_rejected(self, rho):
+        # inf used to give a step of 0, and nan one of dt_max
+        with pytest.raises(ValueError, match="rho_est must be finite"):
+            TimeStepPolicy(dt_max=0.1).step_size(rho)
+
+    def test_solve_with_overflowing_coefficient_raises(self, grid64):
+        # at amplitude 1e300 the freeze's rho_est is inf: the march used to
+        # step by 0 forever, so a regression is stopped by the alarm
+        prob = make_problem(grid64, seed=7)
+        huge = LinearProblem(v=RealField(grid64, prob.v.values * 2e300), u0=prob.u0,
+                             s=prob.s, epsilon=0.0, t_end=prob.t_end)
+
+        def hang(signum, frame):
+            raise TimeoutError("solve_linear still running after 10 s")
+
+        previous = signal.signal(signal.SIGALRM, hang)
+        signal.alarm(10)
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                with pytest.raises(ValueError, match="rho_est must be finite, got inf"):
+                    solve_linear(huge, TimeStepPolicy(dt_max=1e-3), alpha=2.1)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
 
     def test_rho_est_formula(self, grid64):
         v = bump(grid64, seed=7)

@@ -158,6 +158,36 @@ class TestFixedPoint:
         assert all(b > a for a, b in zip(ts, ts[1:]))
 
 
+class TestSnapshots:
+    def test_snapshots_hit_each_time_and_change_no_other_output(self, grid64):
+        u0 = small_bump(grid64)
+        cfg = PicardConfig(**BASE)
+        plain = run_picard(u0, cfg)
+        dt, t0 = float(plain.times[1]), plain.horizon
+        # given out of order: inside segment 7, past the horizon, the horizon,
+        # a sample time, inside the last segment, the start
+        asked = (7.3 * dt, 2.0 * t0, t0, float(plain.times[7]), t0 - 0.5 * dt, 0.0)
+        snap = run_picard(u0, cfg, asked)
+        assert [t for t, _ in snap.snapshots] == sorted(t for t in asked if t <= t0)
+        assert snap.state.deltas == plain.state.deltas
+        assert snap.records == plain.records
+        assert all(np.array_equal(a.values, b.values)
+                   for a, b in zip(snap.trajectory, plain.trajectory))
+        fields = dict(snap.snapshots)
+        assert np.array_equal(fields[0.0].values, u0.values)
+        assert np.array_equal(fields[float(plain.times[7])].values, plain.trajectory[7].values)
+        for t in (7.3 * dt, t0 - 0.5 * dt):
+            assert all(not np.array_equal(fields[t].values, f.values) for f in plain.trajectory)
+        # the horizon is marched to from sample m - 1, onto sample m up to roundoff
+        assert np.max(np.abs(fields[t0].values - plain.trajectory[-1].values)) <= 1e-15
+
+    @pytest.mark.parametrize("times", [(0.01, 0.01), (-0.01,), (np.nan,), (np.inf,)])
+    def test_bad_snapshot_times_rejected_before_any_work(self, grid64, times, monkeypatch):
+        monkeypatch.setattr(picard_mod, "sobolev_norm", None)
+        with pytest.raises(ValueError, match="^snapshot times must be distinct, finite"):
+            run_picard(small_bump(grid64), PicardConfig(**BASE), times)
+
+
 class TestRecalibration:
     def test_forced_restart_updates_constant(self, grid64, monkeypatch):
         # the honest dynamics decay, so force a large measured quotient to
@@ -469,6 +499,25 @@ class TestClosedForm:
             exact = hilbert_flux_solution(u0.grid, result.horizon, e)
             errors.append(np.max(np.abs(result.trajectory[-1].values - exact)))
         assert all(err <= bound for err, bound in zip(errors, bounds))
+        for a, b in zip(errors, errors[1:]):
+            assert 1.8 <= a / b <= 2.2
+
+
+    def test_mid_segment_snapshot_is_first_order_in_samples(self):
+        # mid-segment near a third of the window, 1-D n = 64: 1.69e-5,
+        # 8.36e-6, 4.26e-6 for 25, 50, 100 samples, Picard's own time error;
+        # the nearest stored sample is 1.21e-3, 6.22e-4, 3.03e-4 away
+        u0 = self.initial(64, (1,))
+        errors = []
+        for samples in (25, 50, 100):
+            cfg = PicardConfig(s=0.5, alpha=1.6, samples=samples, tol_picard=1e-12)
+            ts = (samples // 3 + 0.5) * horizon(u0, cfg) / samples
+            result = run_picard(u0, cfg, (ts,))
+            assert result.horizon == horizon(u0, cfg)
+            [(t, snap)] = result.snapshots
+            assert t == ts
+            errors.append(np.max(np.abs(snap.values - hilbert_flux_solution(u0.grid, ts, (1,)))))
+        assert all(err <= bound for err, bound in zip(errors, (3.5e-5, 1.8e-5, 8.8e-6)))
         for a, b in zip(errors, errors[1:]):
             assert 1.8 <= a / b <= 2.2
 
