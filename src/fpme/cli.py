@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .config import MODES, RunSpec, parse_config
 from .diagnostics import run_property_suite
 from .errors import BlowUp, FpmeError, NoConvergence, ParseError, ValidationError
 from .grid import RealField
-from .linear import LinearProblem, solve_linear
+from .linear import solve_linear
 from .norms import lp_norm
 from .picard import run_picard
 from .reporting import (
@@ -42,19 +43,13 @@ def _write_solution(out: Path, records, final: RealField, t: float, snapshots) -
         write_snapshot(out / f"snapshot_{idx:03d}.fpm1", fld, ts)
 
 
-def _linear_solution(spec: RunSpec, epsilon: float):
-    g = spec.grid
-    u0 = spec.initial.generate(g)
-    v = spec.coefficient.generate(g)
-    problem = LinearProblem(v=v, u0=u0, s=spec.s, epsilon=epsilon, t_end=spec.t_end)
-    return solve_linear(
-        problem, spec.policy, spec.alpha, spec.sample_every, spec.snapshot_times
-    )
+def _linear_solution(spec: RunSpec, problem):
+    return solve_linear(problem, spec.policy, spec.alpha, spec.sample_every, spec.snapshot_times)
 
 
 def _run_linear(spec: RunSpec, out: Path) -> int:
-    sol = _linear_solution(spec, spec.epsilon)
-    _write_solution(out, sol.records, sol.final, spec.t_end, sol.snapshots)
+    sol = _linear_solution(spec, spec.problem)
+    _write_solution(out, sol.records, sol.final, spec.problem.t_end, sol.snapshots)
     last = sol.records[-1]
     print(f"linear: t={format_float(last.t)} l2={format_float(last.l2)} "
           f"min_u={format_float(last.min_u)}")
@@ -62,8 +57,7 @@ def _run_linear(spec: RunSpec, out: Path) -> int:
 
 
 def _run_picard(spec: RunSpec, out: Path) -> int:
-    u0 = spec.initial.generate(spec.grid)
-    result = run_picard(u0, spec.picard, spec.snapshot_times)
+    result = run_picard(spec.u0, spec.picard, spec.snapshot_times)
     for ts in sorted(spec.snapshot_times):
         if ts > result.horizon:
             print(f"picard: snapshot time {format_float(ts)} skipped, beyond "
@@ -85,9 +79,9 @@ def _run_sweep(spec: RunSpec, out: Path) -> int:
     eps_list = sorted(spec.epsilons, reverse=True)
     finals = []
     for eps in eps_list + [0.0]:
-        sol = _linear_solution(spec, eps)
+        sol = _linear_solution(spec, replace(spec.problem, epsilon=eps))
         sub = out / f"eps_{format_float(eps)}"
-        _write_solution(sub, sol.records, sol.final, spec.t_end, sol.snapshots)
+        _write_solution(sub, sol.records, sol.final, spec.problem.t_end, sol.snapshots)
         finals.append(sol.final)
 
     baseline = finals[-1]

@@ -18,11 +18,11 @@ import numpy as np
 
 from .diagnostics import _COMMUTATOR_ALPHA, FieldGenerator, _check_suite
 from .errors import ParseError, UnresolvedKernel, ValidationError
-from .fracops import MollifierKernel
-from .grid import Grid, _check_integer
+from .grid import Grid, RealField, _check_integer
 from .linear import (
     LinearProblem,
     TimeStepPolicy,
+    _band_hat,
     _check_positive,
     _check_rate,
     _check_snapshot_times,
@@ -43,16 +43,19 @@ class RunSpec:
     picard carries s, alpha, epsilon and safety in every mode, and the
     Picard knobs only as a picard document sets them.  policy is the RK4
     step policy of linear and sweep_epsilon runs and None in the other modes.
+    u0 (every solver mode) and problem (linear and sweep_epsilon, at
+    solver.epsilon) are the generated run; == reads their generators.
     """
 
     mode: str
     grid: Grid
     picard: PicardConfig
     policy: TimeStepPolicy | None
-    t_end: float | None
     sample_every: int
     initial: FieldGenerator | None
     coefficient: FieldGenerator | None
+    u0: RealField | None = field(compare=False)
+    problem: LinearProblem | None = field(compare=False)
     output_dir: str
     snapshot_times: tuple[float, ...]
     epsilons: tuple[float, ...]
@@ -152,6 +155,10 @@ _READERS = {
 
 # linear and sweep_epsilon cap their RK4 step at t_end / _STEPS by default
 _STEPS = 400
+
+# the most RK4 steps a linear solve or a Picard iterate may take, counted at
+# the first freeze; every shipped config takes at most _STEPS
+_STEP_BUDGET = 10**6
 
 
 def _check_weights(grid: Grid, alpha: float, cause: str) -> None:
@@ -268,28 +275,55 @@ def parse_config(text: str, mode: str, overrides: dict[str, str] | None = None) 
 
     initial = _generator(values, "initial", grid)
     coefficient = _generator(values, "coefficient", grid)
-    # The solvers' own input checks on the generated fields; past the checks
-    # above, only the sign of the first frozen coefficient can fail them.
-    # Then the first freeze's step rate, and in picard the horizon, which an
-    # amplitude too large for floats makes inf and 0; the overflow is the
-    # error, not a warning.  rho_est does not depend on the radius.
+    # The fields the run starts from, under the solvers' own input checks:
+    # past those above, only the sign of the first frozen coefficient can
+    # fail them.  Then the first freeze's step rate, and in picard the
+    # horizon, which an amplitude too large for floats makes inf and 0; the
+    # overflow is the error, not a warning.  rho_est does not depend on the radius.
+    u0 = problem = None
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             if mode == "picard":
-                v = initial.generate(grid)
+                u0 = v = initial.generate(grid)
                 _validate_initial(v, picard)
-                _check_positive("the Picard horizon", horizon(v, picard))
+                t0 = horizon(v, picard)
+                _check_positive("the Picard horizon", t0)
             elif stepped:
-                v = coefficient.generate(grid)
-                LinearProblem(v=v, u0=initial.generate(grid), s=picard.s,
-                              epsilon=picard.epsilon_moll, t_end=t_end)
+                u0, v = initial.generate(grid), coefficient.generate(grid)
+                problem = LinearProblem(v=v, u0=u0, s=picard.s,
+                                        epsilon=picard.epsilon_moll, t_end=t_end)
             if mode != "properties":
-                _check_rate(make_coefficient_ops(v, picard.s, 0.0).rho_est)
+                rho_est = make_coefficient_ops(v, picard.s, 0.0).rho_est
+                _check_rate(rho_est)
     except ValueError as exc:
         prefix, gen = ("initial", initial) if mode == "picard" else ("coefficient", coefficient)
         raise ValidationError(
             f"{prefix}.kind = {gen.kind} with {prefix}.amplitude = {gen.amplitude}: {exc}"
         ) from exc
+
+    # The RK4 steps of a solve, or of a Picard iterate's segments, at the
+    # first freeze's step: a float, so that a count past the floats is inf.
+    if mode != "properties":
+        if stepped:
+            step = policy.step_size(rho_est)
+            steps, run = t_end / step, f"each solve: solver.t_end = {t_end}"
+            cap, fld = "solver.dt_max, solver.safety", "coefficient"
+        else:
+            m, dt_seg = picard.samples, t0 / picard.samples
+            run = (f"each Picard iterate: solver.samples = {m} segments of the horizon "
+                   f"{t0:.6g} (solver.c_gronwall, solver.t0_override)")
+            try:
+                step = TimeStepPolicy(dt_max=dt_seg, safety=picard.safety).step_size(rho_est)
+            except ValueError as exc:  # a segment that underflows to 0
+                raise ValidationError(f"{run}: {exc}") from exc
+            steps = m * float(np.ceil(dt_seg / step))
+            cap, fld = "solver.safety", "initial"
+        if not steps <= _STEP_BUDGET:
+            raise ValidationError(
+                f"{steps:.3g} RK4 steps, past the budget of {_STEP_BUDGET:,}, in {run}, in "
+                f"steps of at most {step:.3g} ({cap}, and the step rate {rho_est:.3g} of the "
+                f"{fld}.* field on grid.length = {grid.side_length})"
+            )
 
     snapshot_times = get("output.snapshot_times", ())
     # picard saves the stored samples up to its horizon, which is not known yet
@@ -307,15 +341,15 @@ def parse_config(text: str, mode: str, overrides: dict[str, str] | None = None) 
             raise ValidationError(
                 "sweep.epsilons must be positive and distinct (0 is run implicitly)"
             )
-    # Build each mollifier the run will build, so that a radius the grid
-    # cannot resolve, or one past half the period, fails here.
+    # Build each mollifier into the cache every freeze reads, so that a radius
+    # the grid cannot resolve, or one past half the period, fails here.
     radii = [("solver.epsilon", picard.epsilon_moll)]
     if mode == "sweep_epsilon":
         radii += [("sweep.epsilons", e) for e in epsilons]
     for key, eps in radii:
         if eps > 0:
             try:
-                MollifierKernel(grid, eps)
+                _band_hat(grid, eps)
             except (ValueError, UnresolvedKernel) as exc:
                 raise ValidationError(f"{key}: {exc}") from exc
 
@@ -327,10 +361,11 @@ def parse_config(text: str, mode: str, overrides: dict[str, str] | None = None) 
         grid=grid,
         picard=picard,
         policy=policy,
-        t_end=t_end,
         sample_every=sample_every,
         initial=initial,
         coefficient=coefficient,
+        u0=u0,
+        problem=problem,
         output_dir=values["output.dir"],
         snapshot_times=snapshot_times,
         epsilons=epsilons,

@@ -234,7 +234,9 @@ def run_picard(
     iterate, by _advance_iterate; times past the horizon are left out.
 
     Raises ValueError, before any work, unless the snapshot times are
-    distinct, finite and >= 0, and NoConvergence (carrying the delta
+    distinct, finite and >= 0, or before an attempt, unless its horizon is
+    positive and finite (an H^alpha norm of u0 that overflows makes it 0,
+    without a RuntimeWarning), and NoConvergence (carrying the delta
     sequence) when max_outer iterations do not bring consecutive
     trajectories within tol_picard in the sup-in-time H^(alpha-1)
     distance, or when every attempt recalibrates the Gronwall constant.
@@ -245,13 +247,16 @@ def run_picard(
     u_init = u0
     if config.epsilon_moll > 0:
         u_init = mollify(u0, MollifierKernel(g, config.epsilon_moll))
-    h_u0 = sobolev_norm(u0, config.alpha)
+    with np.errstate(over="ignore", invalid="ignore"):
+        h_u0 = sobolev_norm(u0, config.alpha)
     m = config.samples
-    F_start, tail = _start_band(u_init, config.alpha)
 
     cfg = config
     for _ in range(_MAX_RECALIBRATIONS + 1):
-        t0 = horizon(u0, cfg)
+        with np.errstate(over="ignore", invalid="ignore"):
+            t0 = horizon(u0, cfg)
+        _check_positive("the Picard horizon", t0)
+        F_start, tail = _start_band(u_init, config.alpha)
         dt_seg = t0 / m
         times = np.arange(m + 1) * dt_seg
         snaps = {}

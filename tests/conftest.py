@@ -1,3 +1,6 @@
+import signal
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
@@ -29,3 +32,20 @@ def random_field(grid: Grid, seed: int, k_max: int | None = None) -> RealField:
     r = radial_symbol_oracle(grid.dim, grid.n_points, 2 * np.pi, 1.0)
     coeffs[r > k_max] = 0.0
     return RealField(grid, np.real(np.fft.ifftn(coeffs * grid.size)))
+
+
+@contextmanager
+def deadline(seconds: int, what: str):
+    """Fail the test once the block has run for seconds, so that a call that
+    would run without end fails instead of hanging the suite.  The failure
+    is not an Exception, so no handler in the code under test can swallow it."""
+    def hang(signum, frame):
+        pytest.fail(f"{what} still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -13,9 +14,12 @@ import fpme
 import fpme.diagnostics as diag_mod
 import fpme.linear as linear_mod
 import fpme.picard as picard_mod
-from fpme import read_snapshot
+from fpme import FieldGenerator, read_snapshot
 from fpme.cli import main
 from fpme.config import _READERS
+from fpme.fracops import MollifierKernel
+
+from conftest import deadline
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 # shipped config -> the mode it is written for
@@ -224,6 +228,15 @@ class TestExitCodes:
             ("properties", ["grid.dim=3", "grid.n=16", "grid.length=1e-110"],
              "grid.length = 1e-110"),
             ("properties", ["grid.length=1e-100"], "grid.length = 1e-100"),
+            # past the step budget: each was still stepping after 15 s, the
+            # counts per solve or iterate 2.1e7, 1.2e20, 1.5e300, 4.3e299, 2e303
+            ("picard", ["solver.safety=1e-8"], "solver.safety"),
+            ("picard", ["grid.length=1e-40"], "grid.length = 1e-40"),
+            ("picard", ["solver.t0_override=1e300"], "solver.t0_override"),
+            ("picard", ["solver.c_gronwall=1e-300"], "solver.c_gronwall"),
+            ("linear", ["solver.t_end=1e300"], "solver.t_end = 1e+300"),
+            # a horizon whose segments underflow to 0 failed after the manifest
+            ("picard", ["solver.t0_override=1e-322"], "solver.t0_override"),
         ],
         ids=lambda v: "+".join(v) if isinstance(v, list) else v,
     )
@@ -231,10 +244,11 @@ class TestExitCodes:
         self, tmp_path, capsys, cfg, overrides, key
     ):
         # each of these used to pass the parser and then fail only after the
-        # manifest (or a whole sweep radius) was written, or run clamped
-        # (a NaN radius ran unmollified)
+        # manifest (or a whole sweep radius) was written, run clamped (a NaN
+        # radius ran unmollified), or run without end
         out = tmp_path / "out"
-        assert run_shipped(cfg, out, *overrides) == 2
+        with deadline(10, f"fpme {cfg} with {overrides}"):
+            assert run_shipped(cfg, out, *overrides) == 2
         assert key in capsys.readouterr().err
         assert not out.exists()
 
@@ -500,6 +514,30 @@ def test_shipped_config_runs(tmp_path, cfg, files):
             assert abs(got[key] - value) <= 5e-5 / 400, key  # picard.cfg: solver.samples = 400
         else:
             assert got[key] == pytest.approx(value, rel=1e-8), key
+
+
+@pytest.mark.parametrize("cfg, radii", [("linear", [0.2]), ("picard", []),
+                                         ("sweep", [0.1, 0.2, 0.4])])
+def test_run_builds_each_field_and_kernel_once(tmp_path, monkeypatch, cfg, radii):
+    # parse_config generates the fields and builds the kernels its checks
+    # need, and the run reads those: nothing is built again
+    generated, kernels = Counter(), Counter()
+    generate, post_init = FieldGenerator.generate, MollifierKernel.__post_init__
+
+    def counted_generate(self, grid):
+        generated[self] += 1
+        return generate(self, grid)
+
+    def counted_post_init(self):
+        kernels[self.epsilon] += 1
+        post_init(self)
+
+    monkeypatch.setattr(FieldGenerator, "generate", counted_generate)
+    monkeypatch.setattr(MollifierKernel, "__post_init__", counted_post_init)
+    linear_mod._band_hat.cache_clear()
+    assert run_shipped(cfg, tmp_path / "out") == 0
+    assert list(generated.values()) == [1] * (1 if cfg == "picard" else 2)
+    assert sorted(kernels) == radii and set(kernels.values()) <= {1}
 
 
 # What the shipped configs compute at their seeds, compared by tolerance so

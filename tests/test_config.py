@@ -24,7 +24,7 @@ from fpme import (
     solve_linear,
 )
 import fpme.config
-from fpme.config import _KEYS, _PICARD_FIELDS, _READERS, _STEPS
+from fpme.config import _KEYS, _PICARD_FIELDS, _READERS, _STEP_BUDGET, _STEPS
 
 # a picard or properties document: no key only the stepped modes read
 MINIMAL = """
@@ -300,6 +300,8 @@ def _solve(**kwargs):
          lambda: run_picard(_bump(0.5), PicardConfig(s=0.75, alpha=1.4))),
         ("picard", {"initial.amplitude": "-0.05"},
          lambda: run_picard(_bump(-0.05), PicardConfig(s=0.75, alpha=1.6))),
+        ("picard", {"initial.amplitude": "1e300"},
+         lambda: run_picard(_bump(1e300), PicardConfig(s=0.75, alpha=1.6))),
         ("linear", {"coefficient.amplitude": "-0.5"},
          lambda: LinearProblem(v=_bump(-0.5), u0=_bump(0.5), s=0.75, epsilon=0.0, t_end=0.05)),
         ("linear", {"solver.alpha": "-1"}, lambda: PicardConfig(s=0.75, alpha=-1.0)),
@@ -323,10 +325,11 @@ def _solve(**kwargs):
         ("properties", {"properties.seed": "-1"}, lambda: run_property_suite(_GRID, seed=-1)),
         ("properties", {"properties.count": "0"}, lambda: run_property_suite(_GRID, count=0)),
     ],
-    ids=["picard-alpha-floor", "picard-negative-initial", "linear-negative-coefficient",
-         "negative-alpha", "infinite-alpha", "infinite-t-end", "infinite-dt-max",
-         "infinite-t0-override", "infinite-c-gronwall", "nan-radius", "sample-every", "repeated-snapshot",
-         "snapshot-past-t-end", "picard-repeated-snapshot", "suite-seed", "suite-count"],
+    ids=["picard-alpha-floor", "picard-negative-initial", "picard-overflowing-initial",
+         "linear-negative-coefficient", "negative-alpha", "infinite-alpha", "infinite-t-end",
+         "infinite-dt-max", "infinite-t0-override", "infinite-c-gronwall", "nan-radius",
+         "sample-every", "repeated-snapshot", "snapshot-past-t-end", "picard-repeated-snapshot",
+         "suite-seed", "suite-count"],
 )
 def test_parse_time_and_library_rejections_agree(mode, override, library_call):
     # the parser runs the solvers' own checks, so it says what they say
@@ -335,6 +338,21 @@ def test_parse_time_and_library_rejections_agree(mode, override, library_call):
     with pytest.raises(ValidationError) as parsed:
         parse_config(DOCS[mode], mode=mode, overrides=override)
     assert str(library.value) in str(parsed.value)
+
+
+@pytest.mark.parametrize(
+    "mode, key, within, past",
+    [("linear", "solver.dt_max", 0.05 / (_STEP_BUDGET / 2), 0.05 / (2 * _STEP_BUDGET)),
+     # rho_est 0.734 at u0 and a horizon of 0.309: 2.27e5 and 2.27e6 steps
+     ("picard", "solver.safety", 1e-6, 1e-7)],
+)
+def test_step_budget(mode, key, within, past):
+    # the budget bounds the steps of one solve or Picard iterate, at the
+    # step of the first freeze, before any output
+    doc = DOCS[mode] + "initial.amplitude = 0.05\ninitial.width = 0.8\n"
+    parse_config(doc, mode=mode, overrides={key: repr(within)})
+    with pytest.raises(ValidationError, match=f"RK4 steps, past the budget of {_STEP_BUDGET:,}"):
+        parse_config(doc, mode=mode, overrides={key: repr(past)})
 
 
 def test_linear_problem_rejects_nan_radius():

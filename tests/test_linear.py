@@ -1,7 +1,5 @@
 """Frozen-coefficient solver: rhs structure, stability, conservation."""
 
-import signal
-
 import numpy as np
 import pytest
 
@@ -21,7 +19,7 @@ from fpme.fracops import MollifierKernel
 from fpme.grid import resample
 from fpme.linear import _freeze, _march, make_coefficient_ops, rhs_with_ops
 
-from conftest import random_field
+from conftest import deadline, random_field
 from helpers import band_distance
 
 
@@ -197,19 +195,9 @@ class TestTimeStepPolicy:
         prob = make_problem(grid64, seed=7)
         huge = LinearProblem(v=RealField(grid64, prob.v.values * 2e300), u0=prob.u0,
                              s=prob.s, epsilon=0.0, t_end=prob.t_end)
-
-        def hang(signum, frame):
-            raise TimeoutError("solve_linear still running after 10 s")
-
-        previous = signal.signal(signal.SIGALRM, hang)
-        signal.alarm(10)
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                with pytest.raises(ValueError, match="rho_est must be finite, got inf"):
-                    solve_linear(huge, TimeStepPolicy(dt_max=1e-3), alpha=2.1)
-        finally:
-            signal.alarm(0)
-            signal.signal(signal.SIGALRM, previous)
+        with deadline(10, "solve_linear"), np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="rho_est must be finite, got inf"):
+                solve_linear(huge, TimeStepPolicy(dt_max=1e-3), alpha=2.1)
 
     def test_rho_est_formula(self, grid64):
         v = bump(grid64, seed=7)
