@@ -28,7 +28,7 @@ from .linear import (
     _check_snapshot_times,
     make_coefficient_ops,
 )
-from .norms import _block_indices
+from .norms import _block_indices, sobolev_norm
 from .picard import PicardConfig, _check_alpha, _validate_initial, horizon
 
 __all__ = ["RunSpec", "parse_config", "MODES"]
@@ -277,10 +277,12 @@ def parse_config(text: str, mode: str, overrides: dict[str, str] | None = None) 
     coefficient = _generator(values, "coefficient", grid)
     # The fields the run starts from, under the solvers' own input checks:
     # past those above, only the sign of the first frozen coefficient can
-    # fail them.  Then the first freeze's step rate, and in picard the
+    # fail them.  Then the first freeze's step rate, the initial datum's
+    # H^alpha norm, which bounds every norm a record takes, and in picard the
     # horizon, which an amplitude too large for floats makes inf and 0; the
     # overflow is the error, not a warning.  rho_est does not depend on the radius.
     u0 = problem = None
+    prefix, gen = "initial", initial
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             if mode == "picard":
@@ -289,14 +291,18 @@ def parse_config(text: str, mode: str, overrides: dict[str, str] | None = None) 
                 t0 = horizon(v, picard)
                 _check_positive("the Picard horizon", t0)
             elif stepped:
-                u0, v = initial.generate(grid), coefficient.generate(grid)
+                u0 = initial.generate(grid)
+                h0 = sobolev_norm(u0, picard.alpha)
+                if not math.isfinite(h0):
+                    raise ValueError(f"the initial datum's H^alpha norm at alpha = "
+                                     f"{picard.alpha} is {h0}, not finite")
+                prefix, gen, v = "coefficient", coefficient, coefficient.generate(grid)
                 problem = LinearProblem(v=v, u0=u0, s=picard.s,
                                         epsilon=picard.epsilon_moll, t_end=t_end)
             if mode != "properties":
                 rho_est = make_coefficient_ops(v, picard.s, 0.0).rho_est
                 _check_rate(rho_est)
     except ValueError as exc:
-        prefix, gen = ("initial", initial) if mode == "picard" else ("coefficient", coefficient)
         raise ValidationError(
             f"{prefix}.kind = {gen.kind} with {prefix}.amplitude = {gen.amplitude}: {exc}"
         ) from exc
@@ -305,19 +311,19 @@ def parse_config(text: str, mode: str, overrides: dict[str, str] | None = None) 
     # first freeze's step: a float, so that a count past the floats is inf.
     if mode != "properties":
         if stepped:
-            step = policy.step_size(rho_est)
-            steps, run = t_end / step, f"each solve: solver.t_end = {t_end}"
+            run = f"each solve: solver.t_end = {t_end}"
             cap, fld = "solver.dt_max, solver.safety", "coefficient"
         else:
             m, dt_seg = picard.samples, t0 / picard.samples
             run = (f"each Picard iterate: solver.samples = {m} segments of the horizon "
                    f"{t0:.6g} (solver.c_gronwall, solver.t0_override)")
-            try:
-                step = TimeStepPolicy(dt_max=dt_seg, safety=picard.safety).step_size(rho_est)
-            except ValueError as exc:  # a segment that underflows to 0
-                raise ValidationError(f"{run}: {exc}") from exc
-            steps = m * float(np.ceil(dt_seg / step))
             cap, fld = "solver.safety", "initial"
+        try:  # a segment or a step that underflows to 0
+            rule = policy if stepped else TimeStepPolicy(dt_max=dt_seg, safety=picard.safety)
+            step = rule.step_size(rho_est)
+        except ValueError as exc:
+            raise ValidationError(f"{run}: {exc}") from exc
+        steps = t_end / step if stepped else m * float(np.ceil(dt_seg / step))
         if not steps <= _STEP_BUDGET:
             raise ValidationError(
                 f"{steps:.3g} RK4 steps, past the budget of {_STEP_BUDGET:,}, in {run}, in "

@@ -77,8 +77,8 @@ give the same real fields bit for bit.
 
 The right-hand sides and coefficient freezes of :mod:`fpme.linear` and the
 property suite of :mod:`fpme.diagnostics` stack fields by one budget,
-:func:`_fields_per_stack`, ``_STACK_BYTES``, which also bounds each buffer
-a plan keeps.
+:func:`_fields_per_stack`, ``_STACK_BYTES``, which sets only how many
+fields a stack takes.
 """
 
 from __future__ import annotations
@@ -264,7 +264,7 @@ def _band_matrices(n: int, c: int, signed: bool) -> tuple[np.ndarray | None, ...
     return fwd, inv, _frozen(real_fwd), _frozen(real_inv)
 
 
-def _products(grid: Grid, x, derivs: tuple | None = None, keep: int = 0) -> list[tuple]:
+def _products(grid: Grid, x, derivs: tuple | None = None, keep: int = 0, bufs=()) -> list[tuple]:
     """The products ``(a, b, out, y)``, for ``np.matmul(a, b, out=out)``,
     of :meth:`Grid.band_forward` on ``x`` or, given ``derivs``, of
     :meth:`Grid.band_inverse` on the ``(re, im)`` pairs ``x``, ``y`` being
@@ -272,7 +272,8 @@ def _products(grid: Grid, x, derivs: tuple | None = None, keep: int = 0) -> list
     the lines of that axis, the last axis's on the right, at 1-D with a
     unit line axis (each line one gemv, alone or in a stack).  ``x``, if
     an array, and the first ``keep`` products are buffers bound into the
-    steps, which each :func:`_run` overwrites; the rest are shapes, made
+    steps, which each :func:`_run` overwrites, product ``i`` running in
+    ``bufs[i]`` if given and else in a new one; the rest are shapes, made
     fresh by each run, ``x`` then being given to it."""
     shape, steps = getattr(x, "shape", x), []
     if derivs is None:
@@ -290,7 +291,7 @@ def _products(grid: Grid, x, derivs: tuple | None = None, keep: int = 0) -> list
             new = (*shape[:ax], W.shape[-2], *shape[ax + 1 :])
             a, o = (*shape[:ax], shape[ax], -1), (*shape[:ax], W.shape[-2], -1)
         a = a if type(x) is tuple else x.reshape(a)
-        x = np.zeros(new) if i < keep else new
+        x = bufs[i] if i < len(bufs) else np.zeros(new) if i < keep else new
         o = o if type(x) is tuple else x.reshape(o)
         steps.append((a, W, o, x) if ax == -1 else (W, a, o, x))
         shape = new

@@ -20,12 +20,13 @@ forward transform, none over a row off the band.  These inverses, and
 those of a coefficient freeze, run in stacks of at most 256 KiB of real
 output (grid._STACK_BYTES, the property suite's budget too): one stack at
 1-D, at 2-D n <= 64 and at 3-D n = 16, two at 2-D n = 128, one per array
-from 3-D n = 32 on.  Both run on a plan built once per grid (_plan).  Where
-a field fits in the budget, up to 3-D n = 32, the plan keeps every buffer
-they write but their outputs, none larger than the budget, and each call
-overwrites them, which assumes fpme's one Python thread; beyond it a call
-makes them as it goes.  What a caller keeps is fresh: the right-hand side,
-the band _rk4_step returns, coeffs and _values' field.  Both solvers step
+from 3-D n = 32 on.  Both run on a plan built once per grid (_plan), which
+keeps one stack's buffers at every grid size, 7.3 MB at 3-D n = 64: every
+stack runs in views of them, with one more last product past one stack,
+and the right-hand side's band forward in the inverse's intermediates.
+Each call overwrites them, which assumes fpme's one Python thread.  What a
+caller keeps is fresh: the right-hand side, the band _rk4_step returns,
+coeffs and _values' field.  Both solvers step
 through _march, the one owner of the step rule: it reads the coefficient's
 ops from a callable at each RK4 stage time, caps each step by the policy
 and the ops at its start, and lands exactly on each stop time, here the
@@ -157,7 +158,8 @@ class TimeStepPolicy:
     capped at dt_max.  xi_max is the largest retained wavenumber magnitude,
     and v and grad p_v are the dealiased fields the stepper multiplies by,
     the rows of CoefficientOps.coeffs (v being -coeffs[-1]).  A rho_est
-    that is not finite is a ValueError, not a zero or a dt_max step.
+    that is not finite, or a step that underflows to 0, is a ValueError,
+    not a zero or a dt_max step.
     """
 
     dt_max: float
@@ -171,7 +173,11 @@ class TimeStepPolicy:
         _check_rate(rho_est)
         if rho_est <= 0:
             return self.dt_max
-        return min(self.dt_max, self.safety / rho_est)
+        step = min(self.dt_max, self.safety / rho_est)
+        if step == 0.0:
+            raise ValueError(f"the RK4 step safety / rho_est = {self.safety} / {rho_est:.6g} "
+                             f"underflows to 0")
+        return step
 
 
 @dataclass(frozen=True, eq=False)
@@ -211,8 +217,6 @@ def _freeze(g: Grid, Fv: np.ndarray, s: float, epsilon: float) -> CoefficientOps
     transform of v is made.  Each stack of the plan inverts its rows of
     coeffs straight into them, and rho_est reads them: max|v| from the
     dealiased -v of the last row, ||grad p_v||_inf from the others."""
-    # table before _band_hat's first build: else glibc trims a heap coeffs
-    # lands on (3-D n = 64 page-faults)
     radial = band_symbols(g, -2.0 * s).radial
     filt = _band_hat(g, epsilon) if epsilon > 0 else 1.0
     Fp = Fv * radial
@@ -240,25 +244,26 @@ def _plan(g: Grid, budget: int) -> tuple[list[tuple], list[tuple]]:
     and budget: (lo, hi, derivs, input, products) of each band inverse, at
     most _fields_per_stack rows of coeffs each, row i < dim differentiated
     along axis i, and the products of the right-hand side's band forward
-    of r, the first inverse's first row.  The plan keeps every buffer,
-    inputs included, if a field fits in the budget, and else none."""
-    c, k, keep = g.dealias_cutoff, _fields_per_stack(g), 8 * g.size <= budget
-    rows, stacks = (*range(g.dim), None), []
+    of r, the first inverse's first row.  Every stack runs in views of the
+    first stack's input and intermediates, and the later ones share one
+    last product, as the first's holds r; the forward runs in the first
+    rows of the intermediates, which have its shapes in reverse order."""
+    c, k = g.dealias_cutoff, _fields_per_stack(g)
+    rows, stacks, shared = (*range(g.dim), None), [], []
+    inp = np.zeros((min(k, g.dim + 1), *[2 * c + 1] * (g.dim - 1), c + 1), dtype=complex)
     for lo in range(0, g.dim + 1, k):
         derivs = rows[lo : lo + k]
-        shape = (len(derivs), *[2 * c + 1] * (g.dim - 1), c + 1)
-        inp = np.zeros(shape, dtype=complex) if keep else shape
-        x = inp.view(float) if keep else (*shape[:-1], 2 * c + 2)
-        stacks.append((lo, lo + len(derivs), derivs, inp, _products(g, x, derivs, keep * g.dim)))
-    r = stacks[0][4][-1][3][0] if keep else g.shape  # row 0 of the last product's y
-    return stacks, _products(g, r, None, keep * (g.dim - 1))
+        x = inp[: len(derivs)]
+        steps = _products(g, x.view(float), derivs, g.dim, [y[: len(derivs)] for y in shared])
+        stacks.append((lo, lo + len(derivs), derivs, x, steps))
+        shared = [y for *_, y in stacks[0][4][:-1]] + [steps[-1][3]] * (lo > 0)
+    *inner, (*_, last) = stacks[0][4]
+    return stacks, _products(g, last[0], None, g.dim - 1, [y[0] for *_, y in inner[::-1]])
 
 
-def _stack(inp, derivs: tuple, Fd: np.ndarray, last, *args) -> np.ndarray:
-    """One stack's input, as (re, im) pairs, in the buffer inp or a fresh
-    array of the shape inp: Fd in each differentiated row, the ufunc
-    last(*args) in the other."""
-    inp = np.empty(inp, dtype=complex) if type(inp) is tuple else inp
+def _stack(inp: np.ndarray, derivs: tuple, Fd: np.ndarray, last, *args) -> np.ndarray:
+    """One stack's input, as (re, im) pairs, in the buffer inp: Fd in each
+    differentiated row, the ufunc last(*args) in the other."""
     inp[: len(derivs) - (derivs[-1] is None)] = Fd
     if derivs[-1] is None:
         last(*args, out=inp[-1])
@@ -271,21 +276,18 @@ def _rhs_values(F: np.ndarray, ops: CoefficientOps) -> np.ndarray:
 
     Each inverted stack is multiplied by its rows of coeffs in place and
     added onto r, its first row, row by row in coeffs order, whatever the
-    stacking; each later stack is dropped before the next is made."""
+    stacking."""
     stacks, forward = _plan(ops.grid, grid_module._STACK_BYTES)
     scalar = np.isscalar(ops.filt)
     Fu = F if scalar else F * ops.filt
     r = None
     for lo, hi, derivs, inp, steps in stacks:
-        # a fresh stack input is _run's alone, which drops it after one
-        # product; P is indexed, so no loop variable keeps a view of it alive
         P = _run(steps, _stack(inp, derivs, Fu, np.multiply, ops.lap_mult, Fu))
         P *= ops.coeffs[lo:hi]
         if r is None:
             r, P = P[0], P[1:]
-        for j in range(len(P)):
-            r += P[j]
-        del P
+        for p in P:
+            r += p
     Fr = _run(forward, r).view(complex)
     if not scalar:
         Fr *= ops.filt

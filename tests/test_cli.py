@@ -4,11 +4,15 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
 from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fpme
 import fpme.diagnostics as diag_mod
@@ -16,7 +20,7 @@ import fpme.linear as linear_mod
 import fpme.picard as picard_mod
 from fpme import FieldGenerator, read_snapshot
 from fpme.cli import main
-from fpme.config import _READERS
+from fpme.config import _KEYS, _READERS, MODES
 from fpme.fracops import MollifierKernel
 
 from conftest import deadline
@@ -237,6 +241,16 @@ class TestExitCodes:
             ("linear", ["solver.t_end=1e300"], "solver.t_end = 1e+300"),
             # a horizon whose segments underflow to 0 failed after the manifest
             ("picard", ["solver.t0_override=1e-322"], "solver.t0_override"),
+            # a step that underflows to 0 divided the step budget by 0
+            # (a ZeroDivisionError, exit 1)
+            ("linear", ["solver.safety=5e-324"], "safety / rho_est"),
+            ("sweep", ["solver.safety=5e-324"], "safety / rho_est"),
+            ("picard", ["solver.safety=5e-324", "initial.amplitude=5"], "safety / rho_est"),
+            # an initial datum whose norms overflow warned, then failed after
+            # the manifest on a non-finite l2
+            ("linear", ["initial.amplitude=1e300"], "initial.amplitude = 1e+300"),
+            ("sweep", ["initial.amplitude=1e300"], "initial.amplitude = 1e+300"),
+            ("linear", ["initial.amplitude=-1e300"], "initial.amplitude = -1e+300"),
         ],
         ids=lambda v: "+".join(v) if isinstance(v, list) else v,
     )
@@ -313,6 +327,52 @@ class TestExitCodes:
         assert len(gap_rows) == 8 * 3
         assert all(r[3] == "false" and float(r[2]) < 0 for r in gap_rows)
         assert all(r[3] == "true" for r in rows if r not in gap_rows)
+
+
+# each mode's shipped config cut to a tiny run at n = 16 (width 2.5 keeps a
+# bump on the band): four RK4 steps per solve, four Picard samples, two
+# property checks
+TINY = {
+    "linear": ("linear", ["grid.n=16", "initial.width=2.5", "coefficient.width=2.5",
+                          "solver.epsilon=0.8", "solver.t_end=0.002", "output.snapshot_times="]),
+    "sweep_epsilon": ("sweep", ["grid.n=16", "initial.width=2.5", "coefficient.width=2.5",
+                                "solver.t_end=0.001", "sweep.epsilons=1.6, 0.8"]),
+    "picard": ("picard", ["grid.n=16", "initial.width=2.5", "solver.samples=4"]),
+    "properties": ("properties", ["grid.n=16", "properties.count=2"]),
+}
+# values at the edges of what a key parses to, and the generator kinds
+EDGES = ["0", "-1", "1e300", "-1e300", "1e-300", "5e-324", "nan", "inf", "-inf", "",
+         "0.1, 0.2", "1e300, 0", *FieldGenerator.KINDS]
+# mode -> the keys it does not reject outright, but output.dir, which the
+# test sets
+FUZZ_KEYS = {
+    mode: sorted(k for k in _KEYS if k != "output.dir" and mode in _READERS.get(k, MODES))
+    for mode in TINY
+}
+
+
+def edge_runs(mode):
+    pairs = st.tuples(st.sampled_from(FUZZ_KEYS[mode]), st.sampled_from(EDGES))
+    return st.tuples(st.just(mode), st.lists(pairs, max_size=3))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(TINY)).flatmap(edge_runs))
+def test_edge_overrides_end_or_exit_2_before_output(run):
+    # every run ends with a documented exit code and no RuntimeWarning, and
+    # a run rejected with 2 leaves no output, whatever it is given
+    mode, pairs = run
+    cfg, base = TINY[mode]
+    args = [mode, "--config", str(CONFIGS / f"{cfg}.cfg")]
+    for item in [*base, *(f"{key}={value}" for key, value in pairs)]:
+        args += ["--set", item]
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        with deadline(10, f"fpme {' '.join(args)}"), warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main([*args, "--set", f"output.dir={out}"])
+        assert code in (0, 2, 3, 4, 5)
+        assert code != 2 or not out.exists()
 
 
 class TestLinearRun:

@@ -722,23 +722,47 @@ def test_warm_rk4_step_peak_is_its_stage_bands_and_one_field(epsilon):
     assert peak <= 5 * F.nbytes + 8 * grid.size
 
 
+def _root(a: np.ndarray) -> np.ndarray:
+    while a.base is not None:
+        a = a.base
+    return a
+
+
 @pytest.mark.parametrize("dim, n", [(1, 64), (2, 128), (3, 32), (3, 64)])
-def test_plan_keeps_no_buffer_above_the_budget(dim, n):
-    # the plan's buffers are its writeable arrays (every matrix is
-    # read-only): all of them fit the budget, and there are none once a
-    # field does not fit it, as at 3-D n = 64
+def test_plan_runs_every_stack_in_one_stacks_buffers(dim, n):
+    # one stack at 1-D n = 64, two at 2-D n = 128 and four at 3-D n >= 32:
+    # every later stack runs in views of the first stack's input and
+    # intermediates, and in one last product the later ones share, as the
+    # first's holds r; the forward runs in the first rows of the
+    # intermediates, in reverse order, and returns a fresh array.  So the
+    # plan keeps one stack's input and products plus, past one stack, one
+    # more last product: its buffers are its writeable arrays (every matrix
+    # is read-only), and their bytes are exactly that.
     grid = Grid(dim, n, 2 * np.pi)
-    budget = grid_module._STACK_BYTES
-    stacks, forward = linear._plan(grid, budget)
+    stacks, forward = linear._plan(grid, grid_module._STACK_BYTES)
+    (*_, inp, products), *later = stacks
+    assert len(stacks) == math.ceil((dim + 1) / grid_module._fields_per_stack(grid))
+    inner, last = [y for *_, y in products[:-1]], products[-1][3]
+    for *_, x, steps in later:
+        assert np.shares_memory(x, inp)
+        assert all(np.shares_memory(y, b) for (*_, y), b in zip(steps, inner))
+        assert np.shares_memory(steps[-1][3], later[0][4][-1][3])
+        assert not np.shares_memory(steps[-1][3], last)
+    assert [y.shape for *_, y in forward[:-1]] == [b[0].shape for b in inner[::-1]]
+    assert all(np.shares_memory(y, b) for (*_, y), b in zip(forward, inner[::-1]))
+    assert type(forward[-1][3]) is tuple
+
     steps = [*forward, *(s for *_, products in stacks for s in products)]
-    candidates = [inp for *_, inp, _ in stacks] + [a for s in steps for a in s]
+    candidates = [x for *_, x, _ in stacks] + [a for s in steps for a in s]
     buffers = [a for a in candidates if isinstance(a, np.ndarray) and a.flags.writeable]
-    assert bool(buffers) == (8 * grid.size <= budget)
-    assert max((b.nbytes for b in buffers), default=0) <= budget
+    kept = sum({id(b): b.nbytes for b in map(_root, buffers)}.values())
+    one_stack = inp.nbytes + sum(y.nbytes for *_, y in products)
+    assert kept == one_stack + (8 * len(later[0][2]) * grid.size if later else 0)
 
 
-# the test grids, and 2-D n = 128, whose right-hand side runs two stacks
-ALIAS_GRIDS = [*GRIDS[:2], Grid(2, 128, 2 * np.pi), GRIDS[2]]
+# the test grids, 2-D n = 128, whose right-hand side runs two stacks, and
+# 3-D n = 64, whose right-hand side runs four stacks in one stack's buffers
+ALIAS_GRIDS = [*GRIDS[:2], Grid(2, 128, 2 * np.pi), GRIDS[2], Grid(3, 64, 2 * np.pi)]
 
 
 @pytest.mark.parametrize("grid", ALIAS_GRIDS, ids=lambda g: f"dim{g.dim}-n{g.n_points}")

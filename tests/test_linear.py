@@ -189,6 +189,19 @@ class TestTimeStepPolicy:
         with pytest.raises(ValueError, match="rho_est must be finite"):
             TimeStepPolicy(dt_max=0.1).step_size(rho)
 
+    def test_step_that_underflows_rejected(self):
+        # safety / rho_est = 5e-324 / 100 rounds to 0
+        with pytest.raises(ValueError, match="safety / rho_est = 5e-324 / 100 underflows to 0"):
+            TimeStepPolicy(dt_max=1e-3, safety=5e-324).step_size(100.0)
+
+    def test_solve_with_underflowing_step_raises(self, grid64):
+        # the march used to step by 0 forever, so a regression is stopped by
+        # the alarm
+        prob = make_problem(grid64, seed=7)
+        with deadline(10, "solve_linear"):
+            with pytest.raises(ValueError, match="underflows to 0"):
+                solve_linear(prob, TimeStepPolicy(dt_max=1e-3, safety=5e-324), alpha=2.1)
+
     def test_solve_with_overflowing_coefficient_raises(self, grid64):
         # at amplitude 1e300 the freeze's rho_est is inf: the march used to
         # step by 0 forever, so a regression is stopped by the alarm
