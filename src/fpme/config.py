@@ -5,7 +5,8 @@ are namespaced with dots; unknown keys are rejected, and every value is
 parsed whatever the mode.  parse_config returns a fully validated RunSpec;
 --set overrides are applied before validation.
 The solver keys are checked by the solver's own PicardConfig and
-TimeStepPolicy, which RunSpec carries.
+TimeStepPolicy, which RunSpec carries, and the step budget by the solvers'
+own count of their RK4 steps.
 """
 
 from __future__ import annotations
@@ -22,14 +23,14 @@ from .grid import Grid, RealField, _check_integer
 from .linear import (
     LinearProblem,
     TimeStepPolicy,
-    _band_hat,
     _check_positive,
-    _check_rate,
     _check_snapshot_times,
+    _kernel,
+    _step_count,
     make_coefficient_ops,
 )
 from .norms import _block_indices, sobolev_norm
-from .picard import PicardConfig, _check_alpha, _validate_initial, horizon
+from .picard import PicardConfig, _check_alpha, _iterate_policy, _validate_initial, horizon
 
 __all__ = ["RunSpec", "parse_config", "MODES"]
 
@@ -156,10 +157,6 @@ _READERS = {
 # linear and sweep_epsilon cap their RK4 step at t_end / _STEPS by default
 _STEPS = 400
 
-# the most RK4 steps a linear solve or a Picard iterate may take, counted at
-# the first freeze; every shipped config takes at most _STEPS
-_STEP_BUDGET = 10**6
-
 
 def _check_weights(grid: Grid, alpha: float, cause: str) -> None:
     """The largest H^alpha weight on grid, fold 2 times (1 + |xi|**2)**alpha
@@ -265,11 +262,8 @@ def parse_config(text: str, mode: str, overrides: dict[str, str] | None = None) 
                            f"the property suite's commutator alpha = {_COMMUTATOR_ALPHA}")
         else:
             _check_weights(grid, picard.alpha, f"solver.alpha = {picard.alpha}")
-        policy = None
-        if stepped:
-            policy = TimeStepPolicy(
-                dt_max=get("solver.dt_max", t_end / _STEPS), safety=picard.safety
-            )
+        policy = TimeStepPolicy(dt_max=get("solver.dt_max", t_end / _STEPS),
+                                safety=picard.safety) if stepped else None
     except ValueError as exc:
         raise ValidationError(str(exc)) from exc
 
@@ -277,12 +271,15 @@ def parse_config(text: str, mode: str, overrides: dict[str, str] | None = None) 
     coefficient = _generator(values, "coefficient", grid)
     # The fields the run starts from, under the solvers' own input checks:
     # past those above, only the sign of the first frozen coefficient can
-    # fail them.  Then the first freeze's step rate, the initial datum's
-    # H^alpha norm, which bounds every norm a record takes, and in picard the
-    # horizon, which an amplitude too large for floats makes inf and 0; the
-    # overflow is the error, not a warning.  rho_est does not depend on the radius.
+    # fail them.  Then the initial datum's H^alpha norm, which bounds every
+    # norm a record takes, in picard the horizon, which an amplitude too
+    # large for floats makes inf and 0 (the overflow is the error, not a
+    # warning), and last the solver's own step budget at the first freeze's
+    # rate, which does not depend on the radius: in picard the unmollified
+    # datum's, which bounds that of run_picard's mollified start up to
+    # roundoff, as a mollifier is a convex combination of samples.
     u0 = problem = None
-    prefix, gen = "initial", initial
+    prefix, gen, run = "initial", initial, ""
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             if mode == "picard":
@@ -301,35 +298,19 @@ def parse_config(text: str, mode: str, overrides: dict[str, str] | None = None) 
                                         epsilon=picard.epsilon_moll, t_end=t_end)
             if mode != "properties":
                 rho_est = make_coefficient_ops(v, picard.s, 0.0).rho_est
-                _check_rate(rho_est)
+                run = f" on grid.length = {grid.side_length}, in each "
+                if stepped:
+                    run += f"solve (solver.t_end = {t_end}, solver.dt_max, solver.safety)"
+                    _step_count(policy, rho_est, t_end)
+                else:
+                    run += (f"Picard iterate (solver.samples = {picard.samples} segments of the "
+                            f"horizon {t0:.6g}: solver.c_gronwall, solver.t0_override; "
+                            f"solver.safety)")
+                    _iterate_policy(picard, t0, rho_est)
     except ValueError as exc:
         raise ValidationError(
-            f"{prefix}.kind = {gen.kind} with {prefix}.amplitude = {gen.amplitude}: {exc}"
+            f"{prefix}.kind = {gen.kind} with {prefix}.amplitude = {gen.amplitude}{run}: {exc}"
         ) from exc
-
-    # The RK4 steps of a solve, or of a Picard iterate's segments, at the
-    # first freeze's step: a float, so that a count past the floats is inf.
-    if mode != "properties":
-        if stepped:
-            run = f"each solve: solver.t_end = {t_end}"
-            cap, fld = "solver.dt_max, solver.safety", "coefficient"
-        else:
-            m, dt_seg = picard.samples, t0 / picard.samples
-            run = (f"each Picard iterate: solver.samples = {m} segments of the horizon "
-                   f"{t0:.6g} (solver.c_gronwall, solver.t0_override)")
-            cap, fld = "solver.safety", "initial"
-        try:  # a segment or a step that underflows to 0
-            rule = policy if stepped else TimeStepPolicy(dt_max=dt_seg, safety=picard.safety)
-            step = rule.step_size(rho_est)
-        except ValueError as exc:
-            raise ValidationError(f"{run}: {exc}") from exc
-        steps = t_end / step if stepped else m * float(np.ceil(dt_seg / step))
-        if not steps <= _STEP_BUDGET:
-            raise ValidationError(
-                f"{steps:.3g} RK4 steps, past the budget of {_STEP_BUDGET:,}, in {run}, in "
-                f"steps of at most {step:.3g} ({cap}, and the step rate {rho_est:.3g} of the "
-                f"{fld}.* field on grid.length = {grid.side_length})"
-            )
 
     snapshot_times = get("output.snapshot_times", ())
     # picard saves the stored samples up to its horizon, which is not known yet
@@ -355,7 +336,7 @@ def parse_config(text: str, mode: str, overrides: dict[str, str] | None = None) 
     for key, eps in radii:
         if eps > 0:
             try:
-                _band_hat(grid, eps)
+                _kernel(grid, eps)
             except (ValueError, UnresolvedKernel) as exc:
                 raise ValidationError(f"{key}: {exc}") from exc
 

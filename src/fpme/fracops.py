@@ -94,7 +94,12 @@ class MollifierKernel:
         vals.setflags(write=False)
         object.__setattr__(self, "kernel_values", vals)
 
-        hat = (np.fft.rfftn(vals, axes=g.fft_axes) * g.spacing**g.dim).real
+        # Its own array, made before the transform: the .real view would keep
+        # the complex transform alive, and a copy made after it made 3-D
+        # n = 64 solves fault in 6 MB every other call once linear._kernel
+        # cached the kernel (glibc's heap thresholds).
+        hat = np.empty(g.spectral_shape)
+        hat[...] = (np.fft.rfftn(vals, axes=g.fft_axes) * g.spacing**g.dim).real
         hat.flat[0] = 1.0
         hat.setflags(write=False)
         object.__setattr__(self, "kernel_hat", hat)

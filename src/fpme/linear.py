@@ -206,10 +206,11 @@ def make_coefficient_ops(v: RealField, s: float, epsilon: float) -> CoefficientO
 
 
 @lru_cache(maxsize=16)
-def _band_hat(g: Grid, epsilon: float) -> np.ndarray:
-    """The read-only band symbol of the mollifier at radius epsilon > 0 on
-    g, built once per key; the kernel itself is not kept."""
-    return MollifierKernel(g, epsilon).band_hat
+def _kernel(g: Grid, epsilon: float) -> MollifierKernel:
+    """The mollifier at radius epsilon > 0 on g, built once per key: every
+    freeze reads its band_hat, run_picard mollifies the initial datum with
+    it, and parse_config builds it to check the radius."""
+    return MollifierKernel(g, epsilon)
 
 
 def _freeze(g: Grid, Fv: np.ndarray, s: float, epsilon: float) -> CoefficientOps:
@@ -218,7 +219,7 @@ def _freeze(g: Grid, Fv: np.ndarray, s: float, epsilon: float) -> CoefficientOps
     coeffs straight into them, and rho_est reads them: max|v| from the
     dealiased -v of the last row, ||grad p_v||_inf from the others."""
     radial = band_symbols(g, -2.0 * s).radial
-    filt = _band_hat(g, epsilon) if epsilon > 0 else 1.0
+    filt = _kernel(g, epsilon).band_hat if epsilon > 0 else 1.0
     Fp = Fv * radial
     coeffs = np.empty((g.dim + 1, *g.shape))
     for lo, hi, derivs, inp, steps in _plan(g, grid_module._STACK_BYTES)[0]:
@@ -319,6 +320,25 @@ def _rk4_step(F: np.ndarray, dt: float, ops: CoefficientOps, mid, end) -> np.nda
     return np.add(k2, F, out=k2)
 
 
+# the most RK4 steps a linear solve or a Picard iterate may take; no key
+# sets it, and every shipped config takes at most 400
+_STEP_BUDGET = 10**6
+
+
+def _step_count(policy: TimeStepPolicy, rho_est: float, span: float, spans: int = 1) -> float:
+    """The RK4 steps _march takes over spans equal spans of length span,
+    each marched alone under policy at the step rate rho_est, as a float, so
+    that a count past the floats is inf.  Raises ValueError when the step
+    underflows to 0 (policy.step_size) or the count is past _STEP_BUDGET."""
+    step = policy.step_size(rho_est)
+    # a span's last step is stretched by up to 1e-14 of it, as in _march
+    steps = spans * float(np.ceil(span / step * (1.0 - 1e-14)))
+    if not steps <= _STEP_BUDGET:
+        raise ValueError(f"{steps:.3g} RK4 steps, past the budget of {_STEP_BUDGET:,}, in "
+                         f"steps of at most {step:.3g} at the step rate rho_est = {rho_est:.3g}")
+    return steps
+
+
 def _march(F: np.ndarray, coeff, policy: TimeStepPolicy, stops):
     """RK4 steps of F from t = 0, coeff(t) giving the ops at each stage time
     t, each step at most policy.step_size of the ops at its start, landing
@@ -373,12 +393,15 @@ def solve_linear(
     at t_end.  Steps are clipped so requested snapshot times are hit
     exactly.  Raises ValueError, before any work, if sample_every is not an
     integer >= 1 or the snapshot times are not distinct and in [0, t_end],
-    and BlowUp if the state leaves the finite range.
+    and, before any step, if the freeze's step underflows to 0 or the
+    solve would take more than _STEP_BUDGET (1,000,000) RK4 steps at it;
+    raises BlowUp if the state leaves the finite range.
     """
     _check_integer("sample_every", sample_every, 1)
     _check_snapshot_times(snapshot_times, problem.t_end)
     g = problem.grid
     ops = make_coefficient_ops(problem.v, problem.s, problem.epsilon)
+    _step_count(policy, ops.rho_est, problem.t_end)
     recorder = RecorderConfig(
         alpha=alpha,
         partition=DyadicPartition(g),

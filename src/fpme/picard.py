@@ -34,7 +34,7 @@ import numpy as np
 
 from .diagnostics import DiagnosticsRecord, RecorderConfig, growth_quotient, record
 from .errors import GridMismatch, NoConvergence
-from .fracops import MollifierKernel, mollify
+from .fracops import mollify
 from .grid import RealField, _check_integer, band_symbols
 from .linear import (
     TimeStepPolicy,
@@ -46,7 +46,9 @@ from .linear import (
     _check_snapshot_times,
     _field,
     _freeze,
+    _kernel,
     _march,
+    _step_count,
     _values,
 )
 from .norms import DyadicPartition, _norm_of_rfft, _start_band, lp_norm, sobolev_norm
@@ -159,34 +161,46 @@ def _validate_initial(u0: RealField, config: PicardConfig) -> None:
     _check_nonnegative("u0", u0)
 
 
+def _iterate_policy(config: PicardConfig, t0: float, rho_est: float) -> TimeStepPolicy:
+    """The step policy of every iterate of an attempt over the horizon t0:
+    steps of at most one segment, t0 / samples.  Raises ValueError when a
+    segment or the step at the rate rho_est underflows to 0, or when an
+    iterate's segments take more than _STEP_BUDGET RK4 steps at that rate
+    (linear._step_count)."""
+    policy = TimeStepPolicy(dt_max=t0 / config.samples, safety=config.safety)
+    _step_count(policy, rho_est, policy.dt_max, config.samples)
+    return policy
+
+
 def _advance_iterate(
     u_start: RealField,
     tail: float,
     prev: list[np.ndarray | None],
     config: PicardConfig,
-    dt_seg: float,
+    policy: TimeStepPolicy,
+    ops,
     snaps: dict[int, dict[float, np.ndarray | None]] | None = None,
 ) -> tuple[list[np.ndarray], list[float], float, float]:
     """One outer Picard step: march the window from u_start, whose band is
-    prev[0] and whose off-band H^alpha power is tail, freezing the band
-    state prev[i] over segment i; prev is the previous trajectory, the
-    band state of each of its samples.  snaps maps a segment i to
+    prev[0], whose off-band H^alpha power is tail and whose freeze is ops,
+    freezing the band state prev[i] over segment i, of length
+    dt_seg = policy.dt_max, under policy; prev is the previous trajectory,
+    the band state of each of its samples.  snaps maps a segment i to
     the times t of [i dt_seg, (i + 1) dt_seg), or up to the horizon in the
     last segment; each is set to the band state of a march of its own
     from sample i under segment i's freeze, of length 0 at the sample.
     The segment march does not see them.
 
-    The freeze is made once per distinct coefficient, so the first iterate,
-    whose prev repeats the start, freezes once.  prev is consumed: each of
-    its samples is dropped once it has been frozen and compared, so about
-    one trajectory of band states is alive at a time.  Each freeze reads
-    its band state alone.  Returns the new trajectory's band states, their
-    H^alpha norms, delta (the sup over samples of the H^(alpha-1) distance
-    to prev) and the least value of any sample.  Both norms are band
-    reductions, exact because every sample keeps u_start's coefficients
-    off the band."""
-    g = u_start.grid
-    policy = TimeStepPolicy(dt_max=dt_seg, safety=config.safety)
+    The freeze is made once per distinct coefficient past the start, so
+    the first iterate, whose prev repeats the start, makes none.  prev is
+    consumed: each of its samples is dropped once it has been frozen and
+    compared, so about one trajectory of band states is alive at a time.
+    Each freeze reads its band state alone.  Returns the new trajectory's
+    band states, their H^alpha norms, delta (the sup over samples of the
+    H^(alpha-1) distance to prev) and the least value of any sample.  Both
+    norms are band reductions, exact because every sample keeps u_start's
+    coefficients off the band."""
+    g, dt_seg = u_start.grid, policy.dt_max
     m = len(prev) - 1
     F = F_start = prev[0]
     new = [F_start]
@@ -194,7 +208,7 @@ def _advance_iterate(
     weight_delta = band_symbols(g, config.alpha - 1.0).sobolev
     h_list = [_norm_of_rfft(g, F, weight, tail)]
     delta, min_u = 0.0, float(np.min(u_start.values))
-    frozen, snaps = None, snaps or {}
+    frozen, snaps = F_start, snaps or {}
     for i in range(m):
         Fv, prev[i] = prev[i], None
         if Fv is not frozen:
@@ -234,19 +248,21 @@ def run_picard(
     iterate, by _advance_iterate; times past the horizon are left out.
 
     Raises ValueError, before any work, unless the snapshot times are
-    distinct, finite and >= 0, or before an attempt, unless its horizon is
-    positive and finite (an H^alpha norm of u0 that overflows makes it 0,
-    without a RuntimeWarning), and NoConvergence (carrying the delta
-    sequence) when max_outer iterations do not bring consecutive
-    trajectories within tol_picard in the sup-in-time H^(alpha-1)
-    distance, or when every attempt recalibrates the Gronwall constant.
+    distinct, finite and >= 0, and before an attempt's first step if its
+    horizon is not positive and finite (an H^alpha norm of u0 that
+    overflows makes it 0, without a RuntimeWarning), if a segment or the
+    step at the start's freeze underflows to 0, or if an iterate would
+    take more than _STEP_BUDGET (1,000,000) RK4 steps at that step, samples
+    times the steps of one segment (_iterate_policy).  Raises
+    NoConvergence (carrying the delta sequence) when max_outer iterations
+    do not bring consecutive trajectories within tol_picard in the
+    sup-in-time H^(alpha-1) distance, or when every attempt recalibrates
+    the Gronwall constant.
     """
     _check_snapshot_times(snapshot_times, math.inf)
     _validate_initial(u0, config)
     g = u0.grid
-    u_init = u0
-    if config.epsilon_moll > 0:
-        u_init = mollify(u0, MollifierKernel(g, config.epsilon_moll))
+    u_init = mollify(u0, _kernel(g, config.epsilon_moll)) if config.epsilon_moll > 0 else u0
     with np.errstate(over="ignore", invalid="ignore"):
         h_u0 = sobolev_norm(u0, config.alpha)
     m = config.samples
@@ -257,7 +273,9 @@ def run_picard(
             t0 = horizon(u0, cfg)
         _check_positive("the Picard horizon", t0)
         F_start, tail = _start_band(u_init, config.alpha)
-        dt_seg = t0 / m
+        start = _freeze(g, F_start, config.s, config.epsilon_moll)
+        policy = _iterate_policy(cfg, t0, start.rho_est)
+        dt_seg = policy.dt_max
         times = np.arange(m + 1) * dt_seg
         snaps = {}
         for ts in sorted(ts for ts in snapshot_times if ts <= t0):
@@ -272,7 +290,8 @@ def run_picard(
             min_u=[float(np.min(u_init.values))],
         )
         while not state.converged and len(state.deltas) < cfg.max_outer:
-            traj, h_list, delta_n, min_u = _advance_iterate(u_init, tail, traj, cfg, dt_seg, snaps)
+            traj, h_list, delta_n, min_u = _advance_iterate(u_init, tail, traj, cfg, policy,
+                                                            start, snaps)
             coeff_scale = state.sup_halpha[-1]
             c_meas_n = _max_quotient(h_list, dt_seg, coeff_scale)
             state.sup_halpha.append(max(h_list))

@@ -49,3 +49,14 @@ def deadline(seconds: int, what: str):
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def count_calls(monkeypatch, module, name, kept):
+    """Wrap module.name so that each call appends its result to kept."""
+    real = getattr(module, name)
+
+    def counted(*args):
+        kept.append(real(*args))
+        return kept[-1]
+
+    monkeypatch.setattr(module, name, counted)

@@ -576,11 +576,15 @@ def test_shipped_config_runs(tmp_path, cfg, files):
             assert got[key] == pytest.approx(value, rel=1e-8), key
 
 
-@pytest.mark.parametrize("cfg, radii", [("linear", [0.2]), ("picard", []),
-                                         ("sweep", [0.1, 0.2, 0.4])])
-def test_run_builds_each_field_and_kernel_once(tmp_path, monkeypatch, cfg, radii):
+@pytest.mark.parametrize("cfg, overrides, radii",
+                         [("linear", [], [0.2]), ("picard", [], []),
+                          ("picard", ["solver.epsilon=0.4"], [0.4]),
+                          ("sweep", [], [0.1, 0.2, 0.4])],
+                         ids=["linear", "picard", "picard-mollified", "sweep"])
+def test_run_builds_each_field_and_kernel_once(tmp_path, monkeypatch, cfg, overrides, radii):
     # parse_config generates the fields and builds the kernels its checks
-    # need, and the run reads those: nothing is built again
+    # need, and the run reads those: nothing is built again, not the kernel
+    # a mollified Picard run smooths its initial datum with
     generated, kernels = Counter(), Counter()
     generate, post_init = FieldGenerator.generate, MollifierKernel.__post_init__
 
@@ -594,8 +598,8 @@ def test_run_builds_each_field_and_kernel_once(tmp_path, monkeypatch, cfg, radii
 
     monkeypatch.setattr(FieldGenerator, "generate", counted_generate)
     monkeypatch.setattr(MollifierKernel, "__post_init__", counted_post_init)
-    linear_mod._band_hat.cache_clear()
-    assert run_shipped(cfg, tmp_path / "out") == 0
+    linear_mod._kernel.cache_clear()
+    assert run_shipped(cfg, tmp_path / "out", *overrides) == 0
     assert list(generated.values()) == [1] * (1 if cfg == "picard" else 2)
     assert sorted(kernels) == radii and set(kernels.values()) <= {1}
 

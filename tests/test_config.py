@@ -24,7 +24,10 @@ from fpme import (
     solve_linear,
 )
 import fpme.config
-from fpme.config import _KEYS, _PICARD_FIELDS, _READERS, _STEP_BUDGET, _STEPS
+from fpme.config import _KEYS, _PICARD_FIELDS, _READERS, _STEPS
+from fpme.linear import _STEP_BUDGET
+
+from conftest import deadline
 
 # a picard or properties document: no key only the stepped modes read
 MINIMAL = """
@@ -287,10 +290,10 @@ def _bump(amplitude):
     return gen.generate(_GRID)
 
 
-def _solve(**kwargs):
+def _solve(policy=TimeStepPolicy(dt_max=0.05 / 400), **kwargs):
     """solve_linear on MINIMAL_LINEAR's problem."""
     problem = LinearProblem(v=_bump(0.5), u0=_bump(0.5), s=0.75, epsilon=0.0, t_end=0.05)
-    return solve_linear(problem, TimeStepPolicy(dt_max=0.05 / 400), alpha=1.6, **kwargs)
+    return solve_linear(problem, policy, alpha=1.6, **kwargs)
 
 
 @pytest.mark.parametrize(
@@ -324,16 +327,21 @@ def _solve(**kwargs):
          lambda: run_picard(_bump(0.5), PicardConfig(s=0.75, alpha=1.6), (0.01, 0.01))),
         ("properties", {"properties.seed": "-1"}, lambda: run_property_suite(_GRID, seed=-1)),
         ("properties", {"properties.count": "0"}, lambda: run_property_suite(_GRID, count=0)),
+        # past the step budget: the library calls used to march without end
+        ("linear", {"solver.dt_max": "2.5e-08"},
+         lambda: _solve(policy=TimeStepPolicy(dt_max=2.5e-8))),
+        ("picard", {"solver.safety": "1e-7"},
+         lambda: run_picard(_bump(0.5), PicardConfig(s=0.75, alpha=1.6, safety=1e-7))),
     ],
     ids=["picard-alpha-floor", "picard-negative-initial", "picard-overflowing-initial",
          "linear-negative-coefficient", "negative-alpha", "infinite-alpha", "infinite-t-end",
          "infinite-dt-max", "infinite-t0-override", "infinite-c-gronwall", "nan-radius",
          "sample-every", "repeated-snapshot", "snapshot-past-t-end", "picard-repeated-snapshot",
-         "suite-seed", "suite-count"],
+         "suite-seed", "suite-count", "linear-step-budget", "picard-step-budget"],
 )
 def test_parse_time_and_library_rejections_agree(mode, override, library_call):
     # the parser runs the solvers' own checks, so it says what they say
-    with pytest.raises(ValueError) as library:
+    with deadline(10, "the library call"), pytest.raises(ValueError) as library:
         library_call()
     with pytest.raises(ValidationError) as parsed:
         parse_config(DOCS[mode], mode=mode, overrides=override)
@@ -400,6 +408,19 @@ def _readme_key_table() -> dict[str, str]:
         for key in re.findall(r"`([^`]+)`", cells[0]):
             table[key] = cells[2]
     return table
+
+
+def test_readme_library_sketch_runs(monkeypatch, capsys):
+    # the documented library calls run from the repository root as written,
+    # and the one past the step budget raises before any step
+    root = Path(__file__).resolve().parents[1]
+    sketch = (root / "README.md").read_text().split("## Library sketch", 1)[1]
+    code = sketch.split("```python\n", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(root)
+    with deadline(30, "README's Library sketch"):
+        exec(compile(code, "README.md", "exec"), {})
+    last = capsys.readouterr().out.splitlines()[-1]
+    assert last.startswith("1.47e+300 RK4 steps, past the budget of 1,000,000, in steps of")
 
 
 def test_readme_key_table_matches_parser():

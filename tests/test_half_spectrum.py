@@ -810,7 +810,9 @@ def test_iterate_h_alpha_matches_sobolev_norm(grid):
     u0 = coefficient(grid, seed=10)
     F0, tail = _start_band(u0, config.alpha)
     prev = coefficient_samples(grid, F0, config.samples)
-    new, h_list, _, min_u = _advance_iterate(u0, tail, prev, config, 0.01)
+    policy = TimeStepPolicy(dt_max=0.01, safety=config.safety)
+    start = _freeze(grid, F0, config.s, 0.0)
+    new, h_list, _, min_u = _advance_iterate(u0, tail, prev, config, policy, start)
     assert len(h_list) == len(new) == config.samples + 1
     assert new[0] is F0 is not None
     fields = [_field(u0, F, F0, 0.0) for F in new]
@@ -861,7 +863,7 @@ def test_transform_counts(grid, monkeypatch):
 
     v = coefficient(grid, seed=12)
     kernel = MollifierKernel(grid, 1.0)
-    linear._band_hat(grid, 1.0)  # a freeze's filter, built once per grid and radius
+    linear._kernel(grid, 1.0)  # a freeze's filter, built once per grid and radius
     F = grid.band_forward(random_field(grid, seed=13).values)
     counted(np.fft, "rfftn")
     counted(np.fft, "irfftn")
@@ -925,12 +927,16 @@ def test_transform_counts(grid, monkeypatch):
     expect(rfftn=1, band_forward=1)
     prev = coefficient_samples(grid, F0, config.samples)
     expect(band_forward=config.samples)
+    start = _freeze(grid, F0, config.s, 0.0)
+    expect(band_inverse=1, inverted=grid.dim + 1)
     # dt_seg is far below safety / rho_est, so each segment is one RK4 step
-    # beside one freeze and one real field
-    _advance_iterate(u0, tail, prev, config, 1e-4)
+    # beside one real field, and one freeze past the first segment, whose
+    # coefficient is the start and whose freeze the iterate is given
+    _advance_iterate(u0, tail, prev, config, TimeStepPolicy(dt_max=1e-4), start)
     expect(band_forward=config.samples * 4,
-           band_inverse=config.samples * (4 * rhs_calls() + 2),
-           inverted=config.samples * (4 * (grid.dim + 1) + grid.dim + 1 + 1))
+           band_inverse=config.samples * (4 * rhs_calls() + 2) - 1,
+           inverted=config.samples * (4 * (grid.dim + 1) + 1)
+           + (config.samples - 1) * (grid.dim + 1))
 
 
 @pytest.mark.parametrize("grid", GRIDS, ids=lambda g: f"dim{g.dim}")

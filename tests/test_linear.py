@@ -19,7 +19,7 @@ from fpme.fracops import MollifierKernel
 from fpme.grid import resample
 from fpme.linear import _freeze, _march, make_coefficient_ops, rhs_with_ops
 
-from conftest import deadline, random_field
+from conftest import count_calls, deadline, random_field
 from helpers import band_distance
 
 
@@ -229,6 +229,32 @@ def make_problem(grid, seed, s=0.75, epsilon=0.0, t_end=0.05, amp=0.5):
     u0 = bump(grid, seed=seed, amplitude=amp)
     v = bump(grid, seed=seed + 50, amplitude=amp, width=0.9)
     return LinearProblem(v=v, u0=u0, s=s, epsilon=epsilon, t_end=t_end)
+
+
+class TestStepBudget:
+    """The step budget is solve_linear's own, counted before any step."""
+
+    @pytest.mark.parametrize("dt_max, safety", [(0.05 / 400, 0.5), (0.05 / 7, 0.5),
+                                                (1.0, 0.05), (1.0, 0.005)])
+    def test_count_is_the_steps_the_march_takes(self, grid64, monkeypatch, dt_max, safety):
+        # steps of dt_max, t_end / dt_max of them, whose last one the march
+        # may stretch onto t_end, and steps of safety / rho_est, rho_est 7.48
+        counts, steps = [], []
+        count_calls(monkeypatch, linear_mod, "_step_count", counts)
+        count_calls(monkeypatch, linear_mod, "_rk4_step", steps)
+        solve_linear(make_problem(grid64, seed=7), TimeStepPolicy(dt_max, safety), alpha=2.1)
+        assert counts == [len(steps)] and len(steps) > 1
+
+    def test_solve_past_the_budget_raises_before_a_step(self, grid64, monkeypatch):
+        # about 1.1e301 steps: the solve used to march until it was killed
+        steps = []
+        count_calls(monkeypatch, linear_mod, "_rk4_step", steps)
+        prob = make_problem(grid64, seed=7, t_end=1e300)
+        with deadline(10, "solve_linear"):
+            with pytest.raises(ValueError, match="RK4 steps, past the budget of 1,000,000, in "
+                                                 "steps of at most 0.0668 at the step rate"):
+                solve_linear(prob, TimeStepPolicy(dt_max=1e297), alpha=2.1)
+        assert steps == []
 
 
 class TestSolveLinear:

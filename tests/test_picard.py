@@ -31,7 +31,7 @@ from fpme.linear import _field
 from fpme.norms import _start_band
 from fpme.picard import _advance_iterate
 
-from conftest import random_field
+from conftest import count_calls, deadline, random_field
 from helpers import band_distance, hilbert_flux_solution, nonlinear_march
 
 
@@ -226,7 +226,9 @@ class TestRecalibration:
 class TestFreezes:
     def test_one_freeze_per_distinct_coefficient(self, grid64, monkeypatch):
         # the first iterate's coefficient is the initial datum on every
-        # segment, so it is frozen once; later iterates freeze every sample
+        # segment, and every iterate's on the first: the attempt freezes it
+        # once, for its step budget, and later iterates freeze each of the
+        # other samples
         calls = []
         real = picard_mod._freeze
 
@@ -237,7 +239,7 @@ class TestFreezes:
         monkeypatch.setattr(picard_mod, "_freeze", counting)
         cfg = PicardConfig(s=0.75, alpha=2.1, samples=50, t0_override=0.05)
         result = run_picard(small_bump(grid64), cfg)
-        assert len(calls) == (len(result.state.deltas) - 1) * cfg.samples + 1
+        assert len(calls) == (len(result.state.deltas) - 1) * (cfg.samples - 1) + 1
 
     @pytest.mark.parametrize(
         "grid", [Grid(1, 64, 2 * np.pi), Grid(2, 32, 2 * np.pi)], ids=["dim1", "dim2"]
@@ -267,8 +269,9 @@ class TestBandTrajectory:
         u0 = small_bump(grid2d, width=1.2)
         cfg = PicardConfig(s=0.75, alpha=2.1, samples=100)
         m = cfg.samples
-        dt_seg = horizon(u0, cfg) / m
+        policy = TimeStepPolicy(dt_max=horizon(u0, cfg) / m, safety=cfg.safety)
         F0, tail = _start_band(u0, cfg.alpha)
+        start = picard_mod._freeze(grid2d, F0, cfg.s, 0.0)
         traj = [F0] * (m + 1)
 
         def values(F):
@@ -276,7 +279,7 @@ class TestBandTrajectory:
 
         for _ in range(2):
             kept = list(traj)
-            traj, _, delta, _ = _advance_iterate(u0, tail, traj, cfg, dt_seg)
+            traj, _, delta, _ = _advance_iterate(u0, tail, traj, cfg, policy, start)
             real = max(
                 sobolev_norm(RealField(grid2d, values(a) - values(b)), cfg.alpha - 1.0)
                 for a, b in zip(traj, kept)
@@ -327,6 +330,39 @@ class TestBandTrajectory:
             assert len(items) == len(indices)
             for field, i in zip(items, indices):
                 assert np.array_equal(field.values, traj[i].values)
+
+
+class TestStepBudget:
+    """The step budget is run_picard's own, counted before any step."""
+
+    @pytest.mark.parametrize("epsilon", [0.0, 0.4])
+    @pytest.mark.parametrize("safety", [1e-3, 1e-4])
+    def test_count_is_the_first_iterates_steps(self, grid64, monkeypatch, safety, epsilon):
+        # rho_est 0.734 at u0, less at its mollified start: about 5 and 46
+        # steps in each segment of 0.00625; the first iterate freezes only
+        # the start, whose rate is counted
+        counts, steps = [], []
+        count_calls(monkeypatch, picard_mod, "_step_count", counts)
+        count_calls(monkeypatch, linear_mod, "_rk4_step", steps)
+        cfg = PicardConfig(s=0.75, alpha=2.1, epsilon_moll=epsilon, samples=8,
+                           t0_override=0.05, tol_picard=1e300, safety=safety)
+        result = run_picard(small_bump(grid64), cfg)
+        assert len(result.state.deltas) == 1
+        assert counts == [len(steps)] and len(steps) > cfg.samples
+
+    @pytest.mark.parametrize("override", [{"t0_override": 1e300}, {"samples": 2_000_000}],
+                             ids=["long-horizon", "many-samples"])
+    def test_iterate_past_the_budget_raises_before_a_step(self, grid64, monkeypatch, override):
+        # about 1.5e300 steps, and one step in each of 2e6 segments: the
+        # first marched until it was killed, the second after allocating
+        # about 32 MB of sample times and states
+        steps = []
+        count_calls(monkeypatch, linear_mod, "_rk4_step", steps)
+        cfg = PicardConfig(s=0.75, alpha=2.1, **override)
+        with deadline(10, "run_picard"):
+            with pytest.raises(ValueError, match="RK4 steps, past the budget of 1,000,000"):
+                run_picard(small_bump(grid64), cfg)
+        assert steps == []
 
 
 class TestSegments:
