@@ -17,7 +17,6 @@ from .fracops import (
     MollifierKernel,
     frac_laplacian,
     gradient,
-    inv_frac_laplacian,
     mollify,
 )
 from .norms import (
@@ -32,8 +31,6 @@ from .diagnostics import (
     FieldGenerator,
     InequalityReport,
     check_commutator,
-    check_cordoba,
-    check_pointwise_lp,
     run_property_suite,
 )
 from .linear import (
@@ -48,7 +45,6 @@ from .picard import (
     PicardState,
     horizon,
     run_picard,
-    uniqueness_probe,
 )
 from .config import MODES, RunSpec, parse_config
 from .snapshots import read_snapshot, write_snapshot
@@ -82,13 +78,10 @@ __all__ = [
     "ValidationError",
     "besov_norm",
     "check_commutator",
-    "check_cordoba",
-    "check_pointwise_lp",
     "frac_laplacian",
     "gradient",
     "homogeneous_seminorm",
     "horizon",
-    "inv_frac_laplacian",
     "lp_norm",
     "mollify",
     "MODES",
@@ -98,6 +91,5 @@ __all__ = [
     "run_property_suite",
     "sobolev_norm",
     "solve_linear",
-    "uniqueness_probe",
     "write_snapshot",
 ]

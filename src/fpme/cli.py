@@ -4,7 +4,8 @@
 
 Modes: linear, picard, sweep_epsilon, properties.  Exit codes: 0 ok,
 2 validation problem or unwritable output, 3 Picard failed to converge,
-4 solution blew up, 5 a property check failed.
+4 solution blew up, 5 a property check failed.  The outputs are written
+only once the run has succeeded (see execute).
 """
 
 from __future__ import annotations
@@ -14,11 +15,11 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .config import MODES, RunSpec, parse_config
+from .config import MODES, RunSpec, _run_keys, parse_config
 from .diagnostics import run_property_suite
 from .errors import BlowUp, FpmeError, NoConvergence, ParseError, ValidationError
 from .grid import RealField
-from .linear import solve_linear
+from .linear import LinearProblem, solve_linear
 from .norms import lp_norm
 from .picard import run_picard
 from .reporting import (
@@ -43,68 +44,90 @@ def _write_solution(out: Path, records, final: RealField, t: float, snapshots) -
         write_snapshot(out / f"snapshot_{idx:03d}.fpm1", fld, ts)
 
 
-def _linear_solution(spec: RunSpec, problem):
+def _linear_solution(spec: RunSpec, problem: LinearProblem):
     return solve_linear(problem, spec.policy, spec.alpha, spec.sample_every, spec.snapshot_times)
 
 
-def _run_linear(spec: RunSpec, out: Path) -> int:
-    sol = _linear_solution(spec, spec.problem)
-    _write_solution(out, sol.records, sol.final, spec.problem.t_end, sol.snapshots)
-    last = sol.records[-1]
-    print(f"linear: t={format_float(last.t)} l2={format_float(last.l2)} "
-          f"min_u={format_float(last.min_u)}")
-    return 0
+def _problem(spec: RunSpec) -> LinearProblem:
+    """The run's problem at solver.epsilon, each field generated once."""
+    return LinearProblem(v=spec.coefficient.generate(spec.grid),
+                         u0=spec.initial.generate(spec.grid), s=spec.s,
+                         epsilon=spec.epsilon, t_end=spec.t_end)
 
 
-def _run_picard(spec: RunSpec, out: Path) -> int:
-    result = run_picard(spec.u0, spec.picard, spec.snapshot_times)
-    for ts in sorted(spec.snapshot_times):
-        if ts > result.horizon:
-            print(f"picard: snapshot time {format_float(ts)} skipped, beyond "
-                  f"horizon={format_float(result.horizon)}")
-    state = result.state
-    write_picard_summary_csv(
-        state.sup_halpha, state.deltas, state.c_meas, state.min_u, out / "iterates.csv"
-    )
-    _write_solution(
-        out, result.records, result.trajectory[-1], result.horizon, result.snapshots
-    )
-    n_iter = len(state.sup_halpha)
-    print(f"picard: converged in {n_iter} iterates, horizon={format_float(result.horizon)} "
-          f"delta={format_float(state.deltas[-1])}")
-    return 0
+# Each _run_<mode> runs its mode and returns the function that writes the
+# mode's outputs into a directory and returns the exit code.
 
 
-def _run_sweep(spec: RunSpec, out: Path) -> int:
-    eps_list = sorted(spec.epsilons, reverse=True)
-    finals = []
-    for eps in eps_list + [0.0]:
-        sol = _linear_solution(spec, replace(spec.problem, epsilon=eps))
-        sub = out / f"eps_{format_float(eps)}"
-        _write_solution(sub, sol.records, sol.final, spec.problem.t_end, sol.snapshots)
-        finals.append(sol.final)
+def _run_linear(spec: RunSpec):
+    sol = _linear_solution(spec, _problem(spec))
 
-    baseline = finals[-1]
-    entries = []
-    for eps, final in zip(eps_list, finals[:-1]):
-        diff = lp_norm(
-            RealField(spec.grid, final.values - baseline.values), 2
+    def write(out: Path) -> int:
+        _write_solution(out, sol.records, sol.final, spec.t_end, sol.snapshots)
+        last = sol.records[-1]
+        print(f"linear: t={format_float(last.t)} l2={format_float(last.l2)} "
+              f"min_u={format_float(last.min_u)}")
+        return 0
+
+    return write
+
+
+def _run_picard(spec: RunSpec):
+    result = run_picard(spec.initial.generate(spec.grid), spec.picard, spec.snapshot_times)
+
+    def write(out: Path) -> int:
+        for ts in sorted(spec.snapshot_times):
+            if ts > result.horizon:
+                print(f"picard: snapshot time {format_float(ts)} skipped, beyond "
+                      f"horizon={format_float(result.horizon)}")
+        state = result.state
+        write_picard_summary_csv(
+            state.sup_halpha, state.deltas, state.c_meas, state.min_u, out / "iterates.csv"
         )
-        entries.append((eps, diff))
-    write_sweep_summary_csv(entries, out / "summary.csv")
-    for eps, diff in entries:
-        print(f"sweep_epsilon: eps={format_float(eps)} l2_diff={format_float(diff)}")
-    return 0
+        _write_solution(
+            out, result.records, result.trajectory[-1], result.horizon, result.snapshots
+        )
+        n_iter = len(state.sup_halpha)
+        print(f"picard: converged in {n_iter} iterates, horizon={format_float(result.horizon)} "
+              f"delta={format_float(state.deltas[-1])}")
+        return 0
+
+    return write
 
 
-def _run_properties(spec: RunSpec, out: Path) -> int:
+def _run_sweep(spec: RunSpec):
+    # every radius is solved before anything is written
+    problem = _problem(spec)
+    eps_list = sorted(spec.epsilons, reverse=True)
+    sols = [_linear_solution(spec, replace(problem, epsilon=eps)) for eps in eps_list + [0.0]]
+    baseline = sols[-1].final
+    entries = [(eps, lp_norm(RealField(spec.grid, sol.final.values - baseline.values), 2))
+               for eps, sol in zip(eps_list, sols)]
+
+    def write(out: Path) -> int:
+        for eps, sol in zip(eps_list + [0.0], sols):
+            _write_solution(out / f"eps_{format_float(eps)}", sol.records, sol.final,
+                            spec.t_end, sol.snapshots)
+        write_sweep_summary_csv(entries, out / "summary.csv")
+        for eps, diff in entries:
+            print(f"sweep_epsilon: eps={format_float(eps)} l2_diff={format_float(diff)}")
+        return 0
+
+    return write
+
+
+def _run_properties(spec: RunSpec):
     rows, ok = run_property_suite(
         spec.grid, seed=spec.properties_seed, count=spec.properties_count
     )
-    write_property_report_csv(rows, out / "report.csv")
-    n_fail = sum(1 for r in rows if not r[3])
-    print(f"properties: {len(rows)} checks, {n_fail} failed")
-    return 0 if ok else 5
+
+    def write(out: Path) -> int:
+        write_property_report_csv(rows, out / "report.csv")
+        n_fail = sum(1 for r in rows if not r[3])
+        print(f"properties: {len(rows)} checks, {n_fail} failed")
+        return 0 if ok else 5
+
+    return write
 
 
 _RUNNERS = {
@@ -116,15 +139,33 @@ _RUNNERS = {
 
 
 def execute(spec: RunSpec, config_text: str = "") -> int:
-    """Write manifest.json into spec's output.dir, then run its mode;
-    returns the exit code."""
+    """Run spec's mode, then write manifest.json and the mode's outputs into
+    its output.dir; returns the exit code.
+
+    Nothing is written before the run has succeeded, except that a
+    NoConvergence (3) or BlowUp (4) writes manifest.json.  Any other error
+    the run raises exits 2 and writes nothing; its message follows the keys
+    that set the run (config._run_keys).  A directory that cannot be
+    written exits 2, after the run.
+    """
     out = Path(spec.output_dir)
+    failure = None
+    try:
+        write = _RUNNERS[spec.mode](spec)
+    except (NoConvergence, BlowUp) as exc:
+        failure = exc
+    except (FpmeError, ValueError) as exc:
+        print(f"error: {_run_keys(spec)}: {exc}", file=sys.stderr)
+        return 2
     try:
         write_manifest(out, config_text, spec.echo, {"mode": spec.mode})
-        return _RUNNERS[spec.mode](spec, out)
-    except (FpmeError, ValueError, OSError) as exc:
+        if failure is None:
+            return write(out)
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3 if isinstance(exc, NoConvergence) else 4 if isinstance(exc, BlowUp) else 2
+        return 2
+    print(f"error: {failure}", file=sys.stderr)
+    return 3 if isinstance(failure, NoConvergence) else 4
 
 
 def main(argv=None) -> int:

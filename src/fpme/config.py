@@ -2,11 +2,12 @@
 
 A config document is lines of ``key = value`` with ``#`` comments.  Keys
 are namespaced with dots; unknown keys are rejected, and every value is
-parsed whatever the mode.  parse_config returns a fully validated RunSpec;
---set overrides are applied before validation.
-The solver keys are checked by the solver's own PicardConfig and
-TimeStepPolicy, which RunSpec carries, and the step budget by the solvers'
-own count of their RK4 steps.
+parsed whatever the mode.  parse_config checks the values and returns a
+RunSpec; --set overrides are applied before validation.  The solver keys
+are checked by the solver's own PicardConfig and TimeStepPolicy, which
+RunSpec carries.  No field is generated here: what depends on the fields
+(a sign, a norm, the horizon, a kernel, the step count) the solvers check
+as the run starts, and _run_keys names the keys that set those checks.
 """
 
 from __future__ import annotations
@@ -14,23 +15,14 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-
-import numpy as np
+from operator import attrgetter
 
 from .diagnostics import _COMMUTATOR_ALPHA, FieldGenerator, _check_suite
-from .errors import ParseError, UnresolvedKernel, ValidationError
-from .grid import Grid, RealField, _check_integer
-from .linear import (
-    LinearProblem,
-    TimeStepPolicy,
-    _check_positive,
-    _check_snapshot_times,
-    _kernel,
-    _step_count,
-    make_coefficient_ops,
-)
-from .norms import _block_indices, sobolev_norm
-from .picard import PicardConfig, _check_alpha, _iterate_policy, _validate_initial, horizon
+from .errors import ParseError, ValidationError
+from .grid import Grid, _check_integer
+from .linear import TimeStepPolicy, _check_positive, _check_snapshot_times
+from .norms import _block_indices
+from .picard import PicardConfig, _check_alpha
 
 __all__ = ["RunSpec", "parse_config", "MODES"]
 
@@ -42,21 +34,20 @@ class RunSpec:
     """Resolved, validated description of one CLI job.
 
     picard carries s, alpha, epsilon and safety in every mode, and the
-    Picard knobs only as a picard document sets them.  policy is the RK4
-    step policy of linear and sweep_epsilon runs and None in the other modes.
-    u0 (every solver mode) and problem (linear and sweep_epsilon, at
-    solver.epsilon) are the generated run; == reads their generators.
+    Picard knobs only as a picard document sets them.  t_end and policy
+    are the final time and the RK4 step policy of linear and sweep_epsilon
+    runs, and None in the other modes.  initial and coefficient generate
+    the run's fields.
     """
 
     mode: str
     grid: Grid
     picard: PicardConfig
     policy: TimeStepPolicy | None
+    t_end: float | None
     sample_every: int
     initial: FieldGenerator | None
     coefficient: FieldGenerator | None
-    u0: RealField | None = field(compare=False)
-    problem: LinearProblem | None = field(compare=False)
     output_dir: str
     snapshot_times: tuple[float, ...]
     epsilons: tuple[float, ...]
@@ -156,6 +147,31 @@ _READERS = {
 
 # linear and sweep_epsilon cap their RK4 step at t_end / _STEPS by default
 _STEPS = 400
+
+# mode -> the keys that set what its run checks as it starts (the fields'
+# signs and norms, the horizon, the kernels and the step count), each with
+# the RunSpec attribute that holds its resolved value
+_INITIAL = {"initial.kind": "initial.kind", "initial.amplitude": "initial.amplitude"}
+_STEPPED = {**_INITIAL, "coefficient.kind": "coefficient.kind",
+            "coefficient.amplitude": "coefficient.amplitude", "grid.length": "grid.side_length",
+            "solver.t_end": "t_end", "solver.dt_max": "policy.dt_max",
+            "solver.safety": "picard.safety"}
+_RUN_KEYS = {
+    "linear": {**_STEPPED, "solver.epsilon": "picard.epsilon_moll"},
+    "sweep_epsilon": {**_STEPPED, "sweep.epsilons": "epsilons"},
+    "picard": {**_INITIAL, "grid.length": "grid.side_length", "solver.samples": "picard.samples",
+               "solver.c_gronwall": "picard.c_gronwall",
+               "solver.t0_override": "picard.t0_override", "solver.safety": "picard.safety",
+               "solver.epsilon": "picard.epsilon_moll"},
+    "properties": {"grid.length": "grid.side_length"},
+}
+
+
+def _run_keys(spec: RunSpec) -> str:
+    """_RUN_KEYS[spec.mode] with their values, an unset solver.t0_override
+    left out: the text the CLI puts in front of an error the run raises."""
+    values = ((key, attrgetter(attr)(spec)) for key, attr in _RUN_KEYS[spec.mode].items())
+    return "; ".join(f"{key} = {value}" for key, value in values if value is not None)
 
 
 def _check_weights(grid: Grid, alpha: float, cause: str) -> None:
@@ -269,54 +285,11 @@ def parse_config(text: str, mode: str, overrides: dict[str, str] | None = None) 
 
     initial = _generator(values, "initial", grid)
     coefficient = _generator(values, "coefficient", grid)
-    # The fields the run starts from, under the solvers' own input checks:
-    # past those above, only the sign of the first frozen coefficient can
-    # fail them.  Then the initial datum's H^alpha norm, which bounds every
-    # norm a record takes, in picard the horizon, which an amplitude too
-    # large for floats makes inf and 0 (the overflow is the error, not a
-    # warning), and last the solver's own step budget at the first freeze's
-    # rate, which does not depend on the radius: in picard the unmollified
-    # datum's, which bounds that of run_picard's mollified start up to
-    # roundoff, as a mollifier is a convex combination of samples.
-    u0 = problem = None
-    prefix, gen, run = "initial", initial, ""
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            if mode == "picard":
-                u0 = v = initial.generate(grid)
-                _validate_initial(v, picard)
-                t0 = horizon(v, picard)
-                _check_positive("the Picard horizon", t0)
-            elif stepped:
-                u0 = initial.generate(grid)
-                h0 = sobolev_norm(u0, picard.alpha)
-                if not math.isfinite(h0):
-                    raise ValueError(f"the initial datum's H^alpha norm at alpha = "
-                                     f"{picard.alpha} is {h0}, not finite")
-                prefix, gen, v = "coefficient", coefficient, coefficient.generate(grid)
-                problem = LinearProblem(v=v, u0=u0, s=picard.s,
-                                        epsilon=picard.epsilon_moll, t_end=t_end)
-            if mode != "properties":
-                rho_est = make_coefficient_ops(v, picard.s, 0.0).rho_est
-                run = f" on grid.length = {grid.side_length}, in each "
-                if stepped:
-                    run += f"solve (solver.t_end = {t_end}, solver.dt_max, solver.safety)"
-                    _step_count(policy, rho_est, t_end)
-                else:
-                    run += (f"Picard iterate (solver.samples = {picard.samples} segments of the "
-                            f"horizon {t0:.6g}: solver.c_gronwall, solver.t0_override; "
-                            f"solver.safety)")
-                    _iterate_policy(picard, t0, rho_est)
-    except ValueError as exc:
-        raise ValidationError(
-            f"{prefix}.kind = {gen.kind} with {prefix}.amplitude = {gen.amplitude}{run}: {exc}"
-        ) from exc
 
     snapshot_times = get("output.snapshot_times", ())
-    # picard saves the stored samples up to its horizon, which is not known yet
-    last = t_end if stepped else math.inf
     try:
-        _check_snapshot_times(snapshot_times, last)
+        # picard saves the stored samples up to its horizon, which is not known yet
+        _check_snapshot_times(snapshot_times, t_end if stepped else math.inf)
     except ValueError as exc:
         raise ValidationError(f"output.snapshot_times: {exc}") from exc
 
@@ -328,35 +301,12 @@ def parse_config(text: str, mode: str, overrides: dict[str, str] | None = None) 
             raise ValidationError(
                 "sweep.epsilons must be positive and distinct (0 is run implicitly)"
             )
-    # Build each mollifier into the cache every freeze reads, so that a radius
-    # the grid cannot resolve, or one past half the period, fails here.
-    radii = [("solver.epsilon", picard.epsilon_moll)]
-    if mode == "sweep_epsilon":
-        radii += [("sweep.epsilons", e) for e in epsilons]
-    for key, eps in radii:
-        if eps > 0:
-            try:
-                _kernel(grid, eps)
-            except (ValueError, UnresolvedKernel) as exc:
-                raise ValidationError(f"{key}: {exc}") from exc
 
     echo = {key: entries[key][0] for key in sorted(entries)}
     echo["mode"] = mode
 
-    return RunSpec(
-        mode=mode,
-        grid=grid,
-        picard=picard,
-        policy=policy,
-        sample_every=sample_every,
-        initial=initial,
-        coefficient=coefficient,
-        u0=u0,
-        problem=problem,
-        output_dir=values["output.dir"],
-        snapshot_times=snapshot_times,
-        epsilons=epsilons,
-        properties_seed=properties_seed,
-        properties_count=properties_count,
-        echo=echo,
-    )
+    return RunSpec(mode=mode, grid=grid, picard=picard, policy=policy, t_end=t_end,
+                   sample_every=sample_every, initial=initial, coefficient=coefficient,
+                   output_dir=values["output.dir"], snapshot_times=snapshot_times,
+                   epsilons=epsilons, properties_seed=properties_seed,
+                   properties_count=properties_count, echo=echo)

@@ -38,8 +38,6 @@ __all__ = [
     "growth_quotient",
     "FieldGenerator",
     "InequalityReport",
-    "check_cordoba",
-    "check_pointwise_lp",
     "check_commutator",
     "run_property_suite",
 ]
@@ -267,8 +265,10 @@ def _gap_field(g: Grid, values: np.ndarray, sigma: float, p: int) -> np.ndarray:
 
 
 def _gap_reports(g: Grid, values: np.ndarray, sigma: float, p: int) -> list[InequalityReport]:
-    """check_pointwise_lp of each field of the stack values, shape
-    (k, *g.shape), from one stacked gap."""
+    """The pointwise L^p gap p f^(p-1) Lambda^sigma f - Lambda^sigma(f^p) >= 0,
+    p in {2, 4}, of each field f of the stack values, shape (k, *g.shape),
+    from one stacked gap: min_gap is the gap's min and tol
+    1e-9 * (1 + max|f|^2)."""
     if p not in (2, 4):
         raise UnsupportedExponent(f"only even p in {{2, 4}} supported, got {p}")
     if not (0.0 <= sigma <= 2.0):
@@ -280,23 +280,6 @@ def _gap_reports(g: Grid, values: np.ndarray, sigma: float, p: int) -> list[Ineq
         tol = 1e-9 * (1.0 + peak**2)
         reports.append(InequalityReport(min_gap=min_gap, tol=tol, passed=min_gap >= -tol))
     return reports
-
-
-def check_cordoba(f: RealField, s: float) -> InequalityReport:
-    """Pointwise gap 2 f Lambda^s f - Lambda^s(f^2) >= 0, 0 <= s <= 2.
-
-    f must be band-limited so that f^2 survives dealiasing unchanged.
-    """
-    return check_pointwise_lp(f, s, 2)
-
-
-def check_pointwise_lp(f: RealField, sigma: float, p: int) -> InequalityReport:
-    """L^p variant: p f^(p-1) Lambda^sigma f - Lambda^sigma(f^p) >= 0, p in {2, 4}.
-
-    min_gap is the gap's min and tol 1e-9 * (1 + max|f|^2), from the
-    property suite's stacked check on a stack of this one field.
-    """
-    return _gap_reports(f.grid, f.values[np.newaxis], sigma, p)[0]
 
 
 def check_commutator(f: RealField, g: RealField, alpha: float) -> float:

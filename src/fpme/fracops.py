@@ -16,7 +16,6 @@ from .grid import Grid, RealField, apply_symbols, half_spectrum_symbols
 
 __all__ = [
     "frac_laplacian",
-    "inv_frac_laplacian",
     "gradient",
     "MollifierKernel",
     "mollify",
@@ -36,16 +35,6 @@ def frac_laplacian(f: RealField, sigma: float) -> RealField:
     return apply_symbols(f, half_spectrum_symbols(f.grid, sigma).radial)[0]
 
 
-def inv_frac_laplacian(f: RealField, s: float) -> RealField:
-    """Riesz-type inverse with symbol |xi|**(-2 s) on nonzero modes.
-
-    The zero mode is dropped (mean-zero convention for the potential).
-    """
-    if not (0.0 < s < 1.0):
-        raise InvalidExponent(f"inverse fractional Laplacian needs s in (0, 1), got {s}")
-    return apply_symbols(f, half_spectrum_symbols(f.grid, -2.0 * s).radial)[0]
-
-
 def gradient(f: RealField) -> list[RealField]:
     """Spectral gradient, one component per axis.  Each component has zero mean.
 
@@ -60,12 +49,12 @@ def gradient(f: RealField) -> list[RealField]:
 class MollifierKernel:
     """Periodized standard mollifier at radius epsilon, sampled on a grid.
 
-    kernel_values hold the nonnegative samples, renormalized so the discrete
-    integral is one; kernel_hat is the matching convolution symbol on the
-    half-spectrum, real because the kernel is even, with kernel_hat(0) = 1
-    exactly; band_hat is kernel_hat on the 2/3-rule band.  Convolving with
-    this kernel is therefore a convex combination of samples: it preserves
-    the mean and nonnegativity.
+    kernel_hat is the convolution symbol, on the half-spectrum, of the
+    nonnegative samples renormalized so that their discrete integral is one
+    (kept only while it is made): real because the kernel is even, with
+    kernel_hat(0) = 1 exactly.  band_hat is kernel_hat on the 2/3-rule band.
+    Convolving with this kernel is therefore a convex combination of
+    samples: it preserves the mean and nonnegativity.
     """
 
     grid: Grid
@@ -91,8 +80,6 @@ class MollifierKernel:
         vals[inside] = np.exp(-1.0 / (1.0 - r_sq[inside]))
         # Discrete renormalization: the sampled kernel integrates to one bit-exactly.
         vals /= np.sum(vals) * g.spacing**g.dim
-        vals.setflags(write=False)
-        object.__setattr__(self, "kernel_values", vals)
 
         # Its own array, made before the transform: the .real view would keep
         # the complex transform alive, and a copy made after it made 3-D

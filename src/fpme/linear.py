@@ -208,8 +208,8 @@ def make_coefficient_ops(v: RealField, s: float, epsilon: float) -> CoefficientO
 @lru_cache(maxsize=16)
 def _kernel(g: Grid, epsilon: float) -> MollifierKernel:
     """The mollifier at radius epsilon > 0 on g, built once per key: every
-    freeze reads its band_hat, run_picard mollifies the initial datum with
-    it, and parse_config builds it to check the radius."""
+    freeze reads its band_hat, and run_picard mollifies the initial datum
+    with it."""
     return MollifierKernel(g, epsilon)
 
 
@@ -393,15 +393,22 @@ def solve_linear(
     at t_end.  Steps are clipped so requested snapshot times are hit
     exactly.  Raises ValueError, before any work, if sample_every is not an
     integer >= 1 or the snapshot times are not distinct and in [0, t_end],
-    and, before any step, if the freeze's step underflows to 0 or the
-    solve would take more than _STEP_BUDGET (1,000,000) RK4 steps at it;
-    raises BlowUp if the state leaves the finite range.
+    and, before any step, if u0's H^alpha norm, which bounds every norm a
+    record takes, is not finite, if the freeze's step rate is not finite or
+    its step underflows to 0, or if the solve would take more than
+    _STEP_BUDGET (1,000,000) RK4 steps at it; these overflow without a
+    RuntimeWarning.  Raises BlowUp if the state leaves the finite range.
     """
     _check_integer("sample_every", sample_every, 1)
     _check_snapshot_times(snapshot_times, problem.t_end)
     g = problem.grid
-    ops = make_coefficient_ops(problem.v, problem.s, problem.epsilon)
-    _step_count(policy, ops.rho_est, problem.t_end)
+    with np.errstate(over="ignore", invalid="ignore"):
+        h0 = sobolev_norm(problem.u0, alpha)
+        if not math.isfinite(h0):
+            raise ValueError(f"the initial datum's H^alpha norm at alpha = {alpha} is {h0}, "
+                             f"not finite")
+        ops = make_coefficient_ops(problem.v, problem.s, problem.epsilon)
+        _step_count(policy, ops.rho_est, problem.t_end)
     recorder = RecorderConfig(
         alpha=alpha,
         partition=DyadicPartition(g),

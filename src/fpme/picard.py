@@ -33,7 +33,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .diagnostics import DiagnosticsRecord, RecorderConfig, growth_quotient, record
-from .errors import GridMismatch, NoConvergence
+from .errors import NoConvergence
 from .fracops import mollify
 from .grid import RealField, _check_integer, band_symbols
 from .linear import (
@@ -51,7 +51,7 @@ from .linear import (
     _step_count,
     _values,
 )
-from .norms import DyadicPartition, _norm_of_rfft, _start_band, lp_norm, sobolev_norm
+from .norms import DyadicPartition, _norm_of_rfft, _start_band, sobolev_norm
 
 __all__ = [
     "PicardConfig",
@@ -59,7 +59,6 @@ __all__ = [
     "PicardResult",
     "horizon",
     "run_picard",
-    "uniqueness_probe",
 ]
 
 _MAX_RECALIBRATIONS = 3
@@ -250,10 +249,11 @@ def run_picard(
     Raises ValueError, before any work, unless the snapshot times are
     distinct, finite and >= 0, and before an attempt's first step if its
     horizon is not positive and finite (an H^alpha norm of u0 that
-    overflows makes it 0, without a RuntimeWarning), if a segment or the
-    step at the start's freeze underflows to 0, or if an iterate would
-    take more than _STEP_BUDGET (1,000,000) RK4 steps at that step, samples
-    times the steps of one segment (_iterate_policy).  Raises
+    overflows makes it 0), if the step rate of the start's freeze is not
+    finite, if a segment or the step at that rate underflows to 0, or if an
+    iterate would take more than _STEP_BUDGET (1,000,000) RK4 steps at that
+    step, samples times the steps of one segment (_iterate_policy); these
+    overflow without a RuntimeWarning.  Raises
     NoConvergence (carrying the delta sequence) when max_outer iterations
     do not bring consecutive trajectories within tol_picard in the
     sup-in-time H^(alpha-1) distance, or when every attempt recalibrates
@@ -271,10 +271,10 @@ def run_picard(
     for _ in range(_MAX_RECALIBRATIONS + 1):
         with np.errstate(over="ignore", invalid="ignore"):
             t0 = horizon(u0, cfg)
-        _check_positive("the Picard horizon", t0)
-        F_start, tail = _start_band(u_init, config.alpha)
-        start = _freeze(g, F_start, config.s, config.epsilon_moll)
-        policy = _iterate_policy(cfg, t0, start.rho_est)
+            _check_positive("the Picard horizon", t0)
+            F_start, tail = _start_band(u_init, config.alpha)
+            start = _freeze(g, F_start, config.s, config.epsilon_moll)
+            policy = _iterate_policy(cfg, t0, start.rho_est)
         dt_seg = policy.dt_max
         times = np.arange(m + 1) * dt_seg
         snaps = {}
@@ -339,33 +339,3 @@ def run_picard(
 
     return PicardResult(times=times, trajectory=trajectory, state=state, records=records,
                         horizon=t0, c_gronwall=cfg.c_gronwall, snapshots=snapshots)
-
-
-def uniqueness_probe(u0: RealField, config: PicardConfig, delta_seed: RealField) -> float:
-    """Growth ratio sup_t ||u_pert(t) - u(t)||_L2 / ||delta_seed||_L2.
-
-    Both runs share the base run's window and Gronwall constant so their
-    sample grids coincide.  A zero perturbation returns 1 by convention.
-    Raises GridMismatch when delta_seed is on another grid than u0.
-    """
-    if delta_seed.grid != u0.grid:
-        raise GridMismatch(f"delta_seed grid {delta_seed.grid} does not match u0 grid {u0.grid}")
-    seed_l2 = lp_norm(delta_seed, 2)
-    seed_halpha = sobolev_norm(delta_seed, config.alpha)
-    limit = 1e-6 * (1.0 + sobolev_norm(u0, config.alpha))
-    if seed_halpha > limit:
-        raise ValueError(
-            f"delta_seed too large: H^alpha norm {seed_halpha:.3e} exceeds {limit:.3e}"
-        )
-    if seed_l2 == 0.0:
-        return 1.0
-    base = run_picard(u0, config)
-    cfg = replace(config, t0_override=base.horizon, c_gronwall=base.c_gronwall)
-    pert = run_picard(
-        RealField(u0.grid, u0.values + delta_seed.values), cfg
-    )
-    ratio = max(
-        lp_norm(RealField(u0.grid, a.values - b.values), 2)
-        for a, b in zip(pert.trajectory, base.trajectory)
-    )
-    return ratio / seed_l2

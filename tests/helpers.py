@@ -1,16 +1,31 @@
-"""Slow reference implementations the tests trust instead of the package.
+"""Slow reference implementations the tests trust instead of the package,
+and the operators and probes only the tests call.
 
-Everything here is written directly from the defining formulas (matrix
-DFT, explicit convolution sums) so a bug in the fast FFT-based code
-cannot hide in its own oracle.  The one exception is nonlinear_march, the
-reference Picard is measured against: it reuses the package's frozen
-right-hand side, but it is another algorithm, with no segments and no
-fixed point.
+Every oracle here is written directly from the defining formulas (matrix
+DFT, explicit convolution sums, the mollifier's samples) so a bug in the
+fast FFT-based code cannot hide in its own oracle.  The one exception is
+nonlinear_march, the reference Picard is measured against: it reuses the
+package's frozen right-hand side, but it is another algorithm, with no
+segments and no fixed point.  The last section holds inv_frac_laplacian,
+the single-field pointwise checks and uniqueness_probe, built on the
+package's public API and its property suite's stacked gap.
 """
+
+from dataclasses import replace
 
 import numpy as np
 
-from fpme.grid import band_symbols
+from fpme import (
+    GridMismatch,
+    InvalidExponent,
+    PicardConfig,
+    RealField,
+    lp_norm,
+    run_picard,
+    sobolev_norm,
+)
+from fpme.diagnostics import InequalityReport, _gap_reports
+from fpme.grid import apply_symbols, band_symbols, half_spectrum_symbols
 from fpme.linear import _freeze, _rhs_values
 from fpme.norms import _norm_of_rfft
 
@@ -203,3 +218,76 @@ def hilbert_flux_solution(g, t: float, e: tuple[int, ...]) -> np.ndarray:
         w = 0.5 * np.exp(-1j * zeta)
         zeta -= (zeta + tau * 1j * (1 + w) - theta) / (1 + tau * w)
     return 1 + (0.5 * np.exp(-1j * zeta)).real
+
+
+def mollifier_samples(g, epsilon: float) -> np.ndarray:
+    """The samples of MollifierKernel(g, epsilon): the standard mollifier
+    exp(-1 / (1 - |x|^2 / epsilon^2)) at the signed lattice offsets,
+    renormalized so that their discrete integral is one."""
+    r_sq = sum(o**2 for o in g.signed_offsets()) / (epsilon * epsilon)
+    vals = np.zeros(g.shape)
+    inside = r_sq < 1.0
+    vals[inside] = np.exp(-1.0 / (1.0 - r_sq[inside]))
+    vals /= np.sum(vals) * g.spacing**g.dim
+    return vals
+
+
+# ---------------------------------------------------------------------------
+# operators and probes only the tests call
+
+
+def inv_frac_laplacian(f: RealField, s: float) -> RealField:
+    """Riesz-type inverse with symbol |xi|**(-2 s) on nonzero modes.
+
+    The zero mode is dropped (mean-zero convention for the potential).
+    """
+    if not (0.0 < s < 1.0):
+        raise InvalidExponent(f"inverse fractional Laplacian needs s in (0, 1), got {s}")
+    return apply_symbols(f, half_spectrum_symbols(f.grid, -2.0 * s).radial)[0]
+
+
+def check_cordoba(f: RealField, s: float) -> InequalityReport:
+    """Pointwise gap 2 f Lambda^s f - Lambda^s(f^2) >= 0, 0 <= s <= 2.
+
+    f must be band-limited so that f^2 survives dealiasing unchanged.
+    """
+    return check_pointwise_lp(f, s, 2)
+
+
+def check_pointwise_lp(f: RealField, sigma: float, p: int) -> InequalityReport:
+    """L^p variant: p f^(p-1) Lambda^sigma f - Lambda^sigma(f^p) >= 0, p in {2, 4}.
+
+    min_gap is the gap's min and tol 1e-9 * (1 + max|f|^2), from the
+    property suite's stacked check on a stack of this one field.
+    """
+    return _gap_reports(f.grid, f.values[np.newaxis], sigma, p)[0]
+
+
+def uniqueness_probe(u0: RealField, config: PicardConfig, delta_seed: RealField) -> float:
+    """Growth ratio sup_t ||u_pert(t) - u(t)||_L2 / ||delta_seed||_L2.
+
+    Both runs share the base run's window and Gronwall constant so their
+    sample grids coincide.  A zero perturbation returns 1 by convention.
+    Raises GridMismatch when delta_seed is on another grid than u0.
+    """
+    if delta_seed.grid != u0.grid:
+        raise GridMismatch(f"delta_seed grid {delta_seed.grid} does not match u0 grid {u0.grid}")
+    seed_l2 = lp_norm(delta_seed, 2)
+    seed_halpha = sobolev_norm(delta_seed, config.alpha)
+    limit = 1e-6 * (1.0 + sobolev_norm(u0, config.alpha))
+    if seed_halpha > limit:
+        raise ValueError(
+            f"delta_seed too large: H^alpha norm {seed_halpha:.3e} exceeds {limit:.3e}"
+        )
+    if seed_l2 == 0.0:
+        return 1.0
+    base = run_picard(u0, config)
+    cfg = replace(config, t0_override=base.horizon, c_gronwall=base.c_gronwall)
+    pert = run_picard(
+        RealField(u0.grid, u0.values + delta_seed.values), cfg
+    )
+    ratio = max(
+        lp_norm(RealField(u0.grid, a.values - b.values), 2)
+        for a, b in zip(pert.trajectory, base.trajectory)
+    )
+    return ratio / seed_l2

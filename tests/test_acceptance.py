@@ -18,23 +18,26 @@ from fpme import (
     PicardConfig,
     RealField,
     TimeStepPolicy,
-    check_cordoba,
-    check_pointwise_lp,
     frac_laplacian,
     gradient,
-    inv_frac_laplacian,
     lp_norm,
     mollify,
     read_snapshot,
     run_picard,
     sobolev_norm,
     solve_linear,
-    uniqueness_probe,
 )
 from fpme.cli import main as cli_main
 
 from conftest import random_field
-from helpers import band_distance, nonlinear_march
+from helpers import (
+    band_distance,
+    check_cordoba,
+    check_pointwise_lp,
+    inv_frac_laplacian,
+    nonlinear_march,
+    uniqueness_probe,
+)
 
 
 def verdict(capsys, num, ok, detail):

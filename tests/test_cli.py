@@ -20,10 +20,10 @@ import fpme.linear as linear_mod
 import fpme.picard as picard_mod
 from fpme import FieldGenerator, read_snapshot
 from fpme.cli import main
-from fpme.config import _KEYS, _READERS, MODES
+from fpme.config import _KEYS, _READERS, MODES, parse_config
 from fpme.fracops import MollifierKernel
 
-from conftest import deadline
+from conftest import count_calls, deadline
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 # shipped config -> the mode it is written for
@@ -291,8 +291,10 @@ class TestExitCodes:
         assert blocker.read_text() == ""
 
     def test_picard_no_convergence_is_3(self, tmp_path):
-        cfg, _ = write_cfg(tmp_path, PICARD_CFG, **{"solver.max_outer": 1})
+        cfg, out = write_cfg(tmp_path, PICARD_CFG, **{"solver.max_outer": 1})
         assert main(["picard", "--config", str(cfg)]) == 3
+        # the failed run leaves its manifest and nothing else
+        assert [p.name for p in out.iterdir()] == ["manifest.json"]
 
     def test_picard_recalibration_budget_is_3(self, tmp_path, monkeypatch, capsys):
         quotients = iter(50.0 * 1000.0**k for k in range(10))
@@ -308,8 +310,9 @@ class TestExitCodes:
             return real_step(u, *args, **kwargs) * 1e14
 
         monkeypatch.setattr(linear_mod, "_rk4_step", exploding)
-        cfg, _ = write_cfg(tmp_path, LINEAR_CFG)
+        cfg, out = write_cfg(tmp_path, LINEAR_CFG)
         assert main(["linear", "--config", str(cfg)]) == 4
+        assert [p.name for p in out.iterdir()] == ["manifest.json"]
 
     def test_property_failure_is_5(self, tmp_path, monkeypatch):
         # every Cordoba and L^p row reads the suite's one stacked gap, so a
@@ -582,9 +585,9 @@ def test_shipped_config_runs(tmp_path, cfg, files):
                           ("sweep", [], [0.1, 0.2, 0.4])],
                          ids=["linear", "picard", "picard-mollified", "sweep"])
 def test_run_builds_each_field_and_kernel_once(tmp_path, monkeypatch, cfg, overrides, radii):
-    # parse_config generates the fields and builds the kernels its checks
-    # need, and the run reads those: nothing is built again, not the kernel
-    # a mollified Picard run smooths its initial datum with
+    # the run generates each field once, whatever the sweep's radii, and
+    # builds each kernel once into the cache every freeze reads: not again
+    # for the kernel a mollified Picard run smooths its initial datum with
     generated, kernels = Counter(), Counter()
     generate, post_init = FieldGenerator.generate, MollifierKernel.__post_init__
 
@@ -602,6 +605,18 @@ def test_run_builds_each_field_and_kernel_once(tmp_path, monkeypatch, cfg, overr
     assert run_shipped(cfg, tmp_path / "out", *overrides) == 0
     assert list(generated.values()) == [1] * (1 if cfg == "picard" else 2)
     assert sorted(kernels) == radii and set(kernels.values()) <= {1}
+
+
+@pytest.mark.parametrize("cfg", ["linear", "sweep"])
+def test_one_freeze_per_solve(tmp_path, monkeypatch, cfg):
+    # the parser freezes no coefficient, and each solve freezes its own once:
+    # linear solves once, a sweep at each radius and at eps = 0
+    calls = []
+    count_calls(monkeypatch, linear_mod, "_freeze", calls)
+    spec = parse_config((CONFIGS / f"{cfg}.cfg").read_text(), mode=SHIPPED[cfg])
+    assert calls == []
+    assert run_shipped(cfg, tmp_path / "out") == 0
+    assert len(calls) == (1 if cfg == "linear" else len(spec.epsilons) + 1)
 
 
 # What the shipped configs compute at their seeds, compared by tolerance so

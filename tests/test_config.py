@@ -18,14 +18,17 @@ from fpme import (
     RunSpec,
     TimeStepPolicy,
     ValidationError,
+    horizon,
     parse_config,
     run_picard,
     run_property_suite,
     solve_linear,
 )
 import fpme.config
+from fpme.cli import main
 from fpme.config import _KEYS, _PICARD_FIELDS, _READERS, _STEPS
-from fpme.linear import _STEP_BUDGET
+from fpme.linear import _STEP_BUDGET, _step_count, make_coefficient_ops
+from fpme.picard import _iterate_policy
 
 from conftest import deadline
 
@@ -296,6 +299,12 @@ def _solve(policy=TimeStepPolicy(dt_max=0.05 / 400), **kwargs):
     return solve_linear(problem, policy, alpha=1.6, **kwargs)
 
 
+# the rejections above that read the generated fields: the solvers make
+# them as the run starts
+RUN_TIME = ("picard-negative-initial", "picard-overflowing-initial",
+            "linear-negative-coefficient", "linear-step-budget", "picard-step-budget")
+
+
 @pytest.mark.parametrize(
     "mode, override, library_call",
     [
@@ -339,10 +348,25 @@ def _solve(policy=TimeStepPolicy(dt_max=0.05 / 400), **kwargs):
          "sample-every", "repeated-snapshot", "snapshot-past-t-end", "picard-repeated-snapshot",
          "suite-seed", "suite-count", "linear-step-budget", "picard-step-budget"],
 )
-def test_parse_time_and_library_rejections_agree(mode, override, library_call):
-    # the parser runs the solvers' own checks, so it says what they say
+def test_parse_time_and_library_rejections_agree(tmp_path, capsys, request, mode, override,
+                                                  library_call):
+    # the parser runs the solvers' own parameter checks, so it says what they
+    # say; the checks that read the generated fields the solvers make as the
+    # run starts, and the CLI prints their message and exits 2 before any
+    # output
     with deadline(10, "the library call"), pytest.raises(ValueError) as library:
         library_call()
+    if request.node.callspec.id in RUN_TIME:
+        cfg, out = tmp_path / "run.cfg", tmp_path / "out"
+        cfg.write_text(DOCS[mode])
+        args = [mode, "--config", str(cfg), "--set", f"output.dir={out}"]
+        for key, value in override.items():
+            args += ["--set", f"{key}={value}"]
+        with deadline(10, "the CLI run"):
+            assert main(args) == 2
+        assert str(library.value) in capsys.readouterr().err
+        assert not out.exists()
+        return
     with pytest.raises(ValidationError) as parsed:
         parse_config(DOCS[mode], mode=mode, overrides=override)
     assert str(library.value) in str(parsed.value)
@@ -354,13 +378,29 @@ def test_parse_time_and_library_rejections_agree(mode, override, library_call):
      # rho_est 0.734 at u0 and a horizon of 0.309: 2.27e5 and 2.27e6 steps
      ("picard", "solver.safety", 1e-6, 1e-7)],
 )
-def test_step_budget(mode, key, within, past):
+def test_step_budget(tmp_path, capsys, mode, key, within, past):
     # the budget bounds the steps of one solve or Picard iterate, at the
-    # step of the first freeze, before any output
+    # step of the first freeze, before any output.  Within it, the solver's
+    # own count at the run's parameters passes (a CLI run would march it);
+    # past it, the CLI exits 2 without output.
     doc = DOCS[mode] + "initial.amplitude = 0.05\ninitial.width = 0.8\n"
-    parse_config(doc, mode=mode, overrides={key: repr(within)})
-    with pytest.raises(ValidationError, match=f"RK4 steps, past the budget of {_STEP_BUDGET:,}"):
-        parse_config(doc, mode=mode, overrides={key: repr(past)})
+    spec = parse_config(doc, mode=mode, overrides={key: repr(within)})
+    frozen = (spec.coefficient if mode == "linear" else spec.initial).generate(spec.grid)
+    rho_est = make_coefficient_ops(frozen, spec.s, 0.0).rho_est
+    if mode == "linear":
+        steps = _step_count(spec.policy, rho_est, spec.t_end)
+    else:
+        policy = _iterate_policy(spec.picard, horizon(frozen, spec.picard), rho_est)
+        steps = _step_count(policy, rho_est, policy.dt_max, spec.picard.samples)
+    assert _STEP_BUDGET / 10 < steps <= _STEP_BUDGET
+
+    cfg, out = tmp_path / "run.cfg", tmp_path / "out"
+    cfg.write_text(doc)
+    args = [mode, "--config", str(cfg), "--set", f"{key}={past!r}", "--set", f"output.dir={out}"]
+    with deadline(10, "the CLI run"):
+        assert main(args) == 2
+    assert f"RK4 steps, past the budget of {_STEP_BUDGET:,}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_linear_problem_rejects_nan_radius():

@@ -15,8 +15,6 @@ from fpme import (
     RealField,
     UnsupportedExponent,
     check_commutator,
-    check_cordoba,
-    check_pointwise_lp,
     lp_norm,
     run_property_suite,
     sobolev_norm,
@@ -29,7 +27,7 @@ from fpme.grid import band_symbols, forward_transform, resample
 from fpme.norms import _start_band
 
 from conftest import random_field
-from helpers import half_columns, radial_symbol_oracle
+from helpers import check_cordoba, check_pointwise_lp, half_columns, radial_symbol_oracle
 
 
 class TestCordoba:

@@ -13,14 +13,18 @@ from fpme import (
     UnresolvedKernel,
     frac_laplacian,
     gradient,
-    inv_frac_laplacian,
     mollify,
     sobolev_norm,
 )
 from fpme.fracops import MollifierKernel
 
 from conftest import random_field
-from helpers import dft_forward_oracle, radial_symbol_oracle
+from helpers import (
+    dft_forward_oracle,
+    inv_frac_laplacian,
+    mollifier_samples,
+    radial_symbol_oracle,
+)
 
 
 class TestEigenfunctions:
@@ -122,12 +126,22 @@ def test_radial_power_semigroup(a, b):
 
 class TestMollifierKernel:
     def test_unit_integral(self, grid64):
-        k = MollifierKernel(grid64, 0.4)
-        assert np.sum(k.kernel_values) * grid64.spacing == pytest.approx(1.0, abs=1e-14)
+        assert np.sum(mollifier_samples(grid64, 0.4)) * grid64.spacing == pytest.approx(
+            1.0, abs=1e-14)
 
     def test_kernel_nonnegative(self, grid64):
-        k = MollifierKernel(grid64, 0.4)
-        assert np.min(k.kernel_values) >= 0.0
+        assert np.min(mollifier_samples(grid64, 0.4)) >= 0.0
+
+    @pytest.mark.parametrize("grid, epsilon", [(Grid(1, 64, 2 * np.pi), 0.4),
+                                               (Grid(2, 32, 2 * np.pi), 0.6)])
+    def test_hat_transforms_the_samples(self, grid, epsilon):
+        # the kernel keeps its symbols only, those of the samples above
+        k = MollifierKernel(grid, epsilon)
+        hat = (np.fft.rfftn(mollifier_samples(grid, epsilon), axes=grid.fft_axes)
+               * grid.spacing**grid.dim).real
+        hat.flat[0] = 1.0
+        assert np.array_equal(k.kernel_hat, hat)
+        assert not hasattr(k, "kernel_values")
 
     def test_hat_at_zero_is_exactly_one(self, grid64):
         k = MollifierKernel(grid64, 0.3)
@@ -205,13 +219,11 @@ class TestMollifierKernel:
 
     def test_two_dim_kernel_integral(self):
         g = Grid(2, 32, 2 * np.pi)
-        k = MollifierKernel(g, 0.6)
-        assert np.sum(k.kernel_values) * g.spacing**2 == pytest.approx(1.0, abs=1e-13)
+        assert np.sum(mollifier_samples(g, 0.6)) * g.spacing**2 == pytest.approx(1.0, abs=1e-13)
 
     def test_kernel_even_symmetry(self, grid64):
         # rho(-x) = rho(x) sampled on the lattice: index reversal fixes it
-        k = MollifierKernel(grid64, 0.4)
-        vals = k.kernel_values
+        vals = mollifier_samples(grid64, 0.4)
         flipped = np.roll(vals[::-1], 1)
         assert np.array_equal(vals, flipped)
         # evenness is what makes the symbol real

@@ -32,7 +32,6 @@ from fpme import (
     frac_laplacian,
     gradient,
     homogeneous_seminorm,
-    inv_frac_laplacian,
     lp_norm,
     mollify,
     run_picard,
@@ -62,6 +61,8 @@ from helpers import (
     cos_sin_band,
     dft_forward_oracle,
     half_columns,
+    inv_frac_laplacian,
+    mollifier_samples,
     radial_symbol_oracle,
     signed_band,
 )
@@ -119,7 +120,7 @@ def full_grad_symbols(grid):
 
 def full_kernel_hat(kernel):
     g = kernel.grid
-    hat = (np.fft.fftn(kernel.kernel_values) * g.spacing**g.dim).real
+    hat = (np.fft.fftn(mollifier_samples(g, kernel.epsilon)) * g.spacing**g.dim).real
     hat.flat[0] = 1.0
     return hat
 

@@ -1,5 +1,7 @@
 """Frozen-coefficient solver: rhs structure, stability, conservation."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -204,19 +206,34 @@ class TestTimeStepPolicy:
 
     def test_solve_with_overflowing_coefficient_raises(self, grid64):
         # at amplitude 1e300 the freeze's rho_est is inf: the march used to
-        # step by 0 forever, so a regression is stopped by the alarm
+        # step by 0 forever, so a regression is stopped by the alarm; the
+        # overflow raises no RuntimeWarning
         prob = make_problem(grid64, seed=7)
         huge = LinearProblem(v=RealField(grid64, prob.v.values * 2e300), u0=prob.u0,
                              s=prob.s, epsilon=0.0, t_end=prob.t_end)
-        with deadline(10, "solve_linear"), np.errstate(over="ignore", invalid="ignore"):
+        with deadline(10, "solve_linear"), warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(ValueError, match="rho_est must be finite, got inf"):
+                solve_linear(huge, TimeStepPolicy(dt_max=1e-3), alpha=2.1)
+
+    def test_solve_with_overflowing_initial_datum_raises(self, grid64):
+        # its H^alpha norm bounds every norm a record takes: checked before
+        # any step, without a RuntimeWarning
+        prob = make_problem(grid64, seed=7)
+        huge = LinearProblem(v=prob.v, u0=RealField(grid64, prob.u0.values * 2e300),
+                             s=prob.s, epsilon=0.0, t_end=prob.t_end)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match=r"H\^alpha norm at alpha = 2.1 is inf"):
                 solve_linear(huge, TimeStepPolicy(dt_max=1e-3), alpha=2.1)
 
     def test_rho_est_formula(self, grid64):
         v = bump(grid64, seed=7)
         s = 0.75
         ops = make_coefficient_ops(v, s, 0.0)
-        from fpme.fracops import gradient, inv_frac_laplacian
+        from fpme.fracops import gradient
+
+        from helpers import inv_frac_laplacian
 
         grad_p = gradient(inv_frac_laplacian(v, s))
         grad_norm = np.max(np.abs(np.stack([c.values for c in grad_p])))

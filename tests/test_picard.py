@@ -3,6 +3,7 @@ form, uniqueness."""
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -24,7 +25,6 @@ from fpme import (
     run_picard,
     sobolev_norm,
     solve_linear,
-    uniqueness_probe,
 )
 from fpme.fracops import MollifierKernel
 from fpme.linear import _field
@@ -32,7 +32,7 @@ from fpme.norms import _start_band
 from fpme.picard import _advance_iterate
 
 from conftest import count_calls, deadline, random_field
-from helpers import band_distance, hilbert_flux_solution, nonlinear_march
+from helpers import band_distance, hilbert_flux_solution, nonlinear_march, uniqueness_probe
 
 
 def small_bump(grid, amplitude=0.05, width=0.8):
@@ -363,6 +363,17 @@ class TestStepBudget:
             with pytest.raises(ValueError, match="RK4 steps, past the budget of 1,000,000"):
                 run_picard(small_bump(grid64), cfg)
         assert steps == []
+
+    @pytest.mark.parametrize("epsilon", [0.0, 0.4])
+    def test_overflowing_start_raises_without_a_warning(self, grid64, epsilon):
+        # with t0_override the horizon does not read u0's norm, so the
+        # start's freeze is the first check to meet the overflow
+        u0 = RealField(grid64, small_bump(grid64).values * 1e300)
+        cfg = PicardConfig(s=0.75, alpha=2.1, epsilon_moll=epsilon, t0_override=0.01)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match="rho_est must be finite, got inf"):
+                run_picard(u0, cfg)
 
 
 class TestSegments:
