@@ -1,11 +1,5 @@
-"""Command-line entry point.
-
-    fpme <mode> --config <path> [--set key=value]...
-
-Modes: linear, picard, sweep_epsilon, properties.  Exit codes: 0 ok,
-2 validation problem or unwritable output, 3 Picard failed to converge,
-4 solution blew up, 5 a property check failed.  The outputs are written
-only once the run has succeeded (see execute).
+"""Command-line entry point, ``fpme <mode> --config <path> [--set key=value]...``:
+main parses the config, and execute runs the mode and writes its outputs.
 """
 
 from __future__ import annotations
@@ -19,7 +13,7 @@ from .config import MODES, RunSpec, _run_keys, parse_config
 from .diagnostics import run_property_suite
 from .errors import BlowUp, FpmeError, NoConvergence, ParseError, ValidationError
 from .grid import RealField
-from .linear import LinearProblem, solve_linear
+from .linear import LinearProblem, _kernel, solve_linear
 from .norms import lp_norm
 from .picard import run_picard
 from .reporting import (
@@ -96,9 +90,13 @@ def _run_picard(spec: RunSpec):
 
 
 def _run_sweep(spec: RunSpec):
-    # every radius is solved before anything is written
+    # every radius is solved before anything is written, and every kernel
+    # built before the first solve, so a radius the grid cannot resolve
+    # fails before any step; the freezes read the cached kernels
     problem = _problem(spec)
     eps_list = sorted(spec.epsilons, reverse=True)
+    for eps in eps_list:
+        _kernel(spec.grid, eps)
     sols = [_linear_solution(spec, replace(problem, epsilon=eps)) for eps in eps_list + [0.0]]
     baseline = sols[-1].final
     entries = [(eps, lp_norm(RealField(spec.grid, sol.final.values - baseline.values), 2))

@@ -1,13 +1,7 @@
-"""Flat key-value run configuration.
-
-A config document is lines of ``key = value`` with ``#`` comments.  Keys
-are namespaced with dots; unknown keys are rejected, and every value is
-parsed whatever the mode.  parse_config checks the values and returns a
-RunSpec; --set overrides are applied before validation.  The solver keys
-are checked by the solver's own PicardConfig and TimeStepPolicy, which
-RunSpec carries.  No field is generated here: what depends on the fields
-(a sign, a norm, the horizon, a kernel, the step count) the solvers check
-as the run starts, and _run_keys names the keys that set those checks.
+"""Flat key-value run configuration: parse_config checks the values of a
+document and its --set overrides and returns a RunSpec, whose PicardConfig
+and TimeStepPolicy check the solver keys.  No field is generated here;
+_run_keys names the keys that set what the solvers check as a run starts.
 """
 
 from __future__ import annotations

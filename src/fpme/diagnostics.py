@@ -124,7 +124,6 @@ def record(
     )
 
 
-# ---------------------------------------------------------------------------
 # test field generation
 
 
@@ -240,7 +239,6 @@ def _least_trig_width(grid: Grid) -> float:
     return w
 
 
-# ---------------------------------------------------------------------------
 # pointwise inequalities
 
 
@@ -311,7 +309,6 @@ def check_commutator(f: RealField, g: RealField, alpha: float) -> float:
     return numerator / denominator
 
 
-# ---------------------------------------------------------------------------
 # batch suite (used by the properties CLI mode)
 
 

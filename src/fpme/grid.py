@@ -1,84 +1,25 @@
-"""Periodic grid, spectral transforms and symbol tables.
+"""Periodic grid, the band transform pair and symbol tables.
 
-All fields live on the torus ``[0, L)^dim`` sampled on a uniform lattice of
-``n_points`` cells per axis.  Spectral data use one layout everywhere, the
-``rfftn`` half-spectrum of shape ``(*shape[:-1], n_points // 2 + 1)``: the
-last axis holds the nonnegative frequencies ``0..n/2``, the other axes the
-full signed range in FFT order.  The negative last-axis frequencies are the
-complex conjugates of the stored ones and are not kept.
+Fields live on the torus ``[0, L)^dim``, sampled on ``n_points`` cells per
+axis (:class:`Grid`, :class:`RealField`).  Spectra use the ``rfftn``
+half-spectrum, shape ``(*shape[:-1], n_points // 2 + 1)``, or, once
+Orszag's 2/3 rule zeroes them off ``|k| <= dealias_cutoff``, the band
+alone.  Three conventions share these layouts:
 
-Products are dealiased by Orszag's 2/3 rule, which keeps the modes with
-``|k| <= dealias_cutoff`` on every axis.  A spectrum that is zero off those
-modes is stored on the *band* alone, shape
-``(2c + 1, ..., 2c + 1, c + 1)`` with ``c = dealias_cutoff``.  The last
-axis keeps the ``rfft`` columns ``0..c``.  Each signed axis (every axis
-but the last, so none at dim 1) holds cosine and sine coefficients instead
-of the ``exp(-ikx)`` ones: the FFT-order row of ``+k``, ``k = 0..c``,
-holds ``C_k = sum_x f cos(kx)``, and the row of ``-k`` holds
-``S_k = sum_x f sin(kx)``.  Per signed axis, with ``B`` the ``rfftn``
-coefficients in FFT order,
+* :meth:`Grid.band_forward` and :meth:`Grid.band_inverse`, the band's
+  unnormalized transform pair, which the solvers, norms and diagnostics
+  run on: the layout is in band_forward's docstring, the kernel in
+  :func:`_band_matrices`, :func:`_inverse_matrices`, :func:`_products` and
+  :func:`_run`;
+* :func:`apply_symbols`, the multipliers of the unmasked operators, on
+  numpy's unnormalized ``rfftn`` and ``irfftn``;
+* :func:`forward_transform` and :func:`inverse_transform`, mean-normalized,
+  with :class:`SpectralField`.
 
-    C_k = (B_k + B_-k) / 2,    S_k = i (B_k - B_-k) / 2,    B_+-k = C_k -+ i S_k,
-
-the real-even/odd split of r2r transforms.  The matrices of
-:func:`_band_matrices` make and read this layout directly.  An even symbol,
-one with the same value at ``-k`` as at ``+k`` on each signed axis,
-multiplies the band as it would ``B``.  A derivative along a signed axis
-swaps the two rows of each ``|k|``: no multiplier, so
-:meth:`Grid.band_inverse` takes it as a derivative matrix in its product.
-Symbols come from :func:`half_spectrum_symbols`, and on the band from
-:func:`band_symbols`, one builder over each layout's own frequencies; on
-the band ``radial``, ``fold`` and ``sobolev`` are dense at dim >= 2.  The
-same layout with a smaller ``c`` holds a spectrum that is zero off a
-smaller box, such as a low Littlewood-Paley block cropped to its support.
-
-Three conventions share these layouts:
-
-* :meth:`Grid.band_forward` and :meth:`Grid.band_inverse` are the
-  transform pair of masked spectra.  They compute ``rfftn`` restricted to
-  the band and ``irfftn`` of the zero-extended band, unnormalized, in the
-  band layout, and transform no row the band drops (a pruned transform);
-  the inverse also takes a smaller box.  The RK4 state, the samples of a
-  Picard trajectory, the frozen coefficients, the Littlewood-Paley blocks,
-  and the dealiased products and random_trig fields of the diagnostics all
-  live on the band, and a diagnostics record reads the state the solver
-  holds there.
-
-  One kernel computes the pair at every dimension: each axis is one real
-  BLAS product with a cos/sin matrix over the band rows alone (a pruned
-  DFT) on the interleaved ``(re, im)`` pairs, with no transpose and no
-  complex product.  A matrix costs n**2 per line against an FFT's n log n:
-  the products beat pocketfft at every size measured up to n = 128 and lose
-  past it (README has the measurements).  On the tested grids the pair
-  stays within 1e-15 relative of ``rfftn`` in the band layout, and a stack,
-  derivative rows included, equals its fields one at a time bit for bit.
-  At 1-D n <= 512, up to 3-D n = 32 and at 2-D n = 128 it gives the same
-  bytes on one BLAS thread and on two.  At 3-D n = 64 OpenBLAS splits some
-  products, and a forward transform then differs between thread counts in a
-  few near-zero coefficients, within 1e-15 of its largest; a linear run
-  still writes the same bytes.  The products run from lists of bound
-  ``np.matmul`` calls (:func:`_products`): the pair's own keep no buffer
-  and return fresh arrays, and :mod:`fpme.linear`'s plan reuses its own.
-* :func:`apply_symbols` is the real-to-real multiplier path of the
-  unmasked operators.  It uses numpy's unnormalized ``rfftn`` and its
-  ``irfftn`` inverse, as do the Sobolev norms; its core,
-  :func:`_multiply_symbols`, takes arrays with leading stack axes.
-* :func:`forward_transform` and :func:`inverse_transform` use the
-  mean-value normalization: the zero coefficient equals the grid mean, so
-  with ``fold`` from :class:`HalfSpectrumSymbols`
-
-      sum(f**2) * spacing**dim == volume * sum(fold * |coeff|**2)
-
-  holds exactly (discrete Parseval identity).  :func:`resample` works on
-  these coefficients.
-
-Scaling by ``1/size`` is exact on power-of-two grids, so both conventions
-give the same real fields bit for bit.
-
-The right-hand sides and coefficient freezes of :mod:`fpme.linear` and the
-property suite of :mod:`fpme.diagnostics` stack fields by one budget,
-:func:`_fields_per_stack`, ``_STACK_BYTES``, which sets only how many
-fields a stack takes.
+Scaling by ``1/size`` is exact on power-of-two grids, so the conventions
+give the same real fields bit for bit.  :func:`half_spectrum_symbols` and
+:func:`band_symbols` build their tables with one builder, :func:`_symbols`.
+A stacked transform takes the fields :func:`_fields_per_stack` allows.
 """
 
 from __future__ import annotations
@@ -89,8 +30,6 @@ from numbers import Integral
 
 import numpy as np
 
-from .errors import GridMismatch
-
 __all__ = [
     "Grid",
     "RealField",
@@ -98,7 +37,6 @@ __all__ = [
     "forward_transform",
     "inverse_transform",
     "apply_symbols",
-    "resample",
     "HalfSpectrumSymbols",
     "half_spectrum_symbols",
     "band_symbols",
@@ -196,10 +134,20 @@ class Grid:
 
     def band_forward(self, values: np.ndarray) -> np.ndarray:
         """Unnormalized ``rfftn`` of ``values``, which may carry leading stack
-        axes, restricted to the band, in the band layout, as a fresh array.
-        The axes run in ``rfftn``'s order, the last axis first, each one real
-        product over the band rows alone (:func:`_products`), so each axis
-        drops its rows off the band before the next transforms them.
+        axes, restricted to the band ``|k| <= c = dealias_cutoff`` on every
+        axis, as a fresh array of shape ``(..., 2c + 1, ..., 2c + 1, c + 1)``.
+
+        The last axis keeps the ``rfft`` columns ``0..c``.  Each other,
+        signed, axis holds cosine and sine coefficients: the FFT-order row of
+        ``+k`` holds ``C_k = sum_x f cos(kx)`` and that of ``-k`` holds
+        ``S_k = sum_x f sin(kx)``, so with ``B`` the ``rfftn`` coefficients
+        ``C_k = (B_k + B_-k) / 2``, ``S_k = i (B_k - B_-k) / 2`` and
+        ``B_+-k = C_k -+ i S_k``.  An even symbol multiplies the band as it
+        would ``B``; a derivative along a signed axis swaps the rows of each
+        ``|k|``, so :meth:`band_inverse` takes it inside its products.  The
+        axes run in ``rfftn``'s order, the last first, each one real product
+        over the band rows alone (:func:`_products`), so each axis drops its
+        rows off the band before the next transforms them.
         """
         x = np.ascontiguousarray(values, dtype=float)
         return _run(_fresh(self, x.shape), x).view(complex)
@@ -274,7 +222,9 @@ def _products(grid: Grid, x, derivs: tuple | None = None, keep: int = 0, bufs=()
     an array, and the first ``keep`` products are buffers bound into the
     steps, which each :func:`_run` overwrites, product ``i`` running in
     ``bufs[i]`` if given and else in a new one; the rest are shapes, made
-    fresh by each run, ``x`` then being given to it."""
+    fresh by each run, ``x`` then being given to it.  No product is complex,
+    and each line is its own, so a stack equals its fields one at a time
+    bit for bit."""
     shape, steps = getattr(x, "shape", x), []
     if derivs is None:
         fwd, _, real_fwd, _ = _band_matrices(grid.n_points, grid.dealias_cutoff, grid.dim > 1)
@@ -473,7 +423,9 @@ class SpectralField:
 
 
 def forward_transform(f: RealField) -> SpectralField:
-    """Half-spectrum DFT with mean normalization: coefficient at 0 equals mean(f)."""
+    """Half-spectrum DFT with mean normalization: coefficient at 0 equals
+    mean(f), and ``sum(f**2) * spacing**dim == volume * sum(fold *
+    |coeff|**2)`` with ``fold`` of :func:`half_spectrum_symbols`."""
     g = f.grid
     return SpectralField(g, np.fft.rfftn(f.values, axes=g.fft_axes, norm="forward"))
 
@@ -511,20 +463,3 @@ def _band(grid: Grid, keep: int):
     """Index of the half-spectrum modes with |k| <= keep on every axis."""
     sel = np.abs(grid.k_signed) <= keep
     return np.ix_(*[sel] * (grid.dim - 1), sel[: grid.n_points // 2 + 1])
-
-
-def resample(f: RealField, target: Grid) -> RealField:
-    """Trigonometric re-interpolation of ``f`` onto a finer or coarser grid.
-
-    Grids must share dim and side_length.  Modes beyond the smaller Nyquist
-    range are dropped; for band-limited fields this is exact.
-    """
-    src = f.grid
-    if (src.dim, src.side_length) != (target.dim, target.side_length):
-        raise GridMismatch("resample requires equal dim and side_length")
-    if src.n_points == target.n_points:
-        return RealField(target, f.values)
-    keep = min(src.n_points, target.n_points) // 2 - 1
-    out = np.zeros(target.spectral_shape, dtype=complex)
-    out[_band(target, keep)] = forward_transform(f).coeffs[_band(src, keep)]
-    return inverse_transform(SpectralField(target, out))

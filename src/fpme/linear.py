@@ -8,35 +8,10 @@ with v held fixed in time and J_eps an optional mollification (epsilon = 0
 drops it).  With v >= 0 the two terms combine into a divergence, so the
 right-hand side has zero mean and the discrete L2 norm cannot grow beyond
 time-stepping error.  Every product is dealiased on both factors and on the
-result, which keeps those identities exact on the lattice.
-
-The right-hand side is zero off the 2/3-rule band, so the RK4 state is the
-band F of u's unnormalized ``rfftn`` (see :mod:`fpme.grid`), and the stages
-combine band coefficients.  One right-hand side is
-``filt * band_forward(sum_i c_i * band_inverse(M_i(filt * F)))``, the M_i
-being the derivative along each axis, which band_inverse takes inside its
-own products, and the Laplacian symbol: dim + 1 inverse transforms and one
-forward transform, none over a row off the band.  These inverses, and
-those of a coefficient freeze, run in stacks of at most 256 KiB of real
-output (grid._STACK_BYTES, the property suite's budget too): one stack at
-1-D, at 2-D n <= 64 and at 3-D n = 16, two at 2-D n = 128, one per array
-from 3-D n = 32 on.  Both run on a plan built once per grid (_plan), which
-keeps one stack's buffers at every grid size, 7.3 MB at 3-D n = 64: every
-stack runs in views of them, with one more last product past one stack,
-and the right-hand side's band forward in the inverse's intermediates.
-Each call overwrites them, which assumes fpme's one Python thread.  What a
-caller keeps is fresh: the right-hand side, the band _rk4_step returns,
-coeffs and _values' field.  Both solvers step
-through _march, the one owner of the step rule: it reads the coefficient's
-ops from a callable at each RK4 stage time, caps each step by the policy
-and the ops at its start, and lands exactly on each stop time, here the
-snapshot times and t_end of solve_linear's one freeze, or the end of a
-Picard segment's.  _field returns the state to real space once per step or
-segment, as ``u = u_start + band_inverse(F - F_start)``, so u keeps u_start's
-coefficients off the band, and a state the right-hand side does not move
-stays equal to u_start bit for bit.  A diagnostics record reads F and
-u_start's off-band H^alpha power, which every state keeps, so it makes no
-forward transform.
+result, which keeps those identities exact on the lattice.  The RK4 state
+is the band of u's unnormalized rfftn: _freeze and _rhs_values run on the
+buffers of _plan, and _march, which both solvers step through, owns the
+step rule.
 """
 
 from __future__ import annotations
@@ -243,12 +218,17 @@ def _freeze(g: Grid, Fv: np.ndarray, s: float, epsilon: float) -> CoefficientOps
 def _plan(g: Grid, budget: int) -> tuple[list[tuple], list[tuple]]:
     """What a right-hand side and a freeze on g run, built once per grid
     and budget: (lo, hi, derivs, input, products) of each band inverse, at
-    most _fields_per_stack rows of coeffs each, row i < dim differentiated
-    along axis i, and the products of the right-hand side's band forward
-    of r, the first inverse's first row.  Every stack runs in views of the
-    first stack's input and intermediates, and the later ones share one
-    last product, as the first's holds r; the forward runs in the first
-    rows of the intermediates, which have its shapes in reverse order."""
+    most _fields_per_stack rows of coeffs each (one stack at 1-D, 2-D
+    n <= 64 and 3-D n = 16, two at 2-D n = 128, one per row from 3-D n = 32
+    on), row i < dim differentiated along axis i, and the products of the
+    right-hand side's band forward of r, the first inverse's first row.
+    Every stack runs in views of the first stack's input and
+    intermediates, and the later ones share one last product, as the
+    first's holds r; the forward runs in the first rows of the
+    intermediates, which have its shapes in reverse order.  Each call
+    overwrites these buffers, which assumes one Python thread; what a
+    caller keeps is fresh: the right-hand side, the band _rk4_step returns,
+    coeffs and _values' array."""
     c, k = g.dealias_cutoff, _fields_per_stack(g)
     rows, stacks, shared = (*range(g.dim), None), [], []
     inp = np.zeros((min(k, g.dim + 1), *[2 * c + 1] * (g.dim - 1), c + 1), dtype=complex)
@@ -273,7 +253,9 @@ def _stack(inp: np.ndarray, derivs: tuple, Fd: np.ndarray, last, *args) -> np.nd
 
 def _rhs_values(F: np.ndarray, ops: CoefficientOps) -> np.ndarray:
     """Right-hand side on the band coefficients F of the state, a fresh
-    array.
+    array: filt * band_forward(sum_i c_i * band_inverse(M_i(filt * F))),
+    c_i the rows of ops.coeffs and M_i the derivative along each axis,
+    taken inside the band inverse, then lap_mult.
 
     Each inverted stack is multiplied by its rows of coeffs in place and
     added onto r, its first row, row by row in coeffs order, whatever the
@@ -358,8 +340,10 @@ def _march(F: np.ndarray, coeff, policy: TimeStepPolicy, stops):
 
 
 def _values(u_start: RealField, F: np.ndarray, F_start: np.ndarray, t: float) -> np.ndarray:
-    """Samples u of state F marched from u_start (band F_start); BlowUp at
-    t if max|u| leaves the finite range."""
+    """Samples u of state F marched from u_start (band F_start), as
+    u_start + band_inverse(F - F_start): u keeps u_start's coefficients off
+    the band, and a state the right-hand side does not move equals u_start
+    bit for bit.  BlowUp at t if max|u| leaves the finite range."""
     u = u_start.grid.band_inverse(F - F_start)
     u += u_start.values
     linf = float(np.max(np.abs(u)))

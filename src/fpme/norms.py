@@ -188,13 +188,9 @@ def _besov_of_band(g: Grid, F: np.ndarray, alpha: float, partition: DyadicPartit
 
 
 def besov_norm(f: RealField, alpha: float, partition: DyadicPartition) -> float:
-    """B^alpha_{1,inf} norm: sup_j 2**(j alpha) * L1 norm of block j.
-
-    One band transform of f serves every block, each block is inverted
-    over its support only, and a block whose Parseval bound cannot reach
-    the sup is not inverted at all (see _besov_of_band); the value is the
-    max over all blocks bit for bit.  Raises GridMismatch when partition
-    is on another grid, ValueError when alpha is NaN.
+    """B^alpha_{1,inf} norm: sup_j 2**(j alpha) * L1 norm of block j, from
+    one band transform of f (_besov_of_band).  Raises GridMismatch when
+    partition is on another grid, ValueError when alpha is NaN.
     """
     if math.isnan(alpha):
         raise ValueError(f"alpha must be a number, got {alpha}")

@@ -1,27 +1,11 @@
 """Picard iteration for the fractional porous medium equation.
 
-Each outer iterate solves the frozen-coefficient linear problem over a
-fixed existence window, with the coefficient taken from the previous
-iterate's trajectory at every inner sample time (piecewise-constant in
-time).  The window is
-
-    T0 = ln(2) / (2 C (1 + ||u0||_{H^alpha}))
-
-with C the Gronwall constant: it starts at the configured value and is
-recalibrated from the first iterate's measured growth if the uniform bound
-sup_n ||u^n||_{H^alpha} <= 2 ||u0||_{H^alpha} would otherwise fail.
-Convergence is declared when consecutive trajectories agree in
-H^(alpha - 1) uniformly in time, below tol_picard.
-
-Every sample of an attempt is marched from the same start u_init and keeps
-its coefficients off the 2/3-rule band, so a trajectory is held as the band
-states F of its samples (see :mod:`fpme.linear`).  The distance between two
-samples is a band reduction of their state difference, the next iterate
-freezes a band state directly, each previous sample is dropped once it has
-been frozen and compared, and the diagnostics records read the band states.
-Real samples exist only where they are read: one array per sample inside
-the march, for the blow-up check and the min u it keeps, and one RealField
-per access of PicardResult.trajectory.
+Each outer iterate solves the frozen-coefficient linear problem over the
+existence window of :func:`horizon`, freezing the previous iterate's
+trajectory at each sample time (piecewise-constant in time), until
+consecutive trajectories agree in H^(alpha - 1) uniformly in time, below
+tol_picard.  :func:`run_picard` recalibrates the window's Gronwall
+constant, and :func:`_advance_iterate` marches one iterate on band states.
 """
 
 from __future__ import annotations
@@ -142,7 +126,8 @@ class PicardResult:
 
 
 def horizon(u0: RealField, config: PicardConfig) -> float:
-    """Existence window; t0_override wins when set."""
+    """Existence window T0 = ln(2) / (2 C (1 + ||u0||_{H^alpha})), C the
+    Gronwall constant; t0_override wins when set."""
     if config.t0_override is not None:
         return config.t0_override
     h0 = sobolev_norm(u0, config.alpha)
@@ -243,28 +228,34 @@ def run_picard(
 ) -> PicardResult:
     """Iterate to the fixed point of the frozen-coefficient map.
 
-    Each snapshot time within the horizon is hit exactly, in every
-    iterate, by _advance_iterate; times past the horizon are left out.
+    An attempt whose first iterate's measured growth c_meas puts the bound
+    sup_n ||u^n||_{H^alpha} <= 2 ||u0||_{H^alpha} at risk restarts with the
+    Gronwall constant raised to max(1, 1.2 c_meas).  Each snapshot time
+    within the horizon is hit exactly, in every iterate, by
+    _advance_iterate; times past the horizon are left out.
 
     Raises ValueError, before any work, unless the snapshot times are
     distinct, finite and >= 0, and before an attempt's first step if its
     horizon is not positive and finite (an H^alpha norm of u0 that
-    overflows makes it 0), if the step rate of the start's freeze is not
-    finite, if a segment or the step at that rate underflows to 0, or if an
-    iterate would take more than _STEP_BUDGET (1,000,000) RK4 steps at that
-    step, samples times the steps of one segment (_iterate_policy); these
-    overflow without a RuntimeWarning.  Raises
-    NoConvergence (carrying the delta sequence) when max_outer iterations
-    do not bring consecutive trajectories within tol_picard in the
-    sup-in-time H^(alpha-1) distance, or when every attempt recalibrates
-    the Gronwall constant.
+    overflows makes it 0), if the start's step rate is not finite or its
+    step underflows to 0, or if an iterate would take more than
+    _STEP_BUDGET RK4 steps (_iterate_policy); these overflow without a
+    RuntimeWarning.  Raises NoConvergence (carrying the delta sequence)
+    when max_outer iterations do not bring consecutive trajectories within
+    tol_picard, or when every attempt recalibrates the Gronwall constant.
     """
     _check_snapshot_times(snapshot_times, math.inf)
     _validate_initial(u0, config)
     g = u0.grid
     u_init = mollify(u0, _kernel(g, config.epsilon_moll)) if config.epsilon_moll > 0 else u0
+    # the start, its freeze and its norms read no Gronwall constant, so
+    # every attempt shares them
     with np.errstate(over="ignore", invalid="ignore"):
         h_u0 = sobolev_norm(u0, config.alpha)
+        F_start, tail = _start_band(u_init, config.alpha)
+        start = _freeze(g, F_start, config.s, config.epsilon_moll)
+        h_init = sobolev_norm(u_init, config.alpha)
+        min_init = float(np.min(u_init.values))
     m = config.samples
 
     cfg = config
@@ -272,8 +263,6 @@ def run_picard(
         with np.errstate(over="ignore", invalid="ignore"):
             t0 = horizon(u0, cfg)
             _check_positive("the Picard horizon", t0)
-            F_start, tail = _start_band(u_init, config.alpha)
-            start = _freeze(g, F_start, config.s, config.epsilon_moll)
             policy = _iterate_policy(cfg, t0, start.rho_est)
         dt_seg = policy.dt_max
         times = np.arange(m + 1) * dt_seg
@@ -283,11 +272,11 @@ def run_picard(
             snaps.setdefault(i, {})[ts] = None
         traj = [F_start] * (m + 1)
         state = PicardState(
-            sup_halpha=[sobolev_norm(u_init, cfg.alpha)],
+            sup_halpha=[h_init],
             deltas=[],
             converged=False,
             c_meas=[0.0],
-            min_u=[float(np.min(u_init.values))],
+            min_u=[min_init],
         )
         while not state.converged and len(state.deltas) < cfg.max_outer:
             traj, h_list, delta_n, min_u = _advance_iterate(u_init, tail, traj, cfg, policy,

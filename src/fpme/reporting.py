@@ -1,8 +1,5 @@
-"""CSV and manifest writers.
-
-Floats are serialized with repr() of the builtin float, which round-trips
-exactly and is stable across runs; this is what makes the determinism
-guarantee checkable by byte comparison.
+"""CSV and manifest writers.  Floats are written with repr() of the builtin
+float, which round-trips exactly, so reruns can be compared byte for byte.
 """
 
 from __future__ import annotations

@@ -1,12 +1,5 @@
-"""FPM1 snapshot files.
-
-One ASCII header line
-
-    FPM1 dim=<d> n=<N> L=<decimal> t=<decimal>
-
-terminated by a newline, followed by N**d float64 values, little-endian,
-row-major over the axes.  Writing and re-reading is bit-exact.
-"""
+"""FPM1 snapshot files, in README's format; writing and re-reading is
+bit-exact."""
 
 from __future__ import annotations
 

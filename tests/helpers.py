@@ -16,6 +16,7 @@ from dataclasses import replace
 import numpy as np
 
 from fpme import (
+    Grid,
     GridMismatch,
     InvalidExponent,
     PicardConfig,
@@ -25,7 +26,15 @@ from fpme import (
     sobolev_norm,
 )
 from fpme.diagnostics import InequalityReport, _gap_reports
-from fpme.grid import apply_symbols, band_symbols, half_spectrum_symbols
+from fpme.grid import (
+    SpectralField,
+    _band,
+    apply_symbols,
+    band_symbols,
+    forward_transform,
+    half_spectrum_symbols,
+    inverse_transform,
+)
 from fpme.linear import _freeze, _rhs_values
 from fpme.norms import _norm_of_rfft
 
@@ -234,6 +243,23 @@ def mollifier_samples(g, epsilon: float) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # operators and probes only the tests call
+
+
+def resample(f: RealField, target: Grid) -> RealField:
+    """Trigonometric re-interpolation of ``f`` onto a finer or coarser grid.
+
+    Grids must share dim and side_length.  Modes beyond the smaller Nyquist
+    range are dropped; for band-limited fields this is exact.
+    """
+    src = f.grid
+    if (src.dim, src.side_length) != (target.dim, target.side_length):
+        raise GridMismatch("resample requires equal dim and side_length")
+    if src.n_points == target.n_points:
+        return RealField(target, f.values)
+    keep = min(src.n_points, target.n_points) // 2 - 1
+    out = np.zeros(target.spectral_shape, dtype=complex)
+    out[_band(target, keep)] = forward_transform(f).coeffs[_band(src, keep)]
+    return inverse_transform(SpectralField(target, out))
 
 
 def inv_frac_laplacian(f: RealField, s: float) -> RealField:

@@ -492,6 +492,18 @@ class TestSweepRun:
         diffs = [float(line.split(",")[1]) for line in summary[1:]]
         assert diffs[0] > diffs[1] > 0
 
+    def test_unresolved_radius_fails_before_any_step(self, tmp_path, monkeypatch):
+        # at n = 32 the radii 0.2 and 0.1 span less than two cells: the sweep
+        # builds every radius's kernel before its first solve, so it exits 2
+        # before radius 0.4 takes a step
+        steps = []
+        count_calls(monkeypatch, linear_mod, "_rk4_step", steps)
+        out = tmp_path / "out"
+        assert run_shipped("sweep", out, "grid.n=32", "initial.width=1.2",
+                           "coefficient.width=1.2") == 2
+        assert steps == []
+        assert not out.exists()
+
     def test_shipped_sweep_is_second_order_in_epsilon(self, tmp_path):
         # measured l2_diff 8.27e-4, 2.26e-4, 5.11e-5 at eps 0.4, 0.2, 0.1:
         # orders 1.87 and 2.14, as a symmetric mollifier gives on smooth data

@@ -1,5 +1,6 @@
 """Config parsing, validation messages and override layering."""
 
+import ast
 import dataclasses
 import functools
 import math
@@ -484,3 +485,27 @@ def test_readme_solver_defaults_match_dataclasses():
         assert (None if cell == "unset" else parse(cell)) == default, (key, cell)
         checked += 1
     assert checked == 8
+
+
+def _private_fpme_names() -> set[str]:
+    """The _-prefixed names src/fpme defines: functions, classes, methods
+    and assigned names, dunders aside."""
+    names = set()
+    for path in Path(fpme.config.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return {n for n in names if n.startswith("_") and not n.startswith("__")}
+
+
+def test_readme_names_no_private_fpme_name():
+    # README states what a user relies on; a private name belongs to the
+    # docstring of the code that implements it
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    dotted = re.findall(r"fpme(?:\.\w+)*\._\w+", readme)
+    private = _private_fpme_names()
+    bare = [name for name in re.findall(r"(?<![\w.])_\w+", readme) if name in private]
+    assert dotted == [] and bare == []

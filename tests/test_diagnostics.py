@@ -23,11 +23,13 @@ from fpme import diagnostics
 from fpme import grid as grid_module
 from fpme.diagnostics import RecorderConfig, record
 from fpme.fracops import MollifierKernel, frac_laplacian, mollify
-from fpme.grid import band_symbols, forward_transform, resample
+from fpme.grid import band_symbols, forward_transform
 from fpme.norms import _start_band
 
 from conftest import random_field
-from helpers import check_cordoba, check_pointwise_lp, half_columns, radial_symbol_oracle
+from helpers import (
+    check_cordoba, check_pointwise_lp, half_columns, radial_symbol_oracle, resample
+)
 
 
 class TestCordoba:

@@ -10,11 +10,10 @@ from fpme.grid import (
     SpectralField,
     forward_transform,
     inverse_transform,
-    resample,
 )
 
 from conftest import random_field
-from helpers import dft_forward_oracle, half_columns
+from helpers import dft_forward_oracle, half_columns, resample
 
 
 class TestGridValidation:

@@ -46,7 +46,6 @@ from fpme.grid import (
     forward_transform,
     half_spectrum_symbols,
     inverse_transform,
-    resample,
 )
 from fpme import grid as grid_module
 from fpme import linear
@@ -64,6 +63,7 @@ from helpers import (
     inv_frac_laplacian,
     mollifier_samples,
     radial_symbol_oracle,
+    resample,
     signed_band,
 )
 

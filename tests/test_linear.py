@@ -18,11 +18,10 @@ from fpme import (
     solve_linear,
 )
 from fpme.fracops import MollifierKernel
-from fpme.grid import resample
 from fpme.linear import _freeze, _march, make_coefficient_ops, rhs_with_ops
 
 from conftest import count_calls, deadline, random_field
-from helpers import band_distance
+from helpers import band_distance, resample
 
 
 def frozen_rhs(u, prob):

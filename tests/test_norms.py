@@ -23,11 +23,10 @@ from fpme.grid import (
     SpectralField,
     forward_transform,
     inverse_transform,
-    resample,
 )
 
 from conftest import random_field
-from helpers import half_columns, radial_symbol_oracle
+from helpers import half_columns, radial_symbol_oracle, resample
 
 
 def half_dealias_mask(grid):

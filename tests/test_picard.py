@@ -206,6 +206,9 @@ class TestRecalibration:
         # recalibrates; its single iterate is already below tol_picard
         quotients = iter(50.0 * 1000.0**k for k in range(10))
         monkeypatch.setattr(picard_mod, "_max_quotient", lambda h, dt, sc: next(quotients))
+        # the attempts share one start: its band is made once per run
+        starts = []
+        count_calls(monkeypatch, picard_mod, "_start_band", starts)
         cfg = PicardConfig(s=0.75, alpha=2.1, samples=50)
         with pytest.raises(NoConvergence, match=(
             r"^recalibration budget exhausted: each of 4 attempts raised the Gronwall "
@@ -214,6 +217,7 @@ class TestRecalibration:
             run_picard(small_bump(grid64), cfg)
         assert len(err.value.deltas) == 1
         assert err.value.deltas[0] < cfg.tol_picard
+        assert len(starts) == 1
 
     def test_override_disables_recalibration(self, grid64, monkeypatch):
         monkeypatch.setattr(picard_mod, "_max_quotient", lambda h, dt, sc: 50.0)
